@@ -1,0 +1,7 @@
+"""Puts the benchmark's modules and the checkout's ``src`` on the import path."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
