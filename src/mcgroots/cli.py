@@ -229,6 +229,17 @@ def cmd_relations(args) -> tuple[int, dict]:
     return (0 if not failures else 2), report
 
 
+def _scan_bound(args) -> int:
+    """``--scan-bound`` if given, else ``MCGROOTS_SCAN_BOUND``, else 5."""
+    if args.scan_bound is not None:
+        return args.scan_bound
+    text = os.environ.get("MCGROOTS_SCAN_BOUND", "5")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"MCGROOTS_SCAN_BOUND must be an integer, got {text!r}") from None
+
+
 def cmd_small_genus(args) -> tuple[int, dict]:
     target_name = args.target + "1"
     if args.genus == 2:
@@ -253,7 +264,7 @@ def cmd_small_genus(args) -> tuple[int, dict]:
         return (0 if not nontrivial else 2), report
 
     word = parse_word(target_name, SurfaceModel.standard(3))
-    certification = certify_no_root_g3(word, args.max_degree, args.scan_bound)
+    certification = certify_no_root_g3(word, args.max_degree, _scan_bound(args))
     report = _report(
         "small-genus",
         genus=3,
@@ -347,11 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     small.add_argument("--genus", type=int, choices=(2, 3), required=True)
     small.add_argument("--target", choices=("u", "y"), default="u")
     small.add_argument("--max-degree", type=int, default=9)
-    small.add_argument(
-        "--scan-bound",
-        type=int,
-        default=int(os.environ.get("MCGROOTS_SCAN_BOUND", "5")),
-    )
+    small.add_argument("--scan-bound", type=int)
     small.set_defaults(handler=cmd_small_genus)
 
     braid = sub.add_parser(

@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from functools import lru_cache
 from typing import Iterable, Union
 
 from .words import (
@@ -167,8 +168,30 @@ def _require(condition: bool, message: str) -> None:
 
 
 def instantiate(schema: str, params, model: SurfaceModel) -> RelationInstance:
-    """Build a relation instance, validating all side conditions."""
+    """Build a relation instance, validating all side conditions.
+
+    Instances are memoized per ``(schema, params, parameter types, model)``;
+    they are frozen, so callers share them safely.  Unhashable parameters
+    are validated and built without the memo, and a call that raises
+    :class:`SchemaError` raises again on every call.
+    """
     params = tuple(params)
+    try:
+        hash((schema, params, model))
+    except TypeError:
+        return _build_instance(schema, params, model)
+    return _cached_instance(schema, params, tuple(map(type, params)), model)
+
+
+@lru_cache(maxsize=4096)
+def _cached_instance(
+    schema: str, params: tuple, types: tuple, model: SurfaceModel
+) -> RelationInstance:
+    # ``types`` only keys the memo, so that ``True`` and ``1`` stay apart.
+    return _build_instance(schema, params, model)
+
+
+def _build_instance(schema: str, params: tuple, model: SurfaceModel) -> RelationInstance:
     spec = _PARAM_SPEC.get(schema)
     if spec is None:
         raise SchemaError(f"unknown schema {schema!r}")

@@ -24,6 +24,19 @@ against these matrices by the test suite.
 Composition follows word order with the column-vector convention: the
 matrix of ``a b`` is ``M(a) M(b)``, and the permutation of ``a b`` is
 ``perm(a)`` composed after ``perm(b)``.
+
+The homology product is column-sparse.  Every generator matrix, its
+inverse and each of their powers differ from the identity in at most two
+columns (those of crosscaps ``i``, ``i+1``; projecting can make one of
+them dense).  ``homology_of`` keeps the running product as a list of
+integer columns and, per letter, rewrites only those columns as integer
+combinations of the old ones: O(g^2) work per letter instead of the
+O(g^3) of a dense product.  A syllable with a large exponent applies the
+binary power of its letter's matrix once.  The inverses are derived in
+integers: a transposition is an involution, a twist is ``t = I + N``
+with ``N^2 = 0`` so ``t^-1 = 2I - t``, and a slide ``y = t u`` has
+``y^-1 = u t^-1``; each is checked against ``M M^-1 = I`` when the
+per-genus table is built.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -261,6 +275,51 @@ def _twist_cols(g: int, i: int) -> list[list[int]]:
     return cols
 
 
+def _columns(m: IntMatrix) -> list[tuple[int, ...]]:
+    return list(zip(*m.rows))
+
+
+def _column_delta(m: IntMatrix) -> tuple:
+    """The columns in which ``m`` differs from the identity, as sparse terms.
+
+    Each entry is ``(c, ((r, m[r][c]), ...))`` over the nonzero entries of
+    column ``c``.
+    """
+    return tuple(
+        (c, tuple((r, v) for r, v in enumerate(col) if v))
+        for c, col in enumerate(zip(*m.rows))
+        if any(v != int(r == c) for r, v in enumerate(col))
+    )
+
+
+def _times_delta(cols: list[tuple[int, ...]], delta: tuple) -> None:
+    """Right-multiply the matrix held as ``cols`` by the one ``delta`` describes.
+
+    Column ``c`` of the product is ``sum(v * cols[r])`` over the terms of
+    column ``c``; the other columns are unchanged.  All new columns are read
+    from the old ones before any is written.
+    """
+    new = []
+    for c, terms in delta:
+        if len(terms) == 1:
+            ((r, v),) = terms
+            new.append((c, cols[r] if v == 1 else tuple(v * x for x in cols[r])))
+        else:
+            coeffs = [v for _, v in terms]
+            new.append(
+                (c, tuple(sum(map(mul, coeffs, row)) for row in zip(*(cols[r] for r, _ in terms))))
+            )
+    for c, col in new:
+        cols[c] = col
+
+
+def _sparse_product(m: IntMatrix, k: IntMatrix) -> IntMatrix:
+    """``m * k`` for a ``k`` that differs from the identity in few columns."""
+    cols = _columns(m)
+    _times_delta(cols, _column_delta(k))
+    return IntMatrix(tuple(zip(*cols)))
+
+
 @lru_cache(maxsize=None)
 def derive_generator_matrices(genus: int) -> Mapping[GeneratorLetter, IntMatrix]:
     """Homology matrices of every standard-model letter at the given genus.
@@ -274,16 +333,45 @@ def derive_generator_matrices(genus: int) -> Mapping[GeneratorLetter, IntMatrix]
         table[GeneratorLetter("u", i)] = _project(_swap_cols(genus, i), genus)
         table[GeneratorLetter("t", i)] = _project(_twist_cols(genus, i), genus)
     for i in range(1, genus):
-        table[GeneratorLetter("y", i)] = (
-            table[GeneratorLetter("t", i)] * table[GeneratorLetter("u", i)]
+        table[GeneratorLetter("y", i)] = _sparse_product(
+            table[GeneratorLetter("t", i)], table[GeneratorLetter("u", i)]
         )
     return MappingProxyType(table)
 
 
 @lru_cache(maxsize=None)
-def _generator_inverses(genus: int) -> Mapping[GeneratorLetter, IntMatrix]:
+def _generator_actions(genus: int) -> Mapping[GeneratorLetter, tuple]:
+    """Per letter: ``(matrix, inverse, column delta, inverse column delta)``.
+
+    The inverses are derived in integers (``u^-1 = u``, ``t^-1 = 2I - t``,
+    ``y^-1 = u t^-1``) and each is checked against ``M M^-1 = I``.
+    """
     table = derive_generator_matrices(genus)
-    return MappingProxyType({letter: m.inv() for letter, m in table.items()})
+    identity = IntMatrix.identity(genus - 1)
+    inverses: dict[GeneratorLetter, IntMatrix] = {}
+    for i in range(1, genus):
+        u, t = table[GeneratorLetter("u", i)], table[GeneratorLetter("t", i)]
+        t_inv = IntMatrix(
+            tuple(
+                tuple(2 * int(r == c) - v for c, v in enumerate(row))
+                for r, row in enumerate(t.rows)
+            )
+        )
+        inverses[GeneratorLetter("u", i)] = u
+        inverses[GeneratorLetter("t", i)] = t_inv
+        inverses[GeneratorLetter("y", i)] = _sparse_product(u, t_inv)
+    actions = {}
+    for letter, m in table.items():
+        inverse = inverses[letter]
+        if _sparse_product(m, inverse) != identity:
+            raise ArithmeticError(f"derived inverse of {letter} at genus {genus} fails M M^-1 = I")
+        actions[letter] = (m, inverse, _column_delta(m), _column_delta(inverse))
+    return MappingProxyType(actions)
+
+
+# Up to this |exponent| a syllable applies its letter's column delta once per
+# unit; beyond it, the delta of the binary-powered matrix is applied once.
+_POWER_LOOP_MAX = 8
 
 
 def homology_of(word: Word) -> IntMatrix:
@@ -291,13 +379,17 @@ def homology_of(word: Word) -> IntMatrix:
     if word.model.is_hybrid:
         raise WordError("the homology oracle is defined for the standard model only")
     g = word.model.genus
-    table = derive_generator_matrices(g)
-    inverses = _generator_inverses(g)
-    acc = IntMatrix.identity(g - 1)
+    actions = _generator_actions(g)
+    cols = _columns(IntMatrix.identity(g - 1))
     for letter, exp in word.syllables:
-        base = table[letter] if exp > 0 else inverses[letter]
-        acc = acc * (base ** abs(exp))
-    return acc
+        m, inverse, delta, inverse_delta = actions[letter]
+        if abs(exp) <= _POWER_LOOP_MAX:
+            step = delta if exp > 0 else inverse_delta
+            for _ in range(abs(exp)):
+                _times_delta(cols, step)
+        else:
+            _times_delta(cols, _column_delta((m if exp > 0 else inverse) ** abs(exp)))
+    return IntMatrix(tuple(zip(*cols)))
 
 
 def gl2_image(word: Word) -> IntMatrix:

@@ -19,11 +19,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .representations import IntMatrix, gl2_image
 from .words import Word
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DegreeFinding",
@@ -215,7 +217,11 @@ class TorsionClassTable:
         return dict(sorted(counts.items()))
 
 
+# numpy is imported where the genus-3 conjugacy search needs it, so that
+# importing the package (and every CLI call) does not pay for it.
 def _conjugator_grid(bound: int) -> np.ndarray:
+    import numpy as np
+
     axis = np.arange(-bound, bound + 1, dtype=np.int64)
     a, b, c, d = (x.ravel() for x in np.meshgrid(axis, axis, axis, axis, indexing="ij"))
     keep = np.abs(a * d - b * c) == 1
@@ -224,6 +230,8 @@ def _conjugator_grid(bound: int) -> np.ndarray:
 
 def _bounded_conjugate(m: IntMatrix, n: IntMatrix, conjugators: np.ndarray) -> bool:
     """True iff some P in the grid satisfies P m P^-1 = n, i.e. P m = n P."""
+    import numpy as np
+
     left = conjugators @ np.array(m.rows, dtype=np.int64)
     right = np.array(n.rows, dtype=np.int64) @ conjugators
     return bool(np.any((left == right).all(axis=(1, 2))))

@@ -227,6 +227,9 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if not isinstance(n, int):
             return NotImplemented
+        if len(self.syllables) == 1:
+            ((letter, exp),) = self.syllables
+            return Word(self.model, ((letter, exp * n),))
         if n < 0:
             return self.inverse() ** (-n)
         return Word(self.model, self.syllables * n)
@@ -335,6 +338,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 def _power_list(body: list[Syllable], e: int) -> list[Syllable]:
+    body = list(_reduce_syllables(body))
+    if len(body) <= 1:
+        # a single syllable powers by scaling its exponent, in O(1)
+        return [(letter, exp * e) for letter, exp in body]
     if e > 0:
         return body * e
     inverse = [(letter, -exp) for letter, exp in reversed(body)]

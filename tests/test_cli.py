@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mcgroots
 from mcgroots.cli import main
 
 
@@ -63,6 +67,18 @@ class TestExitCodes:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "root" in out
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy serves only the genus-3 conjugacy search, so it is imported there
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mcgroots.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, mcgroots.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestRootCommand:
@@ -180,6 +196,13 @@ class TestSmallGenusCommand:
         code, report, _ = run_json(capsys, "small-genus", "--genus", "3", "--max-degree", "3")
         assert code == 0
         assert report["certification"]["scan"]["entry_bound"] == 1
+
+    def test_non_integer_env_is_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MCGROOTS_SCAN_BOUND", "abc")
+        code, out, err = run(capsys, "small-genus", "--genus", "3")
+        assert code == 1
+        assert not out
+        assert err == "error: MCGROOTS_SCAN_BOUND must be an integer, got 'abc'\n"
 
     def test_explicit_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MCGROOTS_SCAN_BOUND", "1")

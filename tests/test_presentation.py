@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from mcgroots.presentation import (
     relation_catalog,
     replay_certificate,
 )
+from mcgroots.roots import RootRequest, construct_root
 from mcgroots.words import GeneratorLetter, SurfaceModel, WordError, parse_word
 
 from conftest import standard_models, words_for
@@ -132,6 +135,28 @@ class TestInstantiate:
             instantiate("R2", (1, 2), std5)
         with pytest.raises(SchemaError):
             instantiate("R1", (1, 3, 1, "x"), std5)
+
+    def test_repeated_calls_give_equal_instances(self, std5, hyb6):
+        assert instantiate("R1", (1, 3, 2, -1), std5) == instantiate("R1", [1, 3, 2, -1], std5)
+        assert instantiate("R3", (), std5) == instantiate("R3", (), std5)
+        assert instantiate("ChainCommute", ("y", 3, -2, 1), hyb6) == instantiate(
+            "ChainCommute", ("y", 3, -2, 1), hyb6
+        )
+
+    def test_parameter_types_are_kept_apart(self, std5):
+        with_bool = instantiate("R1", (1, 3, True, 1), std5)
+        with_int = instantiate("R1", (1, 3, 1, 1), std5)
+        assert type(with_bool.params[2]) is bool
+        assert type(with_int.params[2]) is int
+
+    @pytest.mark.parametrize(
+        "schema, params",
+        [("R1", (1, 2, 1, 1)), ("R1", (1, 3, 1, [1])), ("R2", (9,)), ("R9", ())],
+    )
+    def test_invalid_call_raises_every_time(self, schema, params, std5):
+        for _ in range(2):
+            with pytest.raises(SchemaError):
+                instantiate(schema, params, std5)
 
     def test_standard_schemas_reject_hybrid_model(self, hyb6):
         for schema, params in [("R1", (1, 3, 1, 1)), ("R2", (1,)), ("R3", ()), ("R5", ())]:
@@ -476,3 +501,45 @@ class TestCertificateText:
         a, b = pair
         cert = Certificate(a, b)
         assert certificate_from_text(certificate_to_text(cert)) == cert
+
+
+# sha256 of certificate_to_text for the roots of u1 and y1: standard model at
+# genus 5..13 (nonorientable complement), hybrid model at genus 4..12.
+CERTIFICATE_SHA256 = {
+    ("standard", 5, "u"): "8385f638f4d964599715ddad55aec2100baf6a2ed8f91e74ea3b127ef6a44031",
+    ("standard", 5, "y"): "2af97d37b99d588bd9bd1db0aa010df56ca46a0f0756e5003f3d88e5def93733",
+    ("standard", 6, "u"): "27fd4e6ee866fbea61fa57d84a939d6e718ec694401cd98310591382fc04e798",
+    ("standard", 6, "y"): "51e155d861bf9ce4ff7f8a9e01188c8d681aad34651bf279784332ef0bcb548c",
+    ("standard", 7, "u"): "4e26c2c747990c926a1d094d8eb0caf7359cd7ad488e1dc0400787d52b265619",
+    ("standard", 7, "y"): "7498bc351fbdd286c4bf0c2b9712597f754e8437078e7cc71266059a174753e0",
+    ("standard", 8, "u"): "ffb0cc50b43abb0a22e272f0137f110110424fc489cec098f876b1d0ff7ce731",
+    ("standard", 8, "y"): "978f40959ed73a034d8c77a1c852cc246e20c49820f38df4c5c50ff9af45f107",
+    ("standard", 9, "u"): "1d9d7b9ef28592312c3eae18f2d6069b63da7334cde8e8985dafea87854e7965",
+    ("standard", 9, "y"): "7835ab6e34568741c06af6dc62f379787d5b55679b5f34eb77681b3e82b8242e",
+    ("standard", 10, "u"): "d8fcb056085e58383afa1020c2b6936bcd061680e3783d612536113fd49ee8b9",
+    ("standard", 10, "y"): "007bc1da69a1d75d2c5f46fdaea25fd92455c57dd7758ece9a28bd0690a4a4b4",
+    ("standard", 11, "u"): "6925e3f4c2f6b09cfb3dd2357446b7143553371e6f0da5831a72308b75988f19",
+    ("standard", 11, "y"): "d9643ae1e1f81a63be4e14afce341e98f83a456e3eaed550ed97e2c46388ce87",
+    ("standard", 12, "u"): "0157d958dffb8c4fb14d7f8c3b304535f3e0a6039fcd8373520377bfdcf9753c",
+    ("standard", 12, "y"): "0d056ce58176acd1ef85fa3d6e15975db85488ac72c3885756447e9ec87620ae",
+    ("standard", 13, "u"): "a70d1d13677ac1f3148135a8c57a9d1109bff5af595ef1aece0011d2e1370263",
+    ("standard", 13, "y"): "aacce30006f130231e14c77587d4106a220e5616acd07c54b4f24b948634c8b0",
+    ("hybrid", 4, "u"): "2c054ccc05849c11e82e6e2f32b191f8429129faa4e3963851c6e780f803b2be",
+    ("hybrid", 4, "y"): "ae387d47b878410cbf3ccc3dd6ac3933cc7085786b2f4a91981389b7c2dff73a",
+    ("hybrid", 6, "u"): "84d05128a3184c04972c70e9baa58a9d1dcd9915bc5c12fd3267abc84597803d",
+    ("hybrid", 6, "y"): "18d97e00dceeeed7e2964e84eb32caeefe280bc096c4e3e339469d3f13873b6d",
+    ("hybrid", 8, "u"): "5366cfd03fc84eeb726fd726a040a9dc85943857eb9fb311dd7a1bf6b3c6da45",
+    ("hybrid", 8, "y"): "97ffec3bfbf7f4a018db7f08930a68cd8ab877f47309577ce4d17b71103f6578",
+    ("hybrid", 10, "u"): "e3f076713f2e2e03df27aa39ffeb83124a0fba97c79c873e23f78bdf89b6003f",
+    ("hybrid", 10, "y"): "f9b38b9ecac2948d352ae7b893efef2d96e9b4d0a702991286c2cf65ff6f2e00",
+    ("hybrid", 12, "u"): "9695b30f96f22added4b26f22aa7f912111d8a87de4914b2529b35f80d38a5f7",
+    ("hybrid", 12, "y"): "8bc4f53a733168dbacf55526b1ef5a42de3e1f860745a957859f046f8588ed8a",
+}
+
+
+@pytest.mark.parametrize("kind, genus, target", sorted(CERTIFICATE_SHA256))
+def test_certificate_text_is_byte_stable(kind, genus, target):
+    complement = "orientable" if kind == "hybrid" else "nonorientable"
+    result = construct_root(RootRequest(genus, target, complement))
+    text = certificate_to_text(result.certificate)
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256[kind, genus, target]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,16 +20,36 @@ from mcgroots.representations import (
 from mcgroots.words import (
     GeneratorLetter,
     SurfaceModel,
+    Word,
     WordError,
     normalize_slides,
     parse_word,
 )
 
-from conftest import model_word_pairs, words_for
+from conftest import letters_for, model_word_pairs, standard_models, words_for
 
 
 def _w(text, model):
     return parse_word(text, model)
+
+
+def _dense_homology(word):
+    """Reference oracle: the dense product of generator-matrix powers in word order."""
+    table = derive_generator_matrices(word.model.genus)
+    acc = IntMatrix.identity(word.model.genus - 1)
+    for letter, exp in word.syllables:
+        acc = acc * table[letter] ** exp
+    return acc
+
+
+@st.composite
+def words_with_a_huge_syllable(draw):
+    model = draw(standard_models(3, 12))
+    word = draw(words_for(model))
+    letter = draw(letters_for(model))
+    exp = draw(st.sampled_from((10**9, -(10**9 + 1))))
+    pos = draw(st.integers(0, len(word.syllables)))
+    return Word(model, word.syllables[:pos] + ((letter, exp),) + word.syllables[pos:])
 
 
 class TestIntMatrix:
@@ -245,6 +266,53 @@ class TestHomologyOracle:
         assert homology_of(n) == homology_of(w)
         assert perm_of(n) == perm_of(w)
         assert sign_of(n) == sign_of(w)
+
+
+class TestSparseHomology:
+    """The column-sparse ``homology_of`` against the dense reference product."""
+
+    @settings(max_examples=60)
+    @given(standard_models(3, 12).flatmap(words_for))
+    def test_matches_dense_product(self, w):
+        assert homology_of(w) == _dense_homology(w)
+
+    @settings(max_examples=30)
+    @given(words_with_a_huge_syllable())
+    def test_matches_dense_product_with_a_huge_exponent(self, w):
+        assert homology_of(w) == _dense_homology(w)
+
+    def test_exponents_around_the_powering_switch(self, std5):
+        for letter in std5.letters():
+            for exp in (-10, -9, -8, 8, 9, 10):
+                w = Word(std5, ((letter, exp),))
+                assert homology_of(w) == _dense_homology(w), (letter, exp)
+
+    def test_huge_power_of_a_letter(self, std5):
+        u1 = GeneratorLetter("u", 1)
+        table = derive_generator_matrices(5)
+        assert homology_of(_w("u1^1000000000", std5)) == IntMatrix.identity(4)
+        assert homology_of(_w("u1", std5) ** 1_000_000_001) == table[u1]
+        # t = I + N with N^2 = 0, so t^-e = I - e N
+        e = 1_000_000_000
+        t1 = table[GeneratorLetter("t", 1)]
+        expected = IntMatrix(
+            tuple(
+                tuple(int(r == c) - e * (v - int(r == c)) for c, v in enumerate(row))
+                for r, row in enumerate(t1.rows)
+            )
+        )
+        assert homology_of(_w(f"t1^-{e}", std5)) == expected
+
+    def test_derived_inverses(self):
+        # homology_of(x^-1) is the integer-derived inverse; checked against
+        # a numpy product over exact Python ints (dtype=object)
+        for g in range(2, 31):
+            model = SurfaceModel.standard(g)
+            identity = np.identity(g - 1, dtype=object)
+            for letter, m in derive_generator_matrices(g).items():
+                inverse = homology_of(Word(model, ((letter, -1),)))
+                product = np.array(m.rows, dtype=object) @ np.array(inverse.rows, dtype=object)
+                assert (product == identity).all(), (g, letter)
 
 
 class TestGl2Image:

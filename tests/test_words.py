@@ -160,6 +160,25 @@ class TestGroupOperations:
         _, a, _ = data
         assert a**m * a**n == a ** (m + n)
 
+    def test_single_syllable_power_scales_the_exponent(self, std5):
+        huge = 1_000_000_000
+        w = parse_word("u1", std5) ** huge
+        assert w.syllables == ((GeneratorLetter("u", 1), huge),)
+        assert parse_word("t2^-3", std5) ** -huge == parse_word(f"t2^{3 * huge}", std5)
+        assert (parse_word("y1^2", std5) ** 0).is_identity
+
+    @settings(max_examples=60)
+    @given(model_word_pairs(), st.integers(-4, 4))
+    def test_power_matches_the_expansion(self, data, n):
+        # one-syllable words scale their exponent; the result is the reduced
+        # word of the written-out repetition, as for longer words
+        _, a, _ = data
+        for w in (a, Word(a.model, a.syllables[:1])):
+            base = w if n >= 0 else w.inverse()
+            assert w**n == Word(w.model, base.syllables * abs(n))
+            if n:
+                assert parse_word(f"({format_word(w)})^{n}", w.model) == w**n
+
     @settings(max_examples=60)
     @given(model_word_pairs())
     def test_reduction_is_canonical(self, data):
@@ -207,6 +226,14 @@ class TestTextFormat:
     def test_parse_nested_groups(self, std5):
         w = parse_word("((t1)^2 u3)^-1", std5)
         assert str(w) == "u3^-1 t1^-2"
+
+    def test_parse_huge_single_syllable_power(self, std5):
+        huge = 1_000_000_000
+        u1 = GeneratorLetter("u", 1)
+        assert parse_word(f"u1^{huge}", std5).syllables == ((u1, huge),)
+        assert parse_word(f"(u1^-2)^{huge}", std5).syllables == ((u1, -2 * huge),)
+        assert parse_word(f"(u1 u1 u2 u2^-1)^-{huge} u1", std5).syllables == ((u1, 1 - 2 * huge),)
+        assert parse_word(f"(u2 u2^-1)^{huge}", std5).is_identity
 
     def test_whitespace_insensitive(self, std5):
         assert parse_word(" u1u2 ", std5) == parse_word("u1 u2", std5)
