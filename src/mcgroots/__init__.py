@@ -1,130 +1,60 @@
 """Roots of crosscap transpositions and crosscap slides in mapping class
 groups of nonorientable surfaces, verified by exact oracles and replayable
-rewrite certificates."""
+rewrite certificates.
+
+The package root exports the entry points the README documents and the
+error types; every other name is imported from its own module.
+"""
 
 from .presentation import (
     Certificate,
     CertificateError,
-    FreeStep,
-    RelationInstance,
     SchemaError,
-    SchemaStep,
-    apply_step,
     certificate_from_text,
     certificate_to_text,
     check_certificate,
-    commute_disjoint,
-    instantiate,
-    invert_step,
-    relation_catalog,
-    replay_certificate,
-)
-from .representations import (
-    CrosscapPermutation,
-    IntMatrix,
-    derive_generator_matrices,
-    gl2_image,
-    homology_of,
-    perm_of,
-    sign_of,
 )
 from .roots import (
-    BezoutPair,
     NonexistenceError,
     RootRequest,
     RootResult,
     VerificationReport,
-    bezout,
-    build_report,
-    certificate_assumptions,
-    check_degree_parity,
     construct_braid_root,
     construct_root,
-    is_nontrivial,
+    verify_identity,
 )
-from .small_genus import (
-    Gl2Certification,
-    KleinFourElement,
-    TorsionClassTable,
-    certify_no_root_g3,
-    gl2_order,
-    gl2_torsion_scan,
-    klein_element_of,
-    mn2_nontrivial_roots,
-    mn2_root_search,
-)
+from .small_genus import certify_no_root_g3
 from .words import (
-    GeneratorLetter,
     ParseError,
     SurfaceModel,
     Word,
     WordError,
-    compose,
     format_word,
-    free_reduce,
-    invert,
-    normalize_slides,
     parse_word,
-    power,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BezoutPair",
     "Certificate",
     "CertificateError",
-    "CrosscapPermutation",
-    "FreeStep",
-    "GeneratorLetter",
-    "Gl2Certification",
-    "IntMatrix",
-    "KleinFourElement",
     "NonexistenceError",
     "ParseError",
-    "RelationInstance",
     "RootRequest",
     "RootResult",
     "SchemaError",
-    "SchemaStep",
     "SurfaceModel",
-    "TorsionClassTable",
     "VerificationReport",
     "Word",
     "WordError",
-    "apply_step",
-    "bezout",
-    "build_report",
-    "certificate_assumptions",
     "certificate_from_text",
     "certificate_to_text",
     "certify_no_root_g3",
     "check_certificate",
-    "check_degree_parity",
-    "commute_disjoint",
-    "compose",
     "construct_braid_root",
     "construct_root",
-    "derive_generator_matrices",
     "format_word",
-    "free_reduce",
-    "gl2_image",
-    "gl2_order",
-    "gl2_torsion_scan",
-    "homology_of",
-    "instantiate",
-    "invert",
-    "invert_step",
-    "is_nontrivial",
-    "klein_element_of",
-    "mn2_nontrivial_roots",
-    "mn2_root_search",
-    "normalize_slides",
     "parse_word",
-    "perm_of",
-    "power",
-    "relation_catalog",
-    "replay_certificate",
-    "sign_of",
+    "verify_identity",
     "__version__",
 ]

@@ -30,19 +30,18 @@ from .presentation import (
     SchemaError,
     certificate_from_text,
     certificate_to_text,
-    check_certificate,
     relation_catalog,
 )
-from .representations import homology_of, perm_of, sign_of
+from .representations import homology_of
 from .roots import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
     NonexistenceError,
     RootRequest,
-    certificate_assumptions,
     construct_braid_root,
     construct_root,
+    verify_identity,
 )
 from .small_genus import (
     certify_no_root_g3,
@@ -178,11 +177,12 @@ def cmd_braid_root(args) -> tuple[int, dict]:
     return (0 if result.report.all_passed else 2), report
 
 
-_ORACLES = {
-    "sign": sign_of,
-    "perm": perm_of,
-    "homology": homology_of,
-}
+# Not used here: perfbench's tracer test reads this table and ``cli.homology_of``.
+_ORACLES = {"homology": homology_of}
+
+# Oracle names of the ``relations`` report (``checked``, failure text) and
+# the report fields they read.
+_RELATION_ORACLES = (("sign", "sign"), ("perm", "permutation"), ("homology", "homology"))
 
 
 def _catalog_models(genus: int) -> list[SurfaceModel]:
@@ -193,37 +193,33 @@ def _catalog_models(genus: int) -> list[SurfaceModel]:
 
 
 def cmd_relations(args) -> tuple[int, dict]:
-    selected = ("sign", "perm", "homology") if args.rep == "all" else (args.rep,)
-    counts = {name: 0 for name in selected}
+    checks = _na_checks()
+    counts = {name: 0 for name, _ in _RELATION_ORACLES}
     failures: list[str] = []
     instances = 0
     for model in _catalog_models(args.genus):
         for instance in relation_catalog(model):
             instances += 1
-            for name in selected:
-                if model.is_hybrid and name != "sign":
-                    continue
-                oracle = _ORACLES[name]
-                if oracle(instance.lhs) == oracle(instance.rhs):
+            verdicts = verify_identity(instance.lhs, 1, instance.rhs).checks()
+            for name, key in _RELATION_ORACLES:
+                verdict = verdicts[key]
+                if verdict == PASS:
                     counts[name] += 1
-                else:
+                elif verdict == FAIL:
                     failures.append(
                         f"{model.describe()} {instance.schema}{instance.params}: {name}"
                         f" oracle distinguishes lhs from rhs"
                     )
-    checks = _na_checks()
-    for name in selected:
-        key = "permutation" if name == "perm" else name
-        checks[key] = PASS if not any(f" {name} " in f for f in failures) else FAIL
+                if checks[key] != FAIL and verdict != NOT_APPLICABLE:
+                    checks[key] = verdict
     report = _report(
         "relations",
         genus=args.genus,
         checks=checks,
         verdict="all-relations-hold" if not failures else "relation-failures",
         citation="presentation relation catalog under the exact oracles",
-        rep=args.rep,
         instances=instances,
-        checked={name: counts[name] for name in selected},
+        checked=counts,
         failures=failures,
     )
     return (0 if not failures else 2), report
@@ -282,47 +278,24 @@ def cmd_verify(args) -> tuple[int, dict]:
     model = SurfaceModel(args.genus, args.model)
     word = parse_word(args.word, model)
     equals = parse_word(args.equals, model)
-    powered = word ** args.power
-
-    checks = _na_checks()
-    details = []
-    assumptions: tuple[str, ...] = ()
-    s_ok = sign_of(powered) == sign_of(equals)
-    checks["sign"] = PASS if s_ok else FAIL
-    details.append(f"sign: {sign_of(powered):+d} vs {sign_of(equals):+d}")
-    if not model.is_hybrid:
-        p_ok = perm_of(powered) == perm_of(equals)
-        checks["permutation"] = PASS if p_ok else FAIL
-        details.append(f"permutation: images agree = {p_ok}")
-        h_ok = homology_of(powered) == homology_of(equals)
-        checks["homology"] = PASS if h_ok else FAIL
-        details.append(f"homology: images agree = {h_ok}")
+    certificate = None
     if args.certificate:
         with open(args.certificate, "r", encoding="utf-8") as handle:
             certificate = certificate_from_text(handle.read())
-        endpoints_ok = certificate.start == powered and certificate.end == equals
-        cert_ok = endpoints_ok and check_certificate(certificate)
-        checks["certificate"] = PASS if cert_ok else FAIL
-        details.append(
-            f"certificate: endpoints match = {endpoints_ok}, replay = {cert_ok}"
-        )
-        assumptions = certificate_assumptions(certificate)
-
-    verified = all(value != FAIL for value in checks.values())
+    result = verify_identity(word, args.power, equals, certificate)
     report = _report(
         "verify",
         genus=args.genus,
         target=format_word(equals),
         root=format_word(word),
         degree=args.power,
-        checks=checks,
-        assumptions=assumptions,
-        verdict="verified" if verified else "refuted",
-        citation="exact oracles"
-        + (" and certificate replay" if args.certificate else ""),
-        details=details,
+        checks=result.checks(),
+        assumptions=result.assumptions,
+        verdict="verified" if result.all_passed else "refuted",
+        citation="exact oracles" + (" and certificate replay" if certificate else ""),
+        details=result.details,
     )
-    return (0 if verified else 2), report
+    return (0 if result.all_passed else 2), report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         "relations", help="check the relation catalog under oracles", parents=[common]
     )
     relations.add_argument("--genus", type=int, required=True)
-    relations.add_argument("--rep", choices=("sign", "perm", "homology", "all"), default="all")
     relations.set_defaults(handler=cmd_relations)
 
     small = sub.add_parser(

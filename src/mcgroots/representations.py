@@ -61,6 +61,22 @@ __all__ = [
 ]
 
 
+def _binary_power(base, e: int):
+    """``base ** e`` for ``e >= 1`` by repeated squaring.
+
+    The accumulator starts at the first factor it needs, not at the
+    identity, so ``e = 1`` returns ``base`` itself with no product.
+    """
+    acc = None
+    while True:
+        if e & 1:
+            acc = base if acc is None else acc * base
+        e >>= 1
+        if not e:
+            return acc
+        base = base * base
+
+
 @dataclasses.dataclass(frozen=True)
 class IntMatrix:
     """A square matrix over the integers, stored as a tuple of row tuples."""
@@ -106,15 +122,7 @@ class IntMatrix:
             return NotImplemented
         if e < 0:
             return self.inv() ** (-e)
-        acc = IntMatrix.identity(self.size)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            e >>= 1
-            if e:
-                base = base * base
-        return acc
+        return _binary_power(self, e) if e else IntMatrix.identity(self.size)
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -216,6 +224,13 @@ class CrosscapPermutation:
         for k, v in enumerate(self.images):
             out[v] = k
         return CrosscapPermutation(tuple(out))
+
+    def __pow__(self, n: int) -> "CrosscapPermutation":
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.inverse() ** (-n)
+        return _binary_power(self, n) if n else CrosscapPermutation.identity(self.degree)
 
     def order(self) -> int:
         acc = self

@@ -51,15 +51,10 @@ from .presentation import (
     SchemaStep,
     _commute_step,
     apply_step,
-    check_certificate,
     invert_step,
+    replay_certificate,
 )
-from .representations import (
-    CrosscapPermutation,
-    homology_of,
-    perm_of,
-    sign_of,
-)
+from .representations import homology_of, perm_of, sign_of
 from .words import GeneratorLetter, SurfaceModel, Syllable, Word
 
 __all__ = [
@@ -78,6 +73,7 @@ __all__ = [
     "construct_braid_root",
     "construct_root",
     "is_nontrivial",
+    "verify_identity",
 ]
 
 PASS = "pass"
@@ -196,7 +192,7 @@ class RootRequest:
 
 @dataclasses.dataclass(frozen=True)
 class VerificationReport:
-    """Per-oracle verdicts for one claimed identity root^degree = target."""
+    """Per-oracle verdicts for one claimed identity ``word^power = equals``."""
 
     sign: str
     permutation: str
@@ -243,14 +239,6 @@ def certificate_assumptions(certificate: Certificate) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def _perm_power(perm: CrosscapPermutation, n: int) -> CrosscapPermutation:
-    out = CrosscapPermutation.identity(perm.degree)
-    base = perm if n >= 0 else perm.inverse()
-    for _ in range(abs(n)):
-        out = out * base
-    return out
-
-
 def is_nontrivial(root: Word, target: Word, degree: int) -> bool:
     """Soundly witness that ``root`` is not a power of ``target``.
 
@@ -266,56 +254,88 @@ def is_nontrivial(root: Word, target: Word, degree: int) -> bool:
         return any(letter.kind == "c" for letter, _ in root.syllables)
     p_root = perm_of(root)
     p_target = perm_of(target)
-    return all(p_root != _perm_power(p_target, k) for k in range(p_target.order()))
+    return all(p_root != p_target ** k for k in range(p_target.order()))
+
+
+def _verdict(ok: bool) -> str:
+    return PASS if ok else FAIL
+
+
+def verify_identity(
+    word: Word, power: int, equals: Word, certificate: Certificate | None = None
+) -> VerificationReport:
+    """Check the claimed identity ``word^power = equals``.
+
+    The sign, permutation and homology oracles power the images of
+    ``word``, never the written-out word, so any exponent costs O(log
+    |power|) products.  The hybrid model has no permutation or homology
+    oracle (``n/a``).  A given certificate must run from ``word^power`` to
+    ``equals`` and replay step by step; a failing step is named in the
+    details.  Nontriviality is ``n/a``: the claim is an identity, not a root.
+    """
+    details: list[str] = []
+
+    s_word, s_equals = sign_of(word), sign_of(equals)
+    s_power = s_word ** abs(power)  # an int for negative powers too
+    sign = _verdict(s_power == s_equals)
+    details.append(f"sign: ({s_word:+d})^{power} = {s_power:+d}, target {s_equals:+d}")
+
+    if word.model.is_hybrid:
+        permutation = homology = NOT_APPLICABLE
+        details.append("permutation: n/a (hybrid model has no crosscap numbering)")
+        details.append("homology: n/a (no derived matrices for chain twists)")
+    else:
+        p_ok = perm_of(word) ** power == perm_of(equals)
+        permutation = _verdict(p_ok)
+        details.append(f"permutation: root^{power} vs target agree = {p_ok}")
+        base = word if power >= 0 else word.inverse()
+        h_ok = homology_of(base) ** abs(power) == homology_of(equals)
+        homology = _verdict(h_ok)
+        details.append(f"homology: root^{power} vs target agree = {h_ok}")
+
+    cert = NOT_APPLICABLE
+    assumptions: tuple[str, ...] = ()
+    if certificate is not None:
+        cert_ok = False
+        count = len(certificate.steps)
+        if certificate.start != word ** power:
+            details.append(f"certificate: start is not root^{power}")
+        elif certificate.end != equals:
+            details.append("certificate: end is not the target")
+        else:
+            try:
+                cert_ok = replay_certificate(certificate) == certificate.end.syllables
+            except CertificateError as exc:
+                details.append(f"certificate: {count} steps, {exc}")
+            else:
+                details.append(
+                    f"certificate: {count} steps replay root^{power} -> target = {cert_ok}"
+                )
+        cert = _verdict(cert_ok)
+        assumptions = certificate_assumptions(certificate)
+
+    return VerificationReport(
+        sign=sign,
+        permutation=permutation,
+        homology=homology,
+        certificate=cert,
+        nontriviality=NOT_APPLICABLE,
+        details=tuple(details),
+        assumptions=assumptions,
+    )
 
 
 def build_report(
     root: Word, target: Word, degree: int, certificate: Certificate
 ) -> VerificationReport:
-    """Run every applicable oracle on ``root^degree = target`` plus the certificate."""
-    model = root.model
-    details: list[str] = []
-
-    s_root, s_target = sign_of(root), sign_of(target)
-    sign_ok = s_root ** degree == s_target
-    details.append(
-        f"sign: ({s_root:+d})^{degree} = {s_root ** degree:+d}, target {s_target:+d}"
-    )
-    sign_flag = PASS if sign_ok else FAIL
-
-    if model.is_hybrid:
-        perm_flag = hom_flag = NOT_APPLICABLE
-        details.append("permutation: n/a (hybrid model has no crosscap numbering)")
-        details.append("homology: n/a (no derived matrices for chain twists)")
-    else:
-        p_ok = _perm_power(perm_of(root), degree) == perm_of(target)
-        perm_flag = PASS if p_ok else FAIL
-        details.append(f"permutation: root^{degree} vs target agree = {p_ok}")
-        h_ok = homology_of(root) ** degree == homology_of(target)
-        hom_flag = PASS if h_ok else FAIL
-        details.append(f"homology: root^{degree} vs target agree = {h_ok}")
-
-    cert_ok = (
-        certificate.start == root ** degree
-        and certificate.end == target
-        and check_certificate(certificate)
-    )
-    cert_flag = PASS if cert_ok else FAIL
-    details.append(
-        f"certificate: {len(certificate.steps)} steps replay root^{degree} -> target = {cert_ok}"
-    )
-
+    """:func:`verify_identity` on ``root^degree = target`` plus the nontriviality witness."""
+    report = verify_identity(root, degree, target, certificate)
     nontrivial = is_nontrivial(root, target, degree)
-    details.append(f"nontriviality: root is no power of the target = {nontrivial}")
-
-    return VerificationReport(
-        sign=sign_flag,
-        permutation=perm_flag,
-        homology=hom_flag,
-        certificate=cert_flag,
-        nontriviality=PASS if nontrivial else FAIL,
-        details=tuple(details),
-        assumptions=certificate_assumptions(certificate),
+    return dataclasses.replace(
+        report,
+        nontriviality=_verdict(nontrivial),
+        details=report.details
+        + (f"nontriviality: root is no power of the target = {nontrivial}",),
     )
 
 

@@ -42,19 +42,16 @@ import dataclasses
 from typing import Iterable, Iterator
 
 __all__ = [
+    "MAX_POWER_SYLLABLES",
     "GeneratorLetter",
     "ParseError",
     "SurfaceModel",
     "Syllable",
     "Word",
     "WordError",
-    "compose",
     "format_word",
-    "free_reduce",
-    "invert",
     "normalize_slides",
     "parse_word",
-    "power",
 ]
 
 _KIND_NAMES = {
@@ -63,6 +60,12 @@ _KIND_NAMES = {
     "y": "crosscap slide",
     "c": "chain twist",
 }
+
+
+# The most syllables a power of a multi-syllable word may write out.  It sits
+# above the start word of a genus-100 root (451 729 syllables); larger powers
+# raise WordError before anything is written out.
+MAX_POWER_SYLLABLES = 1 << 20
 
 
 class WordError(ValueError):
@@ -230,33 +233,13 @@ class Word:
         if len(self.syllables) == 1:
             ((letter, exp),) = self.syllables
             return Word(self.model, ((letter, exp * n),))
+        _check_power_size(len(self.syllables), n)
         if n < 0:
             return self.inverse() ** (-n)
         return Word(self.model, self.syllables * n)
 
     def __str__(self) -> str:
         return format_word(self)
-
-
-def free_reduce(word: Word) -> Word:
-    """Return the free reduction of ``word``.
-
-    Words reduce eagerly on construction, so this is the identity map; it
-    exists to make reduction explicit at call sites and is idempotent.
-    """
-    return word
-
-
-def compose(a: Word, b: Word) -> Word:
-    return a * b
-
-
-def invert(word: Word) -> Word:
-    return word.inverse()
-
-
-def power(word: Word, n: int) -> Word:
-    return word ** n
 
 
 def normalize_slides(word: Word) -> Word:
@@ -337,11 +320,20 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+def _check_power_size(syllables: int, n: int) -> None:
+    if syllables * abs(n) > MAX_POWER_SYLLABLES:
+        raise WordError(
+            f"the power {n} of a {syllables}-syllable word would write out"
+            f" {syllables * abs(n)} syllables, over the cap of {MAX_POWER_SYLLABLES}"
+        )
+
+
 def _power_list(body: list[Syllable], e: int) -> list[Syllable]:
     body = list(_reduce_syllables(body))
     if len(body) <= 1:
         # a single syllable powers by scaling its exponent, in O(1)
         return [(letter, exp * e) for letter, exp in body]
+    _check_power_size(len(body), e)
     if e > 0:
         return body * e
     inverse = [(letter, -exp) for letter, exp in reversed(body)]

@@ -23,6 +23,7 @@ from mcgroots.roots import (
     check_degree_parity,
     construct_braid_root,
     construct_root,
+    verify_identity,
 )
 from mcgroots.small_genus import (
     KLEIN_ELEMENTS,
@@ -42,14 +43,6 @@ def _verdict(number: int, ok: bool, text: str) -> None:
     assert ok, f"criterion {number}: {text}"
 
 
-def _oracles_agree(model: SurfaceModel, lhs: Word, rhs: Word) -> bool:
-    if sign_of(lhs) != sign_of(rhs):
-        return False
-    if model.is_hybrid:
-        return True
-    return perm_of(lhs) == perm_of(rhs) and homology_of(lhs) == homology_of(rhs)
-
-
 def test_criterion_1_relation_catalogs():
     started = time.perf_counter()
     instances = 0
@@ -61,7 +54,7 @@ def test_criterion_1_relation_catalogs():
         for model in models:
             for inst in relation_catalog(model):
                 instances += 1
-                if not _oracles_agree(model, inst.lhs, inst.rhs):
+                if not verify_identity(inst.lhs, 1, inst.rhs).all_passed:
                     ok = False
     elapsed = time.perf_counter() - started
     ok = ok and instances > 0 and elapsed < 10.0
@@ -261,7 +254,7 @@ def test_criterion_9_random_word_coherence():
         cert = result.certificate
         final = Word(cert.model, replay_certificate(cert))
         ok = ok and final == cert.end
-        ok = ok and _oracles_agree(cert.model, cert.start, cert.end)
+        ok = ok and verify_identity(cert.start, 1, cert.end).all_passed
     _verdict(
         9,
         ok,

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 import mcgroots
+from mcgroots import cli
 from mcgroots.cli import main
+from mcgroots.presentation import RelationInstance
+from mcgroots.words import SurfaceModel, parse_word
 
 
 def run(capsys, *argv):
@@ -154,15 +159,28 @@ class TestRelationsCommand:
         assert report["checks"]["sign"] == "pass"
         assert report["checks"]["permutation"] == "pass"
 
-    def test_single_oracle_selection(self, capsys):
-        code, report, _ = run_json(capsys, "relations", "--genus", "5", "--rep", "sign")
-        assert code == 0
-        assert report["checked"] == {"sign": 29}
-        assert report["checks"]["homology"] == "n/a"
-
     def test_odd_genus_has_no_hybrid_catalog(self, capsys):
         _, report, _ = run_json(capsys, "relations", "--genus", "5")
         assert report["instances"] == 29
+
+    def test_flags_and_failures_come_from_the_verdicts(self, capsys, monkeypatch):
+        model = SurfaceModel.standard(5)
+        bogus = RelationInstance(
+            "R1", (1, 2), model, parse_word("u1", model), parse_word("u2", model)
+        )
+        monkeypatch.setattr(
+            cli, "relation_catalog", lambda m: [bogus] if m == model else []
+        )
+        code, report, _ = run_json(capsys, "relations", "--genus", "5")
+        assert code == 2
+        assert report["verdict"] == "relation-failures"
+        assert report["checked"] == {"sign": 1, "perm": 0, "homology": 0}
+        assert report["checks"]["sign"] == "pass"
+        assert report["checks"]["permutation"] == report["checks"]["homology"] == "fail"
+        assert report["failures"] == [
+            f"standard genus-5 model R1(1, 2): {name} oracle distinguishes lhs from rhs"
+            for name in ("perm", "homology")
+        ]
 
 
 class TestSmallGenusCommand:
@@ -253,6 +271,26 @@ class TestVerifyCommand:
         assert report["verdict"] == "refuted"
         assert report["checks"]["permutation"] == "fail"
 
+    def test_huge_power_returns_without_writing_the_word_out(self, capsys):
+        started = time.perf_counter()
+        code, report, _ = run_json(
+            capsys, "verify", "--genus", "5", "--word", "u1 u2",
+            "--power", "-1000000001", "--equals", "u2 u1",
+        )
+        assert time.perf_counter() - started < 2.0
+        assert code == 2
+        assert report["checks"]["sign"] == "pass"
+        assert report["checks"]["permutation"] == "fail"
+
+    def test_power_over_the_size_cap_is_an_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--genus", "5", "--word", "(u1 u2)^2000000",
+            "--power", "1", "--equals", "u1",
+        )
+        assert code == 1
+        assert not out
+        assert err.startswith("error:") and "cap" in err
+
     def test_hybrid_model_skips_exact_oracles(self, capsys):
         code, report, _ = run_json(
             capsys, "verify", "--genus", "4", "--model", "hybrid",
@@ -290,6 +328,24 @@ class TestCertificateCycle:
         )
         assert code == 2
         assert report["checks"]["certificate"] == "fail"
+
+    def test_flipped_step_is_refuted_with_its_number(self, capsys, tmp_path):
+        path = tmp_path / "cert.txt"
+        run(capsys, "root", "--genus", "6", "--emit-certificate", str(path))
+        lines = path.read_text().splitlines()
+        k = next(n for n, line in enumerate(lines) if line.startswith("step ") and line.endswith(" fwd"))
+        lines[k] = lines[k][: -len("fwd")] + "bwd"
+        path.write_text("\n".join(lines) + "\n")
+        code, report, _ = run_json(
+            capsys, "verify", "--genus", "6",
+            "--word", "u5^-1 u4^-1 u3^-2 u1", "--power", "3", "--equals", "u1",
+            "--certificate", str(path),
+        )
+        assert code == 2
+        assert report["verdict"] == "refuted"
+        assert report["checks"]["certificate"] == "fail"
+        header = 4  # model, genus, start, end
+        assert any(re.search(rf"step {k - header + 1}: \w+ mismatch", d) for d in report["details"])
 
     def test_braid_emit_then_verify(self, capsys, tmp_path):
         path = tmp_path / "braid.txt"

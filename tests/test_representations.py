@@ -66,6 +66,14 @@ class TestIntMatrix:
         assert a**0 == IntMatrix.identity(2)
         assert a**-3 == IntMatrix.from_rows([[1, -3], [0, 1]])
 
+    def test_pow_starts_from_the_first_factor(self):
+        a = IntMatrix.from_rows([[2, 1], [1, 1]])
+        assert a**1 is a
+        acc = IntMatrix.identity(2)
+        for e in range(1, 12):
+            acc = acc * a
+            assert a**e == acc
+
     def test_det_examples(self):
         assert IntMatrix.from_rows([[2, 1], [1, 1]]).det() == 1
         assert IntMatrix.from_rows([[0, 1], [1, 0]]).det() == -1
@@ -121,6 +129,19 @@ class TestCrosscapPermutation:
         assert cycle.order() == 3
         assert (cycle * cycle.inverse()).is_identity
         assert CrosscapPermutation.identity(5).order() == 1
+
+    def test_pow_matches_repeated_products(self):
+        t1 = CrosscapPermutation.transposition(4, 1)
+        t3 = CrosscapPermutation.transposition(4, 3)
+        cycle = t1 * CrosscapPermutation.transposition(4, 2) * t3
+        for base in (t1, cycle, t1 * t3):
+            acc = CrosscapPermutation.identity(4)
+            for n in range(9):
+                assert base**n == acc
+                assert base**-n == acc.inverse()
+                acc = acc * base
+        assert cycle**1 is cycle
+        assert cycle ** (4 * 10**12 + 1) == cycle
 
     def test_not_a_permutation(self):
         with pytest.raises(ValueError):

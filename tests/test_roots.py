@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcgroots.presentation import (
     Certificate,
@@ -27,8 +29,12 @@ from mcgroots.roots import (
     construct_braid_root,
     construct_root,
     is_nontrivial,
+    verify_identity,
 )
+from mcgroots.representations import homology_of, perm_of, sign_of
 from mcgroots.words import SurfaceModel, WordError, parse_word
+
+from conftest import hybrid_models, standard_models, words_for
 
 
 def _w(text, model):
@@ -257,6 +263,83 @@ class TestReports:
         assert report.sign == PASS
         assert FAIL in (report.permutation, report.homology)
         assert report.certificate == FAIL  # start word no longer matches root^degree
+
+
+def _words_of_either_model():
+    return st.one_of(standard_models(2, 8), hybrid_models(8)).flatmap(
+        lambda m: st.tuples(words_for(m), words_for(m))
+    )
+
+
+def _dense_verdicts(word, power, equals):
+    """The oracle verdicts by comparing the images of the written-out power."""
+    written = word**power
+    verdicts = {"sign": PASS if sign_of(written) == sign_of(equals) else FAIL}
+    for key, oracle in (("permutation", perm_of), ("homology", homology_of)):
+        if word.model.is_hybrid:
+            verdicts[key] = NOT_APPLICABLE
+        else:
+            verdicts[key] = PASS if oracle(written) == oracle(equals) else FAIL
+    return verdicts
+
+
+class TestVerifyIdentity:
+    @settings(max_examples=80, deadline=None)
+    @given(_words_of_either_model(), st.integers(-4, 4))
+    def test_a_power_equals_its_written_out_word(self, words, n):
+        word, _ = words
+        report = verify_identity(word, n, word**n)
+        assert report.all_passed
+        assert report.sign == PASS
+        expected = NOT_APPLICABLE if word.model.is_hybrid else PASS
+        assert report.permutation == report.homology == expected
+        assert report.certificate == report.nontriviality == NOT_APPLICABLE
+
+    @settings(max_examples=80, deadline=None)
+    @given(_words_of_either_model(), st.integers(-4, 4))
+    def test_verdicts_match_the_dense_comparison(self, words, n):
+        word, equals = words
+        checks = verify_identity(word, n, equals).checks()
+        dense = _dense_verdicts(word, n, equals)
+        assert {key: checks[key] for key in dense} == dense
+
+    def test_negative_power_keeps_the_sign_an_int(self, std5):
+        report = verify_identity(_w("u1 t2", std5), -3, _w("(t2^-1 u1^-1)^3", std5))
+        assert report.details[0] == "sign: (-1)^-3 = -1, target -1"
+        assert report.all_passed
+
+    def test_huge_power_is_not_written_out(self, std5):
+        report = verify_identity(_w("u1 u2", std5), -1_000_000_001, _w("u2 u1", std5))
+        assert report.sign == PASS
+        # (u1 u2) has order 3 in the crosscap permutation, and -1000000001 = 1 mod 3
+        assert report.permutation == FAIL
+        assert verify_identity(_w("u1 u2", std5), 3_000_000_000, _w("", std5)).all_passed
+
+    def test_refuted_certificate_names_its_step(self):
+        result = construct_root(RootRequest(5, "u"))
+        cert = result.certificate
+        index, step = next(
+            (k, s) for k, s in enumerate(cert.steps) if isinstance(s, SchemaStep)
+        )
+        flipped = dataclasses.replace(step, forward=not step.forward)
+        bad = dataclasses.replace(
+            cert, steps=cert.steps[:index] + (flipped,) + cert.steps[index + 1 :]
+        )
+        report = verify_identity(result.root, result.degree, result.target, bad)
+        assert report.certificate == FAIL
+        assert f"step {index + 1}: " in report.details[-1]
+        assert "mismatch at position" in report.details[-1]
+
+    def test_certificate_endpoints_must_match_the_claim(self):
+        result = construct_root(RootRequest(5, "u"))
+        cert = result.certificate
+        report = verify_identity(result.root, 5, result.target, cert)
+        assert report.certificate == FAIL
+        assert report.details[-1] == "certificate: start is not root^5"
+        report = verify_identity(result.root, 3, result.root, cert)
+        assert report.details[-1] == "certificate: end is not the target"
+        report = verify_identity(result.root, 3, result.target, cert)
+        assert report.all_passed and report.assumptions == result.report.assumptions
 
 
 class TestCertificates:

@@ -6,19 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcgroots import words
 from mcgroots.words import (
     GeneratorLetter,
     ParseError,
     SurfaceModel,
     Word,
     WordError,
-    compose,
     format_word,
-    free_reduce,
-    invert,
     normalize_slides,
     parse_word,
-    power,
 )
 
 from conftest import model_word_pairs, standard_models, words_for
@@ -112,10 +109,6 @@ class TestWordReduction:
         assert w.syllable_count == 3
         assert w.letter_count == 6
 
-    def test_free_reduce_is_identity_map(self, std5):
-        w = parse_word("u1 u2 u2^-1 u1", std5)
-        assert free_reduce(w) == w
-        assert w.syllables == ((GeneratorLetter("u", 1), 2),)
 
 
 class TestGroupOperations:
@@ -134,12 +127,6 @@ class TestGroupOperations:
         b = parse_word("u1", SurfaceModel.standard(6))
         with pytest.raises(WordError):
             a * b
-
-    def test_functional_aliases(self, std5):
-        w = parse_word("t1 u2", std5)
-        assert compose(w, w) == w * w
-        assert invert(w) == w.inverse()
-        assert power(w, 4) == w**4
 
     @settings(max_examples=60)
     @given(model_word_pairs())
@@ -166,6 +153,28 @@ class TestGroupOperations:
         assert w.syllables == ((GeneratorLetter("u", 1), huge),)
         assert parse_word("t2^-3", std5) ** -huge == parse_word(f"t2^{3 * huge}", std5)
         assert (parse_word("y1^2", std5) ** 0).is_identity
+
+    def test_written_out_powers_are_capped(self, std5, monkeypatch):
+        monkeypatch.setattr(words, "MAX_POWER_SYLLABLES", 100)
+        w = parse_word("u1 u2", std5)
+        assert (w**50).syllable_count == 100
+        assert (w**-50).syllable_count == 100
+        assert parse_word("(u1 u2)^-50", std5) == w**-50
+        for n in (51, -51):
+            with pytest.raises(WordError, match="over the cap of 100"):
+                w**n
+            with pytest.raises(WordError, match="over the cap of 100"):
+                parse_word(f"(u1 u2)^{n}", std5)
+        # one-syllable bodies scale their exponent and are never capped
+        assert parse_word("(u1 u1^2)^1000", std5).syllables == ((GeneratorLetter("u", 1), 3000),)
+
+    def test_default_cap_is_two_to_the_twentieth(self, std5):
+        over = words.MAX_POWER_SYLLABLES // 2 + 1
+        assert words.MAX_POWER_SYLLABLES == 1 << 20
+        with pytest.raises(WordError):
+            parse_word(f"(u1 u2)^{over}", std5)
+        with pytest.raises(WordError):
+            parse_word("u1 u2", std5) ** -over
 
     @settings(max_examples=60)
     @given(model_word_pairs(), st.integers(-4, 4))
