@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from . import small_genus
 from .presentation import (
     Certificate,
     CertificateError,
@@ -492,9 +493,6 @@ def _hybrid_case(genus: int, target: str) -> RootResult:
 
 
 def _raise_small_genus(genus: int, target: str) -> None:
-    # local import: small_genus pulls in numpy for the torsion scan
-    from . import small_genus
-
     name = "crosscap transposition u1" if target == "u" else "crosscap slide y1"
     if genus == 2:
         element = small_genus.klein_element_of(target)

@@ -246,8 +246,11 @@ def normalize_slides(word: Word) -> Word:
     """Rewrite every slide syllable ``y<i>^e`` as ``(t<i> u<i>)^e``.
 
     The result contains no ``y`` letters and is equal to ``word`` in any
-    group where the slide is twist times transposition.
+    group where the slide is twist times transposition.  Like a power, the
+    result may write out at most ``MAX_POWER_SYLLABLES`` syllables.
     """
+    size = sum(2 * abs(exp) if letter.kind == "y" else 1 for letter, exp in word.syllables)
+    _check_written_size("normalizing the slides", size)
     out: list[Syllable] = []
     for letter, exp in word.syllables:
         if letter.kind == "y":
@@ -321,10 +324,13 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 def _check_power_size(syllables: int, n: int) -> None:
-    if syllables * abs(n) > MAX_POWER_SYLLABLES:
+    _check_written_size(f"the power {n} of a {syllables}-syllable word", syllables * abs(n))
+
+
+def _check_written_size(what: str, size: int) -> None:
+    if size > MAX_POWER_SYLLABLES:
         raise WordError(
-            f"the power {n} of a {syllables}-syllable word would write out"
-            f" {syllables * abs(n)} syllables, over the cap of {MAX_POWER_SYLLABLES}"
+            f"{what} would write out {size} syllables, over the cap of {MAX_POWER_SYLLABLES}"
         )
 
 
@@ -379,7 +385,11 @@ def parse_word(text: str, model: SurfaceModel) -> Word:
     't1^2'
     """
     tokens = _tokenize(text)
-    syllables, k = _parse_sequence(tokens, 0, model)
+    try:
+        syllables, k = _parse_sequence(tokens, 0, model)
+    except RecursionError:
+        first = next(pos for kind, _, pos in tokens if kind == "lp")
+        raise ParseError("parentheses are nested too deeply", first) from None
     kind, _, pos = tokens[k]
     if kind != "end":
         message = "unmatched ')'" if kind == "rp" else "unexpected token"

@@ -172,7 +172,7 @@ def test_criterion_6_genus2_exhaustion():
 def test_criterion_7_genus3_torsion_certification():
     started = time.perf_counter()
     model = SurfaceModel.standard(3)
-    table = gl2_torsion_scan(5, conjugator_bound=10)
+    table = gl2_torsion_scan(5)
     ok = table.max_order == 6
     ok = ok and len(table.classes_of_order(6)) == 1
     ok = ok and table.determinants_of_order(6) == (1,)

@@ -74,16 +74,51 @@ class TestExitCodes:
         assert "root" in out
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy serves only the genus-3 conjugacy search, so it is imported there
+def run_cold(*argv):
+    """Run ``python -m mcgroots.cli`` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(mcgroots.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, mcgroots.cli; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60,
     )
-    assert done.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # the genus-3 scan is pure Python; no CLI path needs numpy
+    done = run_cold(
+        "-c",
+        "import sys; from mcgroots import cli;"
+        " code = cli.main(['small-genus', '--genus', '3', '--scan-bound', '2']);"
+        " print(code, 'numpy' in sys.modules)",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
+class TestDeepNesting:
+    DEPTH = 5000
+    WORD = "(" * DEPTH + "u1" + ")" * DEPTH
+
+    def test_word_argument(self):
+        done = run_cold(
+            "-m", "mcgroots.cli", "verify", "--genus", "5",
+            "--word", self.WORD, "--power", "1", "--equals", "u1",
+        )
+        assert done.returncode == 1
+        assert "error: parentheses are nested too deeply" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_certificate_start_line(self, tmp_path):
+        path = tmp_path / "cert.txt"
+        path.write_text(f"model standard\ngenus 5\nstart {self.WORD}\nend u1\n")
+        done = run_cold(
+            "-m", "mcgroots.cli", "verify", "--genus", "5", "--word", "u1",
+            "--power", "1", "--equals", "u1", "--certificate", str(path),
+        )
+        assert done.returncode == 1
+        assert "error: parentheses are nested too deeply" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestRootCommand:

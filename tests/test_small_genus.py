@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 
@@ -18,6 +19,8 @@ from mcgroots.small_genus import (
     klein_element_of,
     mn2_nontrivial_roots,
     mn2_root_search,
+    _bounded_conjugates,
+    _conjugators,
 )
 from mcgroots.words import SurfaceModel, parse_word
 
@@ -156,17 +159,94 @@ class TestTorsionScan:
     def test_deterministic(self):
         assert gl2_torsion_scan(1) == gl2_torsion_scan(1)
 
-    def test_explicit_conjugator_bound(self):
-        table = gl2_torsion_scan(1, conjugator_bound=3)
-        assert table.conjugator_bound == 3
-        assert table.order_counts() == {1: 1, 2: 13, 3: 4, 4: 2, 6: 4}
+    @staticmethod
+    def _class_rows(table):
+        return [(cls.order, cls.representative.rows, cls.size) for cls in table.classes]
+
+    def test_bound5_frozen_classes(self):
+        # the default bound splits the order-2, determinant -1, trace 0 class
+        # of GL(2, Z) in two: 8 classes where the group has 7
+        table = gl2_torsion_scan(5)
+        assert table.conjugator_bound == 10
+        assert table.order_counts() == {1: 1, 2: 69, 3: 12, 4: 26, 6: 12}
+        assert self._class_rows(table) == [
+            (1, ((1, 0), (0, 1)), 1),
+            (2, ((-4, -5), (3, 4)), 40),
+            (2, ((-4, -3), (5, 4)), 2),
+            (2, ((-3, -4), (2, 3)), 26),
+            (2, ((-1, 0), (0, -1)), 1),
+            (3, ((-2, -3), (1, 1)), 12),
+            (4, ((-3, -5), (2, 3)), 26),
+            (6, ((-1, -3), (1, 2)), 12),
+        ]
+
+    def test_bound6_frozen_classes(self):
+        table = gl2_torsion_scan(6)
+        assert table.conjugator_bound == 12
+        assert table.order_counts() == {1: 1, 2: 85, 3: 12, 4: 26, 6: 12}
+        assert self._class_rows(table) == [
+            (1, ((1, 0), (0, 1)), 1),
+            (2, ((-5, -6), (4, 5)), 42),
+            (2, ((-4, -5), (3, 4)), 42),
+            (2, ((-1, 0), (0, -1)), 1),
+            (3, ((-2, -3), (1, 1)), 12),
+            (4, ((-3, -5), (2, 3)), 26),
+            (6, ((-1, -3), (1, 2)), 12),
+        ]
+
+    @pytest.mark.parametrize("conjugator_bound", (1, 2, 3))
+    def test_bounded_conjugates_match_brute_force(self, conjugator_bound):
+        # n is a bounded conjugate of m iff some P in the full box (both of
+        # each pair +-P) has P m == n P
+        def times(x, y):
+            (a, b), (c, d) = x
+            (e, f), (g, h) = y
+            return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+        span = range(-conjugator_bound, conjugator_bound + 1)
+        box = [
+            ((a, b), (c, d))
+            for a, b, c, d in itertools.product(span, repeat=4)
+            if a * d - b * c in (1, -1)
+        ]
+        torsion = gl2_torsion_scan(2).all_members()
+        conjugators = _conjugators(conjugator_bound)
+        for m in torsion:
+            conjugates = _bounded_conjugates(m, conjugators)
+            for n in torsion:
+                expected = any(times(p, m.rows) == times(n.rows, p) for p in box)
+                assert (n.rows in conjugates) == expected, (m.rows, n.rows)
 
     def test_entry_bound_validation(self):
         with pytest.raises(ValueError):
             gl2_torsion_scan(0)
 
 
+# sha256 of json.dumps(certify_no_root_g3(target, 9, bound).to_dict()),
+# recorded when the conjugacy search still ran on numpy
+_FROZEN_CERTIFICATIONS = {
+    ("u1", 1): "12a9affd0df8691a956a363f0da44a7e2725e8a1cfb28222ad12f0567c805a7c",
+    ("u1", 2): "bca4b1f4064c0b2368ac701d8eff6a8636b18c45635b1151d2fb55c00f354fce",
+    ("u1", 3): "0a51dfd31639ada8f84df2e001ee0cb766b002073ec64daf29dc7a021534c19a",
+    ("u1", 4): "9b5e984d101dec11f03dad17e76bc3679f759499c144d1f4d81be955ef5e37a8",
+    ("u1", 5): "1dcefd3884d92e1c0b0b5bb91d2db88d23029f4b6c32cdf8198001ea3dcc4584",
+    ("u1", 6): "ac46de8b119d0c8503593248e5406e3bd2afb8af21f88a0bacb4075dcff2f4ee",
+    ("y1", 1): "f64d3c92e086b90a3860abdc28259f29c2cab8710c0d4d0d186bb73e7b96cc2f",
+    ("y1", 2): "0f9cc1f203691b8a9d0e2121d61e2e1a44f21a5eaae2a6870e4cd9a8cd27c6a5",
+    ("y1", 3): "f49fc86152378a5a36776790ff47e83364a000aed528b3ae3a095250ee8c8d11",
+    ("y1", 4): "e3260d640f09a430e78c90c8bb396fc5bee3b7c2b36d3be871457818f6cc3d6c",
+    ("y1", 5): "f818b00873e6bffc311dfbfe7e65de19d138e5707feb02207e222c5436c8318d",
+    ("y1", 6): "bd2f769b6c87894c3ceeb29c7a67f2eae7945ef0543b9788911e8e190fac4c4e",
+}
+
+
 class TestGenus3Certification:
+    @pytest.mark.parametrize("target,bound", sorted(_FROZEN_CERTIFICATIONS))
+    def test_frozen_certification(self, target, bound):
+        payload = certify_no_root_g3(_w(target), max_degree=9, scan_bound=bound).to_dict()
+        digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+        assert digest == _FROZEN_CERTIFICATIONS[target, bound]
+
     @pytest.mark.parametrize("target", ("u1", "y1"))
     def test_certifies_both_targets(self, target):
         cert = certify_no_root_g3(_w(target), max_degree=9, scan_bound=2)

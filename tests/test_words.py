@@ -221,6 +221,17 @@ class TestNormalizeSlides:
         w = parse_word("t1 u2^-3", std5)
         assert normalize_slides(w) == w
 
+    def test_written_out_slides_are_capped(self, std5, monkeypatch):
+        assert normalize_slides(parse_word("y1^-50", std5)).syllable_count == 100
+        with pytest.raises(WordError, match="over the cap"):
+            normalize_slides(parse_word("y1^1000000000", std5))
+        monkeypatch.setattr(words, "MAX_POWER_SYLLABLES", 100)
+        assert normalize_slides(parse_word("y1^49 u2 u3", std5)).syllable_count == 100
+        assert normalize_slides(parse_word("y1^-50", std5)).syllable_count == 100
+        for text in ("y1^51", "y1^-50 u2", "y2 y1^50"):
+            with pytest.raises(WordError, match="over the cap of 100"):
+                normalize_slides(parse_word(text, std5))
+
 
 class TestTextFormat:
     def test_format_examples(self, std5):
@@ -259,6 +270,14 @@ class TestTextFormat:
         with pytest.raises(ParseError) as info:
             parse_word("u1 z3", std5)
         assert info.value.position == 3
+
+    def test_deep_nesting_is_parse_error(self, std5):
+        depth = 5000
+        with pytest.raises(ParseError, match="nested too deeply") as info:
+            parse_word("u2 " + "(" * depth + "u1" + ")" * depth, std5)
+        assert info.value.position == 3
+        # nesting the interpreter can follow still parses
+        assert parse_word("(" * 50 + "u1" + ")" * 50, std5) == parse_word("u1", std5)
 
     def test_inadmissible_letter_is_parse_error(self, std3):
         with pytest.raises(ParseError, match="not admissible"):
