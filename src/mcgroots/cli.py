@@ -14,7 +14,8 @@ Reports print as plain lines or, with ``--json``, as one stable JSON
 object: ``{command, genus, target, root, degree, checks, assumptions,
 verdict, citation, ...}`` with ``timing_seconds`` appended last.  The
 environment variable ``MCGROOTS_SCAN_BOUND`` overrides the default
-GL(2, Z) scan bound of the small-genus command.
+GL(2, Z) scan bound of the small-genus command; like ``--scan-bound`` it
+is capped at ``small_genus.MAX_SCAN_BOUND``.
 """
 
 from __future__ import annotations

@@ -510,8 +510,10 @@ def _raise_small_genus(genus: int, target: str) -> None:
     raise NonexistenceError(
         f"the {name} has no nontrivial root at genus 3: any odd-degree root would be"
         " a torsion element of the homology image GL(2, Z) of order 2 (forcing the"
-        " trivial root) or order 6 (excluded by determinant), and the bounded torsion"
-        " scan finds no other solutions",
+        " trivial root) or order 6 (excluded by determinant), and the torsion scan"
+        " finds no other solutions; degree 3 covers every odd degree d, since the"
+        " allowed orders are {2} when 3 does not divide d and {2, 6} when it does,"
+        " and degree 3 has the larger set",
         case="g3",
         machine_certified=certification.passed(),
     )

@@ -11,7 +11,10 @@ GL(2, Z) has order at most 6 (classified by determinant and trace via the
 characteristic polynomial; re-checked here by brute iteration over a
 scanned grid), and order bookkeeping plus the determinant rules every
 allowed order out except the trivial solution ``x = u_1`` itself.  The
-same argument word-for-word covers ``y_1``.
+same argument word-for-word covers ``y_1``.  The scan groups its torsion
+matrices into the exact conjugacy classes of GL(2, Z): the grouping key
+is a conjugacy invariant, and every member is conjugated to its class's
+normal form by an explicit conjugator that the scan checks.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ __all__ = [
     "Gl2Certification",
     "KLEIN_ELEMENTS",
     "KleinFourElement",
+    "MAX_DEGREE",
+    "MAX_SCAN_BOUND",
     "TorsionClass",
     "TorsionClassTable",
     "certify_no_root_g3",
@@ -104,23 +109,31 @@ def mn2_nontrivial_roots(target: KleinFourElement) -> list[tuple[KleinFourElemen
 
 
 _IDENTITY2 = IntMatrix.identity(2)
+_IDENTITY_ROWS = ((1, 0), (0, 1))
+_MINUS_IDENTITY_ROWS = ((-1, 0), (0, -1))
 
 
-def _require_gl2(matrix: IntMatrix) -> int:
+def _require_gl2(matrix: IntMatrix) -> None:
     if matrix.size != 2:
         raise ValueError(f"expected a 2x2 matrix, got size {matrix.size}")
     det = matrix.det()
     if det not in (1, -1):
         raise ValueError(f"matrix must have determinant +-1, got {det}")
-    return det
 
 
-def _order_by_iteration(matrix: IntMatrix, cap: int) -> int | None:
-    power = matrix
+def _times(x, y):
+    """Product of two 2x2 matrices given as row tuples."""
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _order_by_iteration(rows, cap: int) -> int | None:
+    power = rows
     for k in range(1, cap + 1):
-        if power == _IDENTITY2:
+        if power == _IDENTITY_ROWS:
             return k
-        power = power * matrix
+        power = _times(power, rows)
     return None
 
 
@@ -132,27 +145,27 @@ def gl2_order(matrix: IntMatrix) -> int | None:
     re-verifies on every scanned matrix.
     """
     _require_gl2(matrix)
-    return _order_by_iteration(matrix, 6)
+    return _order_by_iteration(matrix.rows, 6)
 
 
-def _order_by_invariants(matrix: IntMatrix) -> int | None:
-    """Order predicted by determinant and trace (characteristic polynomial).
+def _order_by_invariants(rows) -> int | None:
+    """Order of a determinant +-1 matrix predicted by determinant and trace.
 
     A finite-order matrix has eigenvalues that are roots of unity, which
     for an integer characteristic polynomial x^2 - tr x + det pins the
     handful of cases below; anything else has an eigenvalue off the unit
     circle or is a nontrivial unipotent, hence infinite order.
     """
-    det = _require_gl2(matrix)
-    (a, b), (c, d) = matrix.rows
+    (a, b), (c, d) = rows
+    det = a * d - b * c
     trace = a + d
     if det == -1:
         # x^2 - tr x - 1 has a real root off the unit circle unless tr = 0
         return 2 if trace == 0 else None
     if trace == 2:
-        return 1 if matrix == _IDENTITY2 else None
+        return 1 if rows == _IDENTITY_ROWS else None
     if trace == -2:
-        return 2 if matrix == IntMatrix.from_rows(((-1, 0), (0, -1))) else None
+        return 2 if rows == _MINUS_IDENTITY_ROWS else None
     if trace == 0:
         return 4
     if trace == 1:
@@ -162,9 +175,45 @@ def _order_by_invariants(matrix: IntMatrix) -> int | None:
     return None
 
 
+def _class_key(rows) -> tuple[int | None, int, int, bool]:
+    """Conjugacy invariants ``(order, det, trace, A = I mod 2)``: different keys, not conjugate."""
+    (a, b), (c, d) = rows
+    identity_mod2 = (a % 2, b % 2, c % 2, d % 2) == (1, 0, 0, 1)
+    return (_order_by_invariants(rows), a * d - b * c, a + d, identity_mod2)
+
+
+def _eigenvector(rows, value: int) -> tuple[int, int]:
+    """Primitive v with A v = value v: (-q, p) / gcd for a nonzero row (p, q) of A - value I."""
+    (a, b), (c, d) = rows
+    p, q = (a - value, b) if (a - value, b) != (0, 0) else (c, d - value)
+    g = math.gcd(p, q)
+    return -q // g, p // g
+
+
+def _normal_form_witness(rows):
+    """``(P, N)`` with ``P^-1 A P = N``, the normal form of the torsion matrix ``A``'s class."""
+    (a, b), (c, d) = rows
+    if rows in (_IDENTITY_ROWS, _MINUS_IDENTITY_ROWS):
+        return _IDENTITY_ROWS, rows
+    det = a * d - b * c
+    # with det = -1, even b and c force odd a and d, so A = I mod 2
+    if det == -1 and b % 2 == c % 2 == 0:
+        (p, q), (r, s) = _eigenvector(rows, 1), _eigenvector(rows, -1)
+        return ((p, r), (q, s)), ((1, 0), (0, -1))
+    # P = [v | Av] with det(v, Av) = +-1 gives the companion matrix.  For orders
+    # 3, 4, 6 that form is definite (discriminant -3, -4): |v| <= sqrt(4 max|A| / 3).
+    # For order 2, |v| <= (max|A| + 1) / 2 held for all entries up to 60.
+    radius = max(abs(a), abs(b), abs(c), abs(d))
+    for r in range(1, radius + 1):
+        for x, y in itertools.product(range(-r, r + 1), repeat=2):
+            if c * x * x + (d - a) * x * y - b * y * y in (1, -1):
+                return ((x, a * x + b * y), (y, c * x + d * y)), ((0, -det), (1, a + d))
+    raise RuntimeError(f"no v with det(v, Av) = +-1 and entries up to {radius} for {rows}")
+
+
 @dataclasses.dataclass(frozen=True)
 class TorsionClass:
-    """One bounded-conjugacy class of finite-order matrices found by the scan."""
+    """One conjugacy class of GL(2, Z) torsion, restricted to the scanned grid."""
 
     order: int
     representative: IntMatrix
@@ -180,7 +229,6 @@ class TorsionClassTable:
     """Scan result: every torsion matrix in the entry grid, grouped by conjugacy."""
 
     entry_bound: int
-    conjugator_bound: int
     classes: tuple[TorsionClass, ...]
 
     @property
@@ -208,33 +256,8 @@ class TorsionClassTable:
         return dict(sorted(counts.items()))
 
 
-def _conjugators(bound: int) -> tuple[tuple[int, ...], ...]:
-    """Unimodular ``P = (a b; c d)`` with entries in [-bound, bound], one of each pair ``+-P``.
-
-    Each comes as ``(a, b, c, d, e, f, g, h)`` with ``(e f; g h) = P^-1 = det P * adj P``.
-    """
-    span = range(-bound, bound + 1)
-    found = []
-    for a, b, c, d in itertools.product(span, repeat=4):
-        det = a * d - b * c
-        if det in (1, -1) and (a, b, c, d) > (-a, -b, -c, -d):
-            found.append((a, b, c, d, det * d, -det * b, -det * c, det * a))
-    return tuple(found)
-
-
-def _bounded_conjugates(m: IntMatrix, conjugators) -> set[tuple[tuple[int, int], ...]]:
-    """Rows of ``P m P^-1`` for every conjugator ``P``.
-
-    ``n`` is in the set exactly when some ``P`` in the box satisfies
-    ``P m = n P``.  ``P^-1 = det P * adj P`` lies in the same box as
-    ``P``, so the relation is symmetric in ``m`` and ``n``.
-    """
-    (p, q), (r, s) = m.rows
-    found = set()
-    for a, b, c, d, e, f, g, h in conjugators:
-        w, x, y, z = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
-        found.add(((w * e + x * g, w * f + x * h), (y * e + z * g, y * f + z * h)))
-    return found
+# the grid has (2B + 1)^4 candidates
+MAX_SCAN_BOUND = 20
 
 
 def gl2_torsion_scan(entry_bound: int) -> TorsionClassTable:
@@ -242,53 +265,47 @@ def gl2_torsion_scan(entry_bound: int) -> TorsionClassTable:
 
     Every candidate's invariant-predicted order is cross-checked by brute
     iteration (to 24), so a wrong classification cannot slip through.
-    Conjugacy is a bounded search over conjugators with entries up to 2B;
-    a too-small bound can only split a true class, never merge distinct
-    ones.  At the default bound 5 it splits one order-2 class, so the
-    table lists 8 classes where GL(2, Z) has 7; the genus-3 verdict reads
-    only orders and determinants, never the classes.  The returned table
-    is checked for the expected global shape: maximal order exactly 6, and
-    a single class of order 6.
+    Classes are exact: members are grouped by :func:`_class_key`, a
+    conjugacy invariant, and each member's conjugator to the class's
+    normal form (:func:`_normal_form_witness`) is checked as ``A P = P N``
+    with ``det P = +-1``.  The representative is the smallest member by
+    rows.  The table is checked for the expected global shape: maximal
+    order exactly 6, and a single class of order 6.  ``B`` is at most
+    ``MAX_SCAN_BOUND``.
     """
     if entry_bound < 1:
         raise ValueError(f"entry bound must be >= 1, got {entry_bound}")
+    if entry_bound > MAX_SCAN_BOUND:
+        raise ValueError(f"entry bound must be <= {MAX_SCAN_BOUND}, got {entry_bound}")
     span = range(-entry_bound, entry_bound + 1)
 
-    torsion: list[IntMatrix] = []
+    buckets: dict[tuple, tuple[tuple, list[IntMatrix]]] = {}
     for a, b, c, d in itertools.product(span, repeat=4):
         if a * d - b * c not in (1, -1):
             continue
-        matrix = IntMatrix.from_rows(((a, b), (c, d)))
-        order = _order_by_invariants(matrix)
-        if order != _order_by_iteration(matrix, 24):
+        rows = ((a, b), (c, d))
+        order = _order_by_invariants(rows)
+        if order != _order_by_iteration(rows, 24):
             raise RuntimeError(
-                f"trace/determinant torsion classification disagrees with iteration on {matrix.rows}"
+                f"trace/determinant torsion classification disagrees with iteration on {rows}"
             )
-        if order is not None:
-            torsion.append(matrix)
+        if order is None:
+            continue
+        conjugator, normal = _normal_form_witness(rows)
+        (p, q), (r, s) = conjugator
+        if p * s - q * r not in (1, -1) or _times(rows, conjugator) != _times(conjugator, normal):
+            raise RuntimeError(f"conjugator {conjugator} does not take {rows} to {normal}")
+        key = _class_key(rows)
+        class_normal, members = buckets.setdefault(key, (normal, []))
+        if normal != class_normal:
+            raise RuntimeError(f"{rows} and {members[0].rows} share key {key}, not a normal form")
+        members.append(IntMatrix(rows))
 
-    conjugators = _conjugators(2 * entry_bound)
-    buckets: dict[tuple[int, int, int], list[IntMatrix]] = {}
-    for matrix in sorted(torsion, key=lambda m: m.rows):
-        (a, b), (c, d) = matrix.rows
-        key = (_order_by_invariants(matrix), matrix.det(), a + d)
-        buckets.setdefault(key, []).append(matrix)
-
-    classes: list[TorsionClass] = []
-    for key in sorted(buckets):
-        order = key[0]
-        groups: list[list[IntMatrix]] = []
-        for matrix in buckets[key]:
-            conjugates = _bounded_conjugates(matrix, conjugators)
-            for group in groups:
-                if any(member.rows in conjugates for member in group):
-                    group.append(matrix)
-                    break
-            else:
-                groups.append([matrix])
-        classes.extend(TorsionClass(order, group[0], tuple(group)) for group in groups)
-    classes.sort(key=lambda cls: (cls.order, cls.representative.rows))
-    table = TorsionClassTable(entry_bound, 2 * entry_bound, tuple(classes))
+    classes = sorted(
+        (TorsionClass(key[0], members[0], tuple(members)) for key, (_, members) in buckets.items()),
+        key=lambda cls: (cls.order, cls.representative.rows),
+    )
+    table = TorsionClassTable(entry_bound, tuple(classes))
 
     if table.max_order != 6:
         raise RuntimeError(f"expected maximal torsion order 6, scan found {table.max_order}")
@@ -334,9 +351,8 @@ class Gl2Certification:
             f"target {self.target} at genus 3, degrees 3..{self.max_degree} (odd)",
             f"homology image {self.target_matrix.rows}, order 2, determinant"
             f" {self.target_matrix.det()}",
-            f"torsion scan: entries <= {self.scan.entry_bound}, conjugators <="
-            f" {self.scan.conjugator_bound}, {len(self.scan.classes)} classes,"
-            f" max order {self.scan.max_order}",
+            f"torsion scan: entries <= {self.scan.entry_bound}, {len(self.scan.classes)}"
+            f" classes, max order {self.scan.max_order}",
         ]
         for finding in self.findings:
             lines.append(f"degree {finding.degree}: allowed orders {finding.allowed_orders}")
@@ -353,7 +369,6 @@ class Gl2Certification:
             "max_degree": self.max_degree,
             "scan": {
                 "entry_bound": self.scan.entry_bound,
-                "conjugator_bound": self.scan.conjugator_bound,
                 "max_order": self.scan.max_order,
                 "order_counts": {str(k): v for k, v in self.scan.order_counts().items()},
                 "classes": [
@@ -391,13 +406,21 @@ _G3_ASSUMPTIONS = (
 )
 
 
+# every torsion order in GL(2, Z) divides 12, so degrees d and d + 12 have
+# the same findings and the cap loses nothing
+MAX_DEGREE = 99
+
+
 def certify_no_root_g3(target: Word, max_degree: int, scan_bound: int = 5) -> Gl2Certification:
     """Certify that u_1/y_1 has no nontrivial root of any odd degree <= max_degree.
 
     For each degree the report records the order bookkeeping (a root must
     be torsion of order 2 or, when 3 divides the degree, order 6), the
     reason each order yields nothing nontrivial, and a brute-force sweep
-    of the scanned torsion matrices as a cross-check.
+    of the scanned torsion matrices as a cross-check.  Every scanned order
+    divides 12, so the findings for ``d`` and ``d + 12`` are identical and
+    ``max_degree`` is capped at ``MAX_DEGREE`` without loss; the scan
+    bound is capped at ``MAX_SCAN_BOUND``.
     """
     model = target.model
     if model.is_hybrid or model.genus != 3:
@@ -408,6 +431,8 @@ def certify_no_root_g3(target: Word, max_degree: int, scan_bound: int = 5) -> Gl
         raise ValueError(f"target must be u1 or y1, got {target}")
     if max_degree < 3 or max_degree % 2 == 0:
         raise ValueError(f"max degree must be odd and >= 3, got {max_degree}")
+    if max_degree > MAX_DEGREE:
+        raise ValueError(f"max degree must be <= {MAX_DEGREE}, got {max_degree}")
 
     u = gl2_image(target)
     if u * u != _IDENTITY2 or u == _IDENTITY2 or u.det() != -1:

@@ -188,7 +188,7 @@ def test_criterion_7_genus3_torsion_certification():
     _verdict(
         7,
         ok,
-        f"genus 3: entry-bound-5 torsion scan (conjugators to 10) has max order 6"
+        f"genus 3: entry-bound-5 torsion scan (exact classes) has max order 6"
         f" with one order-6 class, u1 and y1 certified rootless to degree 9,"
         f" t1 t2 has order 6; {elapsed:.2f}s (< 60s)",
     )

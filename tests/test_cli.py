@@ -265,6 +265,34 @@ class TestSmallGenusCommand:
         assert code == 0
         assert report["certification"]["scan"]["entry_bound"] == 2
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--scan-bound", "21"), "error: entry bound must be <= 20, got 21\n"),
+            (("--max-degree", "101"), "error: max degree must be <= 99, got 101\n"),
+        ],
+    )
+    def test_caps_are_input_errors(self, capsys, flags, message):
+        code, out, err = run(capsys, "small-genus", "--genus", "3", *flags)
+        assert code == 1
+        assert not out
+        assert err == message
+
+    def test_env_scan_bound_is_capped(self, capsys, monkeypatch):
+        monkeypatch.setenv("MCGROOTS_SCAN_BOUND", "21")
+        code, out, err = run(capsys, "small-genus", "--genus", "3")
+        assert code == 1
+        assert err == "error: entry bound must be <= 20, got 21\n"
+
+    def test_largest_capped_call(self, capsys):
+        code, report, _ = run_json(
+            capsys, "small-genus", "--genus", "3", "--scan-bound", "20", "--max-degree", "99"
+        )
+        assert code == 0
+        assert report["certification"]["scan"]["entry_bound"] == 20
+        assert len(report["certification"]["scan"]["classes"]) == 7
+        assert len(report["certification"]["findings"]) == 49
+
 
 class TestBraidRootCommand:
     def test_success_with_extras(self, capsys):

@@ -197,6 +197,11 @@ class TestNonexistence:
             construct_root(RootRequest(3, target))
         assert info.value.case == "g3"
         assert info.value.machine_certified is True
+        assert "bounded" not in str(info.value)
+        assert (
+            "degree 3 covers every odd degree d, since the allowed orders are {2} when 3"
+            " does not divide d and {2, 6} when it does" in str(info.value)
+        )
 
     def test_genus4_nonorientable_is_structural(self):
         with pytest.raises(NonexistenceError) as info:

@@ -7,7 +7,10 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcgroots import small_genus
 from mcgroots.representations import IntMatrix, gl2_image
 from mcgroots.small_genus import (
     KLEIN_ELEMENTS,
@@ -19,14 +22,41 @@ from mcgroots.small_genus import (
     klein_element_of,
     mn2_nontrivial_roots,
     mn2_root_search,
-    _bounded_conjugates,
-    _conjugators,
+    _class_key,
+    _normal_form_witness,
 )
 from mcgroots.words import SurfaceModel, parse_word
 
 
 def _w(text, genus=3):
     return parse_word(text, SurfaceModel.standard(genus))
+
+
+def _times(x, y):
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _inverse(m):
+    (a, b), (c, d) = m
+    det = a * d - b * c
+    assert det in (1, -1)
+    return ((det * d, -det * b), (-det * c, det * a))
+
+
+# one normal form per torsion class of GL(2, Z): +-I, diag(1, -1), and the
+# companion matrices of orders 2 (determinant -1), 3, 4 and 6
+_NORMAL_FORMS = (
+    ((1, 0), (0, 1)),
+    ((-1, 0), (0, -1)),
+    ((1, 0), (0, -1)),
+    ((0, 1), (1, 0)),
+    ((0, -1), (1, -1)),
+    ((0, -1), (1, 0)),
+    ((0, -1), (1, 1)),
+)
+_GL2_GENERATORS = (((0, -1), (1, 0)), ((1, 1), (0, 1)), ((0, 1), (1, 0)))
 
 
 class TestKleinFour:
@@ -125,7 +155,6 @@ class TestTorsionScan:
         assert table.order_counts() == {1: 1, 2: 13, 3: 4, 4: 2, 6: 4}
         assert len(table.classes) == 7
         assert table.max_order == 6
-        assert table.conjugator_bound == 2
 
     def test_bound2_frozen_table(self):
         table = gl2_torsion_scan(2)
@@ -164,15 +193,11 @@ class TestTorsionScan:
         return [(cls.order, cls.representative.rows, cls.size) for cls in table.classes]
 
     def test_bound5_frozen_classes(self):
-        # the default bound splits the order-2, determinant -1, trace 0 class
-        # of GL(2, Z) in two: 8 classes where the group has 7
         table = gl2_torsion_scan(5)
-        assert table.conjugator_bound == 10
         assert table.order_counts() == {1: 1, 2: 69, 3: 12, 4: 26, 6: 12}
         assert self._class_rows(table) == [
             (1, ((1, 0), (0, 1)), 1),
-            (2, ((-4, -5), (3, 4)), 40),
-            (2, ((-4, -3), (5, 4)), 2),
+            (2, ((-4, -5), (3, 4)), 42),
             (2, ((-3, -4), (2, 3)), 26),
             (2, ((-1, 0), (0, -1)), 1),
             (3, ((-2, -3), (1, 1)), 12),
@@ -182,7 +207,6 @@ class TestTorsionScan:
 
     def test_bound6_frozen_classes(self):
         table = gl2_torsion_scan(6)
-        assert table.conjugator_bound == 12
         assert table.order_counts() == {1: 1, 2: 85, 3: 12, 4: 26, 6: 12}
         assert self._class_rows(table) == [
             (1, ((1, 0), (0, 1)), 1),
@@ -194,28 +218,69 @@ class TestTorsionScan:
             (6, ((-1, -3), (1, 2)), 12),
         ]
 
-    @pytest.mark.parametrize("conjugator_bound", (1, 2, 3))
-    def test_bounded_conjugates_match_brute_force(self, conjugator_bound):
-        # n is a bounded conjugate of m iff some P in the full box (both of
-        # each pair +-P) has P m == n P
-        def times(x, y):
-            (a, b), (c, d) = x
-            (e, f), (g, h) = y
-            return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+    def test_seven_classes_at_every_bound(self):
+        for bound in range(1, 9):
+            assert len(gl2_torsion_scan(bound).classes) == 7, bound
 
-        span = range(-conjugator_bound, conjugator_bound + 1)
+    def test_class_key_matches_brute_force_conjugacy(self):
+        # two torsion matrices share a key iff some unimodular P with
+        # entries in [-2, 2] has P m == n P
+        span = range(-2, 3)
         box = [
             ((a, b), (c, d))
             for a, b, c, d in itertools.product(span, repeat=4)
             if a * d - b * c in (1, -1)
         ]
-        torsion = gl2_torsion_scan(2).all_members()
-        conjugators = _conjugators(conjugator_bound)
+        torsion = [m.rows for m in gl2_torsion_scan(2).all_members()]
+        assert len(torsion) == 40
         for m in torsion:
-            conjugates = _bounded_conjugates(m, conjugators)
             for n in torsion:
-                expected = any(times(p, m.rows) == times(n.rows, p) for p in box)
-                assert (n.rows in conjugates) == expected, (m.rows, n.rows)
+                expected = any(_times(p, m) == _times(n, p) for p in box)
+                assert (_class_key(m) == _class_key(n)) == expected, (m, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        normal=st.sampled_from(_NORMAL_FORMS),
+        word=st.lists(st.sampled_from(_GL2_GENERATORS), max_size=8),
+    )
+    def test_conjugates_of_normal_forms_return_to_them(self, normal, word):
+        p = ((1, 0), (0, 1))
+        for generator in word:
+            p = _times(p, generator)
+        a = _times(_times(p, normal), _inverse(p))
+        assert _class_key(a) == _class_key(normal)
+        conjugator, found = _normal_form_witness(a)
+        assert found == normal
+        assert _times(_times(_inverse(conjugator), a), conjugator) == normal
+
+    def test_merged_key_fails_the_conjugator_check(self, monkeypatch):
+        # without the mod-2 bit the two order-2 classes of determinant -1
+        # share a key, and their normal forms differ
+        class_key = small_genus._class_key
+        monkeypatch.setattr(small_genus, "_class_key", lambda rows: class_key(rows)[:3])
+        with pytest.raises(RuntimeError, match="normal form"):
+            gl2_torsion_scan(6)
+
+    @pytest.mark.parametrize(
+        "fake",
+        [
+            # P = I conjugates nothing but the normal forms themselves
+            lambda p, n: (((1, 0), (0, 1)), n),
+            # 2P satisfies A (2P) = (2P) N but is not invertible over Z
+            lambda p, n: (tuple(tuple(2 * v for v in row) for row in p), n),
+        ],
+    )
+    def test_wrong_conjugator_fails_the_scan(self, monkeypatch, fake):
+        witness = small_genus._normal_form_witness
+        monkeypatch.setattr(small_genus, "_normal_form_witness", lambda rows: fake(*witness(rows)))
+        with pytest.raises(RuntimeError, match="does not take"):
+            gl2_torsion_scan(2)
+
+    def test_entry_bound_cap(self):
+        assert small_genus.MAX_SCAN_BOUND == 20
+        assert len(gl2_torsion_scan(20).classes) == 7
+        with pytest.raises(ValueError, match="<= 20"):
+            gl2_torsion_scan(21)
 
     def test_entry_bound_validation(self):
         with pytest.raises(ValueError):
@@ -223,20 +288,22 @@ class TestTorsionScan:
 
 
 # sha256 of json.dumps(certify_no_root_g3(target, 9, bound).to_dict()),
-# recorded when the conjugacy search still ran on numpy
+# recorded from the exact class tables; apart from the dropped
+# scan.conjugator_bound, they equal the earlier bounded search's payloads
+# at every bound except 5, where its two split order-2 classes are one
 _FROZEN_CERTIFICATIONS = {
-    ("u1", 1): "12a9affd0df8691a956a363f0da44a7e2725e8a1cfb28222ad12f0567c805a7c",
-    ("u1", 2): "bca4b1f4064c0b2368ac701d8eff6a8636b18c45635b1151d2fb55c00f354fce",
-    ("u1", 3): "0a51dfd31639ada8f84df2e001ee0cb766b002073ec64daf29dc7a021534c19a",
-    ("u1", 4): "9b5e984d101dec11f03dad17e76bc3679f759499c144d1f4d81be955ef5e37a8",
-    ("u1", 5): "1dcefd3884d92e1c0b0b5bb91d2db88d23029f4b6c32cdf8198001ea3dcc4584",
-    ("u1", 6): "ac46de8b119d0c8503593248e5406e3bd2afb8af21f88a0bacb4075dcff2f4ee",
-    ("y1", 1): "f64d3c92e086b90a3860abdc28259f29c2cab8710c0d4d0d186bb73e7b96cc2f",
-    ("y1", 2): "0f9cc1f203691b8a9d0e2121d61e2e1a44f21a5eaae2a6870e4cd9a8cd27c6a5",
-    ("y1", 3): "f49fc86152378a5a36776790ff47e83364a000aed528b3ae3a095250ee8c8d11",
-    ("y1", 4): "e3260d640f09a430e78c90c8bb396fc5bee3b7c2b36d3be871457818f6cc3d6c",
-    ("y1", 5): "f818b00873e6bffc311dfbfe7e65de19d138e5707feb02207e222c5436c8318d",
-    ("y1", 6): "bd2f769b6c87894c3ceeb29c7a67f2eae7945ef0543b9788911e8e190fac4c4e",
+    ("u1", 1): "65dace86c4ca110c73007b912ca081d314a930dc539f04b07de83b019aafe284",
+    ("u1", 2): "f163bfefce3227014060bbaedcee4c09aafa57f042e27e869a64bdab2cb007f6",
+    ("u1", 3): "b008d357298db2916d622e6ac79f47c330f6a7fefd6765d53d60732ad0f9170b",
+    ("u1", 4): "6dee084118d35020ec5dd54eea03c62a128a76e0de2c7fd49a22d79071d96f7c",
+    ("u1", 5): "e3250f08cf864a874425d28befd2012cc4fb161b13140e42f13a51f681486baf",
+    ("u1", 6): "4d577ac2a39e9827b344e47572b17f0663b49affec5e7be1681535e5c69c9212",
+    ("y1", 1): "5e7ecb6effe6d206cb0e912a5a056944c6abe1ec51472b65c1236afe78eabfe0",
+    ("y1", 2): "f6c1fca96bc61bae6966bbd4c5c1579b85cd34d1a5b21ee9c4b0c8e1995dd1fa",
+    ("y1", 3): "9dbc4a64ab7929c7baa9c1d1d854fb257987cac8e2506ced45363af5de6e6e5c",
+    ("y1", 4): "0405da6e9bd34537cfbefc9dbc83833c87030c09dead33172a496b2131f36734",
+    ("y1", 5): "52e1a3a76c8127c5b6ed290aa210e35cc206d834cfbbb28331bd91b6a5f38c92",
+    ("y1", 6): "2859339790f11cae330402dd6397037910d8c7a117dade7091111a44d1513bee",
 }
 
 
@@ -306,3 +373,18 @@ class TestGenus3Certification:
         for bad in (1, 2, 4):
             with pytest.raises(ValueError):
                 certify_no_root_g3(_w("u1"), bad, scan_bound=1)
+
+    def test_degree_cap(self):
+        assert small_genus.MAX_DEGREE == 99
+        assert certify_no_root_g3(_w("u1"), 99, scan_bound=1).passed()
+        with pytest.raises(ValueError, match="<= 99"):
+            certify_no_root_g3(_w("u1"), 101, scan_bound=1)
+
+    def test_degrees_twelve_apart_have_equal_findings(self):
+        cert = certify_no_root_g3(_w("y1"), 27, scan_bound=2)
+        by_degree = {f.degree: f for f in cert.findings}
+        for degree in range(3, 16, 2):
+            same, later = by_degree[degree], by_degree[degree + 12]
+            assert same.allowed_orders == later.allowed_orders
+            assert same.conclusions == later.conclusions
+            assert same.solutions == later.solutions
