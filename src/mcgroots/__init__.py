@@ -2,8 +2,10 @@
 groups of nonorientable surfaces, verified by exact oracles and replayable
 rewrite certificates.
 
-The package root exports the entry points the README documents and the
-error types; every other name is imported from its own module.
+The package root exports the entry points the README documents (root
+and braid-root construction, ``verify_identity``, ``certify_no_root_g3``,
+words and their text, certificates and their text) and the error types;
+every other name is imported from its own module.
 """
 
 from .presentation import (
@@ -12,7 +14,6 @@ from .presentation import (
     SchemaError,
     certificate_from_text,
     certificate_to_text,
-    check_certificate,
 )
 from .roots import (
     NonexistenceError,
@@ -50,7 +51,6 @@ __all__ = [
     "certificate_from_text",
     "certificate_to_text",
     "certify_no_root_g3",
-    "check_certificate",
     "construct_braid_root",
     "construct_root",
     "format_word",

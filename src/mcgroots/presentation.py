@@ -69,7 +69,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .words import (
     GeneratorLetter,
@@ -93,8 +93,7 @@ __all__ = [
     "apply_step",
     "certificate_from_text",
     "certificate_to_text",
-    "check_certificate",
-    "commute_disjoint",
+    "commute_step",
     "instantiate",
     "invert_step",
     "relation_catalog",
@@ -482,24 +481,16 @@ def replay_certificate(certificate: Certificate) -> tuple[Syllable, ...]:
     return tuple(state)
 
 
-def check_certificate(certificate: Certificate) -> bool:
-    """True iff every step applies and the replay ends exactly at ``end``."""
-    try:
-        final = replay_certificate(certificate)
-    except CertificateError:
-        return False
-    return final == certificate.end.syllables
+def commute_step(state: Sequence[Syllable], position: int, model: SurfaceModel) -> SchemaStep:
+    """The schema step that swaps the syllables ``state[position]``, ``state[position + 1]``.
 
-
-def _commute_step(
-    first: GeneratorLetter,
-    first_exp: int,
-    second: GeneratorLetter,
-    second_exp: int,
-    position: int,
-    model: SurfaceModel,
-) -> SchemaStep:
-    """The single schema step that swaps the adjacent syllables at ``position``."""
+    The pair must commute by one of the commutation schemas (R1, R4a, R4b,
+    or ChainCommute), and ``position`` must have a right neighbour;
+    otherwise :class:`SchemaError` is raised.
+    """
+    if not 0 <= position < len(state) - 1:
+        raise SchemaError(f"position {position} has no right neighbour in {len(state)} syllables")
+    (first, first_exp), (second, second_exp) = state[position], state[position + 1]
     ka, kb = first.kind, second.kind
     if model.is_hybrid:
         if kb == "c" and ka in ("t", "u", "y"):
@@ -523,20 +514,6 @@ def _commute_step(
         raise SchemaError(f"no commutation schema for the pair {first}, {second}")
     instantiate(step.schema, step.params, model)  # surface side-condition violations now
     return step
-
-
-def commute_disjoint(word: Word, i: int, j: int) -> list[SchemaStep]:
-    """Steps swapping the adjacent syllables at positions ``i`` and ``j = i + 1``.
-
-    The pair must commute by one of the commutation schemas (R1, R4a, R4b,
-    or ChainCommute); otherwise :class:`SchemaError` is raised.
-    """
-    if j != i + 1:
-        raise SchemaError("designated syllables must be adjacent (j = i + 1)")
-    if not 0 <= i < j < len(word.syllables):
-        raise SchemaError(f"positions {i}, {j} out of range for a {len(word.syllables)}-syllable word")
-    (la, ea), (lb, eb) = word.syllables[i], word.syllables[j]
-    return [_commute_step(la, ea, lb, eb, i, word.model)]
 
 
 _LETTER_RE = re.compile(r"^([tuyc])([1-9][0-9]*)$")

@@ -42,7 +42,6 @@ per-genus table is built.
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from types import MappingProxyType
@@ -121,7 +120,7 @@ class IntMatrix:
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
-            return self.inv() ** (-e)
+            raise ValueError("no negative IntMatrix powers; power the inverse word's image")
         return _binary_power(self, e) if e else IntMatrix.identity(self.size)
 
     def det(self) -> int:
@@ -145,36 +144,6 @@ class IntMatrix:
                     m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
             prev = m[k][k]
         return sign * m[-1][-1]
-
-    def inv(self) -> "IntMatrix":
-        """Exact inverse; raises ArithmeticError unless it is integral."""
-        n = self.size
-        aug = [
-            [Fraction(self.rows[i][j]) for j in range(n)]
-            + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col]), None)
-            if pivot is None:
-                raise ArithmeticError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            pv = aug[col][col]
-            aug[col] = [v / pv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n, 2 * n):
-                v = aug[i][j]
-                if v.denominator != 1:
-                    raise ArithmeticError("inverse is not integral")
-                row.append(int(v))
-            out.append(tuple(row))
-        return IntMatrix(tuple(out))
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows)

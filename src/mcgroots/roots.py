@@ -50,8 +50,8 @@ from .presentation import (
     FreeStep,
     RewriteStep,
     SchemaStep,
-    _commute_step,
     apply_step,
+    commute_step,
     invert_step,
     replay_certificate,
 )
@@ -379,8 +379,7 @@ class _CertBuilder:
         self.steps.append(step)
 
     def swap(self, pos: int) -> None:
-        (la, ea), (lb, eb) = self.state[pos], self.state[pos + 1]
-        self._push(_commute_step(la, ea, lb, eb, pos, self.model))
+        self._push(commute_step(self.state, pos, self.model))
 
     def move_right(self, pos: int, count: int) -> None:
         for k in range(count):

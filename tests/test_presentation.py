@@ -18,14 +18,13 @@ from mcgroots.presentation import (
     apply_step,
     certificate_from_text,
     certificate_to_text,
-    check_certificate,
-    commute_disjoint,
+    commute_step,
     instantiate,
     invert_step,
     relation_catalog,
     replay_certificate,
 )
-from mcgroots.roots import RootRequest, construct_root
+from mcgroots.roots import FAIL, PASS, RootRequest, construct_root, verify_identity
 from mcgroots.words import GeneratorLetter, SurfaceModel, WordError, parse_word
 
 from conftest import standard_models, words_for
@@ -334,12 +333,13 @@ class TestCertificates:
             (SchemaStep(0, "R6closed-odd", (), True),),
         )
         assert replay_certificate(cert) == cert.end.syllables
-        assert check_certificate(cert)
+        assert verify_identity(cert.start, 1, cert.end, cert).certificate == PASS
 
     def test_empty_certificate_is_reflexive(self, std5):
         w = _w("u1 t2", std5)
-        assert check_certificate(Certificate(w, w))
-        assert not check_certificate(Certificate(w, _w("t2 u1", std5)))
+        assert verify_identity(w, 1, w, Certificate(w, w)).certificate == PASS
+        other = _w("t2 u1", std5)
+        assert verify_identity(w, 1, other, Certificate(w, other)).certificate == FAIL
 
     def test_model_mismatch_rejected(self):
         a = _w("u1", SurfaceModel.standard(5))
@@ -370,9 +370,9 @@ class TestCertificates:
         )
         # sanity: start state here pre-reduces to u1^5, so split it apart first
         assert cert.start.syllables == ((GeneratorLetter("u", 1), 5),)
-        assert check_certificate(cert)
+        assert verify_identity(cert.start, 1, cert.end, cert).certificate == PASS
         rev = cert.reverse()
-        assert check_certificate(rev)
+        assert verify_identity(rev.start, 1, rev.end, rev).certificate == PASS
         assert rev.reverse() == cert
 
     def test_check_is_exact_not_up_to_reduction(self, std5):
@@ -383,21 +383,21 @@ class TestCertificates:
             (FreeStep("split", 0, GeneratorLetter("u", 1), 1),),
         )
         assert replay_certificate(cert) != cert.end.syllables
-        assert not check_certificate(cert)
+        assert verify_identity(cert.start, 1, cert.end, cert).certificate == FAIL
 
 
 class TestCommuteDisjoint:
     def test_basic_swap(self, std5):
         w = _w("u1 u3 t2", std5)
-        steps = commute_disjoint(w, 0, 1)
-        assert steps == [SchemaStep(0, "R1", (1, 3, 1, 1), True)]
+        step = commute_step(w.syllables, 0, std5)
+        assert step == SchemaStep(0, "R1", (1, 3, 1, 1), True)
         state = list(w.syllables)
-        apply_step(state, steps[0], std5)
+        apply_step(state, step, std5)
         assert tuple(state) == _w("u3 u1 t2", std5).syllables
 
     def test_descending_pair_uses_backward_direction(self, std5):
         w = _w("u4^2 u1^-1", std5)
-        (step,) = commute_disjoint(w, 0, 1)
+        step = commute_step(w.syllables, 0, std5)
         assert step == SchemaStep(0, "R1", (1, 4, -1, 2), False)
         state = list(w.syllables)
         apply_step(state, step, std5)
@@ -405,38 +405,37 @@ class TestCommuteDisjoint:
 
     def test_slide_pair(self, std5):
         w = _w("y1^2 u4^-1", std5)
-        (step,) = commute_disjoint(w, 0, 1)
+        step = commute_step(w.syllables, 0, std5)
         assert step.schema == "R4b" and step.forward
 
     def test_transposition_then_twist(self, std5):
         w = _w("u1 t4^3", std5)
-        (step,) = commute_disjoint(w, 0, 1)
+        step = commute_step(w.syllables, 0, std5)
         assert step.schema == "R4a" and not step.forward
         state = list(w.syllables)
         apply_step(state, step, std5)
         assert tuple(state) == _w("t4^3 u1", std5).syllables
 
     def test_hybrid_chain_pairs(self, hyb6):
-        (fwd,) = commute_disjoint(_w("u1 c3", hyb6), 0, 1)
+        fwd = commute_step(_w("u1 c3", hyb6).syllables, 0, hyb6)
         assert fwd == SchemaStep(0, "ChainCommute", ("u", 3, 1, 1), True)
-        (bwd,) = commute_disjoint(_w("c3 u1", hyb6), 0, 1)
+        bwd = commute_step(_w("c3 u1", hyb6).syllables, 0, hyb6)
         assert bwd == SchemaStep(0, "ChainCommute", ("u", 3, 1, 1), False)
 
     def test_rejects_noncommuting_pairs(self, std5):
         for text in ("u1 u2", "t1 t3", "u1 y2"):
             with pytest.raises(SchemaError):
-                commute_disjoint(_w(text, std5), 0, 1)
+                commute_step(_w(text, std5).syllables, 0, std5)
 
     def test_rejects_adjacent_indices_via_side_condition(self, std5):
         with pytest.raises(SchemaError):
-            commute_disjoint(_w("t2 u3", std5), 0, 1)
+            commute_step(_w("t2 u3", std5).syllables, 0, std5)
 
     def test_position_validation(self, std5):
         w = _w("u1 u3", std5)
-        with pytest.raises(SchemaError):
-            commute_disjoint(w, 0, 2)
-        with pytest.raises(SchemaError):
-            commute_disjoint(w, 1, 2)
+        for position in (-1, len(w.syllables) - 1):
+            with pytest.raises(SchemaError):
+                commute_step(w.syllables, position, std5)
 
 
 class TestCertificateText:

@@ -35,11 +35,17 @@ def _w(text, model):
 
 
 def _dense_homology(word):
-    """Reference oracle: the dense product of generator-matrix powers in word order."""
-    table = derive_generator_matrices(word.model.genus)
-    acc = IntMatrix.identity(word.model.genus - 1)
+    """Reference oracle: the dense product of generator-matrix powers in word order.
+
+    A negative exponent powers the letter's derived inverse, which
+    ``test_derived_inverses`` checks against a plain-Python product.
+    """
+    model = word.model
+    table = derive_generator_matrices(model.genus)
+    acc = IntMatrix.identity(model.genus - 1)
     for letter, exp in word.syllables:
-        acc = acc * table[letter] ** exp
+        base = table[letter] if exp > 0 else homology_of(Word(model, ((letter, -1),)))
+        acc = acc * base ** abs(exp)
     return acc
 
 
@@ -65,7 +71,8 @@ class TestIntMatrix:
         a = IntMatrix.from_rows([[1, 1], [0, 1]])
         assert a**5 == IntMatrix.from_rows([[1, 5], [0, 1]])
         assert a**0 == IntMatrix.identity(2)
-        assert a**-3 == IntMatrix.from_rows([[1, -3], [0, 1]])
+        with pytest.raises(ValueError, match="inverse word"):
+            a**-3
 
     def test_pow_starts_from_the_first_factor(self):
         a = IntMatrix.from_rows([[2, 1], [1, 1]])
@@ -84,17 +91,6 @@ class TestIntMatrix:
     def test_det_pivoting(self):
         # leading zero forces a row swap inside the elimination
         assert IntMatrix.from_rows([[0, 1, 2], [1, 0, 3], [2, 1, 0]]).det() == 8
-
-    def test_inv_unimodular(self):
-        a = IntMatrix.from_rows([[2, 1], [1, 1]])
-        assert a * a.inv() == IntMatrix.identity(2)
-        assert a.inv() == IntMatrix.from_rows([[1, -1], [-1, 2]])
-
-    def test_inv_errors(self):
-        with pytest.raises(ArithmeticError, match="singular"):
-            IntMatrix.from_rows([[1, 2], [2, 4]]).inv()
-        with pytest.raises(ArithmeticError, match="not integral"):
-            IntMatrix.from_rows([[2, 0], [0, 1]]).inv()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -241,7 +237,7 @@ class TestHomologyMatrices:
     def test_matrices_are_unimodular(self):
         for g in range(2, 7):
             for letter, m in derive_generator_matrices(g).items():
-                assert m * m.inv() == IntMatrix.identity(g - 1)
+                assert m.det() in (1, -1)
 
     def test_cached_and_read_only(self):
         table = derive_generator_matrices(4)
@@ -271,9 +267,9 @@ class TestHomologyOracle:
     @settings(max_examples=50)
     @given(model_word_pairs(max_genus=6))
     def test_homomorphism(self, data):
-        _, a, b = data
+        model, a, b = data
         assert homology_of(a * b) == homology_of(a) * homology_of(b)
-        assert homology_of(a.inverse()) == homology_of(a).inv()
+        assert homology_of(a.inverse()) * homology_of(a) == IntMatrix.identity(model.genus - 1)
 
     @settings(max_examples=50)
     @given(model_word_pairs(max_genus=6))

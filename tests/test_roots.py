@@ -13,7 +13,6 @@ from mcgroots.presentation import (
     SchemaStep,
     certificate_from_text,
     certificate_to_text,
-    check_certificate,
 )
 from mcgroots.roots import (
     FAIL,
@@ -351,9 +350,9 @@ class TestCertificates:
     def test_replay_and_reverse(self):
         for request in (RootRequest(5, "y"), RootRequest(6, "u")):
             cert = construct_root(request).certificate
-            assert check_certificate(cert)
+            assert verify_identity(cert.start, 1, cert.end, cert).certificate == PASS
             rev = cert.reverse()
-            assert check_certificate(rev)
+            assert verify_identity(rev.start, 1, rev.end, rev).certificate == PASS
             assert rev.reverse() == cert
 
     def test_text_round_trip(self):
@@ -368,12 +367,12 @@ class TestCertificates:
         bad = dataclasses.replace(
             cert, steps=cert.steps[:index] + (dataclasses.replace(step, forward=not step.forward),) + cert.steps[index + 1 :]
         )
-        assert not check_certificate(bad)
+        assert verify_identity(bad.start, 1, bad.end, bad).certificate == FAIL
 
     def test_tampered_endpoint_is_rejected(self, std5):
         cert = construct_root(RootRequest(5, "u")).certificate
         bad = dataclasses.replace(cert, end=_w("u2", std5))
-        assert not check_certificate(bad)
+        assert verify_identity(bad.start, 1, bad.end, bad).certificate == FAIL
 
     def test_assumptions_listed_in_first_use_order(self):
         cert = construct_root(RootRequest(4, "y", complement="orientable")).certificate
