@@ -112,7 +112,26 @@ def _emit_certificate(path: str, certificate) -> None:
         handle.write(certificate_to_text(certificate))
 
 
-def _root_report(command: str, result, citation: str, extra: dict | None = None) -> dict:
+def _root_command(
+    command: str, args, build, genus: int, target: str, extra: dict
+) -> tuple[int, dict]:
+    """Report of ``build()``, a root construction; ``extra`` keys go last."""
+    try:
+        result = build()
+    except NonexistenceError as exc:
+        report = _report(
+            command,
+            genus=genus,
+            target=target,
+            verdict="no-nontrivial-root",
+            citation=_NONEXISTENCE_CITATIONS.get(exc.case, exc.case),
+            details=(str(exc),),
+            machine_certified=exc.machine_certified,
+            **extra,
+        )
+        return 2, report
+    if args.emit_certificate:
+        _emit_certificate(args.emit_certificate, result.certificate)
     report = _report(
         command,
         genus=result.root.model.genus,
@@ -122,60 +141,29 @@ def _root_report(command: str, result, citation: str, extra: dict | None = None)
         checks=result.report.checks(),
         assumptions=result.report.assumptions,
         verdict="root-exists" if result.report.all_passed else "verification-failed",
-        citation=citation,
+        citation=_CASE_CITATIONS[result.case],
         details=result.report.details,
+        **extra,
     )
-    if extra:
-        report.update(extra)
-    return report
+    return (0 if result.report.all_passed else 2), report
 
 
 def cmd_root(args) -> tuple[int, dict]:
-    target_name = args.target + "1"
-    try:
-        result = construct_root(RootRequest(args.genus, args.target, args.complement))
-    except NonexistenceError as exc:
-        report = _report(
-            "root",
-            genus=args.genus,
-            target=target_name,
-            verdict="no-nontrivial-root",
-            citation=_NONEXISTENCE_CITATIONS.get(exc.case, exc.case),
-            details=(str(exc),),
-            machine_certified=exc.machine_certified,
-        )
-        return 2, report
-    if args.emit_certificate:
-        _emit_certificate(args.emit_certificate, result.certificate)
-    report = _root_report("root", result, _CASE_CITATIONS[result.case])
-    return (0 if result.report.all_passed else 2), report
+    request = RootRequest(args.genus, args.target, args.complement)
+    return _root_command(
+        "root", args, lambda: construct_root(request), args.genus, args.target + "1", {}
+    )
 
 
 def cmd_braid_root(args) -> tuple[int, dict]:
-    try:
-        result = construct_braid_root(args.punctures, args.index)
-    except NonexistenceError as exc:
-        report = _report(
-            "braid-root",
-            genus=args.punctures,
-            target=f"u{args.index}",
-            verdict="no-nontrivial-root",
-            citation=_NONEXISTENCE_CITATIONS.get(exc.case, exc.case),
-            details=(str(exc),),
-            machine_certified=exc.machine_certified,
-            punctures=args.punctures,
-            index=args.index,
-        )
-        return 2, report
-    if args.emit_certificate:
-        _emit_certificate(args.emit_certificate, result.certificate)
-    report = _root_report(
+    return _root_command(
         "braid-root",
-        result,
-        _CASE_CITATIONS[result.case],
-        extra={"punctures": args.punctures, "index": args.index},
+        args,
+        lambda: construct_braid_root(args.punctures, args.index),
+        args.punctures,
+        f"u{args.index}",
+        {"punctures": args.punctures, "index": args.index},
     )
-    return (0 if result.report.all_passed else 2), report
 
 
 # Not used here: perfbench's tracer test reads this table and ``cli.homology_of``.

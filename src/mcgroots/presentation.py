@@ -169,25 +169,24 @@ def _require(condition: bool, message: str) -> None:
 def instantiate(schema: str, params, model: SurfaceModel) -> RelationInstance:
     """Build a relation instance, validating all side conditions.
 
-    Instances are memoized per ``(schema, params, parameter types, model)``;
-    they are frozen, so callers share them safely.  Unhashable parameters
-    are validated and built without the memo, and a call that raises
-    :class:`SchemaError` raises again on every call.
+    Instances are memoized per ``(schema, params, genus, kind)``; they are
+    frozen, so callers share them safely.  Integer parameters are stored
+    as ``int``, so a ``bool`` shares the entry of its integer; keys compare
+    by value, so a float equal to an integer also hits that integer's entry
+    once it is cached.  Unhashable parameters are validated and built
+    without the memo, and a call that raises :class:`SchemaError` raises
+    again on every call.
     """
     params = tuple(params)
     try:
-        hash((schema, params, model))
+        return _cached_instance(schema, params, model.genus, model.kind)
     except TypeError:
         return _build_instance(schema, params, model)
-    return _cached_instance(schema, params, tuple(map(type, params)), model)
 
 
 @lru_cache(maxsize=4096)
-def _cached_instance(
-    schema: str, params: tuple, types: tuple, model: SurfaceModel
-) -> RelationInstance:
-    # ``types`` only keys the memo, so that ``True`` and ``1`` stay apart.
-    return _build_instance(schema, params, model)
+def _cached_instance(schema: str, params: tuple, genus: int, kind: str) -> RelationInstance:
+    return _build_instance(schema, params, SurfaceModel(genus, kind))
 
 
 def _build_instance(schema: str, params: tuple, model: SurfaceModel) -> RelationInstance:
@@ -201,6 +200,7 @@ def _build_instance(schema: str, params: tuple, model: SurfaceModel) -> Relation
             _require(isinstance(value, int), f"{schema}: integer parameter expected, got {value!r}")
         else:
             _require(value in ("t", "u", "y"), f"{schema}: letter kind t/u/y expected, got {value!r}")
+    params = tuple(int(v) if code == "i" else v for v, code in zip(params, spec))
     g = model.genus
     hybrid = model.is_hybrid
 

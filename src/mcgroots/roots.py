@@ -3,21 +3,25 @@
 Existence cases
 ---------------
 
-Write ``B`` for the transposition chain ``u_3 .. u_{g-1}`` (odd genus) or
-``u_3^2 u_4 .. u_{g-1}`` (even genus >= 6), and ``C`` for the twist chain
-``c_1 .. c_{g-2}`` of the hybrid model.  The boundary-twist identities say
-``u_1^2 = B^m`` with ``m = g-2`` (odd) or ``g-3`` (even), and
-``u_1^2 = C^{2g-2}`` (hybrid).  Since every letter of ``B`` or ``C``
-commutes with ``u_1`` and ``y_1``, a target ``X`` in ``{u_1, y_1}`` has
-the root
+Every root comes from one scheme.  A boundary-twist identity ``X^2 = D^m``
+holds for the target ``X`` in ``{u_1, y_1}`` and a block ``D`` of letters
+disjoint from it; with ``2p + qm = 1`` the root of degree ``m`` is
+``D^p X^q``, because the commuting factors gather, the boundary identity
+converts the gathered block power into a power of ``X``, and the
+exponents sum to 1.  The cases differ only in ``D``, ``m``, the boundary
+schema and ``(p, q)``:
 
-* ``B^p X`` of degree ``m`` with ``2p + m = 1`` (standard cases), and
-* ``C^g X^-1`` of degree ``g-1`` (hybrid case),
+==================  ==========================  =====  ==============  ============
+case                ``D``                       ``m``  schema          ``(p, q)``
+==================  ==========================  =====  ==============  ============
+odd                 ``u_3 .. u_{g-1}``          g-2    R6closed-odd    ((1-m)/2, 1)
+even_nonorientable  ``u_3^2 u_4 .. u_{g-1}``    g-3    R6closed-even   ((1-m)/2, 1)
+even_orientable     ``(c_1 .. c_{g-2})^2``      g-1    R7chain         (g/2, -1)
+==================  ==========================  =====  ==============  ============
 
-because the commuting factors gather, the boundary identity converts the
-gathered chain power into a power of ``u_1``, and the exponents sum to 1.
-Each constructor emits a :class:`~.presentation.Certificate` replaying
-exactly that computation, plus a report from the exact oracles.
+The last case lives in the hybrid model.  Each construction emits a
+:class:`~.presentation.Certificate` replaying exactly that computation,
+plus a report from the exact oracles.
 
 No root exists at genus 2 (the group is Klein four and the targets are
 primitive there) or genus 3 (torsion bounds in GL(2, Z) rule every odd
@@ -59,7 +63,6 @@ from .representations import homology_of, perm_of, sign_of
 from .words import GeneratorLetter, SurfaceModel, Syllable, Word
 
 __all__ = [
-    "BezoutPair",
     "NonexistenceError",
     "PASS",
     "FAIL",
@@ -67,7 +70,6 @@ __all__ = [
     "RootRequest",
     "RootResult",
     "VerificationReport",
-    "bezout",
     "build_report",
     "certificate_assumptions",
     "check_degree_parity",
@@ -80,6 +82,8 @@ __all__ = [
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "n/a"
+
+_TARGET_NAMES = {"u": "crosscap transposition u1", "y": "crosscap slide y1"}
 
 # Statements a certificate may lean on beyond pure free-group bookkeeping
 # and the commutation/braid schemas; reports list the ones actually used.
@@ -121,48 +125,6 @@ class NonexistenceError(ValueError):
         super().__init__(message)
         self.case = case
         self.machine_certified = machine_certified
-
-
-@dataclasses.dataclass(frozen=True)
-class BezoutPair:
-    """Exponents with ``2 p + q * modulus = 1``; modulus is the root degree."""
-
-    p: int
-    q: int
-    modulus: int
-
-    def __post_init__(self):
-        if 2 * self.p + self.q * self.modulus != 1:
-            raise ValueError(
-                f"2*{self.p} + {self.q}*{self.modulus} != 1; not a valid exponent pair"
-            )
-
-
-def bezout(genus: int, case: str) -> BezoutPair:
-    """Canonical exponents for the standard-model root of the given case.
-
-    ``case`` is ``"odd"`` (genus odd >= 5, modulus ``g-2``) or
-    ``"even_nonorientable"`` (genus even >= 6, modulus ``g-3``); the
-    canonical solution fixes ``q = 1``, so ``p = (1 - m) / 2``.
-
-    >>> bezout(5, "odd")
-    BezoutPair(p=-1, q=1, modulus=3)
-    >>> bezout(7, "odd").p
-    -2
-    >>> bezout(6, "even_nonorientable")
-    BezoutPair(p=-1, q=1, modulus=3)
-    """
-    if case == "odd":
-        if genus < 5 or genus % 2 == 0:
-            raise ValueError(f"odd case needs odd genus >= 5, got {genus}")
-        m = genus - 2
-    elif case == "even_nonorientable":
-        if genus < 6 or genus % 2:
-            raise ValueError(f"even nonorientable case needs even genus >= 6, got {genus}")
-        m = genus - 3
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    return BezoutPair((1 - m) // 2, 1, m)
 
 
 def check_degree_parity(degree: int) -> bool:
@@ -427,36 +389,48 @@ def _target_word(model: SurfaceModel, target: str) -> Word:
     return Word(model, ((GeneratorLetter(target, 1), 1),))
 
 
-def _block_word(model: SurfaceModel, case: str) -> Word:
+def _gathered_root(model: SurfaceModel, target: str, case: str) -> RootResult:
+    """The root ``D^p X^q`` of degree ``m`` from the boundary identity ``X^2 = D^m``.
+
+    Each case supplies the block ``D`` (disjoint from the target ``X``),
+    the degree ``m``, the boundary schema and exponents with
+    ``2p + qm = 1``.  The certificate gathers the ``m`` copies of ``X^q``
+    to the right of ``D^(pm)``, turns that into ``|p|`` boundary twists
+    ``X^(+-2)`` and merges everything into ``X``.
+    """
     g = model.genus
-    if case == "odd":
-        return Word(model, tuple((GeneratorLetter("u", k), 1) for k in range(3, g)))
-    head: tuple[Syllable, ...] = ((GeneratorLetter("u", 3), 2),)
-    return Word(model, head + tuple((GeneratorLetter("u", k), 1) for k in range(4, g)))
-
-
-def _standard_case(genus: int, target: str, case: str) -> RootResult:
-    model = SurfaceModel.standard(genus)
-    pair = bezout(genus, case)
-    m = pair.modulus
-    block = _block_word(model, case)
+    if case == "even_orientable":
+        chain = Word(model, tuple((GeneratorLetter("c", k), 1) for k in range(1, g - 1)))
+        block, m, boundary, p, q = chain ** 2, g - 1, "R7chain", g // 2, -1
+    else:
+        m = g - 2 if case == "odd" else g - 3
+        head = ((GeneratorLetter("u", 3), 1 if case == "odd" else 2),)
+        block = Word(model, head + tuple((GeneratorLetter("u", k), 1) for k in range(4, g)))
+        boundary = "R6closed-odd" if case == "odd" else "R6closed-even"
+        p, q = (1 - m) // 2, 1
+    if 2 * p + q * m != 1:
+        raise ValueError(f"2*{p} + {q}*{m} != 1; not a valid exponent pair")
     target_word = _target_word(model, target)
-    root = block ** pair.p * target_word
+    root = block ** p * target_word ** q
     start = root ** m
 
     builder = _CertBuilder(start)
-    span = -pair.p * block.syllable_count  # block syllables per root copy
+    span = abs(p) * block.syllable_count  # block syllables per root copy
     for k in range(m - 2, -1, -1):
         builder.move_right((k + 1) * span + k, (m - 1 - k) * span)
-    boundary = "R6closed-odd" if case == "odd" else "R6closed-even"
-    applications = (m - 1) // 2
+    applications = abs(p)
     for j in range(applications):
         builder.schema(j, boundary, (), forward=False)
     if target == "y":
         for j in range(applications):
             builder.schema(j, "UsquaredYsquared", (1,), forward=True)
-    builder.merge_run(applications, m - 1)
-    builder.merge_run(0, applications - 1)
+    # either order reaches X; the order is part of each case's recorded certificate text
+    if q > 0:
+        builder.merge_run(applications, m - 1)
+        builder.merge_run(0, applications - 1)
+    else:
+        builder.merge_run(0, applications - 1)
+        builder.merge_run(1, m - 1)
     builder.merge_at(0)
     certificate = builder.finish(target_word)
 
@@ -464,35 +438,8 @@ def _standard_case(genus: int, target: str, case: str) -> RootResult:
     return RootResult(root, target_word, m, case, certificate, report)
 
 
-def _hybrid_case(genus: int, target: str) -> RootResult:
-    model = SurfaceModel.hybrid(genus)
-    m = genus - 1
-    chain = Word(model, tuple((GeneratorLetter("c", k), 1) for k in range(1, genus - 1)))
-    target_word = _target_word(model, target)
-    root = chain ** genus * target_word.inverse()
-    start = root ** m
-
-    builder = _CertBuilder(start)
-    span = genus * chain.syllable_count
-    for k in range(m - 2, -1, -1):
-        builder.move_right((k + 1) * span + k, (m - 1 - k) * span)
-    applications = genus // 2
-    for j in range(applications):
-        builder.schema(j, "R7chain", (), forward=False)
-    if target == "y":
-        for j in range(applications):
-            builder.schema(j, "UsquaredYsquared", (1,), forward=True)
-    builder.merge_run(0, applications - 1)
-    builder.merge_run(1, m - 1)
-    builder.merge_at(0)
-    certificate = builder.finish(target_word)
-
-    report = build_report(root, target_word, m, certificate)
-    return RootResult(root, target_word, m, "even_orientable", certificate, report)
-
-
 def _raise_small_genus(genus: int, target: str) -> None:
-    name = "crosscap transposition u1" if target == "u" else "crosscap slide y1"
+    name = _TARGET_NAMES[target]
     if genus == 2:
         element = small_genus.klein_element_of(target)
         witnesses = small_genus.mn2_nontrivial_roots(element)
@@ -530,29 +477,24 @@ def construct_root(request: RootRequest) -> RootResult:
     target = request.target
     if g in (2, 3):
         _raise_small_genus(g, target)
-    if request.complement == "orientable":
-        if g % 2:
-            raise ValueError("an orientable complement of the Klein bottle needs even genus")
-        return _hybrid_case(g, target)
-    if request.complement == "nonorientable":
-        if g == 4:
-            name = "crosscap transposition u1" if target == "u" else "crosscap slide y1"
-            raise NonexistenceError(
-                f"the {name} with nonorientable complement has no nontrivial root at"
-                " genus 4; structural classification, not machine-certified here",
-                case="g4_nonorientable",
-                machine_certified=False,
-            )
-        if g % 2:
-            return _standard_case(g, target, "odd")
-        return _standard_case(g, target, "even_nonorientable")
-    # auto: odd genus is forced; even genus >= 6 stays in the standard model;
-    # genus 4 only has the orientable-complement root
+    if request.complement == "orientable" and g % 2:
+        raise ValueError("an orientable complement of the Klein bottle needs even genus")
+    if g == 4 and request.complement == "nonorientable":
+        raise NonexistenceError(
+            f"the {_TARGET_NAMES[target]} with nonorientable complement has no nontrivial"
+            " root at genus 4; structural classification, not machine-certified here",
+            case="g4_nonorientable",
+            machine_certified=False,
+        )
+    # odd genus is forced; genus 4 only has the orientable-complement root
     if g % 2:
-        return _standard_case(g, target, "odd")
-    if g == 4:
-        return _hybrid_case(4, target)
-    return _standard_case(g, target, "even_nonorientable")
+        case = "odd"
+    elif request.complement == "orientable" or g == 4:
+        case = "even_orientable"
+    else:
+        case = "even_nonorientable"
+    kind = "hybrid" if case == "even_orientable" else "standard"
+    return _gathered_root(SurfaceModel(g, kind), target, case)
 
 
 def _shift_certificate(

@@ -243,9 +243,6 @@ class TorsionClassTable:
             matrix for cls in self.classes_of_order(order) for matrix in cls.members
         )
 
-    def all_members(self) -> tuple[IntMatrix, ...]:
-        return tuple(matrix for cls in self.classes for matrix in cls.members)
-
     def determinants_of_order(self, order: int) -> tuple[int, ...]:
         return tuple(sorted({matrix.det() for matrix in self.members_of_order(order)}))
 

@@ -42,6 +42,7 @@ import dataclasses
 from typing import Iterable, Iterator
 
 __all__ = [
+    "MAX_GENUS",
     "MAX_POWER_SYLLABLES",
     "GeneratorLetter",
     "ParseError",
@@ -61,6 +62,11 @@ _KIND_NAMES = {
     "c": "chain twist",
 }
 
+
+# The largest genus a model may have.  The homology tables grow like g^3 and
+# the root certificates like g^4; the largest root it admits (genus 50,
+# orientable complement) takes about 30 s and 700 MB peak memory.
+MAX_GENUS = 50
 
 # The most syllables a power of a multi-syllable word may write out.  It sits
 # above the start word of a genus-100 root (451 729 syllables); larger powers
@@ -94,6 +100,8 @@ class SurfaceModel:
     def __post_init__(self):
         if not isinstance(self.genus, int) or self.genus < 2:
             raise WordError(f"genus must be an integer >= 2, got {self.genus!r}")
+        if self.genus > MAX_GENUS:
+            raise WordError(f"genus {self.genus} is over the cap of MAX_GENUS = {MAX_GENUS}")
         if self.kind not in ("standard", "hybrid"):
             raise WordError(f"unknown model kind {self.kind!r}")
         if self.kind == "hybrid" and (self.genus < 4 or self.genus % 2):

@@ -68,6 +68,29 @@ class TestExitCodes:
                            "--equals", "u1", "--certificate", "/nonexistent/cert.txt")
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        (
+            ["root", "--genus", "51"],
+            ["root", "--genus", "52", "--complement", "orientable"],
+            ["verify", "--genus", "51", "--word", "u1", "--power", "1", "--equals", "u1"],
+            ["relations", "--genus", "51"],
+            ["braid-root", "--punctures", "51"],
+        ),
+    )
+    def test_genus_over_the_cap_is_one(self, capsys, args):
+        started = time.perf_counter()
+        code, _, err = run(capsys, *args)
+        assert time.perf_counter() - started < 1.0
+        assert code == 1 and "error:" in err and "MAX_GENUS" in err
+
+    def test_certificate_over_the_genus_cap_is_one(self, capsys, tmp_path):
+        path = tmp_path / "cert.txt"
+        path.write_text("model standard\ngenus 51\nstart u1\nend u1\n", encoding="utf-8")
+        code, _, err = run(capsys, "verify", "--genus", "5", "--word", "u1", "--power", "1",
+                           "--equals", "u1", "--certificate", str(path))
+        assert code == 1 and "error:" in err and "MAX_GENUS" in err
+
     def test_help_is_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

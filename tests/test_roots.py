@@ -18,16 +18,15 @@ from mcgroots.roots import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
-    BezoutPair,
     NonexistenceError,
     RootRequest,
-    bezout,
     build_report,
     certificate_assumptions,
     check_degree_parity,
     construct_braid_root,
     construct_root,
     is_nontrivial,
+    _gathered_root,
     verify_identity,
 )
 from mcgroots.representations import homology_of, perm_of, sign_of
@@ -38,36 +37,6 @@ from conftest import hybrid_models, standard_models, words_for
 
 def _w(text, model):
     return parse_word(text, model)
-
-
-class TestBezout:
-    def test_canonical_pairs(self):
-        assert bezout(5, "odd") == BezoutPair(p=-1, q=1, modulus=3)
-        assert bezout(7, "odd") == BezoutPair(p=-2, q=1, modulus=5)
-        assert bezout(11, "odd") == BezoutPair(p=-4, q=1, modulus=9)
-        assert bezout(6, "even_nonorientable") == BezoutPair(p=-1, q=1, modulus=3)
-        assert bezout(12, "even_nonorientable") == BezoutPair(p=-4, q=1, modulus=9)
-
-    def test_identity_holds(self):
-        for g in range(5, 30, 2):
-            pair = bezout(g, "odd")
-            assert 2 * pair.p + pair.q * pair.modulus == 1
-            assert pair.modulus == g - 2
-        for g in range(6, 30, 2):
-            pair = bezout(g, "even_nonorientable")
-            assert pair.modulus == g - 3
-
-    @pytest.mark.parametrize(
-        "genus,case",
-        [(4, "odd"), (3, "odd"), (5, "even_nonorientable"), (4, "even_nonorientable"), (5, "weird")],
-    )
-    def test_rejections(self, genus, case):
-        with pytest.raises(ValueError):
-            bezout(genus, case)
-
-    def test_pair_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            BezoutPair(p=1, q=1, modulus=3)
 
 
 class TestDegreeParity:
@@ -91,6 +60,45 @@ class TestRootRequest:
         with pytest.raises(ValueError):
             RootRequest(5, complement="open")
         assert RootRequest(5).complement == "auto"
+
+
+def _verdict_table(genus, complement):
+    """README's verdict table: ``(case, degree)``, a nonexistence case, or None."""
+    if genus in (2, 3):
+        return f"g{genus}"
+    if genus % 2:
+        return None if complement == "orientable" else ("odd", genus - 2)
+    if complement == "orientable" or (genus == 4 and complement == "auto"):
+        return ("even_orientable", genus - 1)
+    if genus == 4:
+        return "g4_nonorientable"
+    return ("even_nonorientable", genus - 3)
+
+
+@pytest.mark.parametrize("complement", ("auto", "nonorientable", "orientable"))
+@pytest.mark.parametrize("genus", range(2, 12))
+def test_case_choice_follows_the_verdict_table(genus, complement):
+    expected = _verdict_table(genus, complement)
+    request = RootRequest(genus, "u", complement)
+    if expected is None:
+        with pytest.raises(ValueError, match="even genus") as info:
+            construct_root(request)
+        assert not isinstance(info.value, NonexistenceError)
+    elif isinstance(expected, str):
+        with pytest.raises(NonexistenceError) as info:
+            construct_root(request)
+        assert info.value.case == expected
+    else:
+        result = construct_root(request)
+        assert (result.case, result.degree) == expected
+        assert result.report.all_passed
+
+
+@pytest.mark.parametrize("genus, case", ((6, "odd"), (5, "even_nonorientable")))
+def test_exponent_pair_is_checked(genus, case):
+    # a case's exponents at the wrong genus parity miss 2p + qm = 1
+    with pytest.raises(ValueError, match="not a valid exponent pair"):
+        _gathered_root(SurfaceModel.standard(genus), "u", case)
 
 
 class TestOddGenus:

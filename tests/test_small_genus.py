@@ -181,8 +181,8 @@ class TestTorsionScan:
                 assert gl2_order(m) == cls.order
 
     def test_growing_bound_only_adds_members(self):
-        small = set(gl2_torsion_scan(1).all_members())
-        large = set(gl2_torsion_scan(2).all_members())
+        small = {m for cls in gl2_torsion_scan(1).classes for m in cls.members}
+        large = {m for cls in gl2_torsion_scan(2).classes for m in cls.members}
         assert small <= large
 
     def test_deterministic(self):
@@ -231,7 +231,7 @@ class TestTorsionScan:
             for a, b, c, d in itertools.product(span, repeat=4)
             if a * d - b * c in (1, -1)
         ]
-        torsion = [m.rows for m in gl2_torsion_scan(2).all_members()]
+        torsion = [m.rows for cls in gl2_torsion_scan(2).classes for m in cls.members]
         assert len(torsion) == 40
         for m in torsion:
             for n in torsion:

@@ -38,6 +38,14 @@ class TestSurfaceModel:
         with pytest.raises(WordError):
             SurfaceModel(genus=0)
 
+    def test_genus_upper_bound(self):
+        assert words.MAX_GENUS == 50
+        assert SurfaceModel(50).genus == SurfaceModel.hybrid(50).genus == 50
+        with pytest.raises(WordError, match="MAX_GENUS"):
+            SurfaceModel(51)
+        with pytest.raises(WordError, match="MAX_GENUS"):
+            SurfaceModel.hybrid(52)
+
     def test_hybrid_requires_even_genus_at_least_four(self):
         for g in (2, 3, 5, 7):
             with pytest.raises(WordError):
