@@ -516,7 +516,8 @@ def commute_step(state: Sequence[Syllable], position: int, model: SurfaceModel) 
     return step
 
 
-_LETTER_RE = re.compile(r"^([tuyc])([1-9][0-9]*)$")
+# At most four index digits: far above MAX_GENUS, and never past the int() limit.
+_LETTER_RE = re.compile(r"^([tuyc])([1-9][0-9]{0,3})$")
 
 
 def certificate_to_text(certificate: Certificate) -> str:
@@ -545,10 +546,15 @@ def _parse_letter(token: str) -> GeneratorLetter:
 
 
 def _parse_int(token: str, what: str) -> int:
+    """Exactly the numerals ``str(int)`` writes: no ``+``, ``_``, padding or non-ASCII digit."""
     try:
-        return int(token)
-    except ValueError:
-        raise CertificateError(f"bad {what} {token!r}") from None
+        value = int(token)
+    except ValueError:  # also past the interpreter's limit on integer-string digits
+        pass
+    else:
+        if str(value) == token:
+            return value
+    raise CertificateError(f"bad {what} {token[:40]!r}")
 
 
 def certificate_from_text(text: str) -> Certificate:
@@ -561,7 +567,7 @@ def certificate_from_text(text: str) -> Certificate:
         line = lines[n]
         if line != tag and not line.startswith(tag + " "):
             raise CertificateError(f"line {n + 1}: expected {tag!r}")
-        return line[len(tag) :].strip()
+        return line[len(tag) + 1 :]
 
     kind = header(0, "model")
     genus = _parse_int(header(1, "genus"), "genus")

@@ -12,38 +12,34 @@ Three independent oracles, all in exact integer arithmetic:
   integer matrix in the crosscap-class basis ``mu_1 .. mu_{g-1}`` (the
   remaining class satisfies ``mu_1 + ... + mu_g = 0`` and is eliminated).
 
-The homology matrices are derived, not transcribed: each generator acts on
-the rank-g span of all crosscap classes (transpositions permute the two
-classes, the twist about the curve through crosscaps i, i+1 is the
-transvection ``x -> x + <x, a> a`` with ``a = mu_i + mu_{i+1}``), and the
-action is projected to the quotient by the relation class.  The free sign
-choice in the transvection is fixed so that slide = twist * transposition
-holds matrix-wise; every relation of the presentation is then validated
-against these matrices by the test suite.
+The homology matrices are derived, not transcribed.  Each letter with index
+``i`` moves only the two crosscap classes ``mu_i``, ``mu_{i+1}`` of the
+rank-g span of all crosscap classes, by one of three 2x2 blocks: the
+transposition swaps them, the twist about the curve through crosscaps i,
+i+1 is the transvection ``x -> x + <x, a> a`` with ``a = mu_i + mu_{i+1}``,
+and the slide is ``y = t u``.  The free sign choice in the transvection is
+fixed so that slide = twist * transposition holds matrix-wise; every
+relation of the presentation is validated against these matrices by the
+test suite.
+
+``homology_of`` keeps the running product on the rank-g span as g integer
+columns.  A syllable ``x_i^e`` rewrites columns ``i-1``, ``i`` (0-based)
+with the block power ``B^e``: O(g) column work and O(log |e|) 2x2
+products.  A negative exponent powers the inverse block, ``det *
+adjugate``, each checked against ``M M^-1 = I`` at import.  The product is
+projected to the quotient by the relation class once, at the end.  That is
+exact: every letter fixes ``mu_1 + ... + mu_g``, so the projection is a
+homomorphism and commutes with products.
 
 Composition follows word order with the column-vector convention: the
 matrix of ``a b`` is ``M(a) M(b)``, and the permutation of ``a b`` is
 ``perm(a)`` composed after ``perm(b)``.
-
-The homology product is column-sparse.  Every generator matrix, its
-inverse and each of their powers differ from the identity in at most two
-columns (those of crosscaps ``i``, ``i+1``; projecting can make one of
-them dense).  ``homology_of`` keeps the running product as a list of
-integer columns and, per letter, rewrites only those columns as integer
-combinations of the old ones: O(g^2) work per letter instead of the
-O(g^3) of a dense product.  A syllable with a large exponent applies the
-binary power of its letter's matrix once.  The inverses are derived in
-integers: a transposition is an involution, a twist is ``t = I + N``
-with ``N^2 = 0`` so ``t^-1 = 2I - t``, and a slide ``y = t u`` has
-``y^-1 = u t^-1``; each is checked against ``M M^-1 = I`` when the
-per-genus table is built.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
-from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -60,8 +56,8 @@ __all__ = [
 ]
 
 
-def _binary_power(base, e: int):
-    """``base ** e`` for ``e >= 1`` by repeated squaring.
+def _binary_power(base, e: int, times):
+    """``base ** e`` for ``e >= 1`` by repeated squaring with the product ``times``.
 
     The accumulator starts at the first factor it needs, not at the
     identity, so ``e = 1`` returns ``base`` itself with no product.
@@ -69,11 +65,11 @@ def _binary_power(base, e: int):
     acc = None
     while True:
         if e & 1:
-            acc = base if acc is None else acc * base
+            acc = base if acc is None else times(acc, base)
         e >>= 1
         if not e:
             return acc
-        base = base * base
+        base = times(base, base)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,7 +117,7 @@ class IntMatrix:
             return NotImplemented
         if e < 0:
             raise ValueError("no negative IntMatrix powers; power the inverse word's image")
-        return _binary_power(self, e) if e else IntMatrix.identity(self.size)
+        return _binary_power(self, e, IntMatrix.__mul__) if e else IntMatrix.identity(self.size)
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -199,7 +195,9 @@ class CrosscapPermutation:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        return _binary_power(self, n) if n else CrosscapPermutation.identity(self.degree)
+        if not n:
+            return CrosscapPermutation.identity(self.degree)
+        return _binary_power(self, n, CrosscapPermutation.__mul__)
 
     def order(self) -> int:
         acc = self
@@ -228,13 +226,35 @@ def perm_of(word: Word) -> CrosscapPermutation:
     return acc
 
 
-def _unit(g: int, k: int) -> list[int]:
-    col = [0] * g
-    col[k] = 1
-    return col
+def _times(x, y):
+    """Product of two 2x2 matrices given as row tuples."""
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def _project(cols: list[list[int]], g: int) -> IntMatrix:
+def _inverse_block(block):
+    """``det * adjugate``, the integer inverse of a determinant +-1 block."""
+    (a, b), (c, d) = block
+    det = a * d - b * c
+    inverse = ((det * d, -det * b), (-det * c, det * a))
+    if _times(block, inverse) != ((1, 0), (0, 1)):
+        raise ArithmeticError(f"derived inverse of {block} fails M M^-1 = I")
+    return inverse
+
+
+# The action of u_i, t_i, y_i on the columns of mu_i, mu_{i+1}, as rows.  The
+# twist is the transvection along a = mu_i + mu_{i+1} with <mu_i, a> = 1,
+# <mu_{i+1}, a> = -1.
+_BLOCKS = {
+    "u": ((0, 1), (1, 0)),
+    "t": ((2, -1), (1, 0)),
+    "y": ((-1, 2), (0, 1)),
+}
+_INVERSE_BLOCKS = {kind: _inverse_block(block) for kind, block in _BLOCKS.items()}
+
+
+def _project(cols: list[tuple[int, ...]], g: int) -> IntMatrix:
     # Quotient by the relation class: [e_g] = -([e_1] + ... + [e_{g-1}]).
     rows = tuple(
         tuple(cols[c][r] - cols[c][g - 1] for c in range(g - 1)) for r in range(g - 1)
@@ -242,138 +262,32 @@ def _project(cols: list[list[int]], g: int) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def _swap_cols(g: int, i: int) -> list[list[int]]:
-    cols = [_unit(g, k) for k in range(g)]
-    cols[i - 1], cols[i] = cols[i], cols[i - 1]
-    return cols
-
-def _twist_cols(g: int, i: int) -> list[list[int]]:
-    # Transvection along a = mu_i + mu_{i+1} with <mu_i, a> = 1, <mu_{i+1}, a> = -1.
-    cols = [_unit(g, k) for k in range(g)]
-    col = [0] * g
-    col[i - 1], col[i] = 2, 1
-    cols[i - 1] = col
-    col = [0] * g
-    col[i - 1] = -1
-    cols[i] = col
-    return cols
-
-
-def _columns(m: IntMatrix) -> list[tuple[int, ...]]:
-    return list(zip(*m.rows))
-
-
-def _column_delta(m: IntMatrix) -> tuple:
-    """The columns in which ``m`` differs from the identity, as sparse terms.
-
-    Each entry is ``(c, ((r, m[r][c]), ...))`` over the nonzero entries of
-    column ``c``.
-    """
-    return tuple(
-        (c, tuple((r, v) for r, v in enumerate(col) if v))
-        for c, col in enumerate(zip(*m.rows))
-        if any(v != int(r == c) for r, v in enumerate(col))
-    )
-
-
-def _times_delta(cols: list[tuple[int, ...]], delta: tuple) -> None:
-    """Right-multiply the matrix held as ``cols`` by the one ``delta`` describes.
-
-    Column ``c`` of the product is ``sum(v * cols[r])`` over the terms of
-    column ``c``; the other columns are unchanged.  All new columns are read
-    from the old ones before any is written.
-    """
-    new = []
-    for c, terms in delta:
-        if len(terms) == 1:
-            ((r, v),) = terms
-            new.append((c, cols[r] if v == 1 else tuple(v * x for x in cols[r])))
-        else:
-            coeffs = [v for _, v in terms]
-            new.append(
-                (c, tuple(sum(map(mul, coeffs, row)) for row in zip(*(cols[r] for r, _ in terms))))
-            )
-    for c, col in new:
-        cols[c] = col
-
-
-def _sparse_product(m: IntMatrix, k: IntMatrix) -> IntMatrix:
-    """``m * k`` for a ``k`` that differs from the identity in few columns."""
-    cols = _columns(m)
-    _times_delta(cols, _column_delta(k))
-    return IntMatrix(tuple(zip(*cols)))
+def homology_of(word: Word) -> IntMatrix:
+    """Induced integer matrix on first homology; rejects hybrid-model words."""
+    if word.model.is_hybrid:
+        raise WordError("the homology oracle is defined for the standard model only")
+    g = word.model.genus
+    cols = [tuple(int(r == c) for r in range(g)) for c in range(g)]
+    for letter, exp in word.syllables:
+        block = _BLOCKS[letter.kind] if exp > 0 else _INVERSE_BLOCKS[letter.kind]
+        (a, b), (c, d) = _binary_power(block, abs(exp), _times)
+        left, right = cols[letter.index - 1], cols[letter.index]
+        cols[letter.index - 1] = tuple(a * x + c * z for x, z in zip(left, right))
+        cols[letter.index] = tuple(b * x + d * z for x, z in zip(left, right))
+    return _project(cols, g)
 
 
 @lru_cache(maxsize=None)
 def derive_generator_matrices(genus: int) -> Mapping[GeneratorLetter, IntMatrix]:
     """Homology matrices of every standard-model letter at the given genus.
 
-    Derived once per genus and cached; the returned mapping is read-only.
+    A dense view of :func:`homology_of` on single letters, cached per genus
+    and read-only; the oracle itself never builds it.
     """
-    if not isinstance(genus, int) or genus < 2:
-        raise WordError(f"genus must be an integer >= 2, got {genus!r}")
-    table: dict[GeneratorLetter, IntMatrix] = {}
-    for i in range(1, genus):
-        table[GeneratorLetter("u", i)] = _project(_swap_cols(genus, i), genus)
-        table[GeneratorLetter("t", i)] = _project(_twist_cols(genus, i), genus)
-    for i in range(1, genus):
-        table[GeneratorLetter("y", i)] = _sparse_product(
-            table[GeneratorLetter("t", i)], table[GeneratorLetter("u", i)]
-        )
-    return MappingProxyType(table)
-
-
-@lru_cache(maxsize=None)
-def _generator_actions(genus: int) -> Mapping[GeneratorLetter, tuple]:
-    """Per letter: ``(matrix, inverse, column delta, inverse column delta)``.
-
-    The inverses are derived in integers (``u^-1 = u``, ``t^-1 = 2I - t``,
-    ``y^-1 = u t^-1``) and each is checked against ``M M^-1 = I``.
-    """
-    table = derive_generator_matrices(genus)
-    identity = IntMatrix.identity(genus - 1)
-    inverses: dict[GeneratorLetter, IntMatrix] = {}
-    for i in range(1, genus):
-        u, t = table[GeneratorLetter("u", i)], table[GeneratorLetter("t", i)]
-        t_inv = IntMatrix(
-            tuple(
-                tuple(2 * int(r == c) - v for c, v in enumerate(row))
-                for r, row in enumerate(t.rows)
-            )
-        )
-        inverses[GeneratorLetter("u", i)] = u
-        inverses[GeneratorLetter("t", i)] = t_inv
-        inverses[GeneratorLetter("y", i)] = _sparse_product(u, t_inv)
-    actions = {}
-    for letter, m in table.items():
-        inverse = inverses[letter]
-        if _sparse_product(m, inverse) != identity:
-            raise ArithmeticError(f"derived inverse of {letter} at genus {genus} fails M M^-1 = I")
-        actions[letter] = (m, inverse, _column_delta(m), _column_delta(inverse))
-    return MappingProxyType(actions)
-
-
-# Up to this |exponent| a syllable applies its letter's column delta once per
-# unit; beyond it, the delta of the binary-powered matrix is applied once.
-_POWER_LOOP_MAX = 8
-
-
-def homology_of(word: Word) -> IntMatrix:
-    """Induced integer matrix on first homology; rejects hybrid-model words."""
-    if word.model.is_hybrid:
-        raise WordError("the homology oracle is defined for the standard model only")
-    g = word.model.genus
-    actions = _generator_actions(g)
-    cols = _columns(IntMatrix.identity(g - 1))
-    for letter, exp in word.syllables:
-        m, inverse, delta, inverse_delta = actions[letter]
-        if abs(exp) <= _POWER_LOOP_MAX:
-            step = delta if exp > 0 else inverse_delta
-            for _ in range(abs(exp)):
-                _times_delta(cols, step)
-        else:
-            _times_delta(cols, _column_delta((m if exp > 0 else inverse) ** abs(exp)))
-    return IntMatrix(tuple(zip(*cols)))
+    model = SurfaceModel.standard(genus)
+    return MappingProxyType(
+        {letter: homology_of(Word(model, ((letter, 1),))) for letter in model.letters()}
+    )
 
 
 def gl2_image(word: Word) -> IntMatrix:

@@ -23,7 +23,7 @@ import dataclasses
 import itertools
 import math
 
-from .representations import IntMatrix, gl2_image
+from .representations import IntMatrix, _times, gl2_image
 from .words import Word
 
 __all__ = [
@@ -119,13 +119,6 @@ def _require_gl2(matrix: IntMatrix) -> None:
     det = matrix.det()
     if det not in (1, -1):
         raise ValueError(f"matrix must have determinant +-1, got {det}")
-
-
-def _times(x, y):
-    """Product of two 2x2 matrices given as row tuples."""
-    (a, b), (c, d) = x
-    (e, f), (g, h) = y
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 def _order_by_iteration(rows, cap: int) -> int | None:

@@ -63,8 +63,8 @@ _KIND_NAMES = {
 }
 
 
-# The largest genus a model may have.  The homology tables grow like g^3 and
-# the root certificates like g^4; the largest root it admits (genus 50,
+# The largest genus a model may have.  Only the root certificates grow with it,
+# like g^4 (no homology table is built); the largest root it admits (genus 50,
 # orientable complement) takes about 30 s and 700 MB peak memory.
 MAX_GENUS = 50
 
@@ -286,24 +286,31 @@ def format_word(word: Word) -> str:
     return " ".join(parts)
 
 
+def _to_int(numeral: str, position: int) -> int:
+    try:
+        return int(numeral)
+    except ValueError:  # over the interpreter's limit on integer-string digits
+        raise ParseError(f"integer of {len(numeral)} characters is too long", position) from None
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if c.isspace():
+        if c in " \t\n\r\f\v":  # ASCII only, unlike str.isspace
             i += 1
             continue
         if c in _KIND_NAMES:
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in "0123456789":  # ASCII only, unlike str.isdigit
                 j += 1
             digits = text[i + 1 : j]
             if not digits:
                 raise ParseError(f"generator {c!r} is missing its index", i)
             if digits[0] == "0":
                 raise ParseError("generator index must not start with 0", i + 1)
-            tokens.append(("gen", (c, int(digits)), i))
+            tokens.append(("gen", (c, _to_int(digits, i + 1)), i))
             i = j
         elif c == "(":
             tokens.append(("lp", None, i))
@@ -316,14 +323,14 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             if j < n and text[j] == "-":
                 j += 1
             k = j
-            while k < n and text[k].isdigit():
+            while k < n and text[k] in "0123456789":
                 k += 1
             digits = text[j:k]
             if not digits:
                 raise ParseError("'^' must be followed by an integer exponent", i)
             if digits[0] == "0":
                 raise ParseError("exponent must be a nonzero integer without leading 0", j)
-            tokens.append(("exp", int(text[i + 1 : k]), i))
+            tokens.append(("exp", _to_int(text[i + 1 : k], j), i))
             i = k
         else:
             raise ParseError(f"unexpected character {c!r}", i)

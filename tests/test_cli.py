@@ -91,6 +91,40 @@ class TestExitCodes:
                            "--equals", "u1", "--certificate", str(path))
         assert code == 1 and "error:" in err and "MAX_GENUS" in err
 
+    @pytest.mark.parametrize(
+        "word",
+        [
+            "u\u00b2", "u1^\u00b2", "u\u0663", "u1_0", "u1^+2",
+            pytest.param("u" + "1" * 5000, id="index-over-the-int-limit"),
+        ],
+    )
+    def test_bad_numeral_in_a_word_is_one(self, capsys, word):
+        code, out, err = run(capsys, "verify", "--genus", "5", "--word", word, "--power", "1",
+                             "--equals", "u1")
+        assert code == 1 and not out
+        assert err.startswith("error:") and "column" in err
+
+    @pytest.mark.parametrize(
+        "header, step",
+        [
+            ("genus 1_0", ""),
+            ("genus +5", ""),
+            ("genus \u0665", ""),
+            pytest.param("genus " + "5" * 5000, "", id="genus-over-the-int-limit"),
+            ("genus 5", "free insert 0 u1 1_0"),
+            ("genus 5", "free insert +0 u1 1"),
+            ("genus 5", "step 0 R2 \u0661 fwd"),
+            pytest.param("genus 5", "free insert 0 u" + "1" * 5000 + " 1", id="index-over-the-int-limit"),
+        ],
+    )
+    def test_bad_numeral_in_a_certificate_is_one(self, capsys, tmp_path, header, step):
+        path = tmp_path / "cert.txt"
+        path.write_text(f"model standard\n{header}\nstart u1\nend u1\n{step}\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--genus", "5", "--word", "u1", "--power", "1",
+                             "--equals", "u1", "--certificate", str(path))
+        assert code == 1 and not out
+        assert err.startswith("error:") and "bad " in err
+
     def test_help_is_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

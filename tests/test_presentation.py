@@ -490,6 +490,20 @@ class TestCertificateText:
             "model standard\ngenus 5\nstart\nend\nfree swap 0 u1 1\n",
             "model standard\ngenus 5\nstart\nend\nfree insert 0 q1 1\n",
             "model standard\ngenus 5\nstart\nend\nwibble\n",
+            "model standard\ngenus 1_0\nstart\nend\n",
+            "model standard\ngenus +5\nstart\nend\n",
+            "model standard\ngenus 05\nstart\nend\n",
+            "model standard\ngenus  5\nstart\nend\n",
+            "model standard\ngenus 5\u00a0\nstart\nend\n",
+            "model standard\ngenus \u0665\nstart\nend\n",
+            "model standard\ngenus 5\nstart\nend\nstep 0 R2 \u0661 fwd\n",
+            "model standard\ngenus 5\nstart\nend\nfree insert 0 u1 1_0\n",
+            "model standard\ngenus 5\nstart\nend\nfree insert +0 u1 1\n",
+            "model standard\ngenus 5\nstart\nend\nfree insert 0\t u1 1\n",
+            pytest.param("model standard\ngenus " + "5" * 5000 + "\nstart\nend\n",
+                         id="genus-over-the-int-limit"),
+            pytest.param("model standard\ngenus 5\nstart\nend\nfree insert 0 u" + "1" * 5000 + " 1\n",
+                         id="letter-index-over-the-int-limit"),
         ],
     )
     def test_malformed_text_rejected(self, text):

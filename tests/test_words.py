@@ -268,11 +268,31 @@ class TestTextFormat:
 
     @pytest.mark.parametrize(
         "text",
-        ["u", "u0", "u1^", "u1^0", "u1^01", "(u1", "u1)", "x1", "u1 ^2 )"],
+        [
+            "u", "u0", "u1^", "u1^0", "u1^01", "(u1", "u1)", "x1", "u1 ^2 )",
+            "u\u00b2", "u1^\u00b2", "u\u0663", "u1^\u0663", "u1_0", "u1^+2", "u1^1_0",
+            "u1\u00a0u2", "u1\u3000u2",
+            pytest.param("u" + "1" * 5000, id="index-over-the-int-limit"),
+            pytest.param("u1^-" + "9" * 5000, id="exponent-over-the-int-limit"),
+        ],
     )
     def test_parse_errors(self, text, std5):
         with pytest.raises(ParseError):
             parse_word(text, std5)
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("u1 u\u00b2", 3),
+            ("u1^\u00b2", 2),
+            pytest.param("t2 u" + "1" * 5000, 4, id="index-over-the-int-limit"),
+            pytest.param("u1^-" + "9" * 5000, 4, id="exponent-over-the-int-limit"),
+        ],
+    )
+    def test_numeral_errors_report_their_column(self, text, column, std5):
+        with pytest.raises(ParseError) as info:
+            parse_word(text, std5)
+        assert info.value.position == column
 
     def test_parse_error_reports_position(self, std5):
         with pytest.raises(ParseError) as info:
