@@ -9,13 +9,15 @@ Subcommands::
     verify       check a claimed identity word^power = equals
 
 Exit codes: 0 success or verified; 1 usage or input error; 2 negative
-mathematical verdict (no root exists, a check failed, a claim refuted).
+mathematical verdict (no root exists, a check failed, a claim refuted) or
+a claim no check refutes and nothing proves (``verify`` says ``unproven``).
 Reports print as plain lines or, with ``--json``, as one stable JSON
 object: ``{command, genus, target, root, degree, checks, assumptions,
 verdict, citation, ...}`` with ``timing_seconds`` appended last.  The
 environment variable ``MCGROOTS_SCAN_BOUND`` overrides the default
 GL(2, Z) scan bound of the small-genus command; like ``--scan-bound`` it
-is capped at ``small_genus.MAX_SCAN_BOUND``.
+is capped at ``small_genus.MAX_SCAN_BOUND``.  Integer arguments and the
+variable take exactly the numerals ``str(int)`` writes, as certificates do.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import time
 from .presentation import (
     CertificateError,
     SchemaError,
+    _parse_int,
     certificate_from_text,
     certificate_to_text,
     relation_catalog,
@@ -220,8 +223,8 @@ def _scan_bound(args) -> int:
         return args.scan_bound
     text = os.environ.get("MCGROOTS_SCAN_BOUND", "5")
     try:
-        return int(text)
-    except ValueError:
+        return _parse_int(text, "integer")
+    except CertificateError:
         raise ValueError(f"MCGROOTS_SCAN_BOUND must be an integer, got {text!r}") from None
 
 
@@ -272,6 +275,12 @@ def cmd_verify(args) -> tuple[int, dict]:
         with open(args.certificate, "r", encoding="utf-8") as handle:
             certificate = certificate_from_text(handle.read())
     result = verify_identity(word, args.power, equals, certificate)
+    if not result.all_passed:
+        code, verdict = 2, "refuted"
+    elif result.proved:
+        code, verdict = 0, "verified"
+    else:
+        code, verdict = 2, "unproven"
     report = _report(
         "verify",
         genus=args.genus,
@@ -280,11 +289,19 @@ def cmd_verify(args) -> tuple[int, dict]:
         degree=args.power,
         checks=result.checks(),
         assumptions=result.assumptions,
-        verdict="verified" if result.all_passed else "refuted",
+        verdict=verdict,
         citation="exact oracles" + (" and certificate replay" if certificate else ""),
         details=result.details,
     )
-    return (0 if result.all_passed else 2), report
+    return code, report
+
+
+def _integer(text: str) -> int:
+    """An integer argument, written exactly as ``str(int)`` writes it."""
+    try:
+        return _parse_int(text, "integer")
+    except CertificateError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     root = sub.add_parser(
         "root", help="construct and verify a root of u1 or y1", parents=[common]
     )
-    root.add_argument("--genus", type=int, required=True)
+    root.add_argument("--genus", type=_integer, required=True)
     root.add_argument("--target", choices=("u", "y"), default="u")
     root.add_argument(
         "--complement", choices=("auto", "nonorientable", "orientable"), default="auto"
@@ -310,16 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
     relations = sub.add_parser(
         "relations", help="check the relation catalog under oracles", parents=[common]
     )
-    relations.add_argument("--genus", type=int, required=True)
+    relations.add_argument("--genus", type=_integer, required=True)
     relations.set_defaults(handler=cmd_relations)
 
     small = sub.add_parser(
         "small-genus", help="certify nonexistence at genus 2 or 3", parents=[common]
     )
-    small.add_argument("--genus", type=int, choices=(2, 3), required=True)
+    small.add_argument("--genus", type=_integer, choices=(2, 3), required=True)
     small.add_argument("--target", choices=("u", "y"), default="u")
-    small.add_argument("--max-degree", type=int, default=9)
-    small.add_argument("--scan-bound", type=int)
+    small.add_argument("--max-degree", type=_integer, default=9)
+    small.add_argument("--scan-bound", type=_integer)
     small.set_defaults(handler=cmd_small_genus)
 
     braid = sub.add_parser(
@@ -327,18 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="root of an elementary braid (punctured sphere)",
         parents=[common],
     )
-    braid.add_argument("--punctures", type=int, required=True)
-    braid.add_argument("--index", type=int, default=1)
+    braid.add_argument("--punctures", type=_integer, required=True)
+    braid.add_argument("--index", type=_integer, default=1)
     braid.add_argument("--emit-certificate", metavar="PATH")
     braid.set_defaults(handler=cmd_braid_root)
 
     verify = sub.add_parser(
         "verify", help="check word^power = equals under the oracles", parents=[common]
     )
-    verify.add_argument("--genus", type=int, required=True)
+    verify.add_argument("--genus", type=_integer, required=True)
     verify.add_argument("--model", choices=("standard", "hybrid"), default="standard")
     verify.add_argument("--word", required=True)
-    verify.add_argument("--power", type=int, required=True)
+    verify.add_argument("--power", type=_integer, required=True)
     verify.add_argument("--equals", required=True)
     verify.add_argument("--certificate", metavar="PATH")
     verify.set_defaults(handler=cmd_verify)

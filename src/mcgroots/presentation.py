@@ -100,21 +100,6 @@ __all__ = [
     "replay_certificate",
 ]
 
-SCHEMA_IDS = (
-    "R1",
-    "R2",
-    "R3",
-    "R4a",
-    "R4b",
-    "R5",
-    "R6closed-odd",
-    "R6closed-even",
-    "R7chain",
-    "SlideDef",
-    "UsquaredYsquared",
-    "ChainCommute",
-)
-
 # Parameter layout per schema: i = integer, k = letter kind character.
 _PARAM_SPEC = {
     "R1": "iiii",
@@ -130,6 +115,8 @@ _PARAM_SPEC = {
     "UsquaredYsquared": "i",
     "ChainCommute": "kiii",
 }
+
+SCHEMA_IDS = tuple(_PARAM_SPEC)
 
 _FREE_OPS = ("insert", "delete", "merge", "split")
 

@@ -60,7 +60,7 @@ from .presentation import (
     replay_certificate,
 )
 from .representations import homology_of, perm_of, sign_of
-from .words import GeneratorLetter, SurfaceModel, Syllable, Word
+from .words import GeneratorLetter, SurfaceModel, Syllable, Word, WordError
 
 __all__ = [
     "NonexistenceError",
@@ -72,7 +72,6 @@ __all__ = [
     "VerificationReport",
     "build_report",
     "certificate_assumptions",
-    "check_degree_parity",
     "construct_braid_root",
     "construct_root",
     "is_nontrivial",
@@ -127,17 +126,6 @@ class NonexistenceError(ValueError):
         self.machine_certified = machine_certified
 
 
-def check_degree_parity(degree: int) -> bool:
-    """True iff ``degree`` can be a root degree of a transposition or slide.
-
-    Targets have sign character -1 while an even power has sign +1, so
-    even degrees are rejected outright.
-    """
-    if degree < 2:
-        raise ValueError(f"root degrees start at 2, got {degree}")
-    return degree % 2 == 1
-
-
 @dataclasses.dataclass(frozen=True)
 class RootRequest:
     """What to take a root of: ``u`` -> u_1, ``y`` -> y_1 at the given genus."""
@@ -155,7 +143,12 @@ class RootRequest:
 
 @dataclasses.dataclass(frozen=True)
 class VerificationReport:
-    """Per-oracle verdicts for one claimed identity ``word^power = equals``."""
+    """Per-oracle verdicts for one claimed identity ``word^power = equals``.
+
+    The oracles map into small groups, so a pass refutes nothing but proves
+    nothing either; ``proved`` is true only when no check fails and the
+    certificate replays or ``word^power`` reduces to ``equals``.
+    """
 
     sign: str
     permutation: str
@@ -164,6 +157,7 @@ class VerificationReport:
     nontriviality: str
     details: tuple[str, ...] = ()
     assumptions: tuple[str, ...] = ()
+    proved: bool = False
 
     def checks(self) -> dict[str, str]:
         return {
@@ -234,9 +228,13 @@ def verify_identity(
     |power|) products.  The hybrid model has no permutation or homology
     oracle (``n/a``).  A given certificate must run from ``word^power`` to
     ``equals`` and replay step by step; a failing step is named in the
-    details.  Nontriviality is ``n/a``: the claim is an identity, not a root.
+    details.  Without a certificate a claim no oracle refutes is proved
+    only when ``word^power`` and ``equals`` are equal as reduced words; a
+    power over the syllable cap proves nothing and says so in the details.
+    Nontriviality is ``n/a``: the claim is an identity, not a root.
     """
     details: list[str] = []
+    proved = False
 
     s_word, s_equals = sign_of(word), sign_of(equals)
     s_power = s_word ** abs(power)  # an int for negative powers too
@@ -256,9 +254,18 @@ def verify_identity(
         homology = _verdict(h_ok)
         details.append(f"homology: root^{power} vs target agree = {h_ok}")
 
+    refuted = FAIL in (sign, permutation, homology)
     cert = NOT_APPLICABLE
     assumptions: tuple[str, ...] = ()
-    if certificate is not None:
+    if certificate is None:
+        if not refuted:
+            try:
+                proved = word ** power == equals
+            except WordError as exc:
+                details.append(f"proof: not attempted, {exc}")
+            else:
+                details.append(f"proof: root^{power} reduces to the target = {proved}")
+    else:
         cert_ok = False
         count = len(certificate.steps)
         if certificate.start != word ** power:
@@ -276,6 +283,7 @@ def verify_identity(
                 )
         cert = _verdict(cert_ok)
         assumptions = certificate_assumptions(certificate)
+        proved = cert_ok
 
     return VerificationReport(
         sign=sign,
@@ -285,6 +293,7 @@ def verify_identity(
         nontriviality=NOT_APPLICABLE,
         details=tuple(details),
         assumptions=assumptions,
+        proved=proved and not refuted,
     )
 
 

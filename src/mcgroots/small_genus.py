@@ -36,7 +36,6 @@ __all__ = [
     "TorsionClass",
     "TorsionClassTable",
     "certify_no_root_g3",
-    "gl2_order",
     "gl2_torsion_scan",
     "klein_element_of",
     "mn2_nontrivial_roots",
@@ -66,9 +65,6 @@ class KleinFourElement:
     def __pow__(self, n: int) -> "KleinFourElement":
         # every element is an involution
         return self if n % 2 else KleinFourElement("1")
-
-    def inverse(self) -> "KleinFourElement":
-        return self
 
     def order(self) -> int:
         return 1 if self.label == "1" else 2
@@ -113,14 +109,6 @@ _IDENTITY_ROWS = ((1, 0), (0, 1))
 _MINUS_IDENTITY_ROWS = ((-1, 0), (0, -1))
 
 
-def _require_gl2(matrix: IntMatrix) -> None:
-    if matrix.size != 2:
-        raise ValueError(f"expected a 2x2 matrix, got size {matrix.size}")
-    det = matrix.det()
-    if det not in (1, -1):
-        raise ValueError(f"matrix must have determinant +-1, got {det}")
-
-
 def _order_by_iteration(rows, cap: int) -> int | None:
     power = rows
     for k in range(1, cap + 1):
@@ -128,17 +116,6 @@ def _order_by_iteration(rows, cap: int) -> int | None:
             return k
         power = _times(power, rows)
     return None
-
-
-def gl2_order(matrix: IntMatrix) -> int | None:
-    """Multiplicative order of a GL(2, Z) matrix; None means infinite.
-
-    Iterating to 6 suffices: torsion orders in GL(2, Z) are bounded by 6,
-    which the classification below states and :func:`gl2_torsion_scan`
-    re-verifies on every scanned matrix.
-    """
-    _require_gl2(matrix)
-    return _order_by_iteration(matrix.rows, 6)
 
 
 def _order_by_invariants(rows) -> int | None:
@@ -231,13 +208,10 @@ class TorsionClassTable:
     def classes_of_order(self, order: int) -> tuple[TorsionClass, ...]:
         return tuple(cls for cls in self.classes if cls.order == order)
 
-    def members_of_order(self, order: int) -> tuple[IntMatrix, ...]:
-        return tuple(
-            matrix for cls in self.classes_of_order(order) for matrix in cls.members
-        )
-
     def determinants_of_order(self, order: int) -> tuple[int, ...]:
-        return tuple(sorted({matrix.det() for matrix in self.members_of_order(order)}))
+        return tuple(
+            sorted({m.det() for cls in self.classes_of_order(order) for m in cls.members})
+        )
 
     def order_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}

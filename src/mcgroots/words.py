@@ -39,7 +39,7 @@ the exponent differs from 1.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "MAX_GENUS",
@@ -51,7 +51,6 @@ __all__ = [
     "Word",
     "WordError",
     "format_word",
-    "normalize_slides",
     "parse_word",
 ]
 
@@ -214,11 +213,6 @@ class Word:
     def syllable_count(self) -> int:
         return len(self.syllables)
 
-    @property
-    def letter_count(self) -> int:
-        """Total letter occurrences, counted with absolute exponents."""
-        return sum(abs(exp) for _, exp in self.syllables)
-
     def __iter__(self) -> Iterator[Syllable]:
         return iter(self.syllables)
 
@@ -238,39 +232,10 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if not isinstance(n, int):
             return NotImplemented
-        if len(self.syllables) == 1:
-            ((letter, exp),) = self.syllables
-            return Word(self.model, ((letter, exp * n),))
-        _check_power_size(len(self.syllables), n)
-        if n < 0:
-            return self.inverse() ** (-n)
-        return Word(self.model, self.syllables * n)
+        return Word(self.model, _power(self.syllables, n))
 
     def __str__(self) -> str:
         return format_word(self)
-
-
-def normalize_slides(word: Word) -> Word:
-    """Rewrite every slide syllable ``y<i>^e`` as ``(t<i> u<i>)^e``.
-
-    The result contains no ``y`` letters and is equal to ``word`` in any
-    group where the slide is twist times transposition.  Like a power, the
-    result may write out at most ``MAX_POWER_SYLLABLES`` syllables.
-    """
-    size = sum(2 * abs(exp) if letter.kind == "y" else 1 for letter, exp in word.syllables)
-    _check_written_size("normalizing the slides", size)
-    out: list[Syllable] = []
-    for letter, exp in word.syllables:
-        if letter.kind == "y":
-            t = GeneratorLetter("t", letter.index)
-            u = GeneratorLetter("u", letter.index)
-            if exp > 0:
-                out.extend(((t, 1), (u, 1)) * exp)
-            else:
-                out.extend(((u, -1), (t, -1)) * (-exp))
-        else:
-            out.append((letter, exp))
-    return Word(word.model, tuple(out))
 
 
 def format_word(word: Word) -> str:
@@ -338,36 +303,34 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-def _check_power_size(syllables: int, n: int) -> None:
-    _check_written_size(f"the power {n} of a {syllables}-syllable word", syllables * abs(n))
+def _power(syllables: tuple[Syllable, ...], e: int) -> tuple[Syllable, ...]:
+    """The reduced ``syllables`` written out ``e`` times, inverted for ``e < 0``.
 
-
-def _check_written_size(what: str, size: int) -> None:
-    if size > MAX_POWER_SYLLABLES:
+    A single syllable powers by scaling its exponent, in O(1).  Other
+    powers may write out at most ``MAX_POWER_SYLLABLES`` syllables, except
+    +-1, which write out no more than the word itself.
+    """
+    if len(syllables) == 1:
+        ((letter, exp),) = syllables
+        return ((letter, exp * e),)
+    size = len(syllables) * abs(e)
+    if abs(e) > 1 and size > MAX_POWER_SYLLABLES:
         raise WordError(
-            f"{what} would write out {size} syllables, over the cap of {MAX_POWER_SYLLABLES}"
+            f"the power {e} of a {len(syllables)}-syllable word would write out {size}"
+            f" syllables, over the cap of {MAX_POWER_SYLLABLES}"
         )
+    if e < 0:
+        syllables = tuple((letter, -exp) for letter, exp in reversed(syllables))
+    return syllables * abs(e)
 
 
-def _power_list(body: list[Syllable], e: int) -> list[Syllable]:
-    body = list(_reduce_syllables(body))
-    if len(body) <= 1:
-        # a single syllable powers by scaling its exponent, in O(1)
-        return [(letter, exp * e) for letter, exp in body]
-    _check_power_size(len(body), e)
-    if e > 0:
-        return body * e
-    inverse = [(letter, -exp) for letter, exp in reversed(body)]
-    return inverse * (-e)
-
-
-def _parse_term(tokens, k: int, model: SurfaceModel) -> tuple[list[Syllable], int]:
+def _parse_term(tokens, k: int, model: SurfaceModel) -> tuple[Sequence[Syllable], int]:
     kind, value, pos = tokens[k]
     if kind == "gen":
         letter = GeneratorLetter(*value)
         if not model.admits(letter):
             raise ParseError(f"letter {letter} is not admissible in the {model.describe()}", pos)
-        body: list[Syllable] = [(letter, 1)]
+        body: Sequence[Syllable] = ((letter, 1),)
         k += 1
     elif kind == "lp":
         body, k = _parse_sequence(tokens, k + 1, model)
@@ -377,7 +340,7 @@ def _parse_term(tokens, k: int, model: SurfaceModel) -> tuple[list[Syllable], in
     else:
         raise ParseError("expected a generator or '('", pos)
     if tokens[k][0] == "exp":
-        body = _power_list(body, tokens[k][1])
+        body = _power(_reduce_syllables(body), tokens[k][1])
         k += 1
     return body, k
 

@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcgroots
 from mcgroots import cli
 from mcgroots.cli import main
 from mcgroots.presentation import RelationInstance
-from mcgroots.words import SurfaceModel, parse_word
+from mcgroots.words import SurfaceModel, format_word, parse_word
+
+from conftest import words_for
 
 
 def run(capsys, *argv):
@@ -124,6 +130,27 @@ class TestExitCodes:
                              "--equals", "u1", "--certificate", str(path))
         assert code == 1 and not out
         assert err.startswith("error:") and "bad " in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["root", "--genus", "{}"],
+            ["relations", "--genus", "{}"],
+            ["braid-root", "--punctures", "6", "--index", "{}"],
+            ["small-genus", "--genus", "3", "--scan-bound", "{}"],
+            ["verify", "--genus", "5", "--word", "u1", "--power", "{}", "--equals", "u1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize(
+        "numeral",
+        ["\u0665", "\uff15", "+5", "05", " 5", "5 ", "5_0", "-0",
+         pytest.param("5" * 5000, id="over-the-int-limit")],
+    )
+    def test_bad_numeral_in_an_integer_flag_is_one(self, capsys, argv, numeral):
+        code, out, err = run(capsys, *(numeral if a == "{}" else a for a in argv))
+        assert code == 1 and not out
+        assert "bad integer" in err
 
     def test_help_is_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
@@ -314,6 +341,14 @@ class TestSmallGenusCommand:
         assert not out
         assert err == "error: MCGROOTS_SCAN_BOUND must be an integer, got 'abc'\n"
 
+    @pytest.mark.parametrize("text", [" \u0663 ", "\u0663", "+3", "03", "3_0", " 3", ""])
+    def test_env_takes_only_plain_numerals(self, capsys, monkeypatch, text):
+        monkeypatch.setenv("MCGROOTS_SCAN_BOUND", text)
+        code, out, err = run(capsys, "small-genus", "--genus", "3")
+        assert code == 1
+        assert not out
+        assert err == f"error: MCGROOTS_SCAN_BOUND must be an integer, got {text!r}\n"
+
     def test_explicit_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MCGROOTS_SCAN_BOUND", "1")
         code, report, _ = run_json(
@@ -374,14 +409,81 @@ class TestBraidRootCommand:
 
 
 class TestVerifyCommand:
-    def test_identity_verified(self, capsys):
+    def test_identity_verified(self, capsys, tmp_path):
+        path = tmp_path / "cert.txt"
+        path.write_text(
+            "model standard\ngenus 3\nstart u1^2\nend y1^2\nstep 0 UsquaredYsquared 1 fwd\n",
+            encoding="utf-8",
+        )
         code, report, _ = run_json(
-            capsys, "verify", "--genus", "3", "--word", "u1", "--power", "2", "--equals", "y1^2"
+            capsys, "verify", "--genus", "3", "--word", "u1", "--power", "2", "--equals", "y1^2",
+            "--certificate", str(path),
         )
         assert code == 0
         assert report["verdict"] == "verified"
         assert report["checks"]["homology"] == "pass"
+        assert report["checks"]["certificate"] == "pass"
+
+    def test_identity_unproven_without_certificate(self, capsys):
+        # true, but the oracles only fail to refute it and the words differ
+        code, report, _ = run_json(
+            capsys, "verify", "--genus", "3", "--word", "u1", "--power", "2", "--equals", "y1^2"
+        )
+        assert code == 2
+        assert report["verdict"] == "unproven"
+        assert report["checks"]["homology"] == "pass"
         assert report["checks"]["certificate"] == "n/a"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # u1^2 is a boundary twist of infinite order from genus 4 on
+            ["--genus", "5", "--word", "u1", "--power", "2", "--equals", ""],
+            ["--genus", "50", "--word", "u49", "--power", "1000000001", "--equals", "u49"],
+            # only the sign oracle runs in the hybrid model
+            ["--model", "hybrid", "--genus", "6", "--word", "c1", "--power", "1", "--equals", "c2"],
+            ["--model", "hybrid", "--genus", "6", "--word", "c1 t1", "--power", "99999999999",
+             "--equals", "c1"],
+        ],
+        ids=["u1-squared", "genus-50", "hybrid-c1-c2", "hybrid-over-the-cap"],
+    )
+    def test_false_identities_are_unproven(self, capsys, argv):
+        code, report, _ = run_json(capsys, "verify", *argv)
+        assert code == 2
+        assert report["verdict"] == "unproven"
+        assert "fail" not in report["checks"].values()
+
+    def test_power_over_the_cap_proves_nothing(self, capsys):
+        # (u1 u2)^3 = 1 at genus 3 (R3), but writing the power out is over the cap
+        code, report, _ = run_json(
+            capsys, "verify", "--genus", "3", "--word", "u1 u2", "--power", "3000000",
+            "--equals", "",
+        )
+        assert code == 2
+        assert report["verdict"] == "unproven"
+        assert set(report["checks"].values()) == {"pass", "n/a"}
+        assert any(d.startswith("proof: not attempted") and "cap" in d for d in report["details"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((SurfaceModel.standard(4), SurfaceModel.standard(7), SurfaceModel.hybrid(6)))
+        .flatmap(lambda m: st.tuples(words_for(m, 4), words_for(m, 4))),
+        st.integers(-4, 4),
+        st.booleans(),
+    )
+    def test_exit_zero_without_a_certificate_only_for_the_reduced_power(self, words, power, same):
+        word, other = words
+        equals = word**power if same else other
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main([
+                "verify", "--genus", str(word.model.genus), "--model", word.model.kind,
+                "--word", format_word(word), "--power", str(power),
+                "--equals", format_word(equals), "--json",
+            ])
+        assert code in (0, 2)
+        assert (code == 0) == (equals == word**power)
+        assert (json.loads(out.getvalue())["verdict"] == "verified") == (code == 0)
 
     def test_refuted(self, capsys):
         code, report, _ = run_json(

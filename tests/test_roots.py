@@ -22,7 +22,6 @@ from mcgroots.roots import (
     RootRequest,
     build_report,
     certificate_assumptions,
-    check_degree_parity,
     construct_braid_root,
     construct_root,
     is_nontrivial,
@@ -37,20 +36,6 @@ from conftest import hybrid_models, standard_models, words_for
 
 def _w(text, model):
     return parse_word(text, model)
-
-
-class TestDegreeParity:
-    def test_values(self):
-        assert check_degree_parity(3) is True
-        assert check_degree_parity(9) is True
-        for d in (2, 4, 6, 8, 10):
-            assert check_degree_parity(d) is False
-
-    def test_lower_bound(self):
-        with pytest.raises(ValueError):
-            check_degree_parity(1)
-        with pytest.raises(ValueError):
-            check_degree_parity(0)
 
 
 class TestRootRequest:
@@ -108,7 +93,7 @@ class TestOddGenus:
         result = construct_root(RootRequest(genus, target))
         assert result.case == "odd"
         assert result.degree == genus - 2
-        assert check_degree_parity(result.degree)
+        assert result.degree % 2 == 1
         assert result.report.all_passed
         assert result.report.checks() == {
             "sign": PASS,
@@ -398,7 +383,7 @@ class TestBraidRoots:
         for index in range(1, punctures):
             result = construct_braid_root(punctures, index)
             assert result.degree == expected_degree
-            assert check_degree_parity(result.degree)
+            assert result.degree % 2 == 1
             assert result.report.all_passed
             assert str(result.target) == f"u{index}"
             assert all(letter.kind == "u" for letter, _ in result.root.syllables)

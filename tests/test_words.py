@@ -14,7 +14,6 @@ from mcgroots.words import (
     Word,
     WordError,
     format_word,
-    normalize_slides,
     parse_word,
 )
 
@@ -115,7 +114,6 @@ class TestWordReduction:
     def test_counts(self, std5):
         w = parse_word("u1^-3 t2 y4^2", std5)
         assert w.syllable_count == 3
-        assert w.letter_count == 6
 
 
 
@@ -173,6 +171,9 @@ class TestGroupOperations:
                 w**n
             with pytest.raises(WordError, match="over the cap of 100"):
                 parse_word(f"(u1 u2)^{n}", std5)
+        # the powers +-1 write out no more than the word, even past the cap
+        long = w**50 * parse_word("u3", std5)
+        assert long**1 == long and long**-1 == long.inverse()
         # one-syllable bodies scale their exponent and are never capped
         assert parse_word("(u1 u1^2)^1000", std5).syllables == ((GeneratorLetter("u", 1), 3000),)
 
@@ -196,6 +197,25 @@ class TestGroupOperations:
             if n:
                 assert parse_word(f"({format_word(w)})^{n}", w.model) == w**n
 
+    @settings(max_examples=100)
+    @given(model_word_pairs(), st.integers(-60, 60).filter(lambda e: e != 0))
+    def test_grouped_power_text_matches_the_word_power(self, data, e):
+        # under a small cap, the parser and Word.__pow__ agree on the result
+        # or on the cap error, since both power through one helper
+        _, a, _ = data
+        text = f"({format_word(a)})^{e}"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(words, "MAX_POWER_SYLLABLES", 40)
+            try:
+                expected = a**e
+            except WordError as exc:
+                assert "over the cap of 40" in str(exc)
+                with pytest.raises(WordError) as info:
+                    parse_word(text, a.model)
+                assert str(info.value) == str(exc)
+            else:
+                assert parse_word(text, a.model) == expected
+
     @settings(max_examples=60)
     @given(model_word_pairs())
     def test_reduction_is_canonical(self, data):
@@ -204,41 +224,6 @@ class TestGroupOperations:
         for (x, e), (y, f) in zip(w.syllables, w.syllables[1:]):
             assert x != y
         assert all(e != 0 for _, e in w.syllables)
-
-
-class TestNormalizeSlides:
-    def test_positive_slide(self, std5):
-        w = parse_word("y2^2", std5)
-        assert str(normalize_slides(w)) == "t2 u2 t2 u2"
-
-    def test_negative_slide(self, std5):
-        w = parse_word("y3^-1", std5)
-        assert str(normalize_slides(w)) == "u3^-1 t3^-1"
-
-    def test_mixed_word_keeps_other_letters(self, std5):
-        w = parse_word("u1 y1 t4", std5)
-        assert str(normalize_slides(w)) == "u1 t1 u1 t4"
-
-    @settings(max_examples=80)
-    @given(standard_models().flatmap(lambda m: words_for(m)))
-    def test_no_slides_survive(self, w):
-        out = normalize_slides(w)
-        assert all(letter.kind != "y" for letter, _ in out.syllables)
-
-    def test_idempotent_on_slide_free_words(self, std5):
-        w = parse_word("t1 u2^-3", std5)
-        assert normalize_slides(w) == w
-
-    def test_written_out_slides_are_capped(self, std5, monkeypatch):
-        assert normalize_slides(parse_word("y1^-50", std5)).syllable_count == 100
-        with pytest.raises(WordError, match="over the cap"):
-            normalize_slides(parse_word("y1^1000000000", std5))
-        monkeypatch.setattr(words, "MAX_POWER_SYLLABLES", 100)
-        assert normalize_slides(parse_word("y1^49 u2 u3", std5)).syllable_count == 100
-        assert normalize_slides(parse_word("y1^-50", std5)).syllable_count == 100
-        for text in ("y1^51", "y1^-50 u2", "y2 y1^50"):
-            with pytest.raises(WordError, match="over the cap of 100"):
-                normalize_slides(parse_word(text, std5))
 
 
 class TestTextFormat:
