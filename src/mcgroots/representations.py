@@ -88,10 +88,6 @@ class IntMatrix:
                     raise ValueError(f"matrix entries must be ints, got {v!r}")
 
     @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
-
-    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 

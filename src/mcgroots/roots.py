@@ -196,14 +196,14 @@ def certificate_assumptions(certificate: Certificate) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def is_nontrivial(root: Word, target: Word, degree: int) -> bool:
+def is_nontrivial(root: Word, target: Word) -> bool:
     """Soundly witness that ``root`` is not a power of ``target``.
 
     Standard model: the crosscap permutation of ``root`` is compared with
     every power of the target's permutation; a miss proves the root is no
     power of the target.  Hybrid model: targets contain no chain letters,
     so a chain letter in the root separates it from every target power as
-    a reduced word.  ``degree`` only documents the claimed identity.
+    a reduced word.
     """
     if root == target:
         return False
@@ -229,8 +229,9 @@ def verify_identity(
     oracle (``n/a``).  A given certificate must run from ``word^power`` to
     ``equals`` and replay step by step; a failing step is named in the
     details.  Without a certificate a claim no oracle refutes is proved
-    only when ``word^power`` and ``equals`` are equal as reduced words; a
-    power over the syllable cap proves nothing and says so in the details.
+    only when ``word^power`` and ``equals`` are equal as reduced words,
+    compared by length first; a power over the syllable cap whose length
+    agrees proves nothing and says so in the details.
     Nontriviality is ``n/a``: the claim is an identity, not a root.
     """
     details: list[str] = []
@@ -260,7 +261,11 @@ def verify_identity(
     if certificate is None:
         if not refuted:
             try:
-                proved = word ** power == equals
+                # reduced w^n has |w| + (|n|-1)(|w w| - |w|) syllables; a
+                # mismatch settles the claim before anything is written out
+                growth = (word * word).syllable_count - word.syllable_count
+                length = word.syllable_count + (abs(power) - 1) * growth if power else 0
+                proved = length == equals.syllable_count and word ** power == equals
             except WordError as exc:
                 details.append(f"proof: not attempted, {exc}")
             else:
@@ -302,7 +307,7 @@ def build_report(
 ) -> VerificationReport:
     """:func:`verify_identity` on ``root^degree = target`` plus the nontriviality witness."""
     report = verify_identity(root, degree, target, certificate)
-    nontrivial = is_nontrivial(root, target, degree)
+    nontrivial = is_nontrivial(root, target)
     return dataclasses.replace(
         report,
         nontriviality=_verdict(nontrivial),
@@ -403,9 +408,11 @@ def _gathered_root(model: SurfaceModel, target: str, case: str) -> RootResult:
 
     Each case supplies the block ``D`` (disjoint from the target ``X``),
     the degree ``m``, the boundary schema and exponents with
-    ``2p + qm = 1``.  The certificate gathers the ``m`` copies of ``X^q``
-    to the right of ``D^(pm)``, turns that into ``|p|`` boundary twists
-    ``X^(+-2)`` and merges everything into ``X``.
+    ``2p + qm = 1``.  The certificate gathers left to right: round ``k``
+    carries the running ``X^(kq)`` past the next copy of ``D^p`` and merges
+    it with the next ``X^q`` at once, so ``(m-1)`` rounds of ``span`` swaps
+    leave ``D^(pm) X^(qm)``.  The boundary identity then turns ``D^(pm)``
+    into ``|p|`` boundary twists ``X^(+-2)``, and ``|p|`` merges reach ``X``.
     """
     g = model.genus
     if case == "even_orientable":
@@ -425,22 +432,14 @@ def _gathered_root(model: SurfaceModel, target: str, case: str) -> RootResult:
 
     builder = _CertBuilder(start)
     span = abs(p) * block.syllable_count  # block syllables per root copy
-    for k in range(m - 2, -1, -1):
-        builder.move_right((k + 1) * span + k, (m - 1 - k) * span)
-    applications = abs(p)
-    for j in range(applications):
+    for k in range(1, m):
+        builder.move_right(k * span, span)
+        builder.merge_at((k + 1) * span)
+    for j in range(abs(p)):
         builder.schema(j, boundary, (), forward=False)
-    if target == "y":
-        for j in range(applications):
+        if target == "y":
             builder.schema(j, "UsquaredYsquared", (1,), forward=True)
-    # either order reaches X; the order is part of each case's recorded certificate text
-    if q > 0:
-        builder.merge_run(applications, m - 1)
-        builder.merge_run(0, applications - 1)
-    else:
-        builder.merge_run(0, applications - 1)
-        builder.merge_run(1, m - 1)
-    builder.merge_at(0)
+    builder.merge_run(0, abs(p))
     certificate = builder.finish(target_word)
 
     report = build_report(root, target_word, m, certificate)

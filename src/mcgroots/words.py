@@ -63,8 +63,8 @@ _KIND_NAMES = {
 
 
 # The largest genus a model may have.  Only the root certificates grow with it,
-# like g^4 (no homology table is built); the largest root it admits (genus 50,
-# orientable complement) takes about 30 s and 700 MB peak memory.
+# like g^3 (no homology table is built); the largest root it admits (genus 50,
+# orientable complement) takes about 2 s and 70 MB peak memory.
 MAX_GENUS = 50
 
 # The most syllables a power of a multi-syllable word may write out.  It sits

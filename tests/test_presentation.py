@@ -521,34 +521,34 @@ class TestCertificateText:
 # sha256 of certificate_to_text for the roots of u1 and y1: standard model at
 # genus 5..13 (nonorientable complement), hybrid model at genus 4..12.
 CERTIFICATE_SHA256 = {
-    ("standard", 5, "u"): "8385f638f4d964599715ddad55aec2100baf6a2ed8f91e74ea3b127ef6a44031",
-    ("standard", 5, "y"): "2af97d37b99d588bd9bd1db0aa010df56ca46a0f0756e5003f3d88e5def93733",
-    ("standard", 6, "u"): "27fd4e6ee866fbea61fa57d84a939d6e718ec694401cd98310591382fc04e798",
-    ("standard", 6, "y"): "51e155d861bf9ce4ff7f8a9e01188c8d681aad34651bf279784332ef0bcb548c",
-    ("standard", 7, "u"): "4e26c2c747990c926a1d094d8eb0caf7359cd7ad488e1dc0400787d52b265619",
-    ("standard", 7, "y"): "7498bc351fbdd286c4bf0c2b9712597f754e8437078e7cc71266059a174753e0",
-    ("standard", 8, "u"): "ffb0cc50b43abb0a22e272f0137f110110424fc489cec098f876b1d0ff7ce731",
-    ("standard", 8, "y"): "978f40959ed73a034d8c77a1c852cc246e20c49820f38df4c5c50ff9af45f107",
-    ("standard", 9, "u"): "1d9d7b9ef28592312c3eae18f2d6069b63da7334cde8e8985dafea87854e7965",
-    ("standard", 9, "y"): "7835ab6e34568741c06af6dc62f379787d5b55679b5f34eb77681b3e82b8242e",
-    ("standard", 10, "u"): "d8fcb056085e58383afa1020c2b6936bcd061680e3783d612536113fd49ee8b9",
-    ("standard", 10, "y"): "007bc1da69a1d75d2c5f46fdaea25fd92455c57dd7758ece9a28bd0690a4a4b4",
-    ("standard", 11, "u"): "6925e3f4c2f6b09cfb3dd2357446b7143553371e6f0da5831a72308b75988f19",
-    ("standard", 11, "y"): "d9643ae1e1f81a63be4e14afce341e98f83a456e3eaed550ed97e2c46388ce87",
-    ("standard", 12, "u"): "0157d958dffb8c4fb14d7f8c3b304535f3e0a6039fcd8373520377bfdcf9753c",
-    ("standard", 12, "y"): "0d056ce58176acd1ef85fa3d6e15975db85488ac72c3885756447e9ec87620ae",
-    ("standard", 13, "u"): "a70d1d13677ac1f3148135a8c57a9d1109bff5af595ef1aece0011d2e1370263",
-    ("standard", 13, "y"): "aacce30006f130231e14c77587d4106a220e5616acd07c54b4f24b948634c8b0",
-    ("hybrid", 4, "u"): "2c054ccc05849c11e82e6e2f32b191f8429129faa4e3963851c6e780f803b2be",
-    ("hybrid", 4, "y"): "ae387d47b878410cbf3ccc3dd6ac3933cc7085786b2f4a91981389b7c2dff73a",
-    ("hybrid", 6, "u"): "84d05128a3184c04972c70e9baa58a9d1dcd9915bc5c12fd3267abc84597803d",
-    ("hybrid", 6, "y"): "18d97e00dceeeed7e2964e84eb32caeefe280bc096c4e3e339469d3f13873b6d",
-    ("hybrid", 8, "u"): "5366cfd03fc84eeb726fd726a040a9dc85943857eb9fb311dd7a1bf6b3c6da45",
-    ("hybrid", 8, "y"): "97ffec3bfbf7f4a018db7f08930a68cd8ab877f47309577ce4d17b71103f6578",
-    ("hybrid", 10, "u"): "e3f076713f2e2e03df27aa39ffeb83124a0fba97c79c873e23f78bdf89b6003f",
-    ("hybrid", 10, "y"): "f9b38b9ecac2948d352ae7b893efef2d96e9b4d0a702991286c2cf65ff6f2e00",
-    ("hybrid", 12, "u"): "9695b30f96f22added4b26f22aa7f912111d8a87de4914b2529b35f80d38a5f7",
-    ("hybrid", 12, "y"): "8bc4f53a733168dbacf55526b1ef5a42de3e1f860745a957859f046f8588ed8a",
+    ("standard", 5, "u"): "24cd35507e610dbf022ce5168cc674c5b37a2b01bee6c8ddda70866bb6ed22e5",
+    ("standard", 5, "y"): "3a7afc831cc7f0965de75c38953873b0a37a1f782c953b25bfa47ea7ed3b3ea3",
+    ("standard", 6, "u"): "11fd8b1f8049ddcb8d3189ac40a31adb855e9e661bd0b91e0e7cbd25134efbab",
+    ("standard", 6, "y"): "71d358991964dddd94007e11cb67b834b1e7e631c0492ac857b417a1db437212",
+    ("standard", 7, "u"): "1778ee121a9b7f77f9831bff0bee39651af494f18c53e58d39fc1bf172fc315b",
+    ("standard", 7, "y"): "77748f152b8491a4c255479fcd945627a54eb315aafa9ee9426d11cf2a97eaf2",
+    ("standard", 8, "u"): "410896bb3e30d1667be98529a7f0ad6c082ba26fcf43f06cee35ccd2c3ebff7e",
+    ("standard", 8, "y"): "9870f9176ef594c0c4aeaed9968d8d62b7d6b518597a154d263d1d5d26e90a1b",
+    ("standard", 9, "u"): "93fdefba0c8af24128aa4249994976305dc3f1fa6d8cde28a3f0dfb9c3954e1b",
+    ("standard", 9, "y"): "40beeb22c32e912d81eb8171924c7b081bd29442a97ba0908fdec8bd0423e657",
+    ("standard", 10, "u"): "884e6a79ca8da200ddfca341ce922eeeb12dfb4779f54d1f0fb0b4395c81e723",
+    ("standard", 10, "y"): "05a7acd99ffe69337ef1369fe98acd48725f81a9b68f381bb3309eca32f0e3cb",
+    ("standard", 11, "u"): "fe8a5bffd3a3ffb96f26e9858020efb9e20c346577c39040619a050b3e9fd1bc",
+    ("standard", 11, "y"): "4457a3103b1c561e131f4e4f80a32a6afcc0e57111112340d794737fedee058b",
+    ("standard", 12, "u"): "a064e5ced4e6278cfb07e5549d844af56b9265aeb1108f96420c047ec348bd6f",
+    ("standard", 12, "y"): "27772b173bfa33aae83f516374d98711e2545e6fee4369c772a3ef4d41d1a195",
+    ("standard", 13, "u"): "ff3214befa7a790a9fcd26867506b1ed694bea9a1e8f3c97ba3bf0d0ce4f085c",
+    ("standard", 13, "y"): "da464b2d48849319ef8a8791508e99a44439fc27ab8d121d4b6a35c54bc63fcb",
+    ("hybrid", 4, "u"): "8f9588f6a48912760dd209569f0b8d886e4d5f472d26a0009b49abc4a7e0fd47",
+    ("hybrid", 4, "y"): "1739f84665dcc7cdde66ac5c63a0d88c217d1377daa81278d7e204104ce993b2",
+    ("hybrid", 6, "u"): "7704fbfad8ad80ad9bf928e6aaea40cfd2d226541f16c6ec374036f6ef359d55",
+    ("hybrid", 6, "y"): "acef82f7bfa3109d5f14fc65bca3b12b6f700c62a3bfe4be90555a0cf3db4015",
+    ("hybrid", 8, "u"): "6285241d2b990e680fcaa6d8eba4076ecd4421915642646026b76aa38d4ed89e",
+    ("hybrid", 8, "y"): "0258cc7aad936b6e397b471d9e60472a0559ffecf0975de4c70aaa749581507e",
+    ("hybrid", 10, "u"): "a412740d24eb417a4c8a4be384419d457d68fd4ca28b451ecebffc09e244aa36",
+    ("hybrid", 10, "y"): "ae656d999071aed0a2f81be7e51e808418047d92adbfb62dfb9ed5323a995b56",
+    ("hybrid", 12, "u"): "311e2d275ade9ba9e30497e6d567c7b050c41a48ae678cc063687b07e5697596",
+    ("hybrid", 12, "y"): "1b9a0a469be4ce97e1e1bcf246439296cdda9d9513b847e15dc48e88a38b10c1",
 }
 
 

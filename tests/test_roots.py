@@ -209,24 +209,24 @@ class TestNonexistence:
 class TestNontriviality:
     def test_constructed_roots_are_not_target_powers(self):
         result = construct_root(RootRequest(5, "u"))
-        assert is_nontrivial(result.root, result.target, result.degree)
+        assert is_nontrivial(result.root, result.target)
 
     def test_target_itself_fails(self, std5):
         u1 = _w("u1", std5)
-        assert not is_nontrivial(u1, u1, 1)
+        assert not is_nontrivial(u1, u1)
 
     def test_actual_powers_are_caught(self, std5):
         u1 = _w("u1", std5)
-        assert not is_nontrivial(_w("u1^3", std5), u1, 3)
+        assert not is_nontrivial(_w("u1^3", std5), u1)
 
     def test_witness_is_conservative(self, std5):
         # t1 u1 has the same crosscap permutation as u1, so no witness exists
-        assert not is_nontrivial(_w("t1 u1", std5), _w("u1", std5), 1)
+        assert not is_nontrivial(_w("t1 u1", std5), _w("u1", std5))
 
     def test_hybrid_uses_chain_letters(self, hyb6):
         u1 = _w("u1", hyb6)
-        assert is_nontrivial(_w("c1 u1", hyb6), u1, 3)
-        assert not is_nontrivial(_w("u1^3", hyb6), u1, 3)
+        assert is_nontrivial(_w("c1 u1", hyb6), u1)
+        assert not is_nontrivial(_w("u1^3", hyb6), u1)
 
 
 class TestReports:
@@ -300,6 +300,19 @@ class TestVerifyIdentity:
         dense = _dense_verdicts(word, n, equals)
         assert {key: checks[key] for key in dense} == dense
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(standard_models(2, 6), hybrid_models(6)).flatmap(
+            lambda m: st.tuples(words_for(m), words_for(m))
+        ),
+        st.integers(-6, 6),
+        st.booleans(),
+    )
+    def test_length_shortcut_matches_the_written_out_comparison(self, words, n, same):
+        word, other = words
+        equals = word**n if same else other
+        assert verify_identity(word, n, equals).proved == (word**n == equals)
+
     def test_negative_power_keeps_the_sign_an_int(self, std5):
         report = verify_identity(_w("u1 t2", std5), -3, _w("(t2^-1 u1^-1)^3", std5))
         assert report.details[0] == "sign: (-1)^-3 = -1, target -1"
@@ -337,6 +350,28 @@ class TestVerifyIdentity:
         assert report.details[-1] == "certificate: end is not the target"
         report = verify_identity(result.root, 3, result.target, cert)
         assert report.all_passed and report.assumptions == result.report.assumptions
+
+
+def _complements(genus):
+    if genus % 2:
+        return ("auto",)
+    return ("nonorientable", "orientable") if genus > 4 else ("orientable",)
+
+
+@pytest.mark.parametrize(
+    "genus, complement, target",
+    [(g, c, t) for g in range(4, 17) for c in _complements(g) for t in "uy"]
+    + [(50, c, "u") for c in _complements(50)],
+)
+def test_gather_takes_one_round_of_span_swaps_per_copy(genus, complement, target):
+    # root = D^p X^q with 2p + qm = 1: (m-1) rounds of span swaps and one
+    # merge, |p| boundary steps (and |p| u^2 -> y^2 steps), |p| final merges
+    result = construct_root(RootRequest(genus, target, complement))
+    m, span = result.degree, result.root.syllable_count - 1
+    p = abs(1 - result.root.syllables[-1][1] * m) // 2
+    expected = (m - 1) * (span + 1) + 2 * p + p * (target == "y")
+    assert len(result.certificate.steps) == expected
+    assert result.report.proved
 
 
 class TestCertificates:

@@ -161,7 +161,7 @@ class TestTorsionScan:
             sixes = table.classes_of_order(6)
             assert len(sixes) == 1
             assert table.determinants_of_order(6) == (1,)
-            assert sixes[0].representative == IntMatrix.from_rows([[0, -1], [1, 1]])
+            assert sixes[0].representative == IntMatrix(((0, -1), (1, 1)))
 
     def test_order_two_spans_both_determinants(self):
         assert gl2_torsion_scan(1).determinants_of_order(2) == (-1, 1)
@@ -329,12 +329,10 @@ class TestGenus3Certification:
             assert finding.nontrivial_solutions == ()
 
     def test_target_matrices(self):
-        assert certify_no_root_g3(_w("u1"), 3, scan_bound=1).target_matrix == IntMatrix.from_rows(
-            [[0, 1], [1, 0]]
-        )
-        assert certify_no_root_g3(_w("y1"), 3, scan_bound=1).target_matrix == IntMatrix.from_rows(
-            [[-1, 2], [0, 1]]
-        )
+        target = certify_no_root_g3(_w("u1"), 3, scan_bound=1).target_matrix
+        assert target == IntMatrix(((0, 1), (1, 0)))
+        target = certify_no_root_g3(_w("y1"), 3, scan_bound=1).target_matrix
+        assert target == IntMatrix(((-1, 2), (0, 1)))
 
     def test_text_and_dict_serialization(self):
         cert = certify_no_root_g3(_w("y1"), max_degree=3, scan_bound=1)
