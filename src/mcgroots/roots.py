@@ -229,9 +229,8 @@ def verify_identity(
     oracle (``n/a``).  A given certificate must run from ``word^power`` to
     ``equals`` and replay step by step; a failing step is named in the
     details.  Without a certificate a claim no oracle refutes is proved
-    only when ``word^power`` and ``equals`` are equal as reduced words,
-    compared by length first; a power over the syllable cap whose length
-    agrees proves nothing and says so in the details.
+    only when ``word^power`` and ``equals`` are equal as reduced words; a
+    power over the syllable cap proves nothing and says so in the details.
     Nontriviality is ``n/a``: the claim is an identity, not a root.
     """
     details: list[str] = []
@@ -261,11 +260,7 @@ def verify_identity(
     if certificate is None:
         if not refuted:
             try:
-                # reduced w^n has |w| + (|n|-1)(|w w| - |w|) syllables; a
-                # mismatch settles the claim before anything is written out
-                growth = (word * word).syllable_count - word.syllable_count
-                length = word.syllable_count + (abs(power) - 1) * growth if power else 0
-                proved = length == equals.syllable_count and word ** power == equals
+                proved = word ** power == equals
             except WordError as exc:
                 details.append(f"proof: not attempted, {exc}")
             else:

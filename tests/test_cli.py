@@ -454,26 +454,15 @@ class TestVerifyCommand:
         assert "fail" not in report["checks"].values()
 
     def test_power_over_the_cap_proves_nothing(self, capsys):
-        # true as reduced words and equal in length, but writing the power out is over the cap
+        # (u1 u2)^3 = 1 at genus 3 (R3), but writing the power out is over the cap
         code, report, _ = run_json(
-            capsys, "verify", "--genus", "3", "--word", "u1 u2 u1^-1", "--power", "400000",
-            "--equals", "u1 u2^400000 u1^-1",
+            capsys, "verify", "--genus", "3", "--word", "u1 u2", "--power", "3000000",
+            "--equals", "",
         )
         assert code == 2
         assert report["verdict"] == "unproven"
         assert set(report["checks"].values()) == {"pass", "n/a"}
         assert any(d.startswith("proof: not attempted") and "cap" in d for d in report["details"])
-
-    def test_a_length_mismatch_is_unproven_without_writing_the_power_out(self, capsys):
-        started = time.perf_counter()
-        code, report, _ = run_json(
-            capsys, "verify", "--genus", "5", "--word", "u1 u2", "--power", "524288",
-            "--equals", "u2 u1",
-        )
-        assert time.perf_counter() - started < 1.0
-        assert code == 2
-        assert report["verdict"] == "unproven"
-        assert "proof: root^524288 reduces to the target = False" in report["details"]
 
     @settings(max_examples=60, deadline=None)
     @given(

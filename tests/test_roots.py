@@ -282,11 +282,11 @@ def _dense_verdicts(word, power, equals):
 
 class TestVerifyIdentity:
     @settings(max_examples=80, deadline=None)
-    @given(_words_of_either_model(), st.integers(-4, 4))
+    @given(_words_of_either_model(), st.integers(-6, 6))
     def test_a_power_equals_its_written_out_word(self, words, n):
         word, _ = words
         report = verify_identity(word, n, word**n)
-        assert report.all_passed
+        assert report.all_passed and report.proved
         assert report.sign == PASS
         expected = NOT_APPLICABLE if word.model.is_hybrid else PASS
         assert report.permutation == report.homology == expected
@@ -299,19 +299,6 @@ class TestVerifyIdentity:
         checks = verify_identity(word, n, equals).checks()
         dense = _dense_verdicts(word, n, equals)
         assert {key: checks[key] for key in dense} == dense
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.one_of(standard_models(2, 6), hybrid_models(6)).flatmap(
-            lambda m: st.tuples(words_for(m), words_for(m))
-        ),
-        st.integers(-6, 6),
-        st.booleans(),
-    )
-    def test_length_shortcut_matches_the_written_out_comparison(self, words, n, same):
-        word, other = words
-        equals = word**n if same else other
-        assert verify_identity(word, n, equals).proved == (word**n == equals)
 
     def test_negative_power_keeps_the_sign_an_int(self, std5):
         report = verify_identity(_w("u1 t2", std5), -3, _w("(t2^-1 u1^-1)^3", std5))
