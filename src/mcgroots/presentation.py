@@ -4,33 +4,43 @@ Schemas
 -------
 
 Each schema names a family of relation instances ``lhs = rhs`` between
-words of one model, parameterized by generator indices (and, for the
-commutation schemas, by the two syllable exponents, since ``xz = zx``
-entails ``x^a z^b = z^b x^a``):
+words of one model.  Its parameters are coded ``i`` (generator index),
+``k`` (letter kind t/u/y) and ``e`` (syllable exponent, nonzero; the
+commutation schemas carry the two exponents, since ``xz = zx`` entails
+``x^a z^b = z^b x^a``):
 
-==================  =======================  =====================================
-id                  params                   instance
-==================  =======================  =====================================
-R1                  i j a b                  u_i^a u_j^b = u_j^b u_i^a, j - i > 1
-R2                  i                        u_i u_{i+1} u_i = u_{i+1} u_i u_{i+1}
-R3                  --                       (u_1 .. u_{g-1})^g = 1
-R4a                 i j a b                  t_i^a u_j^b = u_j^b t_i^a, |i-j| > 1
-R4b                 i j a b                  y_i^a u_j^b = u_j^b y_i^a, |i-j| > 1
-R5                  --                       (u_1^2 u_2 .. u_{g-1})^{g-1} = 1
-R6closed-odd        --                       u_1^2 = (u_3 .. u_{g-1})^{g-2}, g odd
-R6closed-even       --                       u_1^2 = (u_3^2 u_4 .. u_{g-1})^{g-3},
-                                             g even >= 6
-R7chain             --                       u_1^2 = (c_1 .. c_{g-2})^{2g-2}
-SlideDef            i                        y_i = t_i u_i
-UsquaredYsquared    i                        u_i^2 = y_i^2
-ChainCommute        kind k a b               x_1^a c_k^b = c_k^b x_1^a, x in t/u/y
-==================  =======================  =====================================
+==================  ========  ======  =====================================
+id                  params    codes   instance
+==================  ========  ======  =====================================
+R1                  i j a b   iiee    u_i^a u_j^b = u_j^b u_i^a, j - i > 1
+R2                  i         i       u_i u_{i+1} u_i = u_{i+1} u_i u_{i+1}
+R3                  --                (u_1 .. u_{g-1})^g = 1
+R4a                 i j a b   iiee    t_i^a u_j^b = u_j^b t_i^a, |i-j| > 1
+R4b                 i j a b   iiee    y_i^a u_j^b = u_j^b y_i^a, |i-j| > 1
+R5                  --                (u_1^2 u_2 .. u_{g-1})^{g-1} = 1
+R6closed-odd        --                u_1^2 = D^m, boundary identity
+R6closed-even       --                u_1^2 = D^m, boundary identity
+R7chain             --                u_1^2 = D^m, boundary identity
+SlideDef            i         i       y_i = t_i u_i
+UsquaredYsquared    i         i       u_i^2 = y_i^2
+ChainCommute        x k a b   kiee    x_1^a c_k^b = c_k^b x_1^a
+==================  ========  ======  =====================================
 
-R6closed-odd/-even express the boundary twist of the Klein bottle around
-crosscaps 1, 2 through the transposition chain of the nonorientable
-complement; R7chain expresses the same twist through the twist chain of
-the orientable complement (hybrid model).  R6closed-odd degenerates at
-genus 3 to ``u_1^2 = 1``, the triviality of the twist about a curve
+The boundary identity ``u_1^2 = D^m`` writes the twist about the
+boundary of the Klein bottle around crosscaps 1, 2 through its
+complement.  :func:`boundary_identity` gives each model's schema, block
+``D`` (disjoint from crosscaps 1, 2) and odd degree ``m``:
+
+=======================  ==============  ========================  =====
+model                    schema          ``D``                     ``m``
+=======================  ==============  ========================  =====
+standard, g odd          R6closed-odd    ``u_3 .. u_{g-1}``        g-2
+standard, g even >= 6    R6closed-even   ``u_3^2 u_4 .. u_{g-1}``  g-3
+hybrid                   R7chain         ``(c_1 .. c_{g-2})^2``    g-1
+=======================  ==============  ========================  =====
+
+The standard model has none at genus 2 and 4.  R6closed-odd degenerates
+at genus 3 to ``u_1^2 = 1``, the triviality of the twist about a curve
 bounding a Moebius band.
 
 Certificates
@@ -67,6 +77,7 @@ Serialization round-trips bit-exactly.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import re
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -77,6 +88,8 @@ from .words import (
     Syllable,
     Word,
     WordError,
+    _format_syllables,
+    _inverse_syllables,
     format_word,
     parse_word,
 )
@@ -91,6 +104,7 @@ __all__ = [
     "SchemaError",
     "SchemaStep",
     "apply_step",
+    "boundary_identity",
     "certificate_from_text",
     "certificate_to_text",
     "commute_step",
@@ -100,20 +114,20 @@ __all__ = [
     "replay_certificate",
 ]
 
-# Parameter layout per schema: i = integer, k = letter kind character.
+# Parameter layout per schema: i = index, e = exponent, k = letter kind.
 _PARAM_SPEC = {
-    "R1": "iiii",
+    "R1": "iiee",
     "R2": "i",
     "R3": "",
-    "R4a": "iiii",
-    "R4b": "iiii",
+    "R4a": "iiee",
+    "R4b": "iiee",
     "R5": "",
     "R6closed-odd": "",
     "R6closed-even": "",
     "R7chain": "",
     "SlideDef": "i",
     "UsquaredYsquared": "i",
-    "ChainCommute": "kiii",
+    "ChainCommute": "kiee",
 }
 
 SCHEMA_IDS = tuple(_PARAM_SPEC)
@@ -153,6 +167,21 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def boundary_identity(model: SurfaceModel) -> tuple[str, Word, int] | None:
+    """``(schema, D, m)`` of the model's boundary identity ``u_1^2 = D^m``, if any."""
+    g = model.genus
+    if model.is_hybrid:
+        chain = _word(model, ((_gen("c", k), 1) for k in range(1, g - 1)))
+        return "R7chain", chain ** 2, g - 1
+    if g % 2:
+        return "R6closed-odd", _word(model, ((_gen("u", k), 1) for k in range(3, g))), g - 2
+    if g >= 6:
+        head = ((_gen("u", 3), 2),)
+        tail = tuple((_gen("u", k), 1) for k in range(4, g))
+        return "R6closed-even", _word(model, head + tail), g - 3
+    return None
+
+
 def instantiate(schema: str, params, model: SurfaceModel) -> RelationInstance:
     """Build a relation instance, validating all side conditions.
 
@@ -183,11 +212,11 @@ def _build_instance(schema: str, params: tuple, model: SurfaceModel) -> Relation
     if len(params) != len(spec):
         raise SchemaError(f"{schema} takes {len(spec)} parameters, got {len(params)}")
     for value, code in zip(params, spec):
-        if code == "i":
-            _require(isinstance(value, int), f"{schema}: integer parameter expected, got {value!r}")
-        else:
+        if code == "k":
             _require(value in ("t", "u", "y"), f"{schema}: letter kind t/u/y expected, got {value!r}")
-    params = tuple(int(v) if code == "i" else v for v, code in zip(params, spec))
+        else:
+            _require(isinstance(value, int), f"{schema}: integer parameter expected, got {value!r}")
+    params = tuple(v if code == "k" else int(v) for v, code in zip(params, spec))
     g = model.genus
     hybrid = model.is_hybrid
 
@@ -224,23 +253,15 @@ def _build_instance(schema: str, params: tuple, model: SurfaceModel) -> Relation
         base = _word(model, ((_gen("u", 1), 2),) + tuple((_gen("u", k), 1) for k in range(2, g)))
         lhs = base ** (g - 1)
         rhs = _word(model, ())
-    elif schema == "R6closed-odd":
-        _require(not hybrid, "R6closed-odd belongs to the standard model")
-        _require(g % 2 == 1, "R6closed-odd needs odd genus")
+    elif schema in ("R6closed-odd", "R6closed-even", "R7chain"):
+        identity = boundary_identity(model)
+        _require(
+            identity is not None and identity[0] == schema,
+            f"{schema} is not the boundary identity of the {model.describe()}",
+        )
+        _, block, m = identity
         lhs = _word(model, ((_gen("u", 1), 2),))
-        chain = _word(model, tuple((_gen("u", k), 1) for k in range(3, g)))
-        rhs = chain ** (g - 2)
-    elif schema == "R6closed-even":
-        _require(not hybrid, "R6closed-even belongs to the standard model")
-        _require(g % 2 == 0 and g >= 6, "R6closed-even needs even genus >= 6")
-        lhs = _word(model, ((_gen("u", 1), 2),))
-        base = _word(model, ((_gen("u", 3), 2),) + tuple((_gen("u", k), 1) for k in range(4, g)))
-        rhs = base ** (g - 3)
-    elif schema == "R7chain":
-        _require(hybrid, "R7chain belongs to the hybrid model")
-        lhs = _word(model, ((_gen("u", 1), 2),))
-        chain = _word(model, tuple((_gen("c", k), 1) for k in range(1, g - 1)))
-        rhs = chain ** (2 * g - 2)
+        rhs = block ** m
     elif schema == "SlideDef":
         (i,) = params
         _require(model.admits(_gen("y", i)), f"SlideDef index {i} is not admissible")
@@ -266,39 +287,19 @@ def _build_instance(schema: str, params: tuple, model: SurfaceModel) -> Relation
 def relation_catalog(model: SurfaceModel) -> tuple[RelationInstance, ...]:
     """Every relation instance of the model's presentation, deterministically ordered.
 
-    Commutation schemas are enumerated with unit exponents; certificate
-    steps may instantiate them with arbitrary nonzero exponents.
+    Each schema in :data:`SCHEMA_IDS` order is tried with every index in
+    ``1..g-1``, every letter kind and unit exponents; the instances whose
+    side conditions hold are kept.  Certificate steps may instantiate the
+    commutation schemas with arbitrary nonzero exponents.
     """
-    g = model.genus
+    choices = {"i": range(1, model.genus), "e": (1,), "k": ("t", "u", "y")}
     out: list[RelationInstance] = []
-    if not model.is_hybrid:
-        for i in range(1, g):
-            for j in range(i + 2, g):
-                out.append(instantiate("R1", (i, j, 1, 1), model))
-        for i in range(1, g - 1):
-            out.append(instantiate("R2", (i,), model))
-        out.append(instantiate("R3", (), model))
-        for schema in ("R4a", "R4b"):
-            for i in range(1, g):
-                for j in range(1, g):
-                    if abs(i - j) > 1:
-                        out.append(instantiate(schema, (i, j, 1, 1), model))
-        out.append(instantiate("R5", (), model))
-        if g % 2 == 1:
-            out.append(instantiate("R6closed-odd", (), model))
-        elif g >= 6:
-            out.append(instantiate("R6closed-even", (), model))
-        for i in range(1, g):
-            out.append(instantiate("SlideDef", (i,), model))
-        for i in range(1, g):
-            out.append(instantiate("UsquaredYsquared", (i,), model))
-    else:
-        out.append(instantiate("R7chain", (), model))
-        for kind in ("t", "u", "y"):
-            for k in range(1, g - 1):
-                out.append(instantiate("ChainCommute", (kind, k, 1, 1), model))
-        out.append(instantiate("SlideDef", (1,), model))
-        out.append(instantiate("UsquaredYsquared", (1,), model))
+    for schema, spec in _PARAM_SPEC.items():
+        for params in itertools.product(*(choices[code] for code in spec)):
+            try:
+                out.append(instantiate(schema, params, model))
+            except SchemaError:
+                pass
     return tuple(out)
 
 
@@ -337,15 +338,6 @@ def invert_step(step: RewriteStep) -> RewriteStep:
     return dataclasses.replace(step, op=paired[step.op])
 
 
-def _invert_syllables(syllables: tuple[Syllable, ...]) -> tuple[Syllable, ...]:
-    return tuple((letter, -exp) for letter, exp in reversed(syllables))
-
-
-def _fmt(syllables) -> str:
-    parts = [str(l) if e == 1 else f"{l}^{e}" for l, e in syllables]
-    return " ".join(parts) if parts else "(empty)"
-
-
 def _apply_schema_step(state: list[Syllable], step: SchemaStep, model: SurfaceModel) -> None:
     try:
         inst = instantiate(step.schema, step.params, model)
@@ -363,13 +355,12 @@ def _apply_schema_step(state: list[Syllable], step: SchemaStep, model: SurfaceMo
     if found == pattern:
         state[pos : pos + len(pattern)] = list(replacement)
         return
-    inverse_pattern = _invert_syllables(pattern)
-    if pattern and found == inverse_pattern:
-        state[pos : pos + len(pattern)] = list(_invert_syllables(replacement))
+    if pattern and found == _inverse_syllables(pattern):
+        state[pos : pos + len(pattern)] = list(_inverse_syllables(replacement))
         return
     raise CertificateError(
-        f"occurrence mismatch at position {pos}: expected {_fmt(pattern)}"
-        f" or its inverse, found {_fmt(found)}"
+        f"occurrence mismatch at position {pos}: expected {_format_syllables(pattern)}"
+        f" or its inverse, found {_format_syllables(found)}"
     )
 
 
@@ -389,7 +380,8 @@ def _apply_free_step(state: list[Syllable], step: FreeStep, model: SurfaceModel)
         if pos < 0 or found != ((letter, e), (letter, -e)):
             raise CertificateError(
                 f"delete mismatch at position {pos}: expected"
-                f" {_fmt(((letter, e), (letter, -e)))}, found {_fmt(found)}"
+                f" {_format_syllables(((letter, e), (letter, -e)))},"
+                f" found {_format_syllables(found)}"
             )
         del state[pos : pos + 2]
         return
@@ -399,7 +391,7 @@ def _apply_free_step(state: list[Syllable], step: FreeStep, model: SurfaceModel)
         cur_letter, cur_exp = state[pos]
         if cur_letter != letter or cur_exp == e:
             raise CertificateError(
-                f"split mismatch at position {pos}: cannot split {_fmt([state[pos]])}"
+                f"split mismatch at position {pos}: cannot split {_format_syllables([state[pos]])}"
                 f" off a {letter}^{e} fragment"
             )
         state[pos : pos + 1] = [(letter, e), (letter, cur_exp - e)]
@@ -415,7 +407,7 @@ def _apply_free_step(state: list[Syllable], step: FreeStep, model: SurfaceModel)
     ):
         raise CertificateError(
             f"merge mismatch at position {pos}: expected {letter}^{e} {letter}^<exp>"
-            f" with nonzero sum, found {_fmt(found)}"
+            f" with nonzero sum, found {_format_syllables(found)}"
         )
     state[pos : pos + 2] = [(letter, e + found[1][1])]
 

@@ -3,25 +3,25 @@
 Existence cases
 ---------------
 
-Every root comes from one scheme.  A boundary-twist identity ``X^2 = D^m``
-holds for the target ``X`` in ``{u_1, y_1}`` and a block ``D`` of letters
-disjoint from it; with ``2p + qm = 1`` the root of degree ``m`` is
-``D^p X^q``, because the commuting factors gather, the boundary identity
-converts the gathered block power into a power of ``X``, and the
-exponents sum to 1.  The cases differ only in ``D``, ``m``, the boundary
-schema and ``(p, q)``:
+Every root comes from one scheme.  The model's boundary identity
+``X^2 = D^m`` (:func:`~.presentation.boundary_identity`, with
+UsquaredYsquared for ``X = y_1``) holds for the target ``X`` in
+``{u_1, y_1}`` and a block ``D`` of letters disjoint from it, with ``m``
+odd; with ``2p + qm = 1`` the root of degree ``m`` is ``D^p X^q``,
+because the commuting factors gather, the boundary identity converts the
+gathered block power into a power of ``X``, and the exponents sum to 1.
+The cases differ only in the model and its boundary schema:
 
-==================  ==========================  =====  ==============  ============
-case                ``D``                       ``m``  schema          ``(p, q)``
-==================  ==========================  =====  ==============  ============
-odd                 ``u_3 .. u_{g-1}``          g-2    R6closed-odd    ((1-m)/2, 1)
-even_nonorientable  ``u_3^2 u_4 .. u_{g-1}``    g-3    R6closed-even   ((1-m)/2, 1)
-even_orientable     ``(c_1 .. c_{g-2})^2``      g-1    R7chain         (g/2, -1)
-==================  ==========================  =====  ==============  ============
+==================  ========  ==============  =====  ============
+case                model     schema          ``m``  ``(p, q)``
+==================  ========  ==============  =====  ============
+odd                 standard  R6closed-odd    g-2    ((1-m)/2, 1)
+even_nonorientable  standard  R6closed-even   g-3    ((1-m)/2, 1)
+even_orientable     hybrid    R7chain         g-1    (g/2, -1)
+==================  ========  ==============  =====  ============
 
-The last case lives in the hybrid model.  Each construction emits a
-:class:`~.presentation.Certificate` replaying exactly that computation,
-plus a report from the exact oracles.
+Each construction emits a :class:`~.presentation.Certificate` replaying
+exactly that computation, plus a report from the exact oracles.
 
 No root exists at genus 2 (the group is Klein four and the targets are
 primitive there) or genus 3 (torsion bounds in GL(2, Z) rule every odd
@@ -55,12 +55,13 @@ from .presentation import (
     RewriteStep,
     SchemaStep,
     apply_step,
+    boundary_identity,
     commute_step,
     invert_step,
     replay_certificate,
 )
 from .representations import homology_of, perm_of, sign_of
-from .words import GeneratorLetter, SurfaceModel, Syllable, Word, WordError
+from .words import GeneratorLetter, SurfaceModel, Syllable, Word, WordError, _reduce_syllables
 
 __all__ = [
     "NonexistenceError",
@@ -83,6 +84,13 @@ FAIL = "fail"
 NOT_APPLICABLE = "n/a"
 
 _TARGET_NAMES = {"u": "crosscap transposition u1", "y": "crosscap slide y1"}
+
+# The existence case each boundary identity gives.
+_CASES = {
+    "R6closed-odd": "odd",
+    "R6closed-even": "even_nonorientable",
+    "R7chain": "even_orientable",
+}
 
 # Statements a certificate may lean on beyond pure free-group bookkeeping
 # and the commutation/braid schemas; reports list the ones actually used.
@@ -197,13 +205,15 @@ def certificate_assumptions(certificate: Certificate) -> tuple[str, ...]:
 
 
 def is_nontrivial(root: Word, target: Word) -> bool:
-    """Soundly witness that ``root`` is not a power of ``target``.
+    """Witness that ``root`` is not a power of ``target``.
 
     Standard model: the crosscap permutation of ``root`` is compared with
-    every power of the target's permutation; a miss proves the root is no
-    power of the target.  Hybrid model: targets contain no chain letters,
-    so a chain letter in the root separates it from every target power as
-    a reduced word.
+    every power of the target's permutation; a miss soundly proves the
+    root is no power of the target.  Hybrid model: targets contain no
+    chain letters, so a chain letter in the root separates it from every
+    target power as a reduced word only.  That is no proof in the group:
+    at genus 6, ``(c1 c2 c3 c4)^10`` passes, yet R7chain makes it equal
+    ``u1^2``.
     """
     if root == target:
         return False
@@ -311,26 +321,6 @@ def build_report(
     )
 
 
-def _reduction_trace(raw: tuple[Syllable, ...]) -> tuple[tuple[Syllable, ...], list[FreeStep]]:
-    """Free steps reducing ``raw`` to its canonical form, with that form."""
-    state = list(raw)
-    steps: list[FreeStep] = []
-    k = 0
-    while k + 1 < len(state):
-        (la, ea), (lb, eb) = state[k], state[k + 1]
-        if la != lb:
-            k += 1
-            continue
-        if ea + eb == 0:
-            steps.append(FreeStep("delete", k, la, ea))
-            del state[k : k + 2]
-        else:
-            steps.append(FreeStep("merge", k, la, ea))
-            state[k : k + 2] = [(la, ea + eb)]
-        k = max(k - 1, 0)
-    return tuple(state), steps
-
-
 class _CertBuilder:
     """Records certificate steps while replaying them on a working state.
 
@@ -377,11 +367,11 @@ class _CertBuilder:
 
     def expand_to(self, raw: tuple[Syllable, ...]) -> None:
         """Free-expand the current state into ``raw``, whose reduction it must be."""
-        reduced, steps = _reduction_trace(raw)
-        if tuple(self.state) != reduced:
+        trace: list = []
+        if tuple(self.state) != _reduce_syllables(raw, trace):
             raise CertificateError("expansion target does not reduce to the current state")
-        for step in reversed(steps):
-            self._push(invert_step(step))
+        for step in reversed(trace):
+            self._push(invert_step(FreeStep(*step)))
 
     def splice(self, steps, offset: int) -> None:
         """Replay foreign steps shifted right by ``offset`` positions."""
@@ -398,29 +388,21 @@ def _target_word(model: SurfaceModel, target: str) -> Word:
     return Word(model, ((GeneratorLetter(target, 1), 1),))
 
 
-def _gathered_root(model: SurfaceModel, target: str, case: str) -> RootResult:
+def _gathered_root(model: SurfaceModel, target: str) -> RootResult:
     """The root ``D^p X^q`` of degree ``m`` from the boundary identity ``X^2 = D^m``.
 
-    Each case supplies the block ``D`` (disjoint from the target ``X``),
-    the degree ``m``, the boundary schema and exponents with
-    ``2p + qm = 1``.  The certificate gathers left to right: round ``k``
+    The model's boundary identity supplies the block ``D`` (disjoint from
+    the target ``X``), the odd degree ``m`` and the boundary schema; ``q``
+    is -1 in the hybrid model and 1 otherwise, and ``p = (1 - qm)/2``.
+    The certificate gathers left to right: round ``k``
     carries the running ``X^(kq)`` past the next copy of ``D^p`` and merges
     it with the next ``X^q`` at once, so ``(m-1)`` rounds of ``span`` swaps
     leave ``D^(pm) X^(qm)``.  The boundary identity then turns ``D^(pm)``
     into ``|p|`` boundary twists ``X^(+-2)``, and ``|p|`` merges reach ``X``.
     """
-    g = model.genus
-    if case == "even_orientable":
-        chain = Word(model, tuple((GeneratorLetter("c", k), 1) for k in range(1, g - 1)))
-        block, m, boundary, p, q = chain ** 2, g - 1, "R7chain", g // 2, -1
-    else:
-        m = g - 2 if case == "odd" else g - 3
-        head = ((GeneratorLetter("u", 3), 1 if case == "odd" else 2),)
-        block = Word(model, head + tuple((GeneratorLetter("u", k), 1) for k in range(4, g)))
-        boundary = "R6closed-odd" if case == "odd" else "R6closed-even"
-        p, q = (1 - m) // 2, 1
-    if 2 * p + q * m != 1:
-        raise ValueError(f"2*{p} + {q}*{m} != 1; not a valid exponent pair")
+    boundary, block, m = boundary_identity(model)
+    q = -1 if model.is_hybrid else 1
+    p = (1 - q * m) // 2
     target_word = _target_word(model, target)
     root = block ** p * target_word ** q
     start = root ** m
@@ -438,7 +420,7 @@ def _gathered_root(model: SurfaceModel, target: str, case: str) -> RootResult:
     certificate = builder.finish(target_word)
 
     report = build_report(root, target_word, m, certificate)
-    return RootResult(root, target_word, m, case, certificate, report)
+    return RootResult(root, target_word, m, _CASES[boundary], certificate, report)
 
 
 def _raise_small_genus(genus: int, target: str) -> None:
@@ -482,22 +464,17 @@ def construct_root(request: RootRequest) -> RootResult:
         _raise_small_genus(g, target)
     if request.complement == "orientable" and g % 2:
         raise ValueError("an orientable complement of the Klein bottle needs even genus")
-    if g == 4 and request.complement == "nonorientable":
+    # genus 4 only has the orientable-complement root
+    hybrid = request.complement == "orientable" or (request.complement == "auto" and g == 4)
+    model = SurfaceModel(g, "hybrid" if hybrid else "standard")
+    if boundary_identity(model) is None:  # the standard model at genus 4
         raise NonexistenceError(
             f"the {_TARGET_NAMES[target]} with nonorientable complement has no nontrivial"
             " root at genus 4; structural classification, not machine-certified here",
             case="g4_nonorientable",
             machine_certified=False,
         )
-    # odd genus is forced; genus 4 only has the orientable-complement root
-    if g % 2:
-        case = "odd"
-    elif request.complement == "orientable" or g == 4:
-        case = "even_orientable"
-    else:
-        case = "even_nonorientable"
-    kind = "hybrid" if case == "even_orientable" else "standard"
-    return _gathered_root(SurfaceModel(g, kind), target, case)
+    return _gathered_root(model, target)
 
 
 def _shift_certificate(

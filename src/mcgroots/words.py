@@ -165,18 +165,42 @@ class GeneratorLetter:
 Syllable = tuple[GeneratorLetter, int]
 
 
-def _reduce_syllables(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
+def _reduce_syllables(
+    syllables: Iterable[Syllable], trace: list | None = None
+) -> tuple[Syllable, ...]:
+    """Free reduction on a stack; ``trace`` receives each merge as a free step.
+
+    A step is ``(op, position, letter, exponent)`` on the partly reduced
+    sequence, ``op`` being ``"delete"`` when the pair cancels and
+    ``"merge"`` otherwise, with the left syllable's exponent.  Positions
+    hold for input without zero exponents.
+    """
     stack: list[list] = []
     for letter, exp in syllables:
         if exp == 0:
             continue
         if stack and stack[-1][0] == letter:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
+            top = stack[-1]
+            if trace is not None:
+                op = "delete" if top[1] + exp == 0 else "merge"
+                trace.append((op, len(stack) - 1, letter, top[1]))
+            top[1] += exp
+            if top[1] == 0:
                 stack.pop()
         else:
             stack.append([letter, exp])
     return tuple((letter, exp) for letter, exp in stack)
+
+
+def _inverse_syllables(syllables: Sequence[Syllable]) -> tuple[Syllable, ...]:
+    """The formal inverse: reversed order, negated exponents."""
+    return tuple((letter, -exp) for letter, exp in reversed(syllables))
+
+
+def _format_syllables(syllables: Iterable[Syllable], empty: str = "(empty)") -> str:
+    """Syllables in the text grammar; ``empty`` stands for no syllables."""
+    text = " ".join([str(letter) if exp == 1 else f"{letter}^{exp}" for letter, exp in syllables])
+    return text or empty
 
 
 @dataclasses.dataclass(frozen=True)
@@ -227,7 +251,7 @@ class Word:
         return Word(self.model, self.syllables + other.syllables)
 
     def inverse(self) -> "Word":
-        return Word(self.model, tuple((letter, -exp) for letter, exp in reversed(self.syllables)))
+        return Word(self.model, _inverse_syllables(self.syllables))
 
     def __pow__(self, n: int) -> "Word":
         if not isinstance(n, int):
@@ -245,10 +269,7 @@ def format_word(word: Word) -> str:
     >>> format_word(parse_word("(u3 u4)^-1 u1", m))
     'u4^-1 u3^-1 u1'
     """
-    parts = []
-    for letter, exp in word.syllables:
-        parts.append(str(letter) if exp == 1 else f"{letter}^{exp}")
-    return " ".join(parts)
+    return _format_syllables(word.syllables, "")
 
 
 def _to_int(numeral: str, position: int) -> int:
@@ -320,7 +341,7 @@ def _power(syllables: tuple[Syllable, ...], e: int) -> tuple[Syllable, ...]:
             f" syllables, over the cap of {MAX_POWER_SYLLABLES}"
         )
     if e < 0:
-        syllables = tuple((letter, -exp) for letter, exp in reversed(syllables))
+        syllables = _inverse_syllables(syllables)
     return syllables * abs(e)
 
 

@@ -24,7 +24,14 @@ from mcgroots.presentation import (
     relation_catalog,
     replay_certificate,
 )
-from mcgroots.roots import FAIL, PASS, RootRequest, construct_root, verify_identity
+from mcgroots.roots import (
+    FAIL,
+    PASS,
+    RootRequest,
+    construct_braid_root,
+    construct_root,
+    verify_identity,
+)
 from mcgroots.words import GeneratorLetter, SurfaceModel, WordError, parse_word
 
 from conftest import standard_models, words_for
@@ -184,12 +191,34 @@ class TestCatalog:
             (4, "standard", 15),
             (5, "standard", 29),
             (6, "standard", 47),
+            (7, "standard", 70),
+            (12, "standard", 260),
+            (13, "standard", 313),
+            (25, "standard", 1339),
+            (50, "standard", 5789),
             (4, "hybrid", 9),
             (6, "hybrid", 15),
+            (12, "hybrid", 33),
+            (50, "hybrid", 147),
         ],
     )
     def test_catalog_sizes(self, genus, kind, count):
         assert len(relation_catalog(SurfaceModel(genus, kind))) == count
+
+    # sha256 of repr(sorted((schema, params))) over the catalog: the set of
+    # instances, whatever their order
+    @pytest.mark.parametrize(
+        "genus, kind, digest",
+        [
+            (12, "standard", "9a582362fca11b586d0827665aeb3dc949b8dc84051d21936e0571fd4d4f5461"),
+            (13, "standard", "75b9449ad0ca9f2fc718726f10cc4a20a6ea62310fe1c910eabdb406f42fbefc"),
+            (12, "hybrid", "fa4862532812dc11002b7ff45bbee28f25af6bf101e8a74162c43b2507a7e6eb"),
+        ],
+    )
+    def test_catalog_instance_sets(self, genus, kind, digest):
+        catalog = relation_catalog(SurfaceModel(genus, kind))
+        pairs = sorted((inst.schema, inst.params) for inst in catalog)
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
 
     def test_deterministic(self, std5):
         assert relation_catalog(std5) == relation_catalog(std5)
@@ -558,3 +587,38 @@ def test_certificate_text_is_byte_stable(kind, genus, target):
     result = construct_root(RootRequest(genus, target, complement))
     text = certificate_to_text(result.certificate)
     assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256[kind, genus, target]
+
+
+# sha256 of certificate_to_text(construct_braid_root(n, i).certificate) for
+# n = 5..8 punctures and every index; index 1 is the standard root of u1.
+BRAID_CERTIFICATE_SHA256 = {
+    (5, 1): "24cd35507e610dbf022ce5168cc674c5b37a2b01bee6c8ddda70866bb6ed22e5",
+    (5, 2): "e2cdf59ea332c66989f00489812fc3582309325c3b4c8646e36071f98e29bd7d",
+    (5, 3): "3615c52350bcd901bd48350e2218de4f77ff542139611c35d27c62963aa78130",
+    (5, 4): "bf1756adf459d02b8abdfbd6fedbafcda7d70bac24ac9f1f3bc9aee166581376",
+    (6, 1): "11fd8b1f8049ddcb8d3189ac40a31adb855e9e661bd0b91e0e7cbd25134efbab",
+    (6, 2): "230974cd000c67e78176f2f0b8139c645fcbb83d1fe13a7f7b466ecf33e4acfc",
+    (6, 3): "ea0de2f84346d28bac331b1c1e759725da70d3d3844580d0cbfbb986d8b1f98c",
+    (6, 4): "70ee45fd3052c402c1259df2fb3e935dcd079325fe3d8567b29135e9ed0db904",
+    (6, 5): "aca970cbb42e9e5b68b4bab02a676590d695b78dd724558939aea01f647dd070",
+    (7, 1): "1778ee121a9b7f77f9831bff0bee39651af494f18c53e58d39fc1bf172fc315b",
+    (7, 2): "cd47a1fb0d09ecb3bf4cc2713d53cc569edcc9e19d3d0acffa98ca990747e2b1",
+    (7, 3): "da88d59f1153c3f86cad69f4e9ac36d8dfefe41612916d1c39772d2ad3ddc5b1",
+    (7, 4): "c5f75e6b1db63fb3bf7d0ad5199d6e35d8e6441cc597dfea83490d4471c4406a",
+    (7, 5): "1a9a13d386376589d265c3170387639176dd1e808868af1cc2459a2eac871f37",
+    (7, 6): "a7536e571f9e03dcf7d42d9a192806b548358ab79054d0f6c2509d08e3b67493",
+    (8, 1): "410896bb3e30d1667be98529a7f0ad6c082ba26fcf43f06cee35ccd2c3ebff7e",
+    (8, 2): "9965d6a43f988b510548a3f1895e9331c57f2d117a1f249f2835b83f6acadaa1",
+    (8, 3): "39010adf7689bd460d0400e0719f7ba75ad98af64db23dfa7c0cc3dc2c6a3042",
+    (8, 4): "9a915509176b8b044ce4966647b400e8b3bd08ed787b0b1c10279bcc414837f5",
+    (8, 5): "b46f4d60756c45a71d68fac4e4b098c0c75f806ba461d2f34caa85008a2f76b8",
+    (8, 6): "0535c413d41e1103a608e644470040e8075e31f1e247b36bc17edf299fd3c7b7",
+    (8, 7): "fe4b7fe2d8772bf9893f56fb7773622fba5b364adf1a331a309f95234bb6b1cb",
+}
+
+
+@pytest.mark.parametrize("punctures, index", sorted(BRAID_CERTIFICATE_SHA256))
+def test_braid_certificate_text_is_byte_stable(punctures, index):
+    text = certificate_to_text(construct_braid_root(punctures, index).certificate)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == BRAID_CERTIFICATE_SHA256[punctures, index]

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from mcgroots.presentation import (
     Certificate,
     SchemaStep,
+    boundary_identity,
     certificate_from_text,
     certificate_to_text,
+    commute_step,
+    instantiate,
 )
 from mcgroots.roots import (
     FAIL,
@@ -25,11 +28,10 @@ from mcgroots.roots import (
     construct_braid_root,
     construct_root,
     is_nontrivial,
-    _gathered_root,
     verify_identity,
 )
 from mcgroots.representations import homology_of, perm_of, sign_of
-from mcgroots.words import SurfaceModel, WordError, parse_word
+from mcgroots.words import GeneratorLetter, SurfaceModel, WordError, parse_word
 
 from conftest import hybrid_models, standard_models, words_for
 
@@ -79,11 +81,25 @@ def test_case_choice_follows_the_verdict_table(genus, complement):
         assert result.report.all_passed
 
 
-@pytest.mark.parametrize("genus, case", ((6, "odd"), (5, "even_nonorientable")))
-def test_exponent_pair_is_checked(genus, case):
-    # a case's exponents at the wrong genus parity miss 2p + qm = 1
-    with pytest.raises(ValueError, match="not a valid exponent pair"):
-        _gathered_root(SurfaceModel.standard(genus), "u", case)
+@pytest.mark.parametrize(
+    "model",
+    [SurfaceModel.standard(g) for g in range(3, 51) if g != 4]
+    + [SurfaceModel.hybrid(g) for g in range(4, 51, 2)],
+    ids=lambda model: f"{model.kind}{model.genus}",
+)
+def test_boundary_identity_gives_a_root(model):
+    # m odd makes 2p + qm = 1 solvable; D commutes with every target letter
+    schema, block, m = boundary_identity(model)
+    assert m % 2 == 1
+    for letter, _ in block:
+        for kind in ("t", "u", "y"):
+            commute_step(((GeneratorLetter(kind, 1), 1), (letter, 1)), 0, model)
+    assert instantiate(schema, (), model).rhs == block ** m
+
+
+def test_no_boundary_identity_at_standard_genus_2_and_4():
+    assert boundary_identity(SurfaceModel.standard(2)) is None
+    assert boundary_identity(SurfaceModel.standard(4)) is None
 
 
 class TestOddGenus:

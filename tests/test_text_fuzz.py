@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import io
+import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -86,3 +88,91 @@ def test_cli_verify_word_ends_in_an_exit_code(text):
         with pytest.raises(WordError) as info:
             parse_word(text, SurfaceModel.standard(5))
         assert err.getvalue() == f"error: {info.value}\n"
+
+
+def _mostly(good: st.SearchStrategy, bad: st.SearchStrategy) -> st.SearchStrategy:
+    """Draws from ``good``, and one time in five from ``bad``."""
+    return st.tuples(st.integers(0, 4), good, bad).map(lambda t: t[1] if t[0] else t[2])
+
+
+# Numerals ``str(int)`` never writes, for every integer flag and the variable.
+_BAD_NUMERALS = st.sampled_from(("+5", "05", "\u0665", "1_0", "-0", " 7", "", "x"))
+# Word text with grouped powers up to ^9, or pieces that may not parse.
+_EXPONENTS = st.sampled_from(("", "^2", "^-1", "^9", "^-9"))
+_LETTERS = _mostly(
+    st.sampled_from(("u1", "u2", "u3", "t1", "y1")), st.sampled_from(("c1", "c3", "u12"))
+)
+_TERMS = st.tuples(_LETTERS, _EXPONENTS).map("".join)
+_GROUPS = st.tuples(st.lists(_TERMS, min_size=1, max_size=3).map(" ".join), _EXPONENTS).map(
+    lambda pair: f"({pair[0]}){pair[1]}"
+)
+_WORDS = _mostly(
+    st.lists(_TERMS | _GROUPS, max_size=4).map(" ".join),
+    st.lists(st.sampled_from(("u1", "(", ")", "^9", "^-", "^0")), max_size=6).map("".join),
+)
+
+
+def _numerals(low: int, high: int) -> st.SearchStrategy:
+    return _mostly(st.integers(low, high).map(str), _BAD_NUMERALS)
+
+
+@st.composite
+def _argv(draw, paths):
+    """argv for one subcommand: genus <= 13, |power| <= 60, scan bound <= 6, files in ``paths``."""
+    genus = _numerals(0, 13)
+    path = st.sampled_from(paths)
+    flags = {
+        "root": (
+            ("--genus", genus, True),
+            ("--target", _mostly(st.sampled_from(("u", "y")), st.just("t")), False),
+            ("--complement", st.sampled_from(("auto", "nonorientable", "orientable")), False),
+            ("--emit-certificate", path, False),
+        ),
+        "relations": (("--genus", genus, True),),
+        "small-genus": (
+            ("--genus", _numerals(1, 4), True),
+            ("--target", st.sampled_from(("u", "y")), False),
+            ("--max-degree", _numerals(1, 9), False),
+            ("--scan-bound", _numerals(-1, 6), False),
+        ),
+        "braid-root": (
+            ("--punctures", genus, True),
+            ("--index", _numerals(-1, 13), False),
+            ("--emit-certificate", path, False),
+        ),
+        "verify": (
+            ("--genus", genus, True),
+            ("--model", st.sampled_from(("standard", "hybrid")), False),
+            ("--word", _WORDS, True),
+            ("--power", _numerals(-60, 60), True),
+            ("--equals", _WORDS, True),
+            ("--certificate", path, False),
+        ),
+    }
+    command = draw(st.sampled_from(sorted(flags)))
+    argv = [command]
+    for flag, values, required in flags[command]:
+        # a required flag is rarely left out, an optional one often
+        if draw(st.integers(0, 19)) < (19 if required else 8):
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+def test_cli_main_ends_in_an_exit_code(tmp_path):
+    cert = str(tmp_path / "cert.txt")
+    paths = (cert, cert, str(tmp_path / "missing" / "cert.txt"), str(tmp_path))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_argv(paths), st.none() | _numerals(-1, 6))
+    def run(argv, scan_bound):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+            os.environ.pop("MCGROOTS_SCAN_BOUND", None)
+            if scan_bound is not None:
+                os.environ["MCGROOTS_SCAN_BOUND"] = scan_bound
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, scan_bound, err.getvalue())
+
+    run()
