@@ -90,6 +90,7 @@ from .words import (
     WordError,
     _format_syllables,
     _inverse_syllables,
+    _letter,
     format_word,
     parse_word,
 )
@@ -154,10 +155,6 @@ class RelationInstance:
     rhs: Word
 
 
-def _gen(kind: str, index: int) -> GeneratorLetter:
-    return GeneratorLetter(kind, index)
-
-
 def _word(model: SurfaceModel, syllables: Iterable[Syllable]) -> Word:
     return Word(model, tuple(syllables))
 
@@ -171,15 +168,23 @@ def boundary_identity(model: SurfaceModel) -> tuple[str, Word, int] | None:
     """``(schema, D, m)`` of the model's boundary identity ``u_1^2 = D^m``, if any."""
     g = model.genus
     if model.is_hybrid:
-        chain = _word(model, ((_gen("c", k), 1) for k in range(1, g - 1)))
+        chain = _word(model, ((_letter("c", k), 1) for k in range(1, g - 1)))
         return "R7chain", chain ** 2, g - 1
     if g % 2:
-        return "R6closed-odd", _word(model, ((_gen("u", k), 1) for k in range(3, g))), g - 2
+        return "R6closed-odd", _word(model, ((_letter("u", k), 1) for k in range(3, g))), g - 2
     if g >= 6:
-        head = ((_gen("u", 3), 2),)
-        tail = tuple((_gen("u", k), 1) for k in range(4, g))
+        head = ((_letter("u", 3), 2),)
+        tail = tuple((_letter("u", k), 1) for k in range(4, g))
         return "R6closed-even", _word(model, head + tail), g - 3
     return None
+
+
+# The parameter types the instance memo takes.
+_MEMO_TYPES = frozenset((int, bool, str))
+
+# The model a schema belongs to; the schemas not named here belong to both.
+_HOME_MODEL = dict.fromkeys(("R1", "R2", "R3", "R4a", "R4b", "R5"), "standard")
+_HOME_MODEL["ChainCommute"] = "hybrid"
 
 
 def instantiate(schema: str, params, model: SurfaceModel) -> RelationInstance:
@@ -187,70 +192,70 @@ def instantiate(schema: str, params, model: SurfaceModel) -> RelationInstance:
 
     Instances are memoized per ``(schema, params, genus, kind)``; they are
     frozen, so callers share them safely.  Integer parameters are stored
-    as ``int``, so a ``bool`` shares the entry of its integer; keys compare
-    by value, so a float equal to an integer also hits that integer's entry
-    once it is cached.  Unhashable parameters are validated and built
-    without the memo, and a call that raises :class:`SchemaError` raises
-    again on every call.
+    as ``int``, so a ``bool`` shares the entry of its integer.  Parameters
+    of other types than ``int``, ``bool`` and ``str`` (a float equal to an
+    integer among them) are validated and built without the memo, so their
+    verdict never depends on what is cached.  A call that raises
+    :class:`SchemaError` raises again on every call.
     """
     params = tuple(params)
-    try:
-        return _cached_instance(schema, params, model.genus, model.kind)
-    except TypeError:
-        return _build_instance(schema, params, model)
+    if _MEMO_TYPES.issuperset(map(type, params)):
+        return _build_instance(schema, params, model.genus, model.kind)
+    return _build_instance.__wrapped__(schema, params, model.genus, model.kind)
 
 
 @lru_cache(maxsize=4096)
-def _cached_instance(schema: str, params: tuple, genus: int, kind: str) -> RelationInstance:
-    return _build_instance(schema, params, SurfaceModel(genus, kind))
-
-
-def _build_instance(schema: str, params: tuple, model: SurfaceModel) -> RelationInstance:
+def _build_instance(schema: str, params: tuple, genus: int, model_kind: str) -> RelationInstance:
+    # The checks that need no model come first and build no message unless
+    # they fail, so a rejected candidate of relation_catalog stays cheap.
     spec = _PARAM_SPEC.get(schema)
     if spec is None:
         raise SchemaError(f"unknown schema {schema!r}")
     if len(params) != len(spec):
         raise SchemaError(f"{schema} takes {len(spec)} parameters, got {len(params)}")
+    values = []
     for value, code in zip(params, spec):
         if code == "k":
-            _require(value in ("t", "u", "y"), f"{schema}: letter kind t/u/y expected, got {value!r}")
+            if value not in ("t", "u", "y"):
+                raise SchemaError(f"{schema}: letter kind t/u/y expected, got {value!r}")
+        elif isinstance(value, int):
+            value = int(value)
         else:
-            _require(isinstance(value, int), f"{schema}: integer parameter expected, got {value!r}")
-    params = tuple(v if code == "k" else int(v) for v, code in zip(params, spec))
+            raise SchemaError(f"{schema}: integer parameter expected, got {value!r}")
+        values.append(value)
+    params = tuple(values)
+    home = _HOME_MODEL.get(schema, model_kind)
+    if home != model_kind:
+        raise SchemaError(f"{schema} belongs to the {home} model")
+    model = SurfaceModel(genus, model_kind)
     g = model.genus
-    hybrid = model.is_hybrid
 
     if schema == "R1":
         i, j, a, b = params
-        _require(not hybrid, "R1 belongs to the standard model")
         _require(1 <= i < j <= g - 1, f"R1 needs 1 <= i < j <= {g - 1}")
         _require(j - i > 1, "R1 needs j - i > 1")
         _require(a != 0 and b != 0, "R1 exponents must be nonzero")
-        lhs = _word(model, ((_gen("u", i), a), (_gen("u", j), b)))
-        rhs = _word(model, ((_gen("u", j), b), (_gen("u", i), a)))
+        lhs = _word(model, ((_letter("u", i), a), (_letter("u", j), b)))
+        rhs = _word(model, ((_letter("u", j), b), (_letter("u", i), a)))
     elif schema == "R2":
         (i,) = params
-        _require(not hybrid, "R2 belongs to the standard model")
         _require(1 <= i <= g - 2, f"R2 needs 1 <= i <= {g - 2}")
-        lhs = _word(model, ((_gen("u", i), 1), (_gen("u", i + 1), 1), (_gen("u", i), 1)))
-        rhs = _word(model, ((_gen("u", i + 1), 1), (_gen("u", i), 1), (_gen("u", i + 1), 1)))
+        lhs = _word(model, ((_letter("u", i), 1), (_letter("u", i + 1), 1), (_letter("u", i), 1)))
+        rhs = _word(model, ((_letter("u", i + 1), 1), (_letter("u", i), 1), (_letter("u", i + 1), 1)))
     elif schema == "R3":
-        _require(not hybrid, "R3 belongs to the standard model")
-        chain = _word(model, tuple((_gen("u", k), 1) for k in range(1, g)))
+        chain = _word(model, tuple((_letter("u", k), 1) for k in range(1, g)))
         lhs = chain ** g
         rhs = _word(model, ())
     elif schema in ("R4a", "R4b"):
         i, j, a, b = params
         kind = "t" if schema == "R4a" else "y"
-        _require(not hybrid, f"{schema} belongs to the standard model")
         _require(1 <= i <= g - 1 and 1 <= j <= g - 1, f"{schema} indices must lie in 1..{g - 1}")
         _require(abs(i - j) > 1, f"{schema} needs |i - j| > 1")
         _require(a != 0 and b != 0, f"{schema} exponents must be nonzero")
-        lhs = _word(model, ((_gen(kind, i), a), (_gen("u", j), b)))
-        rhs = _word(model, ((_gen("u", j), b), (_gen(kind, i), a)))
+        lhs = _word(model, ((_letter(kind, i), a), (_letter("u", j), b)))
+        rhs = _word(model, ((_letter("u", j), b), (_letter(kind, i), a)))
     elif schema == "R5":
-        _require(not hybrid, "R5 belongs to the standard model")
-        base = _word(model, ((_gen("u", 1), 2),) + tuple((_gen("u", k), 1) for k in range(2, g)))
+        base = _word(model, ((_letter("u", 1), 2),) + tuple((_letter("u", k), 1) for k in range(2, g)))
         lhs = base ** (g - 1)
         rhs = _word(model, ())
     elif schema in ("R6closed-odd", "R6closed-even", "R7chain"):
@@ -260,25 +265,24 @@ def _build_instance(schema: str, params: tuple, model: SurfaceModel) -> Relation
             f"{schema} is not the boundary identity of the {model.describe()}",
         )
         _, block, m = identity
-        lhs = _word(model, ((_gen("u", 1), 2),))
+        lhs = _word(model, ((_letter("u", 1), 2),))
         rhs = block ** m
     elif schema == "SlideDef":
         (i,) = params
-        _require(model.admits(_gen("y", i)), f"SlideDef index {i} is not admissible")
-        lhs = _word(model, ((_gen("y", i), 1),))
-        rhs = _word(model, ((_gen("t", i), 1), (_gen("u", i), 1)))
+        _require(model.admits(_letter("y", i)), f"SlideDef index {i} is not admissible")
+        lhs = _word(model, ((_letter("y", i), 1),))
+        rhs = _word(model, ((_letter("t", i), 1), (_letter("u", i), 1)))
     elif schema == "UsquaredYsquared":
         (i,) = params
-        _require(model.admits(_gen("u", i)), f"UsquaredYsquared index {i} is not admissible")
-        lhs = _word(model, ((_gen("u", i), 2),))
-        rhs = _word(model, ((_gen("y", i), 2),))
+        _require(model.admits(_letter("u", i)), f"UsquaredYsquared index {i} is not admissible")
+        lhs = _word(model, ((_letter("u", i), 2),))
+        rhs = _word(model, ((_letter("y", i), 2),))
     elif schema == "ChainCommute":
         kind, k, a, b = params
-        _require(hybrid, "ChainCommute belongs to the hybrid model")
         _require(1 <= k <= g - 2, f"ChainCommute needs 1 <= k <= {g - 2}")
         _require(a != 0 and b != 0, "ChainCommute exponents must be nonzero")
-        lhs = _word(model, ((_gen(kind, 1), a), (_gen("c", k), b)))
-        rhs = _word(model, ((_gen("c", k), b), (_gen(kind, 1), a)))
+        lhs = _word(model, ((_letter(kind, 1), a), (_letter("c", k), b)))
+        rhs = _word(model, ((_letter("c", k), b), (_letter(kind, 1), a)))
     else:  # pragma: no cover - SCHEMA_IDS and dispatch agree
         raise SchemaError(f"unhandled schema {schema!r}")
     return RelationInstance(schema, params, model, lhs, rhs)
@@ -521,7 +525,7 @@ def _parse_letter(token: str) -> GeneratorLetter:
     m = _LETTER_RE.match(token)
     if not m:
         raise CertificateError(f"bad letter token {token!r}")
-    return GeneratorLetter(m.group(1), int(m.group(2)))
+    return _letter(m.group(1), int(m.group(2)))
 
 
 def _parse_int(token: str, what: str) -> int:
@@ -534,6 +538,23 @@ def _parse_int(token: str, what: str) -> int:
         if str(value) == token:
             return value
     raise CertificateError(f"bad {what} {token[:40]!r}")
+
+
+def _schema_fields(tokens: list[str], n: int) -> tuple[str, tuple, bool]:
+    """Schema, parameters and direction from the tokens after a step's position."""
+    schema = tokens[0]
+    spec = _PARAM_SPEC.get(schema)
+    if spec is None:
+        raise CertificateError(f"line {n}: unknown schema {schema!r}")
+    if len(tokens) != 2 + len(spec):
+        raise CertificateError(f"line {n}: {schema} step needs {len(spec)} parameters")
+    params = tuple(
+        token if code == "k" else _parse_int(token, "parameter")
+        for token, code in zip(tokens[1:-1], spec)
+    )
+    if tokens[-1] not in ("fwd", "bwd"):
+        raise CertificateError(f"line {n}: direction must be fwd or bwd")
+    return schema, params, tokens[-1] == "fwd"
 
 
 def certificate_from_text(text: str) -> Certificate:
@@ -554,39 +575,40 @@ def certificate_from_text(text: str) -> Certificate:
     start = parse_word(header(2, "start"), model)
     end = parse_word(header(3, "end"), model)
     steps: list[RewriteStep] = []
+    # The fields after a line's position, read once per distinct text: a
+    # certificate repeats a few hundred tails over thousands of steps.  The
+    # position is read on every line, after the shape checks and before the
+    # tail, so each error is the one the fields in line order give.
+    schema_tails: dict[str, tuple[str, tuple, bool]] = {}
+    free_tails: dict[tuple[str, str], tuple[GeneratorLetter, int]] = {}
     for n, line in enumerate(lines[4:], 5):
-        tokens = line.split(" ")
-        if tokens[0] == "step":
-            if len(tokens) < 4:
+        tag, _, rest = line.partition(" ")
+        if tag == "step":
+            position, _, tail = rest.partition(" ")
+            fields = schema_tails.get(tail)
+            if fields is None and line.count(" ") < 3:
                 raise CertificateError(f"line {n}: malformed schema step")
-            position = _parse_int(tokens[1], "position")
-            schema = tokens[2]
-            spec = _PARAM_SPEC.get(schema)
-            if spec is None:
-                raise CertificateError(f"line {n}: unknown schema {schema!r}")
-            if len(tokens) != 4 + len(spec):
-                raise CertificateError(f"line {n}: {schema} step needs {len(spec)} parameters")
-            params = tuple(
-                token if code == "k" else _parse_int(token, "parameter")
-                for token, code in zip(tokens[3 : 3 + len(spec)], spec)
-            )
-            if tokens[-1] not in ("fwd", "bwd"):
-                raise CertificateError(f"line {n}: direction must be fwd or bwd")
-            steps.append(SchemaStep(position, schema, params, tokens[-1] == "fwd"))
-        elif tokens[0] == "free":
-            if len(tokens) != 5:
-                raise CertificateError(f"line {n}: malformed free step")
-            op = tokens[1]
-            if op not in _FREE_OPS:
-                raise CertificateError(f"line {n}: unknown free op {op!r}")
-            steps.append(
-                FreeStep(
-                    op,
-                    _parse_int(tokens[2], "position"),
-                    _parse_letter(tokens[3]),
-                    _parse_int(tokens[4], "exponent"),
+            number = _parse_int(position, "position")
+            if fields is None:
+                fields = schema_tails[tail] = _schema_fields(tail.split(" "), n)
+            steps.append(SchemaStep(number, *fields))
+        elif tag == "free":
+            op, _, rest = rest.partition(" ")
+            position, _, tail = rest.partition(" ")
+            fields = free_tails.get((op, tail))
+            if fields is None:
+                if line.count(" ") != 4:
+                    raise CertificateError(f"line {n}: malformed free step")
+                if op not in _FREE_OPS:
+                    raise CertificateError(f"line {n}: unknown free op {op!r}")
+            number = _parse_int(position, "position")
+            if fields is None:
+                letter, exponent = tail.split(" ")
+                fields = free_tails[op, tail] = (
+                    _parse_letter(letter),
+                    _parse_int(exponent, "exponent"),
                 )
-            )
+            steps.append(FreeStep(op, number, *fields))
         else:
             raise CertificateError(f"line {n}: expected a step or free line")
     return Certificate(start, end, tuple(steps))

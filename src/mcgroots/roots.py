@@ -61,7 +61,7 @@ from .presentation import (
     replay_certificate,
 )
 from .representations import homology_of, perm_of, sign_of
-from .words import GeneratorLetter, SurfaceModel, Syllable, Word, WordError, _reduce_syllables
+from .words import SurfaceModel, Syllable, Word, WordError, _letter, _reduce_syllables
 
 __all__ = [
     "NonexistenceError",
@@ -385,7 +385,7 @@ class _CertBuilder:
 
 
 def _target_word(model: SurfaceModel, target: str) -> Word:
-    return Word(model, ((GeneratorLetter(target, 1), 1),))
+    return Word(model, ((_letter(target, 1), 1),))
 
 
 def _gathered_root(model: SurfaceModel, target: str) -> RootResult:
@@ -524,10 +524,10 @@ def construct_braid_root(punctures: int, index: int) -> RootResult:
 
     model = base.root.model
     g = model.genus
-    delta = Word(model, tuple((GeneratorLetter("u", k), 1) for k in range(1, g)))
+    delta = Word(model, tuple((_letter("u", k), 1) for k in range(1, g)))
     rotation = delta ** (index - 1)
     root = rotation * base.root * rotation.inverse()
-    target_word = Word(model, ((GeneratorLetter("u", index), 1),))
+    target_word = Word(model, ((_letter("u", index), 1),))
     degree = base.degree
     start = root ** degree
 

@@ -22,6 +22,16 @@ A :class:`Word` stores a run-length-encoded sequence of syllables
 eagerly on every construction, so two words that are equal in the free
 group compare equal structurally and hash alike.
 
+Letters are shared.  One table holds a :class:`GeneratorLetter` for each
+kind and index up to ``MAX_GENUS``; the parser, a model's alphabet, the
+relation instances and the root builders all take their letters from it.
+Equal shared letters are then the same object, so comparing syllables and
+words of them settles by identity, and a :class:`Word` of them is checked
+and found reduced in one cheap pass.  The table is filled at import and
+never grows: a larger index, which no model admits, makes a fresh letter.
+A letter built directly is equal to the shared one and works everywhere,
+only more slowly.
+
 Text grammar, shared by the parser, the printer and the certificate files::
 
     word   := term { term }
@@ -39,6 +49,7 @@ the exponent differs from 1.
 from __future__ import annotations
 
 import dataclasses
+import re
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -135,13 +146,11 @@ class SurfaceModel:
 
     def letters(self) -> tuple["GeneratorLetter", ...]:
         """All admissible letters, in a fixed deterministic order."""
-        out: list[GeneratorLetter] = []
         if self.is_hybrid:
-            out.extend(GeneratorLetter(k, 1) for k in ("t", "u", "y"))
-            out.extend(GeneratorLetter("c", i) for i in range(1, self.genus - 1))
+            out = [_letter(kind, 1) for kind in ("t", "u", "y")]
+            out.extend(_letter("c", i) for i in range(1, self.genus - 1))
         else:
-            for kind in ("t", "u", "y"):
-                out.extend(GeneratorLetter(kind, i) for i in range(1, self.genus))
+            out = [_letter(kind, i) for kind in ("t", "u", "y") for i in range(1, self.genus)]
         return tuple(out)
 
 
@@ -160,6 +169,19 @@ class GeneratorLetter:
 
     def __str__(self) -> str:
         return f"{self.kind}{self.index}"
+
+
+# The shared letters (see the module docstring), keyed by their text.
+_LETTERS = {
+    f"{kind}{index}": GeneratorLetter(kind, index)
+    for kind in _KIND_NAMES
+    for index in range(1, MAX_GENUS + 1)
+}
+
+
+def _letter(kind: str, index: int) -> GeneratorLetter:
+    """The shared letter ``kind``/``index``, or a fresh one past the table."""
+    return _LETTERS.get(f"{kind}{index}") or GeneratorLetter(kind, index)
 
 
 Syllable = tuple[GeneratorLetter, int]
@@ -217,17 +239,25 @@ class Word:
     syllables: tuple[Syllable, ...] = ()
 
     def __post_init__(self):
-        for letter, exp in self.syllables:
-            if not isinstance(letter, GeneratorLetter):
-                raise WordError(f"syllable letter must be a GeneratorLetter, got {letter!r}")
-            if not isinstance(exp, int):
-                raise WordError(f"syllable exponent must be an int, got {exp!r}")
-            self.model.check(letter)
-        reduced = _reduce_syllables(self.syllables)
-        if reduced != tuple(self.syllables):
-            object.__setattr__(self, "syllables", reduced)
-        elif not isinstance(self.syllables, tuple):
-            object.__setattr__(self, "syllables", tuple(self.syllables))
+        syllables = tuple(self.syllables)
+        letters: dict[int, GeneratorLetter] = {}  # each letter object, checked once
+        reduced, previous = True, None
+        for letter, exp in syllables:
+            if id(letter) not in letters or not isinstance(exp, int):
+                if not isinstance(letter, GeneratorLetter):
+                    raise WordError(f"syllable letter must be a GeneratorLetter, got {letter!r}")
+                if not isinstance(exp, int):
+                    raise WordError(f"syllable exponent must be an int, got {exp!r}")
+                self.model.check(letter)
+                letters[id(letter)] = letter
+            if letter is previous or not exp:
+                reduced = False
+            previous = letter
+        # Adjacent letters that are equal but not the same object need the
+        # full reduction; with shared letters that never happens.
+        if not reduced or len(set(letters.values())) < len(letters):
+            syllables = _reduce_syllables(syllables)
+        object.__setattr__(self, "syllables", syllables)
 
     @property
     def is_identity(self) -> bool:
@@ -279,48 +309,69 @@ def _to_int(numeral: str, position: int) -> int:
         raise ParseError(f"integer of {len(numeral)} characters is too long", position) from None
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
+# One match per token with the whitespace before it, left to right; only
+# trailing whitespace matches alone, at the end.  A generator carries its
+# exponent, so a term ``gen ['^' int]`` is one token; a separate '^' follows
+# ')' or stands where no term ends.  The last branch takes '(', ')' and any
+# character no token starts with.  ASCII only: [0-9] and this space class,
+# unlike \d, \s, str.isdigit and str.isspace.
+_TOKEN_RE = re.compile(
+    r"[ \t\n\r\f\v]*(?:"
+    r"(([tuyc])([0-9]*))(?:[ \t\n\r\f\v]*\^(-?)([0-9]*))?"
+    r"|\^(-?)([0-9]*)"
+    r"|(.)"
+    r"|\Z)",
+    re.DOTALL,
+)
+
+
+def _exponent(sign: str, digits: str, caret: int) -> int:
+    """The exponent written ``^<sign><digits>`` with its '^' at column ``caret``."""
+    if not digits:
+        raise ParseError("'^' must be followed by an integer exponent", caret)
+    start = caret + 1 + len(sign)
+    if digits[0] == "0":
+        raise ParseError("exponent must be a nonzero integer without leading 0", start)
+    return _to_int(sign + digits, start)
+
+
+def _tokenize(text: str, model: SurfaceModel) -> list[tuple[str, object, int]]:
+    """Tokens ``(kind, value, column)``.
+
+    A generator term is one token whose value is its syllable: ``syl`` when
+    the model admits the letter, ``gen`` when not.  Each distinct term text
+    is read once; its later copies reuse the syllable.
+    """
     tokens: list[tuple[str, object, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\n\r\f\v":  # ASCII only, unlike str.isspace
-            i += 1
+    terms: dict[str, tuple[str, Syllable]] = {}
+    for match in _TOKEN_RE.finditer(text):
+        branch = match.lastindex
+        if branch is None:  # trailing whitespace
             continue
-        if c in _KIND_NAMES:
-            j = i + 1
-            while j < n and text[j] in "0123456789":  # ASCII only, unlike str.isdigit
-                j += 1
-            digits = text[i + 1 : j]
-            if not digits:
-                raise ParseError(f"generator {c!r} is missing its index", i)
-            if digits[0] == "0":
-                raise ParseError("generator index must not start with 0", i + 1)
-            tokens.append(("gen", (c, _to_int(digits, i + 1)), i))
-            i = j
-        elif c == "(":
-            tokens.append(("lp", None, i))
-            i += 1
-        elif c == ")":
-            tokens.append(("rp", None, i))
-            i += 1
-        elif c == "^":
-            j = i + 1
-            if j < n and text[j] == "-":
-                j += 1
-            k = j
-            while k < n and text[k] in "0123456789":
-                k += 1
-            digits = text[j:k]
-            if not digits:
-                raise ParseError("'^' must be followed by an integer exponent", i)
-            if digits[0] == "0":
-                raise ParseError("exponent must be a nonzero integer without leading 0", j)
-            tokens.append(("exp", _to_int(text[i + 1 : k], j), i))
-            i = k
+        if branch <= 5:
+            pos = match.start(1)
+            term = match.group()
+            known = terms.get(term)
+            if known is None:
+                name, kind, digits, sign, exp_digits = match.group(1, 2, 3, 4, 5)
+                if not digits:
+                    raise ParseError(f"generator {kind!r} is missing its index", pos)
+                if digits[0] == "0":
+                    raise ParseError("generator index must not start with 0", pos + 1)
+                letter = _LETTERS.get(name) or GeneratorLetter(kind, _to_int(digits, pos + 1))
+                exp = 1 if sign is None else _exponent(sign, exp_digits, match.start(4) - 1)
+                known = terms[term] = ("syl" if model.admits(letter) else "gen", (letter, exp))
+            tokens.append((known[0], known[1], pos))
+        elif branch <= 7:
+            pos = match.start(6) - 1
+            tokens.append(("exp", _exponent(match.group(6), match.group(7), pos), pos))
         else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", None, n))
+            pos = match.start(8)
+            char = match.group(8)
+            if char not in "()":
+                raise ParseError(f"unexpected character {char!r}", pos)
+            tokens.append(("lp" if char == "(" else "rp", None, pos))
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -345,33 +396,26 @@ def _power(syllables: tuple[Syllable, ...], e: int) -> tuple[Syllable, ...]:
     return syllables * abs(e)
 
 
-def _parse_term(tokens, k: int, model: SurfaceModel) -> tuple[Sequence[Syllable], int]:
-    kind, value, pos = tokens[k]
-    if kind == "gen":
-        letter = GeneratorLetter(*value)
-        if not model.admits(letter):
-            raise ParseError(f"letter {letter} is not admissible in the {model.describe()}", pos)
-        body: Sequence[Syllable] = ((letter, 1),)
-        k += 1
-    elif kind == "lp":
-        body, k = _parse_sequence(tokens, k + 1, model)
-        if tokens[k][0] != "rp":
-            raise ParseError("unclosed '('", pos)
-        k += 1
-    else:
-        raise ParseError("expected a generator or '('", pos)
-    if tokens[k][0] == "exp":
-        body = _power(_reduce_syllables(body), tokens[k][1])
-        k += 1
-    return body, k
-
-
 def _parse_sequence(tokens, k: int, model: SurfaceModel) -> tuple[list[Syllable], int]:
     out: list[Syllable] = []
-    while tokens[k][0] in ("gen", "lp"):
-        part, k = _parse_term(tokens, k, model)
-        out.extend(part)
-    return out, k
+    while True:
+        kind, value, pos = tokens[k]
+        if kind == "syl":
+            out.append(value)
+            k += 1
+        elif kind == "gen":
+            raise ParseError(f"letter {value[0]} is not admissible in the {model.describe()}", pos)
+        elif kind == "lp":
+            body, k = _parse_sequence(tokens, k + 1, model)
+            if tokens[k][0] != "rp":
+                raise ParseError("unclosed '('", pos)
+            k += 1
+            if tokens[k][0] == "exp":
+                body = _power(_reduce_syllables(body), tokens[k][1])
+                k += 1
+            out.extend(body)
+        else:
+            return out, k
 
 
 def parse_word(text: str, model: SurfaceModel) -> Word:
@@ -383,7 +427,7 @@ def parse_word(text: str, model: SurfaceModel) -> Word:
     >>> str(parse_word("t1 t1 u2^-1 u2", m))
     't1^2'
     """
-    tokens = _tokenize(text)
+    tokens = _tokenize(text, model)
     try:
         syllables, k = _parse_sequence(tokens, 0, model)
     except RecursionError:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcgroots import presentation
 from mcgroots.presentation import (
     SCHEMA_IDS,
     Certificate,
@@ -165,6 +166,16 @@ class TestInstantiate:
         for _ in range(2):
             with pytest.raises(SchemaError):
                 instantiate(schema, params, std5)
+
+    @pytest.mark.parametrize("warm_first", (False, True))
+    def test_float_parameter_is_rejected_cold_and_warm(self, warm_first, std5):
+        presentation._build_instance.cache_clear()
+        if warm_first:
+            assert str(instantiate("R2", (1,), std5).lhs) == "u1 u2 u1"
+        for _ in range(2):
+            with pytest.raises(SchemaError, match="integer parameter expected"):
+                instantiate("R2", (1.0,), std5)
+        assert instantiate("R2", (True,), std5) == instantiate("R2", (1,), std5)
 
     def test_standard_schemas_reject_hybrid_model(self, hyb6):
         for schema, params in [("R1", (1, 3, 1, 1)), ("R2", (1,)), ("R3", ()), ("R5", ())]:
@@ -538,6 +549,43 @@ class TestCertificateText:
     def test_malformed_text_rejected(self, text):
         with pytest.raises(CertificateError):
             certificate_from_text(text)
+
+    # u1 u2 u1 -> u2 u1 u2 -> u1 u2 u1; later lines repeat an earlier line's fields
+    _HEAD = "model standard\ngenus 5\nstart u1 u2 u1\nend u2 u1 u2\n"
+    _STEPS = "step 0 R2 1 fwd\nstep 0 R2 1 bwd\nfree insert 1 u1 2\nfree delete 1 u1 2\n"
+
+    def test_repeated_fields_parse_once_per_line(self):
+        cert = certificate_from_text(self._HEAD + self._STEPS + "step 0 R2 1 fwd\n")
+        assert replay_certificate(cert) == cert.end.syllables
+        assert cert.steps[0] == cert.steps[4] and cert.steps[2].letter is cert.steps[3].letter
+
+    def test_bad_position_of_a_repeated_step_fails_on_its_own_line(self):
+        with pytest.raises(CertificateError, match="bad position '0x'"):
+            certificate_from_text(self._HEAD + self._STEPS + "step 0x R2 1 fwd\n")
+        with pytest.raises(CertificateError, match="bad position '-0'"):
+            certificate_from_text(self._HEAD + self._STEPS + "free insert -0 u1 2\n")
+        cert = certificate_from_text(self._HEAD + self._STEPS + "step 9 R2 1 fwd\n")
+        with pytest.raises(CertificateError, match=r"^step 5: step position 9 out of range 0\.\.3$"):
+            replay_certificate(cert)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("step 0 R2 1 fwx", "line 9: direction must be fwd or bwd"),
+            ("step 0 R2 1 fwd x", "line 9: R2 step needs 1 parameters"),
+            ("step 0 R2 01 fwd", "bad parameter '01'"),
+            ("step 0 R22 1 fwd", "line 9: unknown schema 'R22'"),
+            ("step 0 R2", "line 9: malformed schema step"),
+            ("free insert 1 u1 2 x", "line 9: malformed free step"),
+            ("free insrt 1 u1 2", "line 9: unknown free op 'insrt'"),
+            ("free insert 1 u01 2", "bad letter token 'u01'"),
+            ("free insert 1 u1 +2", "bad exponent '+2'"),
+        ],
+    )
+    def test_tampered_copy_of_a_parsed_tail_is_rejected(self, line, message):
+        with pytest.raises(CertificateError) as info:
+            certificate_from_text(self._HEAD + self._STEPS + line + "\n")
+        assert str(info.value) == message
 
     @settings(max_examples=50)
     @given(standard_models(3, 6).flatmap(lambda m: st.tuples(words_for(m), words_for(m))))

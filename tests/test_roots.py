@@ -390,6 +390,12 @@ class TestCertificates:
         cert = construct_root(RootRequest(7, "u")).certificate
         assert certificate_from_text(certificate_to_text(cert)) == cert
 
+    def test_hybrid_genus_50_text_round_trip_shares_letters(self):
+        cert = construct_root(RootRequest(50, "u", "orientable")).certificate
+        parsed = certificate_from_text(certificate_to_text(cert))
+        assert parsed == cert
+        assert all(a is b for (a, _), (b, _) in zip(parsed.start.syllables, cert.start.syllables))
+
     def test_tampered_direction_is_rejected(self):
         cert = construct_root(RootRequest(5, "u")).certificate
         index, step = next(

@@ -115,6 +115,50 @@ class TestWordReduction:
         w = parse_word("u1^-3 t2 y4^2", std5)
         assert w.syllable_count == 3
 
+    def test_equal_letters_that_are_distinct_objects_merge(self, std5):
+        shared, fresh = parse_word("u1", std5).syllables[0][0], GeneratorLetter("u", 1)
+        assert shared == fresh and shared is not fresh
+        assert Word(std5, ((shared, 2), (fresh, 3))).syllables == ((shared, 5),)
+        u2 = GeneratorLetter("u", 2)
+        assert Word(std5, ((fresh, 1), (u2, 1), (u2, -1), (shared, -1))).is_identity
+
+    def test_each_syllable_exponent_is_checked(self, std5):
+        u1, u2 = GeneratorLetter("u", 1), GeneratorLetter("u", 2)
+        with pytest.raises(WordError, match="exponent must be an int"):
+            Word(std5, ((u1, 1), (u2, 1), (u1, 1.0)))
+        with pytest.raises(WordError, match="not admissible"):
+            Word(std5, ((u1, 1), (GeneratorLetter("u", 9), 1), (u1, 1.0)))
+
+
+class TestSharedLetters:
+    def test_parsed_and_alphabet_letters_are_one_object(self, std5):
+        parsed = [letter for letter, _ in parse_word("u1 t2^-3 (y4 u1)^2 u2 ^-1", std5)]
+        alphabet = {str(letter): letter for letter in std5.letters()}
+        assert all(letter is alphabet[str(letter)] for letter in parsed)
+        assert parse_word("u1", std5) == Word(std5, ((GeneratorLetter("u", 1), 1),))
+
+    def test_generator_terms_keep_their_exponent(self, std5):
+        assert str(parse_word("u1 ^2 u1^-3 (u2 u3)^-1", std5)) == "u1^-1 u3^-1 u2^-1"
+        with pytest.raises(ParseError, match="unexpected token") as info:
+            parse_word("u1^2^3", std5)
+        assert info.value.position == 4
+        with pytest.raises(ParseError, match="unclosed") as info:
+            parse_word("(u1^2 ^3)", std5)
+        assert info.value.position == 0
+
+    @settings(max_examples=200)
+    @given(st.lists(
+        st.tuples(st.sampled_from("tuyc"), st.integers(1, 10**4), st.integers(-3, 3)), max_size=8
+    ))
+    def test_large_indices_leave_the_letter_table_alone(self, terms):
+        text = " ".join(f"{kind}{index}^{exp}" if exp else f"{kind}{index}" for kind, index, exp in terms)
+        for model in (SurfaceModel.standard(words.MAX_GENUS), SurfaceModel.hybrid(6)):
+            try:
+                parse_word(text, model)
+            except WordError:
+                pass
+        assert len(words._LETTERS) <= 4 * words.MAX_GENUS
+
 
 
 class TestGroupOperations:
