@@ -4,26 +4,29 @@ Schemas
 -------
 
 Each schema names a family of relation instances ``lhs = rhs`` between
-words of one model.  Its parameters are coded ``i`` (generator index),
-``k`` (letter kind t/u/y) and ``e`` (syllable exponent, nonzero; the
-commutation schemas carry the two exponents, since ``xz = zx`` entails
-``x^a z^b = z^b x^a``):
+words of one model.  Its parameters are coded ``i`` (generator index,
+at least 1), ``k`` (letter kind t/u/y) and ``e`` (syllable exponent,
+nonzero).  The commutation schemas state one fact: letters ``x``, ``z``
+with disjoint supports commute, so ``x^a z^b = z^b x^a``.  Standard
+letters ``x_i``, ``z_j`` live near crosscaps ``i, i+1`` and ``j, j+1``
+and are disjoint when ``|i - j| > 1``; a hybrid chain twist misses the
+Klein bottle of ``t_1``, ``u_1``, ``y_1``.
 
 ==================  ========  ======  =====================================
 id                  params    codes   instance
 ==================  ========  ======  =====================================
-R1                  i j a b   iiee    u_i^a u_j^b = u_j^b u_i^a, j - i > 1
+R1                  i j a b   iiee    commutation, x = u_i, z = u_j, i < j
+R4a                 i j a b   iiee    commutation, x = t_i, z = u_j
+R4b                 i j a b   iiee    commutation, x = y_i, z = u_j
+ChainCommute        x k a b   kiee    commutation, x = x_1, z = c_k
 R2                  i         i       u_i u_{i+1} u_i = u_{i+1} u_i u_{i+1}
 R3                  --                (u_1 .. u_{g-1})^g = 1
-R4a                 i j a b   iiee    t_i^a u_j^b = u_j^b t_i^a, |i-j| > 1
-R4b                 i j a b   iiee    y_i^a u_j^b = u_j^b y_i^a, |i-j| > 1
 R5                  --                (u_1^2 u_2 .. u_{g-1})^{g-1} = 1
 R6closed-odd        --                u_1^2 = D^m, boundary identity
 R6closed-even       --                u_1^2 = D^m, boundary identity
 R7chain             --                u_1^2 = D^m, boundary identity
 SlideDef            i         i       y_i = t_i u_i
 UsquaredYsquared    i         i       u_i^2 = y_i^2
-ChainCommute        x k a b   kiee    x_1^a c_k^b = c_k^b x_1^a
 ==================  ========  ======  =====================================
 
 The boundary identity ``u_1^2 = D^m`` writes the twist about the
@@ -115,23 +118,37 @@ __all__ = [
     "replay_certificate",
 ]
 
-# Parameter layout per schema: i = index, e = exponent, k = letter kind.
-_PARAM_SPEC = {
-    "R1": "iiee",
-    "R2": "i",
-    "R3": "",
-    "R4a": "iiee",
-    "R4b": "iiee",
-    "R5": "",
-    "R6closed-odd": "",
-    "R6closed-even": "",
-    "R7chain": "",
-    "SlideDef": "i",
-    "UsquaredYsquared": "i",
-    "ChainCommute": "kiee",
+# Each schema's parameter codes (i = index, e = exponent, k = letter kind)
+# and the model it belongs to (None: both).
+_SCHEMAS = {
+    "R1": ("iiee", "standard"),
+    "R2": ("i", "standard"),
+    "R3": ("", "standard"),
+    "R4a": ("iiee", "standard"),
+    "R4b": ("iiee", "standard"),
+    "R5": ("", "standard"),
+    "R6closed-odd": ("", None),
+    "R6closed-even": ("", None),
+    "R7chain": ("", None),
+    "SlideDef": ("i", None),
+    "UsquaredYsquared": ("i", None),
+    "ChainCommute": ("kiee", "hybrid"),
 }
 
-SCHEMA_IDS = tuple(_PARAM_SPEC)
+SCHEMA_IDS = tuple(_SCHEMAS)
+
+# The commutation schema of ``x^a z^b = z^b x^a``, keyed by the kinds of x and z.
+_COMMUTING = {
+    ("u", "u"): "R1",
+    ("t", "u"): "R4a",
+    ("y", "u"): "R4b",
+    ("t", "c"): "ChainCommute",
+    ("u", "c"): "ChainCommute",
+    ("y", "c"): "ChainCommute",
+}
+
+# The letter kinds of each commutation schema; a ``k`` parameter overrides the first.
+_COMMUTING_KINDS = {schema: kinds for kinds, schema in _COMMUTING.items()}
 
 _FREE_OPS = ("insert", "delete", "merge", "split")
 
@@ -182,10 +199,6 @@ def boundary_identity(model: SurfaceModel) -> tuple[str, Word, int] | None:
 # The parameter types the instance memo takes.
 _MEMO_TYPES = frozenset((int, bool, str))
 
-# The model a schema belongs to; the schemas not named here belong to both.
-_HOME_MODEL = dict.fromkeys(("R1", "R2", "R3", "R4a", "R4b", "R5"), "standard")
-_HOME_MODEL["ChainCommute"] = "hybrid"
-
 
 def instantiate(schema: str, params, model: SurfaceModel) -> RelationInstance:
     """Build a relation instance, validating all side conditions.
@@ -208,7 +221,7 @@ def instantiate(schema: str, params, model: SurfaceModel) -> RelationInstance:
 def _build_instance(schema: str, params: tuple, genus: int, model_kind: str) -> RelationInstance:
     # The checks that need no model come first and build no message unless
     # they fail, so a rejected candidate of relation_catalog stays cheap.
-    spec = _PARAM_SPEC.get(schema)
+    spec, home = _SCHEMAS.get(schema, (None, None))
     if spec is None:
         raise SchemaError(f"unknown schema {schema!r}")
     if len(params) != len(spec):
@@ -220,40 +233,39 @@ def _build_instance(schema: str, params: tuple, genus: int, model_kind: str) -> 
                 raise SchemaError(f"{schema}: letter kind t/u/y expected, got {value!r}")
         elif isinstance(value, int):
             value = int(value)
+            if code == "i" and value < 1:
+                raise SchemaError(f"{schema}: index parameter must be >= 1, got {value}")
         else:
             raise SchemaError(f"{schema}: integer parameter expected, got {value!r}")
         values.append(value)
     params = tuple(values)
-    home = _HOME_MODEL.get(schema, model_kind)
-    if home != model_kind:
+    if home not in (None, model_kind):
         raise SchemaError(f"{schema} belongs to the {home} model")
     model = SurfaceModel(genus, model_kind)
     g = model.genus
 
-    if schema == "R1":
-        i, j, a, b = params
-        _require(1 <= i < j <= g - 1, f"R1 needs 1 <= i < j <= {g - 1}")
-        _require(j - i > 1, "R1 needs j - i > 1")
-        _require(a != 0 and b != 0, "R1 exponents must be nonzero")
-        lhs = _word(model, ((_letter("u", i), a), (_letter("u", j), b)))
-        rhs = _word(model, ((_letter("u", j), b), (_letter("u", i), a)))
+    kinds = _COMMUTING_KINDS.get(schema)
+    if kinds is not None:
+        p, q, a, b = params
+        x = _letter(p, 1) if spec[0] == "k" else _letter(kinds[0], p)
+        z = _letter(kinds[1], q)
+        _require(model.admits(x) and model.admits(z), f"{schema}: {x} or {z} is not admissible")
+        # a chain twist misses the Klein bottle; other letters need |i - j| > 1
+        disjoint = (x.kind == "c") != (z.kind == "c") or abs(x.index - z.index) > 1
+        _require(disjoint, f"{schema} needs disjoint supports, but {x} and {z} meet")
+        _require(x.kind != z.kind or x.index < z.index, f"{schema} needs i < j")
+        _require(a != 0 and b != 0, f"{schema} exponents must be nonzero")
+        lhs = _word(model, ((x, a), (z, b)))
+        rhs = _word(model, ((z, b), (x, a)))
     elif schema == "R2":
         (i,) = params
-        _require(1 <= i <= g - 2, f"R2 needs 1 <= i <= {g - 2}")
+        _require(i <= g - 2, f"R2 needs 1 <= i <= {g - 2}")
         lhs = _word(model, ((_letter("u", i), 1), (_letter("u", i + 1), 1), (_letter("u", i), 1)))
         rhs = _word(model, ((_letter("u", i + 1), 1), (_letter("u", i), 1), (_letter("u", i + 1), 1)))
     elif schema == "R3":
         chain = _word(model, tuple((_letter("u", k), 1) for k in range(1, g)))
         lhs = chain ** g
         rhs = _word(model, ())
-    elif schema in ("R4a", "R4b"):
-        i, j, a, b = params
-        kind = "t" if schema == "R4a" else "y"
-        _require(1 <= i <= g - 1 and 1 <= j <= g - 1, f"{schema} indices must lie in 1..{g - 1}")
-        _require(abs(i - j) > 1, f"{schema} needs |i - j| > 1")
-        _require(a != 0 and b != 0, f"{schema} exponents must be nonzero")
-        lhs = _word(model, ((_letter(kind, i), a), (_letter("u", j), b)))
-        rhs = _word(model, ((_letter("u", j), b), (_letter(kind, i), a)))
     elif schema == "R5":
         base = _word(model, ((_letter("u", 1), 2),) + tuple((_letter("u", k), 1) for k in range(2, g)))
         lhs = base ** (g - 1)
@@ -277,12 +289,6 @@ def _build_instance(schema: str, params: tuple, genus: int, model_kind: str) -> 
         _require(model.admits(_letter("u", i)), f"UsquaredYsquared index {i} is not admissible")
         lhs = _word(model, ((_letter("u", i), 2),))
         rhs = _word(model, ((_letter("y", i), 2),))
-    elif schema == "ChainCommute":
-        kind, k, a, b = params
-        _require(1 <= k <= g - 2, f"ChainCommute needs 1 <= k <= {g - 2}")
-        _require(a != 0 and b != 0, "ChainCommute exponents must be nonzero")
-        lhs = _word(model, ((_letter(kind, 1), a), (_letter("c", k), b)))
-        rhs = _word(model, ((_letter("c", k), b), (_letter(kind, 1), a)))
     else:  # pragma: no cover - SCHEMA_IDS and dispatch agree
         raise SchemaError(f"unhandled schema {schema!r}")
     return RelationInstance(schema, params, model, lhs, rhs)
@@ -291,14 +297,16 @@ def _build_instance(schema: str, params: tuple, genus: int, model_kind: str) -> 
 def relation_catalog(model: SurfaceModel) -> tuple[RelationInstance, ...]:
     """Every relation instance of the model's presentation, deterministically ordered.
 
-    Each schema in :data:`SCHEMA_IDS` order is tried with every index in
+    Each schema of the model in :data:`SCHEMA_IDS` order is tried with every index in
     ``1..g-1``, every letter kind and unit exponents; the instances whose
     side conditions hold are kept.  Certificate steps may instantiate the
     commutation schemas with arbitrary nonzero exponents.
     """
     choices = {"i": range(1, model.genus), "e": (1,), "k": ("t", "u", "y")}
     out: list[RelationInstance] = []
-    for schema, spec in _PARAM_SPEC.items():
+    for schema, (spec, home) in _SCHEMAS.items():
+        if home not in (None, model.kind):
+            continue
         for params in itertools.product(*(choices[code] for code in spec)):
             try:
                 out.append(instantiate(schema, params, model))
@@ -467,34 +475,25 @@ def replay_certificate(certificate: Certificate) -> tuple[Syllable, ...]:
 def commute_step(state: Sequence[Syllable], position: int, model: SurfaceModel) -> SchemaStep:
     """The schema step that swaps the syllables ``state[position]``, ``state[position + 1]``.
 
-    The pair must commute by one of the commutation schemas (R1, R4a, R4b,
-    or ChainCommute), and ``position`` must have a right neighbour;
-    otherwise :class:`SchemaError` is raised.
+    The kinds of the pair, in order, name its commutation schema of the
+    model; kinds that do so only reversed, or an R1 pair with the higher
+    index first, give the backward step.  ``position`` must have a right
+    neighbour and the instance must meet its side conditions; otherwise
+    :class:`SchemaError` is raised.
     """
     if not 0 <= position < len(state) - 1:
         raise SchemaError(f"position {position} has no right neighbour in {len(state)} syllables")
-    (first, first_exp), (second, second_exp) = state[position], state[position + 1]
-    ka, kb = first.kind, second.kind
-    if model.is_hybrid:
-        if kb == "c" and ka in ("t", "u", "y"):
-            step = SchemaStep(position, "ChainCommute", (ka, second.index, first_exp, second_exp), True)
-        elif ka == "c" and kb in ("t", "u", "y"):
-            step = SchemaStep(position, "ChainCommute", (kb, first.index, second_exp, first_exp), False)
-        else:
-            raise SchemaError(f"no commutation schema for the pair {first}, {second}")
-    elif ka == "u" and kb == "u":
-        if first.index < second.index:
-            step = SchemaStep(position, "R1", (first.index, second.index, first_exp, second_exp), True)
-        else:
-            step = SchemaStep(position, "R1", (second.index, first.index, second_exp, first_exp), False)
-    elif ka in ("t", "y") and kb == "u":
-        schema = "R4a" if ka == "t" else "R4b"
-        step = SchemaStep(position, schema, (first.index, second.index, first_exp, second_exp), True)
-    elif ka == "u" and kb in ("t", "y"):
-        schema = "R4a" if kb == "t" else "R4b"
-        step = SchemaStep(position, schema, (second.index, first.index, second_exp, first_exp), False)
-    else:
-        raise SchemaError(f"no commutation schema for the pair {first}, {second}")
+    first, second = state[position], state[position + 1]
+    (x, a), (z, b) = first, second
+    schema = _COMMUTING.get((x.kind, z.kind))
+    forward = schema is not None and (x.kind != z.kind or x.index < z.index)
+    if not forward:
+        (x, a), (z, b) = second, first
+        schema = _COMMUTING.get((x.kind, z.kind))
+    spec, home = _SCHEMAS.get(schema, ("", None))
+    if home != model.kind:
+        raise SchemaError(f"no commutation schema for the pair {first[0]}, {second[0]}")
+    step = SchemaStep(position, schema, (x.kind if spec[0] == "k" else x.index, z.index, a, b), forward)
     instantiate(step.schema, step.params, model)  # surface side-condition violations now
     return step
 
@@ -543,7 +542,7 @@ def _parse_int(token: str, what: str) -> int:
 def _schema_fields(tokens: list[str], n: int) -> tuple[str, tuple, bool]:
     """Schema, parameters and direction from the tokens after a step's position."""
     schema = tokens[0]
-    spec = _PARAM_SPEC.get(schema)
+    spec, _ = _SCHEMAS.get(schema, (None, None))
     if spec is None:
         raise CertificateError(f"line {n}: unknown schema {schema!r}")
     if len(tokens) != 2 + len(spec):

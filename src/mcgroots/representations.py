@@ -137,9 +137,6 @@ class IntMatrix:
             prev = m[k][k]
         return sign * m[-1][-1]
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
-
 
 @dataclasses.dataclass(frozen=True)
 class CrosscapPermutation:

@@ -485,6 +485,24 @@ class TestVerifyCommand:
         assert (code == 0) == (equals == word**power)
         assert (json.loads(out.getvalue())["verdict"] == "verified") == (code == 0)
 
+    @pytest.mark.parametrize(
+        "word, equals, step",
+        [("y1", "t1 u1", "SlideDef 0"), ("u1^2", "y1^2", "UsquaredYsquared -1")],
+    )
+    def test_step_index_below_one_is_refuted(self, capsys, tmp_path, word, equals, step):
+        path = tmp_path / "cert.txt"
+        path.write_text(
+            f"model standard\ngenus 5\nstart {word}\nend {equals}\nstep 0 {step} fwd\n",
+            encoding="utf-8",
+        )
+        code, report, err = run_json(
+            capsys, "verify", "--genus", "5", "--word", word, "--power", "1", "--equals", equals,
+            "--certificate", str(path),
+        )
+        assert code == 2 and err == ""
+        assert report["verdict"] == "refuted"
+        assert report["checks"]["certificate"] == "fail"
+
     def test_refuted(self, capsys):
         code, report, _ = run_json(
             capsys, "verify", "--genus", "5", "--word", "u1", "--power", "3", "--equals", "u2"

@@ -177,6 +177,23 @@ class TestInstantiate:
                 instantiate("R2", (1.0,), std5)
         assert instantiate("R2", (True,), std5) == instantiate("R2", (1,), std5)
 
+    @pytest.mark.parametrize(
+        "schema, params, kind",
+        [
+            ("SlideDef", (0,), "standard"),
+            ("UsquaredYsquared", (-1,), "standard"),
+            ("R2", (0,), "standard"),
+            ("R1", (0, 2, 1, 1), "standard"),
+            ("R4b", (3, -1, 1, 1), "standard"),
+            ("SlideDef", (0,), "hybrid"),
+            ("ChainCommute", ("u", 0, 1, 1), "hybrid"),
+        ],
+    )
+    def test_index_below_one_is_a_schema_error(self, schema, params, kind):
+        for _ in range(2):
+            with pytest.raises(SchemaError, match="index"):
+                instantiate(schema, params, SurfaceModel(6, kind))
+
     def test_standard_schemas_reject_hybrid_model(self, hyb6):
         for schema, params in [("R1", (1, 3, 1, 1)), ("R2", (1,)), ("R3", ()), ("R5", ())]:
             with pytest.raises(SchemaError):
@@ -224,12 +241,29 @@ class TestCatalog:
             (12, "standard", "9a582362fca11b586d0827665aeb3dc949b8dc84051d21936e0571fd4d4f5461"),
             (13, "standard", "75b9449ad0ca9f2fc718726f10cc4a20a6ea62310fe1c910eabdb406f42fbefc"),
             (12, "hybrid", "fa4862532812dc11002b7ff45bbee28f25af6bf101e8a74162c43b2507a7e6eb"),
+            (50, "standard", "f3291d278dc4f28ca6fe7e2d752e6a3563bd2d4ac02b4346e25ddcccf2c1f694"),
+            (50, "hybrid", "6afd75e5c405638eefc943a593db4cccc31d76f5b6a12d7df079901a8b8d1b6b"),
         ],
     )
     def test_catalog_instance_sets(self, genus, kind, digest):
         catalog = relation_catalog(SurfaceModel(genus, kind))
         pairs = sorted((inst.schema, inst.params) for inst in catalog)
         assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind", ("standard", "hybrid"))
+    def test_catalog_asks_only_for_schemas_of_its_model(self, kind, monkeypatch):
+        model = SurfaceModel(8, kind)
+        asked = set()
+        real = presentation.instantiate
+
+        def spy(schema, params, model):
+            asked.add(schema)
+            return real(schema, params, model)
+
+        monkeypatch.setattr(presentation, "instantiate", spy)
+        relation_catalog(model)
+        other = {"standard": {"ChainCommute"}, "hybrid": {"R1", "R2", "R3", "R4a", "R4b", "R5"}}
+        assert asked and asked.isdisjoint(other[kind])
 
     def test_deterministic(self, std5):
         assert relation_catalog(std5) == relation_catalog(std5)
@@ -478,6 +512,35 @@ class TestCommuteDisjoint:
         for position in (-1, len(w.syllables) - 1):
             with pytest.raises(SchemaError):
                 commute_step(w.syllables, position, std5)
+
+    # sha256 of the table of commute_step over every ordered pair of
+    # admissible letters (equal letters included) with exponents (1, 1),
+    # (-2, 1) and (1, 3): each row holds the step's schema, parameters and
+    # direction, or whether the refusal is "no commutation schema" (True)
+    # or a side condition (False)
+    @pytest.mark.parametrize(
+        "genus, kind, accepted, digest",
+        [
+            (7, "standard", 300, "9b749ada3167b8f971e749a427849c68abbe8751ac1b14cc9fd9dccf6d3ee415"),
+            (8, "hybrid", 108, "6d603c77b80dcb03fe7a1f7c8b2daf1ca5335e2a5ee7a533c06eb680555b3e6d"),
+        ],
+    )
+    def test_exhaustive_table(self, genus, kind, accepted, digest):
+        model = SurfaceModel(genus, kind)
+        rows = []
+        for x in model.letters():
+            for z in model.letters():
+                for a, b in ((1, 1), (-2, 1), (1, 3)):
+                    try:
+                        step = commute_step(((x, a), (z, b)), 0, model)
+                    except SchemaError as exc:
+                        no_schema = str(exc) == f"no commutation schema for the pair {x}, {z}"
+                        rows.append((str(x), str(z), a, b, no_schema))
+                    else:
+                        assert step.position == 0
+                        rows.append((str(x), str(z), a, b, step.schema, step.params, step.forward))
+        assert sum(len(row) == 7 for row in rows) == accepted
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 class TestCertificateText:
