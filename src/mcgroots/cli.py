@@ -14,9 +14,10 @@ a claim no check refutes and nothing proves (``verify`` says ``unproven``).
 Reports print as plain lines or, with ``--json``, as one stable JSON
 object: ``{command, genus, target, root, degree, checks, assumptions,
 verdict, citation, ...}`` with ``timing_seconds`` appended last.  The
-environment variable ``MCGROOTS_SCAN_BOUND`` overrides the default
-GL(2, Z) scan bound of the small-genus command; like ``--scan-bound`` it
-is capped at ``small_genus.MAX_SCAN_BOUND``.  Integer arguments and the
+environment variable ``MCGROOTS_SCAN_BOUND`` overrides the default entry
+bound 5 of the box on which the genus-3 small-genus certification
+cross-checks its GL(2, Z) torsion table; like ``--scan-bound`` it is
+capped at ``small_genus.MAX_SCAN_BOUND``.  Integer arguments and the
 variable take exactly the numerals ``str(int)`` writes, as certificates do.
 """
 
@@ -252,7 +253,7 @@ def cmd_small_genus(args) -> tuple[int, dict]:
         return (0 if not nontrivial else 2), report
 
     word = parse_word(target_name, SurfaceModel.standard(3))
-    certification = certify_no_root_g3(word, args.max_degree, _scan_bound(args))
+    certification = certify_no_root_g3(word, _scan_bound(args))
     report = _report(
         "small-genus",
         genus=3,
@@ -335,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     small.add_argument("--genus", type=_integer, choices=(2, 3), required=True)
     small.add_argument("--target", choices=("u", "y"), default="u")
-    small.add_argument("--max-degree", type=_integer, default=9)
     small.add_argument("--scan-bound", type=_integer)
     small.set_defaults(handler=cmd_small_genus)
 

@@ -24,8 +24,8 @@ Each construction emits a :class:`~.presentation.Certificate` replaying
 exactly that computation, plus a report from the exact oracles.
 
 No root exists at genus 2 (the group is Klein four and the targets are
-primitive there) or genus 3 (torsion bounds in GL(2, Z) rule every odd
-degree out); ``construct_root`` raises :class:`NonexistenceError` for
+primitive there) or genus 3 (the trace/determinant pairs of torsion in
+GL(2, Z) rule every degree out); ``construct_root`` raises :class:`NonexistenceError` for
 those, re-running the machine certifications from
 :mod:`~mcgroots.small_genus`.  At genus 4 a root exists only when the
 complement of the supporting Klein bottle is orientable; the
@@ -436,15 +436,15 @@ def _raise_small_genus(genus: int, target: str) -> None:
             machine_certified=not witnesses,
         )
     certification = small_genus.certify_no_root_g3(
-        _target_word(SurfaceModel.standard(3), target), max_degree=3, scan_bound=2
+        _target_word(SurfaceModel.standard(3), target), scan_bound=2
     )
     raise NonexistenceError(
-        f"the {name} has no nontrivial root at genus 3: any odd-degree root would be"
-        " a torsion element of the homology image GL(2, Z) of order 2 (forcing the"
-        " trivial root) or order 6 (excluded by determinant), and the torsion scan"
-        " finds no other solutions; degree 3 covers every odd degree d, since the"
-        " allowed orders are {2} when 3 does not divide d and {2, 6} when it does,"
-        " and degree 3 has the larger set",
+        f"the {name} has no nontrivial root at genus 3, of any degree: its homology"
+        " image in GL(2, Z) is an involution of determinant -1, so a root of even"
+        " degree is impossible by determinant, and a root x of odd degree d has"
+        " determinant -1 and x^(2d) = 1; the only finite-order trace/determinant"
+        " pair of determinant -1 is (0, -1), of order 2, so x = x^d is the target"
+        " itself",
         case="g3",
         machine_certified=certification.passed(),
     )

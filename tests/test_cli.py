@@ -60,6 +60,8 @@ class TestExitCodes:
             ["frobnicate"],
             ["root", "--genus", "5", "--target", "z"],
             ["small-genus", "--genus", "4"],
+            # an unrecognized argument: the genus-3 proof has no degree to cap
+            ["small-genus", "--genus", "3", "--max-degree", "9"],
         ):
             code, _, err = run(capsys, *args)
             assert code == 1, args
@@ -247,9 +249,11 @@ class TestRootCommand:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     def test_nonexistence_report_carries_certification_flag(self, capsys):
-        _, report, _ = run_json(capsys, "root", "--genus", "2")
-        assert report["verdict"] == "no-nontrivial-root"
-        assert report["machine_certified"] is True
+        for genus, target in (("2", "u"), ("3", "u"), ("3", "y")):
+            code, report, _ = run_json(capsys, "root", "--genus", genus, "--target", target)
+            assert code == 2
+            assert report["verdict"] == "no-nontrivial-root"
+            assert report["machine_certified"] is True
         _, report, _ = run_json(capsys, "root", "--genus", "4", "--complement", "nonorientable")
         assert report["machine_certified"] is False
 
@@ -316,23 +320,24 @@ class TestSmallGenusCommand:
         assert report["solutions"] == [["y", 3]]
 
     def test_genus3_certification(self, capsys):
-        code, report, _ = run_json(
-            capsys, "small-genus", "--genus", "3", "--scan-bound", "1", "--max-degree", "5"
-        )
+        code, report, _ = run_json(capsys, "small-genus", "--genus", "3", "--scan-bound", "1")
         assert code == 0
         assert report["verdict"] == "no-nontrivial-root"
         cert = report["certification"]
-        assert cert["scan"]["entry_bound"] == 1
-        assert cert["scan"]["max_order"] == 6
-        assert [f["degree"] for f in cert["findings"]] == [3, 5]
-        assert all(f["passed"] for f in cert["findings"])
+        assert list(cert) == [
+            "target", "target_matrix", "torsion_orders", "cross_check", "assumptions", "verdict"
+        ]
+        assert [(r["trace"], r["order"]) for r in cert["torsion_orders"] if r["det"] == -1] == [
+            (-2, None), (-1, None), (0, 2), (1, None), (2, None)
+        ]
+        assert cert["cross_check"]["entry_bound"] == 1
         assert report["assumptions"]
 
     def test_scan_bound_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("MCGROOTS_SCAN_BOUND", "1")
-        code, report, _ = run_json(capsys, "small-genus", "--genus", "3", "--max-degree", "3")
+        code, report, _ = run_json(capsys, "small-genus", "--genus", "3")
         assert code == 0
-        assert report["certification"]["scan"]["entry_bound"] == 1
+        assert report["certification"]["cross_check"]["entry_bound"] == 1
 
     def test_non_integer_env_is_an_input_error(self, capsys, monkeypatch):
         monkeypatch.setenv("MCGROOTS_SCAN_BOUND", "abc")
@@ -351,24 +356,15 @@ class TestSmallGenusCommand:
 
     def test_explicit_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MCGROOTS_SCAN_BOUND", "1")
-        code, report, _ = run_json(
-            capsys, "small-genus", "--genus", "3", "--scan-bound", "2", "--max-degree", "3"
-        )
+        code, report, _ = run_json(capsys, "small-genus", "--genus", "3", "--scan-bound", "2")
         assert code == 0
-        assert report["certification"]["scan"]["entry_bound"] == 2
+        assert report["certification"]["cross_check"]["entry_bound"] == 2
 
-    @pytest.mark.parametrize(
-        "flags,message",
-        [
-            (("--scan-bound", "21"), "error: entry bound must be <= 20, got 21\n"),
-            (("--max-degree", "101"), "error: max degree must be <= 99, got 101\n"),
-        ],
-    )
-    def test_caps_are_input_errors(self, capsys, flags, message):
-        code, out, err = run(capsys, "small-genus", "--genus", "3", *flags)
+    def test_caps_are_input_errors(self, capsys):
+        code, out, err = run(capsys, "small-genus", "--genus", "3", "--scan-bound", "21")
         assert code == 1
         assert not out
-        assert err == message
+        assert err == "error: entry bound must be <= 20, got 21\n"
 
     def test_env_scan_bound_is_capped(self, capsys, monkeypatch):
         monkeypatch.setenv("MCGROOTS_SCAN_BOUND", "21")
@@ -377,13 +373,10 @@ class TestSmallGenusCommand:
         assert err == "error: entry bound must be <= 20, got 21\n"
 
     def test_largest_capped_call(self, capsys):
-        code, report, _ = run_json(
-            capsys, "small-genus", "--genus", "3", "--scan-bound", "20", "--max-degree", "99"
-        )
+        code, report, _ = run_json(capsys, "small-genus", "--genus", "3", "--scan-bound", "20")
         assert code == 0
-        assert report["certification"]["scan"]["entry_bound"] == 20
-        assert len(report["certification"]["scan"]["classes"]) == 7
-        assert len(report["certification"]["findings"]) == 49
+        assert report["verdict"] == "no-nontrivial-root"
+        assert report["certification"]["cross_check"]["entry_bound"] == 20
 
 
 class TestBraidRootCommand:

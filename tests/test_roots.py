@@ -206,10 +206,8 @@ class TestNonexistence:
         assert info.value.case == "g3"
         assert info.value.machine_certified is True
         assert "bounded" not in str(info.value)
-        assert (
-            "degree 3 covers every odd degree d, since the allowed orders are {2} when 3"
-            " does not divide d and {2, 6} when it does" in str(info.value)
-        )
+        assert "no nontrivial root at genus 3, of any degree" in str(info.value)
+        assert "pair of determinant -1 is (0, -1), of order 2" in str(info.value)
 
     def test_genus4_nonorientable_is_structural(self):
         with pytest.raises(NonexistenceError) as info:

@@ -132,7 +132,6 @@ def _argv(draw, paths):
         "small-genus": (
             ("--genus", _numerals(1, 4), True),
             ("--target", st.sampled_from(("u", "y")), False),
-            ("--max-degree", _numerals(1, 9), False),
             ("--scan-bound", _numerals(-1, 6), False),
         ),
         "braid-root": (
