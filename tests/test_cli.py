@@ -360,11 +360,18 @@ class TestSmallGenusCommand:
         assert code == 0
         assert report["certification"]["cross_check"]["entry_bound"] == 2
 
-    def test_caps_are_input_errors(self, capsys):
-        code, out, err = run(capsys, "small-genus", "--genus", "3", "--scan-bound", "21")
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--scan-bound", "21"), "error: entry bound must be <= 20, got 21\n"),
+            (("--scan-bound", "0"), "error: entry bound must be >= 1, got 0\n"),
+        ],
+    )
+    def test_caps_are_input_errors(self, capsys, flags, message):
+        code, out, err = run(capsys, "small-genus", "--genus", "3", *flags)
         assert code == 1
         assert not out
-        assert err == "error: entry bound must be <= 20, got 21\n"
+        assert err == message
 
     def test_env_scan_bound_is_capped(self, capsys, monkeypatch):
         monkeypatch.setenv("MCGROOTS_SCAN_BOUND", "21")

@@ -20,6 +20,9 @@ from mcgroots.small_genus import (
     klein_element_of,
     mn2_nontrivial_roots,
     mn2_root_search,
+    _order_by_iteration,
+    _pair_order,
+    _predicted_order,
 )
 from mcgroots.words import SurfaceModel, parse_word
 
@@ -120,6 +123,31 @@ class TestGenus2Search:
         assert found == set(KLEIN_ELEMENTS)
 
 
+class TestGl2Order:
+    # each matrix's order by the table (its trace and determinant) and by
+    # iteration agree
+    def test_small_orders(self):
+        for rows, order in (
+            (((1, 0), (0, 1)), 1),
+            (((-1, 0), (0, -1)), 2),
+            (((0, 1), (1, 0)), 2),
+            (((0, -1), (1, -1)), 3),
+            (((0, -1), (1, 0)), 4),
+            (((0, -1), (1, 1)), 6),
+        ):
+            assert _predicted_order(rows) == order, rows
+            assert _order_by_iteration(rows) == order, rows
+
+    def test_infinite_orders(self):
+        for rows in (((1, 1), (0, 1)), ((2, 1), (1, 1)), ((1, 1), (1, 0)), ((-1, 1), (0, -1))):
+            assert _predicted_order(rows) is None, rows
+            assert _order_by_iteration(rows) is None, rows
+
+    def test_frozen_order_six_class_representative(self):
+        rows = gl2_image(_w("t1 t2")).rows
+        assert _predicted_order(rows) == _order_by_iteration(rows) == 6
+
+
 class TestTorsionTable:
     def test_ten_pairs(self):
         assert TORSION_ORDERS == {
@@ -146,6 +174,14 @@ class TestTorsionTable:
         (a, b), (c, d) = gl2_image(_w("t1 t2")).rows
         assert TORSION_ORDERS[a + d, a * d - b * c] == 6
 
+    @pytest.mark.parametrize("pair", sorted(TORSION_ORDERS))
+    def test_companion_matrix_has_the_pair_order(self, pair):
+        # the companion matrix of x^2 - t x + d realizes the pair and is not
+        # scalar, so the recursion's order is its order
+        trace, det = pair
+        companion = ((0, -det), (1, trace))
+        assert _pair_order(trace, det) == _iterated_order(companion)
+
 
 class TestTorsionScan:
     def test_bound1_frozen_table(self):
@@ -156,10 +192,55 @@ class TestTorsionScan:
         assert scan.order_counts == {1: 1, 2: 21, 3: 4, 4: 10, 6: 4}
         assert scan.checked == len(_unimodular(2))
 
-    def test_wrong_table_fails_the_scan(self, monkeypatch):
-        monkeypatch.setitem(small_genus.TORSION_ORDERS, (1, 1), 3)
+    def test_bound5_frozen_table(self):
+        scan = gl2_torsion_scan(5)
+        assert scan.order_counts == {1: 1, 2: 69, 3: 12, 4: 26, 6: 12}
+        assert scan.checked == len(_unimodular(5))
+
+    def test_bound6_frozen_table(self):
+        scan = gl2_torsion_scan(6)
+        assert scan.order_counts == {1: 1, 2: 85, 3: 12, 4: 26, 6: 12}
+        assert scan.checked == len(_unimodular(6))
+
+    def test_deterministic(self):
+        assert gl2_torsion_scan(1) == gl2_torsion_scan(1)
+
+    def test_growing_bound_only_adds_members(self):
+        for bound in range(1, 6):
+            small, large = gl2_torsion_scan(bound), gl2_torsion_scan(bound + 1)
+            assert small.checked < large.checked
+            assert set(small.order_counts) == set(large.order_counts) == {1, 2, 3, 4, 6}
+            assert all(n <= large.order_counts[k] for k, n in small.order_counts.items())
+
+    def test_order_two_spans_both_determinants(self):
+        # -I is the one order-2 matrix of determinant +1
+        box = _unimodular(2)
+        twos = [x for x in box if _iterated_order(x) == 2]
+        dets = {a * d - b * c for (a, b), (c, d) in twos}
+        assert dets == {-1, 1}
+        assert [x for x in twos if x[0][0] * x[1][1] - x[0][1] * x[1][0] == 1] == [
+            ((-1, 0), (0, -1))
+        ]
+
+    def test_single_order_six_pair_of_determinant_one(self):
+        assert [pair for pair, order in TORSION_ORDERS.items() if order == 6] == [(1, 1)]
+        for (a, b), (c, d) in _unimodular(3):
+            if _iterated_order(((a, b), (c, d))) == 6:
+                assert (a + d, a * d - b * c) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "pair,wrong",
+        [
+            ((1, 1), 3),  # a finite order misread
+            ((0, -1), None),  # a finite pair read as infinite
+            ((2, -1), 2),  # an infinite pair read as finite
+        ],
+    )
+    def test_wrong_table_fails_the_scan(self, monkeypatch, pair, wrong):
+        # the box of bound 2 realizes every pair; (2, -1) needs an entry 2
+        monkeypatch.setitem(small_genus.TORSION_ORDERS, pair, wrong)
         with pytest.raises(RuntimeError, match="disagrees with iteration"):
-            gl2_torsion_scan(1)
+            gl2_torsion_scan(2)
 
     def test_entry_bound_cap(self):
         assert small_genus.MAX_SCAN_BOUND == 20
@@ -212,6 +293,14 @@ class TestGenus3Certification:
             for degree in range(3, 26, 2):
                 if _power(x, degree) == u:
                     assert x == u, (x, degree)
+
+    @pytest.mark.parametrize("target", ("u1", "y1"))
+    def test_even_powers_never_hit_the_target(self, target):
+        # an even power has determinant +1 and the target -1
+        u = gl2_image(_w(target)).rows
+        for x in _unimodular(3):
+            for degree in range(2, 25, 2):
+                assert _power(x, degree) != u, (x, degree)
 
     def test_a_second_finite_negative_pair_is_inconclusive(self, monkeypatch):
         cert = certify_no_root_g3(_w("u1"), scan_bound=1)
