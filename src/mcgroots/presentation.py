@@ -52,7 +52,7 @@ Certificates
 A :class:`Certificate` carries a start word, an end word, and a step list.
 Replaying the steps transforms the start syllable sequence into the end
 syllable sequence exactly.  Steps address syllables by position in the
-current (not necessarily reduced) working sequence and come in two forms:
+current (not necessarily reduced) working sequence and come in three forms:
 
 * schema steps replace a literal occurrence of one side of a relation
   instance by the other side (``forward``: lhs -> rhs); an occurrence of
@@ -63,7 +63,13 @@ current (not necessarily reduced) working sequence and come in two forms:
   canceling syllable pair, ``merge`` two adjacent equal-letter syllables,
   ``split`` one syllable in two.  ``merge`` and ``split`` carry the
   exponent of the first fragment, which makes every step invertible with
-  its own parameters, so a certificate replays backwards mechanically.
+  its own parameters, so a certificate replays backwards mechanically;
+* move steps carry one syllable past a block of ``len`` syllables:
+  ``fwd`` moves the syllable at ``pos`` right past the next ``len``, and
+  ``bwd`` moves the syllable at ``pos + len`` left to ``pos``.  Replay
+  checks the moving syllable against each one it passes with
+  :func:`commute_step`, so a move is exactly the run of commutation
+  steps it abbreviates; flipping the direction inverts it.
 
 Text format (one item per line, words in the module grammar)::
 
@@ -72,6 +78,7 @@ Text format (one item per line, words in the module grammar)::
     start <word>
     end <word>
     step <pos> <schemaId> <params...> <fwd|bwd>
+    move <pos> <len> <fwd|bwd>
     free <insert|delete|merge|split> <pos> <letter> <exp>
 
 Serialization round-trips bit-exactly.
@@ -102,6 +109,7 @@ __all__ = [
     "Certificate",
     "CertificateError",
     "FreeStep",
+    "MoveStep",
     "RelationInstance",
     "RewriteStep",
     "SCHEMA_IDS",
@@ -149,6 +157,12 @@ _COMMUTING = {
 
 # The letter kinds of each commutation schema; a ``k`` parameter overrides the first.
 _COMMUTING_KINDS = {schema: kinds for kinds, schema in _COMMUTING.items()}
+
+# The commutation schemas of each model kind: those a move step may stand for.
+_MODEL_COMMUTATIONS = {
+    kind: tuple(schema for schema in _COMMUTING_KINDS if _SCHEMAS[schema][1] == kind)
+    for kind in ("standard", "hybrid")
+}
 
 _FREE_OPS = ("insert", "delete", "merge", "split")
 
@@ -339,12 +353,26 @@ class FreeStep:
             raise CertificateError(f"unknown free op {self.op!r}")
 
 
-RewriteStep = Union[SchemaStep, FreeStep]
+@dataclasses.dataclass(frozen=True)
+class MoveStep:
+    """Carry one syllable past the ``length`` syllables after ``position``.
+
+    Forward, the syllable at ``position`` moves right to ``position +
+    length``; backward, the syllable at ``position + length`` moves left to
+    ``position``.
+    """
+
+    position: int
+    length: int
+    forward: bool = True
+
+
+RewriteStep = Union[SchemaStep, FreeStep, MoveStep]
 
 
 def invert_step(step: RewriteStep) -> RewriteStep:
     """The step that undoes ``step`` at the same position."""
-    if isinstance(step, SchemaStep):
+    if isinstance(step, (SchemaStep, MoveStep)):
         return dataclasses.replace(step, forward=not step.forward)
     paired = {"insert": "delete", "delete": "insert", "merge": "split", "split": "merge"}
     return dataclasses.replace(step, op=paired[step.op])
@@ -424,9 +452,52 @@ def _apply_free_step(state: list[Syllable], step: FreeStep, model: SurfaceModel)
     state[pos : pos + 2] = [(letter, e + found[1][1])]
 
 
+@lru_cache(maxsize=4096)
+def _check_commuting(x: GeneratorLetter, z: GeneratorLetter, genus: int, model_kind: str) -> None:
+    """Raise the :class:`SchemaError` of :func:`commute_step` unless the pair ``x z`` swaps.
+
+    A working state has no zero exponent, and commutation asks nothing more
+    of the exponents, so the pair's letters decide.
+    """
+    commute_step(((x, 1), (z, 1)), 0, SurfaceModel(genus, model_kind))
+
+
+def _apply_move_step(state: list[Syllable], step: MoveStep, model: SurfaceModel) -> None:
+    pos, length = step.position, step.length
+    if length < 1:
+        raise CertificateError(f"move length must be >= 1, got {length}")
+    end = pos + length
+    if pos < 0 or end >= len(state):
+        raise CertificateError(
+            f"move of {length} from position {pos} out of range: {len(state)} syllables"
+        )
+    # the syllables passed, in the order the commutation steps meet them
+    if step.forward:
+        moving, passed = state[pos], state[pos + 1 : end + 1]
+    else:
+        moving, passed = state[end], state[end - 1 : pos - 1 if pos else None : -1]
+    # each distinct letter once (shared letters are one object each), in order
+    # of first occurrence, so the first failing letter is the first failing swap
+    letters = {id(letter): letter for letter, _ in passed}
+    for letter in letters.values():
+        pair = (moving[0], letter) if step.forward else (letter, moving[0])
+        try:
+            _check_commuting(*pair, model.genus, model.kind)
+        except SchemaError as exc:
+            k = next(k for k, (other, _) in enumerate(passed) if other is letter)
+            at = pos + 1 + k if step.forward else end - 1 - k
+            raise CertificateError(f"move mismatch at position {at}: {exc}") from None
+    if step.forward:
+        state[pos : end + 1] = passed + [moving]
+    else:
+        state[pos : end + 1] = [moving] + state[pos:end]
+
+
 def apply_step(state: list[Syllable], step: RewriteStep, model: SurfaceModel) -> None:
     """Apply one step to the working syllable sequence in place."""
-    if isinstance(step, SchemaStep):
+    if isinstance(step, MoveStep):
+        _apply_move_step(state, step, model)
+    elif isinstance(step, SchemaStep):
         _apply_schema_step(state, step, model)
     elif isinstance(step, FreeStep):
         _apply_free_step(state, step, model)
@@ -514,6 +585,8 @@ def certificate_to_text(certificate: Certificate) -> str:
             parts = ["step", str(step.position), step.schema]
             parts.extend(str(p) for p in step.params)
             parts.append("fwd" if step.forward else "bwd")
+        elif isinstance(step, MoveStep):
+            parts = ["move", str(step.position), str(step.length), "fwd" if step.forward else "bwd"]
         else:
             parts = ["free", step.op, str(step.position), str(step.letter), str(step.exponent)]
         lines.append(" ".join(parts))
@@ -608,6 +681,15 @@ def certificate_from_text(text: str) -> Certificate:
                     _parse_int(exponent, "exponent"),
                 )
             steps.append(FreeStep(op, number, *fields))
+        elif tag == "move":
+            fields = rest.split(" ")
+            if len(fields) != 3 or fields[2] not in ("fwd", "bwd"):
+                raise CertificateError(f"line {n}: malformed move step")
+            try:
+                number, length = _parse_int(fields[0], "position"), _parse_int(fields[1], "length")
+            except CertificateError as exc:
+                raise CertificateError(f"line {n}: {exc}") from None
+            steps.append(MoveStep(number, length, fields[2] == "fwd"))
         else:
-            raise CertificateError(f"line {n}: expected a step or free line")
+            raise CertificateError(f"line {n}: expected a step, move or free line")
     return Certificate(start, end, tuple(steps))

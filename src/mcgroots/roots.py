@@ -52,11 +52,12 @@ from .presentation import (
     Certificate,
     CertificateError,
     FreeStep,
+    MoveStep,
     RewriteStep,
     SchemaStep,
+    _MODEL_COMMUTATIONS,
     apply_step,
     boundary_identity,
-    commute_step,
     invert_step,
     replay_certificate,
 )
@@ -194,11 +195,22 @@ class RootResult:
 
 
 def certificate_assumptions(certificate: Certificate) -> tuple[str, ...]:
-    """Axiom notes for the schemas a certificate actually uses, in first-use order."""
+    """Axiom notes for the schemas a certificate actually uses, in first-use order.
+
+    A move step stands for commutations, so it uses the model's commutation
+    schemas.
+    """
+    moves = _MODEL_COMMUTATIONS[certificate.model.kind]
     seen: list[str] = []
     for step in certificate.steps:
         if isinstance(step, SchemaStep):
-            note = _AXIOM_NOTES.get(step.schema)
+            schemas = (step.schema,)
+        elif isinstance(step, MoveStep):
+            schemas = moves
+        else:
+            continue
+        for schema in schemas:
+            note = _AXIOM_NOTES.get(schema)
             if note and note not in seen:
                 seen.append(note)
     return tuple(seen)
@@ -339,16 +351,14 @@ class _CertBuilder:
         apply_step(self.state, step, self.model)
         self.steps.append(step)
 
-    def swap(self, pos: int) -> None:
-        self._push(commute_step(self.state, pos, self.model))
-
     def move_right(self, pos: int, count: int) -> None:
-        for k in range(count):
-            self.swap(pos + k)
+        """Carry the syllable at ``pos`` right past the next ``count``."""
+        self._push(MoveStep(pos, count, True))
 
     def move_left(self, pos: int, count: int) -> None:
-        for k in range(count):
-            self.swap(pos - 1 - k)
+        """Carry the syllable at ``pos`` left past the ``count`` before it (none: no step)."""
+        if count:
+            self._push(MoveStep(pos - count, count, False))
 
     def schema(self, pos: int, schema_id: str, params=(), forward: bool = True) -> None:
         self._push(SchemaStep(pos, schema_id, tuple(params), forward))
@@ -394,11 +404,13 @@ def _gathered_root(model: SurfaceModel, target: str) -> RootResult:
     The model's boundary identity supplies the block ``D`` (disjoint from
     the target ``X``), the odd degree ``m`` and the boundary schema; ``q``
     is -1 in the hybrid model and 1 otherwise, and ``p = (1 - qm)/2``.
-    The certificate gathers left to right: round ``k``
-    carries the running ``X^(kq)`` past the next copy of ``D^p`` and merges
-    it with the next ``X^q`` at once, so ``(m-1)`` rounds of ``span`` swaps
-    leave ``D^(pm) X^(qm)``.  The boundary identity then turns ``D^(pm)``
-    into ``|p|`` boundary twists ``X^(+-2)``, and ``|p|`` merges reach ``X``.
+    The certificate gathers left to right: round ``k`` moves the running
+    ``X^(kq)`` past the next copy of ``D^p`` in one move step and merges
+    it with the next ``X^q`` at once, so ``(m-1)`` rounds leave
+    ``D^(pm) X^(qm)``.  The boundary identity then turns ``D^(pm)`` into
+    ``|p|`` boundary twists ``X^(+-2)`` (each followed by UsquaredYsquared
+    for ``X = y_1``), and ``|p|`` merges reach ``X``: ``2(m-1) + 2|p|``
+    steps, plus ``|p|`` for ``y_1``.
     """
     boundary, block, m = boundary_identity(model)
     q = -1 if model.is_hybrid else 1

@@ -151,11 +151,16 @@ def _order_by_iteration(rows) -> int | None:
 
 @dataclasses.dataclass(frozen=True)
 class TorsionScan:
-    """The table checked on every unimodular matrix with entries in [-B, B]."""
+    """The table checked on every unimodular matrix with entries in [-B, B].
+
+    ``pairs`` lists the table's pairs, in table order, that the box
+    realizes by a matrix other than +-I: the scan checked only those.
+    """
 
     entry_bound: int
     checked: int
     order_counts: dict[int, int]
+    pairs: tuple[tuple[int, int], ...]
 
 
 # the grid has (2B + 1)^4 candidates
@@ -168,7 +173,8 @@ def gl2_torsion_scan(entry_bound: int) -> TorsionScan:
     Every unimodular matrix with entries in [-B, B] has its order found by
     iteration (up to 12) and compared with the order its trace and
     determinant predict; the counts are of the finite orders found.  ``B``
-    is at most ``MAX_SCAN_BOUND``.
+    is at most ``MAX_SCAN_BOUND``.  The box of ``B = 1`` does not realize
+    the pairs (+-2, -1), which need an entry 2.
     """
     if entry_bound < 1:
         raise ValueError(f"entry bound must be >= 1, got {entry_bound}")
@@ -177,8 +183,10 @@ def gl2_torsion_scan(entry_bound: int) -> TorsionScan:
     span = range(-entry_bound, entry_bound + 1)
     checked = 0
     counts: dict[int, int] = {}
+    met = set()
     for a, b, c, d in itertools.product(span, repeat=4):
-        if a * d - b * c not in (1, -1):
+        det = a * d - b * c
+        if det not in (1, -1):
             continue
         rows = ((a, b), (c, d))
         order = _order_by_iteration(rows)
@@ -187,7 +195,10 @@ def gl2_torsion_scan(entry_bound: int) -> TorsionScan:
         checked += 1
         if order is not None:
             counts[order] = counts.get(order, 0) + 1
-    return TorsionScan(entry_bound, checked, dict(sorted(counts.items())))
+        if b or c or a != d:
+            met.add((a + d, det))
+    pairs = tuple(pair for pair in TORSION_ORDERS if pair in met)
+    return TorsionScan(entry_bound, checked, dict(sorted(counts.items())), pairs)
 
 
 def _pair_note(pair) -> str | None:
@@ -223,10 +234,13 @@ class Gl2Certification:
             lines.append(
                 f"trace {trace}, det {det:+d}: {found}" + (f"; {note}" if note else "")
             )
+        unchecked = [pair for pair in TORSION_ORDERS if pair not in self.scan.pairs]
         lines += [
             f"cross-check: {self.scan.checked} unimodular matrices with entries"
             f" <= {self.scan.entry_bound} agree with iteration; finite orders"
             f" {self.scan.order_counts}",
+            f"cross-check box realizes {len(self.scan.pairs)} of the {len(TORSION_ORDERS)} pairs"
+            + (f"; unchecked: {', '.join(map(str, unchecked))}" if unchecked else ""),
             "even degree d: det(x^d) = +1, so x^d is not the target",
             "odd degree d: det x = -1 and x^(2d) = identity, so x has trace 0 and"
             " order 2, and x = x^d = target",
@@ -248,6 +262,7 @@ class Gl2Certification:
                 "entry_bound": self.scan.entry_bound,
                 "checked": self.scan.checked,
                 "order_counts": {str(k): v for k, v in self.scan.order_counts.items()},
+                "pairs_realized": [list(pair) for pair in self.scan.pairs],
             },
             "assumptions": list(self.assumptions),
             "verdict": "no-nontrivial-root" if self.passed() else "inconclusive",

@@ -73,9 +73,9 @@ _KIND_NAMES = {
 }
 
 
-# The largest genus a model may have.  Only the root certificates grow with it,
-# like g^3 (no homology table is built); the largest root it admits (genus 50,
-# orientable complement) takes about 2 s and 70 MB peak memory.
+# The largest genus a model may have.  Only the start words of root certificates
+# grow with it, like g^3 (no homology table is built); the largest root it admits
+# (genus 50, orientable complement) takes about 0.3 s and 26 MB peak memory.
 MAX_GENUS = 50
 
 # The most syllables a power of a multi-syllable word may write out.  It sits

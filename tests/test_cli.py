@@ -573,7 +573,8 @@ class TestCertificateCycle:
         path = tmp_path / "cert.txt"
         run(capsys, "root", "--genus", "6", "--emit-certificate", str(path))
         lines = path.read_text().splitlines()
-        k = next(n for n, line in enumerate(lines) if line.startswith("step ") and line.endswith(" fwd"))
+        # every schema step of this certificate runs bwd; each move runs fwd
+        k = next(n for n, line in enumerate(lines) if line.startswith("move ") and line.endswith(" fwd"))
         lines[k] = lines[k][: -len("fwd")] + "bwd"
         path.write_text("\n".join(lines) + "\n")
         code, report, _ = run_json(
@@ -585,7 +586,37 @@ class TestCertificateCycle:
         assert report["verdict"] == "refuted"
         assert report["checks"]["certificate"] == "fail"
         header = 4  # model, genus, start, end
-        assert any(re.search(rf"step {k - header + 1}: \w+ mismatch", d) for d in report["details"])
+        assert any(re.search(rf"step {k - header + 1}: move mismatch at position \d+: ", d)
+                   for d in report["details"])
+
+    @pytest.mark.parametrize(
+        "line, code, message",
+        [
+            ("move 3 0 fwd", 2, "move length must be >= 1, got 0"),
+            ("move 3 -2 bwd", 2, "move length must be >= 1, got -2"),
+            ("move 3 99 fwd", 2, "move of 99 from position 3 out of range: 12 syllables"),
+            ("move 3 3 bwd", 2, "move mismatch at position 5: R1 needs disjoint supports,"
+             " but u3 and u4 meet"),
+            ("move 3 x fwd", 1, "error: line 5: bad length 'x'\n"),
+            ("move 3 fwd", 1, "error: line 5: malformed move step\n"),
+        ],
+    )
+    def test_edited_move_line(self, capsys, tmp_path, line, code, message):
+        # a move that does not apply is refuted; one that does not parse is an input error
+        path = tmp_path / "cert.txt"
+        run(capsys, "root", "--genus", "6", "--emit-certificate", str(path))
+        lines = path.read_text().splitlines()
+        assert lines[4] == "move 3 3 fwd"
+        lines[4] = line
+        path.write_text("\n".join(lines) + "\n")
+        argv = ("verify", "--genus", "6", "--word", "u5^-1 u4^-1 u3^-2 u1", "--power", "3",
+                "--equals", "u1", "--certificate", str(path))
+        if code == 1:
+            assert run(capsys, *argv) == (1, "", message)
+            return
+        got, report, _ = run_json(capsys, *argv)
+        assert (got, report["verdict"]) == (2, "refuted")
+        assert f"step 1: {message}" in " ".join(report["details"])
 
     def test_braid_emit_then_verify(self, capsys, tmp_path):
         path = tmp_path / "braid.txt"

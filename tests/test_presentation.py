@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -14,6 +15,7 @@ from mcgroots.presentation import (
     Certificate,
     CertificateError,
     FreeStep,
+    MoveStep,
     SchemaError,
     SchemaStep,
     apply_step,
@@ -35,7 +37,7 @@ from mcgroots.roots import (
 )
 from mcgroots.words import GeneratorLetter, SurfaceModel, WordError, parse_word
 
-from conftest import standard_models, words_for
+from conftest import hybrid_models, standard_models, words_for
 
 
 def _w(text, model):
@@ -386,6 +388,8 @@ class TestStepInversion:
         ([("t", 1, 1), ("u", 2, 1)], FreeStep("insert", 1, GeneratorLetter("u", 4), -2)),
         ([("u", 1, 2), ("u", 1, 3)], FreeStep("merge", 0, GeneratorLetter("u", 1), 2)),
         ([("u", 1, 5)], FreeStep("split", 0, GeneratorLetter("u", 1), 2)),
+        ([("u", 1, 2), ("u", 3, 1), ("t", 4, -1)], MoveStep(0, 2, True)),
+        ([("t", 4, -1), ("u", 3, 1), ("u", 1, 2), ("y", 2, 1)], MoveStep(0, 2, False)),
     ]
 
     @pytest.mark.parametrize("raw,step", CASES)
@@ -543,6 +547,88 @@ class TestCommuteDisjoint:
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
+def _swaps_of_move(state, step, model):
+    """Apply a move as the commute_step swaps it stands for, and return those steps."""
+    swaps = []
+    for k in range(step.length):
+        pos = step.position + k if step.forward else step.position + step.length - 1 - k
+        swap = commute_step(state, pos, model)
+        apply_step(state, swap, model)
+        swaps.append(swap)
+    return swaps
+
+
+class TestMoveStep:
+    def test_forward_and_backward(self, std5):
+        state = list(_w("u1^2 u3 t4^-1 u2", std5).syllables)
+        apply_step(state, MoveStep(0, 2, True), std5)
+        assert tuple(state) == _w("u3 t4^-1 u1^2 u2", std5).syllables
+        apply_step(state, MoveStep(0, 2, False), std5)
+        assert tuple(state) == _w("u1^2 u3 t4^-1 u2", std5).syllables
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_a_move_is_its_commutation_steps(self, data):
+        # a move applies exactly when the swaps it stands for do, with the same result
+        model = data.draw(standard_models(3, 7) | hybrid_models(8))
+        word = data.draw(words_for(model, 7).filter(lambda w: w.syllable_count >= 2))
+        position = data.draw(st.integers(0, word.syllable_count - 2))
+        length = data.draw(st.integers(1, word.syllable_count - 1 - position))
+        step = MoveStep(position, length, data.draw(st.booleans()))
+        moved, swapped = list(word.syllables), list(word.syllables)
+        try:
+            apply_step(moved, step, model)
+        except CertificateError:
+            moved = None
+        try:
+            _swaps_of_move(swapped, step, model)
+        except SchemaError:
+            swapped = None
+        assert moved == swapped
+
+    @pytest.mark.parametrize(
+        "text, step, message",
+        [
+            ("u1 u3 u2", MoveStep(0, 2, True), "move mismatch at position 2: R1 needs disjoint"
+             " supports, but u1 and u2 meet"),
+            ("u2 u4 t2 u1", MoveStep(0, 3, False), "move mismatch at position 2: R4a needs disjoint"
+             " supports, but t2 and u1 meet"),
+            ("t1 u1", MoveStep(0, 1, True), "move mismatch at position 1: R4a needs disjoint"
+             " supports, but t1 and u1 meet"),
+            ("u1 u3", MoveStep(0, 0, True), "move length must be >= 1, got 0"),
+            ("u1 u3", MoveStep(0, -1, False), "move length must be >= 1, got -1"),
+            ("u1 u3", MoveStep(1, 1, True), "move of 1 from position 1 out of range: 2 syllables"),
+            ("u1 u3", MoveStep(-1, 1, True), "move of 1 from position -1 out of range: 2 syllables"),
+        ],
+    )
+    def test_refusals_name_the_position_and_the_pair(self, std5, text, step, message):
+        state = list(_w(text, std5).syllables)
+        with pytest.raises(CertificateError) as info:
+            apply_step(state, step, std5)
+        assert str(info.value) == message
+        assert tuple(state) == _w(text, std5).syllables
+
+    def test_chain_letters_do_not_pass_each_other(self, hyb6):
+        with pytest.raises(CertificateError, match="no commutation schema for the pair c1, c2"):
+            apply_step(list(_w("c1 u1 c2", hyb6).syllables), MoveStep(0, 2, True), hyb6)
+
+    def test_replay_names_the_step(self, std5):
+        cert = Certificate(
+            _w("u1 u3 u2", std5), _w("u3 u2 u1", std5), (MoveStep(0, 1, True), MoveStep(1, 1, True))
+        )
+        with pytest.raises(CertificateError, match="^step 2: move mismatch at position 2: "):
+            replay_certificate(cert)
+
+    def test_text_round_trip(self, std5):
+        cert = Certificate(
+            _w("u1^2 u3 t4^-1", std5), _w("u3 t4^-1 u1^2", std5), (MoveStep(0, 2, True),)
+        )
+        text = certificate_to_text(cert)
+        assert text.endswith("\nmove 0 2 fwd\n")
+        assert certificate_from_text(text) == cert
+        assert certificate_to_text(cert.reverse()).endswith("\nmove 0 2 bwd\n")
+
+
 class TestCertificateText:
     def _sample(self, std5):
         return Certificate(
@@ -643,6 +729,14 @@ class TestCertificateText:
             ("free insrt 1 u1 2", "line 9: unknown free op 'insrt'"),
             ("free insert 1 u01 2", "bad letter token 'u01'"),
             ("free insert 1 u1 +2", "bad exponent '+2'"),
+            ("move 0 2", "line 9: malformed move step"),
+            ("move 0 2 fwd x", "line 9: malformed move step"),
+            ("move 0  2 fwd", "line 9: malformed move step"),
+            ("move 0 2 fwx", "line 9: malformed move step"),
+            ("move 0x 2 fwd", "line 9: bad position '0x'"),
+            ("move 0 02 bwd", "line 9: bad length '02'"),
+            ("move 0 +2 bwd", "line 9: bad length '+2'"),
+            ("mv 0 2 fwd", "line 9: expected a step, move or free line"),
         ],
     )
     def test_tampered_copy_of_a_parsed_tail_is_rejected(self, line, message):
@@ -661,34 +755,34 @@ class TestCertificateText:
 # sha256 of certificate_to_text for the roots of u1 and y1: standard model at
 # genus 5..13 (nonorientable complement), hybrid model at genus 4..12.
 CERTIFICATE_SHA256 = {
-    ("standard", 5, "u"): "24cd35507e610dbf022ce5168cc674c5b37a2b01bee6c8ddda70866bb6ed22e5",
-    ("standard", 5, "y"): "3a7afc831cc7f0965de75c38953873b0a37a1f782c953b25bfa47ea7ed3b3ea3",
-    ("standard", 6, "u"): "11fd8b1f8049ddcb8d3189ac40a31adb855e9e661bd0b91e0e7cbd25134efbab",
-    ("standard", 6, "y"): "71d358991964dddd94007e11cb67b834b1e7e631c0492ac857b417a1db437212",
-    ("standard", 7, "u"): "1778ee121a9b7f77f9831bff0bee39651af494f18c53e58d39fc1bf172fc315b",
-    ("standard", 7, "y"): "77748f152b8491a4c255479fcd945627a54eb315aafa9ee9426d11cf2a97eaf2",
-    ("standard", 8, "u"): "410896bb3e30d1667be98529a7f0ad6c082ba26fcf43f06cee35ccd2c3ebff7e",
-    ("standard", 8, "y"): "9870f9176ef594c0c4aeaed9968d8d62b7d6b518597a154d263d1d5d26e90a1b",
-    ("standard", 9, "u"): "93fdefba0c8af24128aa4249994976305dc3f1fa6d8cde28a3f0dfb9c3954e1b",
-    ("standard", 9, "y"): "40beeb22c32e912d81eb8171924c7b081bd29442a97ba0908fdec8bd0423e657",
-    ("standard", 10, "u"): "884e6a79ca8da200ddfca341ce922eeeb12dfb4779f54d1f0fb0b4395c81e723",
-    ("standard", 10, "y"): "05a7acd99ffe69337ef1369fe98acd48725f81a9b68f381bb3309eca32f0e3cb",
-    ("standard", 11, "u"): "fe8a5bffd3a3ffb96f26e9858020efb9e20c346577c39040619a050b3e9fd1bc",
-    ("standard", 11, "y"): "4457a3103b1c561e131f4e4f80a32a6afcc0e57111112340d794737fedee058b",
-    ("standard", 12, "u"): "a064e5ced4e6278cfb07e5549d844af56b9265aeb1108f96420c047ec348bd6f",
-    ("standard", 12, "y"): "27772b173bfa33aae83f516374d98711e2545e6fee4369c772a3ef4d41d1a195",
-    ("standard", 13, "u"): "ff3214befa7a790a9fcd26867506b1ed694bea9a1e8f3c97ba3bf0d0ce4f085c",
-    ("standard", 13, "y"): "da464b2d48849319ef8a8791508e99a44439fc27ab8d121d4b6a35c54bc63fcb",
-    ("hybrid", 4, "u"): "8f9588f6a48912760dd209569f0b8d886e4d5f472d26a0009b49abc4a7e0fd47",
-    ("hybrid", 4, "y"): "1739f84665dcc7cdde66ac5c63a0d88c217d1377daa81278d7e204104ce993b2",
-    ("hybrid", 6, "u"): "7704fbfad8ad80ad9bf928e6aaea40cfd2d226541f16c6ec374036f6ef359d55",
-    ("hybrid", 6, "y"): "acef82f7bfa3109d5f14fc65bca3b12b6f700c62a3bfe4be90555a0cf3db4015",
-    ("hybrid", 8, "u"): "6285241d2b990e680fcaa6d8eba4076ecd4421915642646026b76aa38d4ed89e",
-    ("hybrid", 8, "y"): "0258cc7aad936b6e397b471d9e60472a0559ffecf0975de4c70aaa749581507e",
-    ("hybrid", 10, "u"): "a412740d24eb417a4c8a4be384419d457d68fd4ca28b451ecebffc09e244aa36",
-    ("hybrid", 10, "y"): "ae656d999071aed0a2f81be7e51e808418047d92adbfb62dfb9ed5323a995b56",
-    ("hybrid", 12, "u"): "311e2d275ade9ba9e30497e6d567c7b050c41a48ae678cc063687b07e5697596",
-    ("hybrid", 12, "y"): "1b9a0a469be4ce97e1e1bcf246439296cdda9d9513b847e15dc48e88a38b10c1",
+    ("standard", 5, "u"): "08bfb05c8e2fe02acc8f118aa95ab0d459589ef4bd258376fc77d4e62ce78e53",
+    ("standard", 5, "y"): "69abbe13fb79772d07a8233e243bae8a8a4e54f9727665f354a4e578c07fcd8e",
+    ("standard", 6, "u"): "b00c076b9e483ff23a5f0417f0ddc0299c9160e0c3be47258dd79641318625d7",
+    ("standard", 6, "y"): "07c0d8c67e363f8c91dab752b1bacac284de65ab243aeabaa2228917a72bdfaf",
+    ("standard", 7, "u"): "1e8bde8a07b4e967f9d61a30ef39ad26e79b7db583d5121cf9839ac75a0f7d6a",
+    ("standard", 7, "y"): "375f4527a51970f05e06d6bc93587d897fe10eabef6f684a942543607592e5bc",
+    ("standard", 8, "u"): "7538a3641119586a07919da62fc2ae20686ed4ea377ea962876c37deb54b32d2",
+    ("standard", 8, "y"): "c76adb749c5fee65dc62562aa1dae8d5cab57b08cc6d3138741581d3ca89292b",
+    ("standard", 9, "u"): "3cbe4ac0a5c3d9bd525d52a153bf91e0db75723c0fb5dcbac115b4463b357658",
+    ("standard", 9, "y"): "c2d3448c1f2ea5265623ec56540a2c07690ede475ea8dbbb9c01f689df2d36f1",
+    ("standard", 10, "u"): "02245613419db0f239cf3997301891503a032951d7cf68a32d63b64347a3b10c",
+    ("standard", 10, "y"): "f1b016a24951430cc0f49bde19b723cbdb423e1300705fa72a4aea78dad495b1",
+    ("standard", 11, "u"): "ec8316200248ece8b293754c81aceda8990ca66b1eb60c1ea63aa1103ddd2b71",
+    ("standard", 11, "y"): "f8d3d8428dd0de5d5c38476fa9501eed20b320956a12ce9ec4d01f38380668ae",
+    ("standard", 12, "u"): "22d74939ab22602c08213619dc3dacb2a93915c01b8e9acf2f31603ba4c1b04b",
+    ("standard", 12, "y"): "2d3be6cdbf299e086975b504f039ccb859efbb94c0073fede8eff4b7c50ab634",
+    ("standard", 13, "u"): "58a3863ad0947ee1c9858758973ea34260faab52d5d769663e7eef153d5f280e",
+    ("standard", 13, "y"): "be483f350d06f43db78fbb6d3b0c088a74084eca0757c8e92e0dc82ed0ff40bd",
+    ("hybrid", 4, "u"): "262b5c593a1a65ac6ddcb45edd8435ae250a0d48874801a4c37e2db921b597e5",
+    ("hybrid", 4, "y"): "2a65517325dc0f6c8be899eac3383a14502e239b9fc4f84e628ccda13f58c501",
+    ("hybrid", 6, "u"): "09116fd159391051d30ab1d46c3066d91337472e89be81ffaae692765c4eb4cf",
+    ("hybrid", 6, "y"): "dc8f7279fcc5d89896b05f87657a20b8601134bf961be984734313cd88e2cf00",
+    ("hybrid", 8, "u"): "fb5b104de5412037268c3fef2504ef0d6d4c531ee57f0e1b56e945b995fe5e96",
+    ("hybrid", 8, "y"): "f5fec9efa4b3ab2b3e7b74991ed250507c6bd9a08faf580281cad7669ba5eefb",
+    ("hybrid", 10, "u"): "9aee6455d1133e2f30ec78d6266774060031a6440e88c279b1167ec27d090800",
+    ("hybrid", 10, "y"): "efc01b93e00a699e0c11910de3dfc48d208c0128b406c53f5ce2ef4a036a247c",
+    ("hybrid", 12, "u"): "d50ce39c5f6411de7270596c49cabd97dabfafc840f10d8c877a18790f6b5e89",
+    ("hybrid", 12, "y"): "c7ceeb13d69d4182a4769f42c280d3c0675de219085fb6623d58355e2a30bc12",
 }
 
 
@@ -703,28 +797,28 @@ def test_certificate_text_is_byte_stable(kind, genus, target):
 # sha256 of certificate_to_text(construct_braid_root(n, i).certificate) for
 # n = 5..8 punctures and every index; index 1 is the standard root of u1.
 BRAID_CERTIFICATE_SHA256 = {
-    (5, 1): "24cd35507e610dbf022ce5168cc674c5b37a2b01bee6c8ddda70866bb6ed22e5",
-    (5, 2): "e2cdf59ea332c66989f00489812fc3582309325c3b4c8646e36071f98e29bd7d",
-    (5, 3): "3615c52350bcd901bd48350e2218de4f77ff542139611c35d27c62963aa78130",
-    (5, 4): "bf1756adf459d02b8abdfbd6fedbafcda7d70bac24ac9f1f3bc9aee166581376",
-    (6, 1): "11fd8b1f8049ddcb8d3189ac40a31adb855e9e661bd0b91e0e7cbd25134efbab",
-    (6, 2): "230974cd000c67e78176f2f0b8139c645fcbb83d1fe13a7f7b466ecf33e4acfc",
-    (6, 3): "ea0de2f84346d28bac331b1c1e759725da70d3d3844580d0cbfbb986d8b1f98c",
-    (6, 4): "70ee45fd3052c402c1259df2fb3e935dcd079325fe3d8567b29135e9ed0db904",
-    (6, 5): "aca970cbb42e9e5b68b4bab02a676590d695b78dd724558939aea01f647dd070",
-    (7, 1): "1778ee121a9b7f77f9831bff0bee39651af494f18c53e58d39fc1bf172fc315b",
-    (7, 2): "cd47a1fb0d09ecb3bf4cc2713d53cc569edcc9e19d3d0acffa98ca990747e2b1",
-    (7, 3): "da88d59f1153c3f86cad69f4e9ac36d8dfefe41612916d1c39772d2ad3ddc5b1",
-    (7, 4): "c5f75e6b1db63fb3bf7d0ad5199d6e35d8e6441cc597dfea83490d4471c4406a",
-    (7, 5): "1a9a13d386376589d265c3170387639176dd1e808868af1cc2459a2eac871f37",
-    (7, 6): "a7536e571f9e03dcf7d42d9a192806b548358ab79054d0f6c2509d08e3b67493",
-    (8, 1): "410896bb3e30d1667be98529a7f0ad6c082ba26fcf43f06cee35ccd2c3ebff7e",
-    (8, 2): "9965d6a43f988b510548a3f1895e9331c57f2d117a1f249f2835b83f6acadaa1",
-    (8, 3): "39010adf7689bd460d0400e0719f7ba75ad98af64db23dfa7c0cc3dc2c6a3042",
-    (8, 4): "9a915509176b8b044ce4966647b400e8b3bd08ed787b0b1c10279bcc414837f5",
-    (8, 5): "b46f4d60756c45a71d68fac4e4b098c0c75f806ba461d2f34caa85008a2f76b8",
-    (8, 6): "0535c413d41e1103a608e644470040e8075e31f1e247b36bc17edf299fd3c7b7",
-    (8, 7): "fe4b7fe2d8772bf9893f56fb7773622fba5b364adf1a331a309f95234bb6b1cb",
+    (5, 1): "08bfb05c8e2fe02acc8f118aa95ab0d459589ef4bd258376fc77d4e62ce78e53",
+    (5, 2): "1009100988c11c499a27165821dbef893674358d4e0a3205f4d896c765ac7f1f",
+    (5, 3): "c984e9a7210c3a55aecc39f1fac30ddc6b09256b733a00b5a7242ea4e1f30df2",
+    (5, 4): "5356c3beb1219750b58db883b44e24a65465ee60c960a7afa8359e0520ae7c01",
+    (6, 1): "b00c076b9e483ff23a5f0417f0ddc0299c9160e0c3be47258dd79641318625d7",
+    (6, 2): "596317a935647b140f49ceec3e5e13a8d505bf27a00b32ddebe88b4ac1fd3292",
+    (6, 3): "80959c9c1caf4c0aef93ee979a9b055674aac06feec9c40ce3f3da29c32b7eb5",
+    (6, 4): "9a14a77baa7b0fac088f684a8227306fd22acd9b7ab25dc7e57b3b5cc596923e",
+    (6, 5): "f9df0789eab978df5ae729c26e91aae58185df8f84bdac49eb2dc737011e4cca",
+    (7, 1): "1e8bde8a07b4e967f9d61a30ef39ad26e79b7db583d5121cf9839ac75a0f7d6a",
+    (7, 2): "ffa0895c8e1ef9a449cb125de63431bf3cd2d867c4862909bb463e107fefcac6",
+    (7, 3): "c13cf4a5f213e49d52691684ad351ff905e13c15247b6bf79096093ea16ae498",
+    (7, 4): "76851b27ae5c5cc0e6a79e189c515300949d4fc32cd0f72d1bfe65c90f0123cd",
+    (7, 5): "728bf482f568a5e1ece32eb36be38d33ac54bda1a95cc244fa39c4afa122ea09",
+    (7, 6): "b7dcde690e3cf3c0aca235eeb4bc2a6d89124df2de489430778409ba68a828f4",
+    (8, 1): "7538a3641119586a07919da62fc2ae20686ed4ea377ea962876c37deb54b32d2",
+    (8, 2): "582334551b58310ff497d2ab9a0947a239252a232e2dbecfea6a1f4516fe1c0d",
+    (8, 3): "006043fac00af702bfc827bf2140d42e25ba2222a4359f609d7e4c8a93c89c17",
+    (8, 4): "95618921f689dc55e5d94cc691713a0c601106a1ef10269f0264fdfbf3985cf9",
+    (8, 5): "120663b0958964baccff5b3d78fe964a8d209d2d730ee9047d9127d7a86bd5cd",
+    (8, 6): "395efd62ab3e2afdf852bd594b337e20e5c17e36de30e2a5902aac609e7f0953",
+    (8, 7): "ea97a78c9ec0c6530ee0fe2548303b1b8c034a97ebc1aaa0903193620e1bdfcc",
 }
 
 
@@ -733,3 +827,40 @@ def test_braid_certificate_text_is_byte_stable(punctures, index):
     text = certificate_to_text(construct_braid_root(punctures, index).certificate)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == BRAID_CERTIFICATE_SHA256[punctures, index]
+
+
+def _per_swap(certificate):
+    """The certificate with each move written out as its commute_step swaps."""
+    state, steps = list(certificate.start.syllables), []
+    for step in certificate.steps:
+        if isinstance(step, MoveStep):
+            steps += _swaps_of_move(state, step, certificate.model)
+        else:
+            apply_step(state, step, certificate.model)
+            steps.append(step)
+    return dataclasses.replace(certificate, steps=tuple(steps))
+
+
+# sha256 of certificate_to_text as written before move steps, one swap a
+# line; writing out the moves of today's certificates gives the same text
+PER_SWAP_SHA256 = {
+    ("standard", 5, "u"): "24cd35507e610dbf022ce5168cc674c5b37a2b01bee6c8ddda70866bb6ed22e5",
+    ("standard", 6, "y"): "71d358991964dddd94007e11cb67b834b1e7e631c0492ac857b417a1db437212",
+    ("hybrid", 4, "y"): "1739f84665dcc7cdde66ac5c63a0d88c217d1377daa81278d7e204104ce993b2",
+    ("braid", 6, 3): "ea0de2f84346d28bac331b1c1e759725da70d3d3844580d0cbfbb986d8b1f98c",
+}
+
+
+@pytest.mark.parametrize("kind, genus, target", sorted(PER_SWAP_SHA256))
+def test_per_swap_form_still_verifies(kind, genus, target):
+    if kind == "braid":
+        result = construct_braid_root(genus, target)
+    else:
+        complement = "orientable" if kind == "hybrid" else "nonorientable"
+        result = construct_root(RootRequest(genus, target, complement))
+    text = certificate_to_text(_per_swap(result.certificate))
+    assert hashlib.sha256(text.encode()).hexdigest() == PER_SWAP_SHA256[kind, genus, target]
+    assert "move " not in text
+    parsed = certificate_from_text(text)
+    assert len(parsed.steps) > len(result.certificate.steps)
+    assert verify_identity(result.root, result.degree, result.target, parsed).proved

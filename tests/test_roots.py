@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from mcgroots.presentation import (
     Certificate,
+    MoveStep,
     SchemaStep,
     boundary_identity,
     certificate_from_text,
     certificate_to_text,
     commute_step,
     instantiate,
+    replay_certificate,
 )
 from mcgroots.roots import (
     FAIL,
@@ -178,6 +180,16 @@ class TestEvenGenusOrientable:
         result = construct_root(RootRequest(4, "u", complement="orientable"))
         assert str(result.root) == "c1 c2 c1 c2 c1 c2 c1 c2 u1^-1"
         assert result.degree == 3
+        assert certificate_to_text(result.certificate).splitlines()[4:] == [
+            "move 8 8 fwd",
+            "free merge 16 u1 -1",
+            "move 16 8 fwd",
+            "free merge 24 u1 -2",
+            "step 0 R7chain bwd",
+            "step 1 R7chain bwd",
+            "free merge 0 u1 2",
+            "free merge 0 u1 4",
+        ]
         notes = " ".join(result.report.assumptions)
         assert "R7chain" in notes and "ChainCommute" in notes
 
@@ -365,14 +377,38 @@ def _complements(genus):
     + [(50, c, "u") for c in _complements(50)],
 )
 def test_gather_takes_one_round_of_span_swaps_per_copy(genus, complement, target):
-    # root = D^p X^q with 2p + qm = 1: (m-1) rounds of span swaps and one
-    # merge, |p| boundary steps (and |p| u^2 -> y^2 steps), |p| final merges
+    # root = D^p X^q with 2p + qm = 1: (m-1) rounds of one move past span
+    # syllables and one merge, |p| boundary steps (and |p| u^2 -> y^2
+    # steps), |p| final merges
     result = construct_root(RootRequest(genus, target, complement))
     m, span = result.degree, result.root.syllable_count - 1
     p = abs(1 - result.root.syllables[-1][1] * m) // 2
-    expected = (m - 1) * (span + 1) + 2 * p + p * (target == "y")
+    expected = 2 * (m - 1) + 2 * p + p * (target == "y")
     assert len(result.certificate.steps) == expected
+    moves = [step for step in result.certificate.steps if isinstance(step, MoveStep)]
+    assert moves == [MoveStep(k * span, span, True) for k in range(1, m)]
     assert result.report.proved
+
+
+@pytest.mark.parametrize("genus", range(4, 51))
+def test_every_root_reverses_to_its_start(genus):
+    for complement in _complements(genus):
+        for target in "uy":
+            result = construct_root(RootRequest(genus, target, complement))
+            assert result.report.proved
+            cert = result.certificate
+            rev = cert.reverse()
+            assert replay_certificate(rev) == cert.start.syllables
+            assert rev.reverse() == cert
+
+
+@pytest.mark.parametrize("punctures", range(5, 12))
+def test_every_braid_root_reverses_to_its_start(punctures):
+    for index in range(1, punctures):
+        result = construct_braid_root(punctures, index)
+        assert result.report.proved
+        cert = result.certificate
+        assert replay_certificate(cert.reverse()) == cert.start.syllables
 
 
 class TestCertificates:

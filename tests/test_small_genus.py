@@ -257,18 +257,18 @@ class TestTorsionScan:
 # recorded from the ten-pair table and its cross-check on the box of
 # entry bound ``bound``
 _FROZEN_CERTIFICATIONS = {
-    ("u1", 1): "746cfebc849c7e0cb3285feb2a8ddedcf92f135922aaa57a37f780f936d7d0e0",
-    ("u1", 2): "2afc4ba9a1adfc618385ff002153ce3b859a9dbcab7ff92088845924b8b7d96e",
-    ("u1", 3): "bfb0ef2d1a4d092c37d4624f75ceee1aa0335a59f93e9b3c66c8e50dbac2dac9",
-    ("u1", 4): "1fd04b6d05c1d7834d5707c3869c07b8a3b26c5417b37f648ec06701a190519c",
-    ("u1", 5): "a2a7599874c078ad9833146cb9b755d8fa17df52b78edcdfeebbc9d5e90558af",
-    ("u1", 6): "8c454f5adff371de2cf29b0241290c2fba1e3c412f5d5032c0132b1f0ba8631a",
-    ("y1", 1): "8f788efd0fda50f40b8fd722c13725b90dba4bc3af424e0480f245c04880760a",
-    ("y1", 2): "059095a6b4ed4d72f581c0a5c7330cc4051b67e7b630906abd19e2dfb5740478",
-    ("y1", 3): "804c27a999c5ee447b228d97e816866c183ebe531f2fd263536363de5c9d635c",
-    ("y1", 4): "924000e841156581febb43bc6b070ba231d8ef8e19db16e4a34f17815b088a6c",
-    ("y1", 5): "8dc860d0290d3428c866bd7748ed90f8be8a5f67439e085602be359bfb424804",
-    ("y1", 6): "2cb19a1328a1bced4ae81ba1c12a221f91fc49d37b35a23d9f76040a373dfe4c",
+    ("u1", 1): "c7eb8ee5184f15aa1998699b7db9485d44eba6e901db5522b01021955764b211",
+    ("u1", 2): "36a78a8ac40c87ee04111c72b1e80c94e7e5eccdf97fb471cd84c8fda828c72d",
+    ("u1", 3): "d7f244094cae81521101e7d4473edc563eff22e488af27e12cddfe7a3a2401e8",
+    ("u1", 4): "6b799814ddd83adfefcf69d2d16277501714ce8fd1d7f4cdd5e157a30febc783",
+    ("u1", 5): "73d417bae541f6850e5cc895caaa90e8c66b3716cbee841482f39747267b5799",
+    ("u1", 6): "92ab60bb6f7e9ee5c7785d6cd4332a50a0bca75989b1dcfa11e733e47c0594ff",
+    ("y1", 1): "7b36f5ef89720223e09a745643c6d6decaf0e094f2f850c9cb589d18de667a90",
+    ("y1", 2): "b626e45016d75742c9ee5dfed4e4a0a7b25b0287a3d5c34289ed72e8bde0140f",
+    ("y1", 3): "22a10cd7bb02eed10f6660b39e70df4be26f5eaa9a56c63456725d7dbe93ddb2",
+    ("y1", 4): "d780d1cf3f4f167bd5d7e6319dabfb5985acc4a8a25a8676a3c1fd5e07c6013f",
+    ("y1", 5): "ad6db5a883756e03081d1707a642646c01d6dd96227696a3c3871752a6f71a3f",
+    ("y1", 6): "af52f0a4a6868b4b8f3521aeebba3b47b95f9fa26df8e62d60be7db581d5162d",
 }
 
 
@@ -325,8 +325,19 @@ class TestGenus3Certification:
             "entry_bound": 1,
             "checked": 40,
             "order_counts": {"1": 1, "2": 13, "3": 4, "4": 2, "6": 4},
+            "pairs_realized": [[-2, 1], [-1, 1], [0, 1], [1, 1], [2, 1], [-1, -1], [0, -1], [1, -1]],
         }
         assert json.loads(json.dumps(payload)) == payload
+
+    def test_cross_check_names_the_pairs_its_box_leaves_unchecked(self):
+        # a trace +-2 with determinant -1 needs an entry 2
+        cert = certify_no_root_g3(_w("u1"), scan_bound=1)
+        assert set(small_genus.TORSION_ORDERS) - set(cert.scan.pairs) == {(-2, -1), (2, -1)}
+        assert "realizes 8 of the 10 pairs; unchecked: (-2, -1), (2, -1)" in cert.to_text()
+        for bound in (2, 3):
+            cert = certify_no_root_g3(_w("u1"), scan_bound=bound)
+            assert cert.scan.pairs == tuple(small_genus.TORSION_ORDERS)
+            assert "realizes 10 of the 10 pairs\n" in cert.to_text()
 
     def test_dict_lists_the_ten_pairs(self):
         rows = certify_no_root_g3(_w("u1"), scan_bound=1).to_dict()["torsion_orders"]

@@ -19,7 +19,7 @@ from mcgroots.presentation import (
     certificate_from_text,
     certificate_to_text,
 )
-from mcgroots.roots import RootRequest, construct_root
+from mcgroots.roots import FAIL, PASS, RootRequest, construct_root, verify_identity
 from mcgroots.words import SurfaceModel, Word, WordError, parse_word
 
 # Pieces of the word grammar, and look-alikes it must refuse: non-ASCII digits,
@@ -53,6 +53,38 @@ def mutated_certificates(draw):
         k = draw(st.integers(0, len(line)))
         lines[n] = line[:k] + draw(st.sampled_from(_PIECES)) + line[k:] if how == "insert" else line[:k]
     return "\n".join(lines) + "\n"
+
+
+# Fields of a move line: positions and lengths in and out of range, numerals
+# ``str(int)`` never writes, and directions.
+_MOVE_FIELDS = st.sampled_from(
+    ("0", "1", "2", "3", "5", "7", "-1", "01", "+1", "x", "9" * 5000, "fwd", "bwd", "fwx", "")
+)
+
+
+@st.composite
+def move_certificates(draw):
+    """A genuine genus-5 certificate with one step line replaced by a drawn move line."""
+    lines = list(LINES)
+    n = draw(st.integers(4, len(lines) - 1))
+    fields = draw(
+        st.tuples(_MOVE_FIELDS, _MOVE_FIELDS, st.sampled_from(("fwd", "bwd"))).map(list)
+        | st.lists(_MOVE_FIELDS, max_size=4)
+    )
+    lines[n] = " ".join(["move"] + fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(move_certificates())
+def test_move_lines_parse_and_replay_to_a_verdict_or_a_clean_error(text):
+    try:
+        certificate = certificate_from_text(text)
+    except CertificateError as exc:
+        assert re.match(r"line \d+: ", str(exc))
+        return
+    report = verify_identity(certificate.start, 1, certificate.end, certificate)
+    assert report.certificate in (PASS, FAIL)
 
 
 @settings(max_examples=300)
