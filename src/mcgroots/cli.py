@@ -37,10 +37,11 @@ from .presentation import (
     certificate_to_text,
     relation_catalog,
 )
-from .representations import homology_of
+from .representations import homology_of  # noqa: F401  (a lookup site perfbench traces)
 from .roots import (
     FAIL,
     NOT_APPLICABLE,
+    ORACLES as _ORACLES,
     PASS,
     NonexistenceError,
     RootRequest,
@@ -57,8 +58,6 @@ from .small_genus import (
 from .words import SurfaceModel, WordError, format_word, parse_word
 
 __all__ = ["build_parser", "entry", "main"]
-
-_CHECK_KEYS = ("sign", "permutation", "homology", "certificate", "nontriviality")
 
 _CASE_CITATIONS = {
     "odd": "odd genus: transposition-chain boundary identity, degree g-2",
@@ -89,7 +88,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _na_checks() -> dict[str, str]:
-    return {key: NOT_APPLICABLE for key in _CHECK_KEYS}
+    return dict.fromkeys((*_ORACLES, "certificate", "nontriviality"), NOT_APPLICABLE)
 
 
 def _report(command: str, **fields) -> dict:
@@ -170,12 +169,8 @@ def cmd_braid_root(args) -> tuple[int, dict]:
     )
 
 
-# Not used here: perfbench's tracer test reads this table and ``cli.homology_of``.
-_ORACLES = {"homology": homology_of}
-
-# Oracle names of the ``relations`` report (``checked``, failure text) and
-# the report fields they read.
-_RELATION_ORACLES = (("sign", "sign"), ("perm", "permutation"), ("homology", "homology"))
+# ``relations`` names the permutation oracle ``perm`` (``checked``, failure text).
+_RELATION_NAMES = {"permutation": "perm"}
 
 
 def _catalog_models(genus: int) -> list[SurfaceModel]:
@@ -187,15 +182,15 @@ def _catalog_models(genus: int) -> list[SurfaceModel]:
 
 def cmd_relations(args) -> tuple[int, dict]:
     checks = _na_checks()
-    counts = {name: 0 for name, _ in _RELATION_ORACLES}
+    counts = {_RELATION_NAMES.get(key, key): 0 for key in _ORACLES}
     failures: list[str] = []
     instances = 0
     for model in _catalog_models(args.genus):
         for instance in relation_catalog(model):
             instances += 1
             verdicts = verify_identity(instance.lhs, 1, instance.rhs).checks()
-            for name, key in _RELATION_ORACLES:
-                verdict = verdicts[key]
+            for key in _ORACLES:
+                name, verdict = _RELATION_NAMES.get(key, key), verdicts[key]
                 if verdict == PASS:
                     counts[name] += 1
                 elif verdict == FAIL:

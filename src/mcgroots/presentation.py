@@ -647,40 +647,24 @@ def certificate_from_text(text: str) -> Certificate:
     start = parse_word(header(2, "start"), model)
     end = parse_word(header(3, "end"), model)
     steps: list[RewriteStep] = []
-    # The fields after a line's position, read once per distinct text: a
-    # certificate repeats a few hundred tails over thousands of steps.  The
-    # position is read on every line, after the shape checks and before the
-    # tail, so each error is the one the fields in line order give.
-    schema_tails: dict[str, tuple[str, tuple, bool]] = {}
-    free_tails: dict[tuple[str, str], tuple[GeneratorLetter, int]] = {}
     for n, line in enumerate(lines[4:], 5):
         tag, _, rest = line.partition(" ")
         if tag == "step":
-            position, _, tail = rest.partition(" ")
-            fields = schema_tails.get(tail)
-            if fields is None and line.count(" ") < 3:
+            if line.count(" ") < 3:
                 raise CertificateError(f"line {n}: malformed schema step")
-            number = _parse_int(position, "position")
-            if fields is None:
-                fields = schema_tails[tail] = _schema_fields(tail.split(" "), n)
-            steps.append(SchemaStep(number, *fields))
-        elif tag == "free":
-            op, _, rest = rest.partition(" ")
             position, _, tail = rest.partition(" ")
-            fields = free_tails.get((op, tail))
-            if fields is None:
-                if line.count(" ") != 4:
-                    raise CertificateError(f"line {n}: malformed free step")
-                if op not in _FREE_OPS:
-                    raise CertificateError(f"line {n}: unknown free op {op!r}")
             number = _parse_int(position, "position")
-            if fields is None:
-                letter, exponent = tail.split(" ")
-                fields = free_tails[op, tail] = (
-                    _parse_letter(letter),
-                    _parse_int(exponent, "exponent"),
-                )
-            steps.append(FreeStep(op, number, *fields))
+            steps.append(SchemaStep(number, *_schema_fields(tail.split(" "), n)))
+        elif tag == "free":
+            if line.count(" ") != 4:
+                raise CertificateError(f"line {n}: malformed free step")
+            op, position, letter, exponent = rest.split(" ")
+            if op not in _FREE_OPS:
+                raise CertificateError(f"line {n}: unknown free op {op!r}")
+            number = _parse_int(position, "position")
+            steps.append(
+                FreeStep(op, number, _parse_letter(letter), _parse_int(exponent, "exponent"))
+            )
         elif tag == "move":
             fields = rest.split(" ")
             if len(fields) != 3 or fields[2] not in ("fwd", "bwd"):

@@ -34,6 +34,14 @@ homomorphism and commutes with products.
 Composition follows word order with the column-vector convention: the
 matrix of ``a b`` is ``M(a) M(b)``, and the permutation of ``a b`` is
 ``perm(a)`` composed after ``perm(b)``.
+
+:data:`mcgroots.roots.ORACLES` lists the three oracles in report order,
+one row each; ``verify_identity`` reads only that table.  Images are
+powered with nonnegative exponents only: a claim ``w^n = v`` compares
+``image(w) ** n`` for ``n >= 0`` and ``image(w^-1) ** |n|`` otherwise
+with ``image(v)``, so no image type needs an inverse.  At genus 3 the
+homology image is a 2x2 matrix, which identifies the mapping class group
+with GL(2, Z).
 """
 
 from __future__ import annotations
@@ -49,7 +57,6 @@ __all__ = [
     "CrosscapPermutation",
     "IntMatrix",
     "derive_generator_matrices",
-    "gl2_image",
     "homology_of",
     "perm_of",
     "sign_of",
@@ -177,17 +184,11 @@ class CrosscapPermutation:
             raise ValueError("degree mismatch")
         return CrosscapPermutation(tuple(self.images[k] for k in other.images))
 
-    def inverse(self) -> "CrosscapPermutation":
-        out = [0] * len(self.images)
-        for k, v in enumerate(self.images):
-            out[v] = k
-        return CrosscapPermutation(tuple(out))
-
     def __pow__(self, n: int) -> "CrosscapPermutation":
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("no negative permutation powers; power the inverse word's image")
         if not n:
             return CrosscapPermutation.identity(self.degree)
         return _binary_power(self, n, CrosscapPermutation.__mul__)
@@ -281,14 +282,3 @@ def derive_generator_matrices(genus: int) -> Mapping[GeneratorLetter, IntMatrix]
     return MappingProxyType(
         {letter: homology_of(Word(model, ((letter, 1),))) for letter in model.letters()}
     )
-
-
-def gl2_image(word: Word) -> IntMatrix:
-    """The 2x2 integer matrix of a genus-3 standard-model word.
-
-    At genus 3 the homology action identifies the mapping class group with
-    the full group of 2x2 integer matrices of determinant +-1.
-    """
-    if word.model.is_hybrid or word.model.genus != 3:
-        raise WordError("gl2_image requires a standard-model word at genus 3")
-    return homology_of(word)

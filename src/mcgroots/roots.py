@@ -66,6 +66,7 @@ from .words import SurfaceModel, Syllable, Word, WordError, _letter, _reduce_syl
 
 __all__ = [
     "NonexistenceError",
+    "ORACLES",
     "PASS",
     "FAIL",
     "NOT_APPLICABLE",
@@ -83,6 +84,11 @@ __all__ = [
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "n/a"
+
+# The exact oracles, in report order: each sends a word to its image in a
+# group where ``**`` (nonnegative exponents) and ``==`` are exact.  The
+# hybrid model has only ``sign``; every other oracle is ``n/a`` there.
+ORACLES = {"sign": sign_of, "permutation": perm_of, "homology": homology_of}
 
 _TARGET_NAMES = {"u": "crosscap transposition u1", "y": "crosscap slide y1"}
 
@@ -152,16 +158,16 @@ class RootRequest:
 
 @dataclasses.dataclass(frozen=True)
 class VerificationReport:
-    """Per-oracle verdicts for one claimed identity ``word^power = equals``.
+    """Per-check verdicts for one claimed identity ``word^power = equals``.
 
-    The oracles map into small groups, so a pass refutes nothing but proves
-    nothing either; ``proved`` is true only when no check fails and the
-    certificate replays or ``word^power`` reduces to ``equals``.
+    ``oracles`` holds one ``(key, verdict)`` pair per row of
+    :data:`ORACLES`, in table order.  The oracles map into small groups, so
+    a pass refutes nothing but proves nothing either; ``proved`` is true
+    only when no check fails and the certificate replays or ``word^power``
+    reduces to ``equals``.
     """
 
-    sign: str
-    permutation: str
-    homology: str
+    oracles: tuple[tuple[str, str], ...]
     certificate: str
     nontriviality: str
     details: tuple[str, ...] = ()
@@ -170,9 +176,7 @@ class VerificationReport:
 
     def checks(self) -> dict[str, str]:
         return {
-            "sign": self.sign,
-            "permutation": self.permutation,
-            "homology": self.homology,
+            **dict(self.oracles),
             "certificate": self.certificate,
             "nontriviality": self.nontriviality,
         }
@@ -245,38 +249,32 @@ def verify_identity(
 ) -> VerificationReport:
     """Check the claimed identity ``word^power = equals``.
 
-    The sign, permutation and homology oracles power the images of
-    ``word``, never the written-out word, so any exponent costs O(log
-    |power|) products.  The hybrid model has no permutation or homology
-    oracle (``n/a``).  A given certificate must run from ``word^power`` to
-    ``equals`` and replay step by step; a failing step is named in the
-    details.  Without a certificate a claim no oracle refutes is proved
-    only when ``word^power`` and ``equals`` are equal as reduced words; a
-    power over the syllable cap proves nothing and says so in the details.
+    Each row of :data:`ORACLES` compares ``image(base) ** |power|`` with
+    ``image(equals)``, where ``base`` is ``word`` for ``power >= 0`` and
+    its inverse otherwise: the image of ``word`` is powered, never the
+    written-out word, so any exponent costs O(log |power|) products.  A
+    given certificate must run from ``word^power`` to ``equals`` and
+    replay step by step; a failing step is named in the details.  Without
+    a certificate a claim no oracle refutes is proved only when
+    ``word^power`` and ``equals`` are equal as reduced words; a power over
+    the syllable cap proves nothing and says so in the details.
     Nontriviality is ``n/a``: the claim is an identity, not a root.
     """
     details: list[str] = []
     proved = False
 
-    s_word, s_equals = sign_of(word), sign_of(equals)
-    s_power = s_word ** abs(power)  # an int for negative powers too
-    sign = _verdict(s_power == s_equals)
-    details.append(f"sign: ({s_word:+d})^{power} = {s_power:+d}, target {s_equals:+d}")
+    base = word if power >= 0 else word.inverse()
+    oracles: list[tuple[str, str]] = []
+    for key, image in ORACLES.items():
+        if word.model.is_hybrid and key != "sign":
+            oracles.append((key, NOT_APPLICABLE))
+            details.append(f"{key}: n/a (the hybrid model has only sign)")
+        else:
+            ok = image(base) ** abs(power) == image(equals)
+            oracles.append((key, _verdict(ok)))
+            details.append(f"{key}: root^{power} vs target agree = {ok}")
 
-    if word.model.is_hybrid:
-        permutation = homology = NOT_APPLICABLE
-        details.append("permutation: n/a (hybrid model has no crosscap numbering)")
-        details.append("homology: n/a (no derived matrices for chain twists)")
-    else:
-        p_ok = perm_of(word) ** power == perm_of(equals)
-        permutation = _verdict(p_ok)
-        details.append(f"permutation: root^{power} vs target agree = {p_ok}")
-        base = word if power >= 0 else word.inverse()
-        h_ok = homology_of(base) ** abs(power) == homology_of(equals)
-        homology = _verdict(h_ok)
-        details.append(f"homology: root^{power} vs target agree = {h_ok}")
-
-    refuted = FAIL in (sign, permutation, homology)
+    refuted = any(verdict == FAIL for _, verdict in oracles)
     cert = NOT_APPLICABLE
     assumptions: tuple[str, ...] = ()
     if certificate is None:
@@ -308,9 +306,7 @@ def verify_identity(
         proved = cert_ok
 
     return VerificationReport(
-        sign=sign,
-        permutation=permutation,
-        homology=homology,
+        oracles=tuple(oracles),
         certificate=cert,
         nontriviality=NOT_APPLICABLE,
         details=tuple(details),

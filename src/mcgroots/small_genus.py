@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from .representations import IntMatrix, _times, gl2_image
+from .representations import IntMatrix, _times, homology_of
 from .words import Word
 
 __all__ = [
@@ -292,7 +292,7 @@ def certify_no_root_g3(target: Word, scan_bound: int = 5) -> Gl2Certification:
     if shape not in allowed_targets or target.syllables[0][0].index != 1:
         raise ValueError(f"target must be u1 or y1, got {target}")
 
-    u = gl2_image(target)
+    u = homology_of(target)
     if u.det() != -1 or _times(u.rows, u.rows) != _IDENTITY_ROWS:
         raise RuntimeError(f"target image {u.rows} is not the expected involution")
     return Gl2Certification(target, u, gl2_torsion_scan(scan_bound), _G3_ASSUMPTIONS)

@@ -16,7 +16,7 @@ import time
 
 from mcgroots.cli import main as cli_main
 from mcgroots.presentation import relation_catalog, replay_certificate
-from mcgroots.representations import IntMatrix, gl2_image, homology_of, perm_of, sign_of
+from mcgroots.representations import IntMatrix, homology_of, perm_of, sign_of
 from mcgroots.roots import (
     NonexistenceError,
     RootRequest,
@@ -175,7 +175,7 @@ def test_criterion_7_genus3_torsion_certification():
     for target in ("u1", "y1"):
         certification = certify_no_root_g3(parse_word(target, model), scan_bound=5)
         ok = ok and certification.passed()
-    t1t2 = gl2_image(parse_word("t1 t2", model))
+    t1t2 = homology_of(parse_word("t1 t2", model))
     identity = IntMatrix.identity(2)
     ok = ok and t1t2**6 == identity and all(t1t2**k != identity for k in range(1, 6))
     ok = ok and finite[t1t2.rows[0][0] + t1t2.rows[1][1], t1t2.det()] == 6

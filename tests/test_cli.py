@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcgroots
-from mcgroots import cli
+from mcgroots import cli, roots
 from mcgroots.cli import main
 from mcgroots.presentation import RelationInstance
 from mcgroots.words import SurfaceModel, format_word, parse_word
@@ -269,6 +269,30 @@ class TestRootCommand:
         assert code == 0
         assert "checks: sign=pass permutation=pass homology=pass" in out
         assert "citation:" in out
+
+
+class TestOracleTable:
+    def test_one_row_adds_an_oracle_to_every_report(self, capsys, monkeypatch):
+        # a constant image: every claim passes it, and the hybrid model has only sign
+        monkeypatch.setitem(roots.ORACLES, "constant", lambda word: 1)
+        keys = ["sign", "permutation", "homology", "constant", "certificate", "nontriviality"]
+        std5 = SurfaceModel.standard(5)
+        report = roots.verify_identity(parse_word("u1", std5), -2, parse_word("u1^-2", std5))
+        assert list(report.checks()) == keys and report.checks()["constant"] == "pass"
+        hyb6 = SurfaceModel.hybrid(6)
+        report = roots.verify_identity(parse_word("c1", hyb6), 1, parse_word("c1", hyb6))
+        assert report.checks()["constant"] == "n/a"
+
+        argv = ("verify", "--genus", "5", "--word", "u1", "--power", "2", "--equals", "u1^2")
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 0 and list(report["checks"]) == keys
+        assert report["checks"]["constant"] == "pass"
+        code, report, _ = run_json(capsys, "root", "--genus", "2")
+        assert code == 2 and list(report["checks"].items()) == [(key, "n/a") for key in keys]
+        code, report, _ = run_json(capsys, "relations", "--genus", "5")
+        assert code == 0
+        assert report["checked"] == {"sign": 29, "perm": 29, "homology": 29, "constant": 29}
+        assert list(report["checks"]) == keys
 
 
 class TestRelationsCommand:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -659,6 +661,23 @@ class TestCertificateText:
             (SchemaStep(0, "ChainCommute", ("u", 2, 1, 1), True),),
         )
         assert certificate_from_text(certificate_to_text(hybrid)) == hybrid
+
+    def test_readme_example_replays_and_fails_as_quoted(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Certificate format", 1)[1]
+        text = section.split("```\n", 2)[1]
+        assert text.startswith("model standard\ngenus 5\nstart u1^5 u3 u4\n")
+        cert = certificate_from_text(text)
+        assert verify_identity(cert.start, 1, cert.end, cert).proved
+        assert "move 1 2 fwd\n" in text
+        cert = certificate_from_text(text.replace("move 1 2 fwd", "move 1 2 bwd"))
+        report = verify_identity(cert.start, 1, cert.end, cert)
+        assert not report.proved and report.certificate == FAIL
+        quote = " ".join(re.search(r"replay stops at `([^`]*)`", section).group(1).split())
+        assert quote == (
+            "step 2: move mismatch at position 2: R1 needs disjoint supports, but u3 and u4 meet"
+        )
+        assert report.details[-1].endswith(quote)
 
     def test_empty_word_uses_bare_tag(self, std5):
         cert = Certificate(_w("", std5), _w("", std5))

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from mcgroots import small_genus
-from mcgroots.representations import IntMatrix, gl2_image
+from mcgroots.representations import IntMatrix, homology_of
 from mcgroots.small_genus import (
     KLEIN_ELEMENTS,
     TORSION_ORDERS,
@@ -144,7 +144,7 @@ class TestGl2Order:
             assert _order_by_iteration(rows) is None, rows
 
     def test_frozen_order_six_class_representative(self):
-        rows = gl2_image(_w("t1 t2")).rows
+        rows = homology_of(_w("t1 t2")).rows
         assert _predicted_order(rows) == _order_by_iteration(rows) == 6
 
 
@@ -171,7 +171,7 @@ class TestTorsionTable:
         assert realized >= set(TORSION_ORDERS)
 
     def test_frozen_order_six_class_representative(self):
-        (a, b), (c, d) = gl2_image(_w("t1 t2")).rows
+        (a, b), (c, d) = homology_of(_w("t1 t2")).rows
         assert TORSION_ORDERS[a + d, a * d - b * c] == 6
 
     @pytest.mark.parametrize("pair", sorted(TORSION_ORDERS))
@@ -288,7 +288,7 @@ class TestGenus3Certification:
     @pytest.mark.parametrize("target", ("u1", "y1"))
     def test_odd_powers_hit_the_target_only_from_itself(self, target):
         # the per-degree sweep the table replaces, kept as a reference
-        u = gl2_image(_w(target)).rows
+        u = homology_of(_w(target)).rows
         for x in _unimodular(3):
             for degree in range(3, 26, 2):
                 if _power(x, degree) == u:
@@ -297,7 +297,7 @@ class TestGenus3Certification:
     @pytest.mark.parametrize("target", ("u1", "y1"))
     def test_even_powers_never_hit_the_target(self, target):
         # an even power has determinant +1 and the target -1
-        u = gl2_image(_w(target)).rows
+        u = homology_of(_w(target)).rows
         for x in _unimodular(3):
             for degree in range(2, 25, 2):
                 assert _power(x, degree) != u, (x, degree)
