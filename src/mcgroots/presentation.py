@@ -612,21 +612,46 @@ def _parse_int(token: str, what: str) -> int:
     raise CertificateError(f"bad {what} {token[:40]!r}")
 
 
-def _schema_fields(tokens: list[str], n: int) -> tuple[str, tuple, bool]:
+def _schema_fields(tokens: list[str]) -> tuple[str, tuple, bool]:
     """Schema, parameters and direction from the tokens after a step's position."""
     schema = tokens[0]
     spec, _ = _SCHEMAS.get(schema, (None, None))
     if spec is None:
-        raise CertificateError(f"line {n}: unknown schema {schema!r}")
+        raise CertificateError(f"unknown schema {schema!r}")
     if len(tokens) != 2 + len(spec):
-        raise CertificateError(f"line {n}: {schema} step needs {len(spec)} parameters")
+        raise CertificateError(f"{schema} step needs {len(spec)} parameters")
     params = tuple(
         token if code == "k" else _parse_int(token, "parameter")
         for token, code in zip(tokens[1:-1], spec)
     )
     if tokens[-1] not in ("fwd", "bwd"):
-        raise CertificateError(f"line {n}: direction must be fwd or bwd")
+        raise CertificateError("direction must be fwd or bwd")
     return schema, params, tokens[-1] == "fwd"
+
+
+def _parse_step(line: str) -> RewriteStep:
+    """One ``step``, ``free`` or ``move`` line; the caller names the line in an error."""
+    tag, _, rest = line.partition(" ")
+    if tag == "step":
+        if line.count(" ") < 3:
+            raise CertificateError("malformed schema step")
+        position, _, tail = rest.partition(" ")
+        return SchemaStep(_parse_int(position, "position"), *_schema_fields(tail.split(" ")))
+    if tag == "free":
+        if line.count(" ") != 4:
+            raise CertificateError("malformed free step")
+        op, position, letter, exponent = rest.split(" ")
+        if op not in _FREE_OPS:
+            raise CertificateError(f"unknown free op {op!r}")
+        number = _parse_int(position, "position")
+        return FreeStep(op, number, _parse_letter(letter), _parse_int(exponent, "exponent"))
+    if tag == "move":
+        fields = rest.split(" ")
+        if len(fields) != 3 or fields[2] not in ("fwd", "bwd"):
+            raise CertificateError("malformed move step")
+        number, length = _parse_int(fields[0], "position"), _parse_int(fields[1], "length")
+        return MoveStep(number, length, fields[2] == "fwd")
+    raise CertificateError("expected a step, move or free line")
 
 
 def certificate_from_text(text: str) -> Certificate:
@@ -648,32 +673,8 @@ def certificate_from_text(text: str) -> Certificate:
     end = parse_word(header(3, "end"), model)
     steps: list[RewriteStep] = []
     for n, line in enumerate(lines[4:], 5):
-        tag, _, rest = line.partition(" ")
-        if tag == "step":
-            if line.count(" ") < 3:
-                raise CertificateError(f"line {n}: malformed schema step")
-            position, _, tail = rest.partition(" ")
-            number = _parse_int(position, "position")
-            steps.append(SchemaStep(number, *_schema_fields(tail.split(" "), n)))
-        elif tag == "free":
-            if line.count(" ") != 4:
-                raise CertificateError(f"line {n}: malformed free step")
-            op, position, letter, exponent = rest.split(" ")
-            if op not in _FREE_OPS:
-                raise CertificateError(f"line {n}: unknown free op {op!r}")
-            number = _parse_int(position, "position")
-            steps.append(
-                FreeStep(op, number, _parse_letter(letter), _parse_int(exponent, "exponent"))
-            )
-        elif tag == "move":
-            fields = rest.split(" ")
-            if len(fields) != 3 or fields[2] not in ("fwd", "bwd"):
-                raise CertificateError(f"line {n}: malformed move step")
-            try:
-                number, length = _parse_int(fields[0], "position"), _parse_int(fields[1], "length")
-            except CertificateError as exc:
-                raise CertificateError(f"line {n}: {exc}") from None
-            steps.append(MoveStep(number, length, fields[2] == "fwd"))
-        else:
-            raise CertificateError(f"line {n}: expected a step, move or free line")
+        try:
+            steps.append(_parse_step(line))
+        except CertificateError as exc:
+            raise CertificateError(f"line {n}: {exc}") from None
     return Certificate(start, end, tuple(steps))

@@ -22,14 +22,19 @@ fixed so that slide = twist * transposition holds matrix-wise; every
 relation of the presentation is validated against these matrices by the
 test suite.
 
-``homology_of`` keeps the running product on the rank-g span as g integer
-columns.  A syllable ``x_i^e`` rewrites columns ``i-1``, ``i`` (0-based)
-with the block power ``B^e``: O(g) column work and O(log |e|) 2x2
-products.  A negative exponent powers the inverse block, ``det *
-adjugate``, each checked against ``M M^-1 = I`` at import.  The product is
-projected to the quotient by the relation class once, at the end.  That is
-exact: every letter fixes ``mu_1 + ... + mu_g``, so the projection is a
-homomorphism and commutes with products.
+An :class:`IntMatrix` is stored as the columns that differ from the
+identity, each a ``{row: value}`` map of its nonzero entries.
+``homology_of`` keeps the running product on the rank-g span in that form.
+A syllable ``x_i^e`` rewrites only columns ``i-1``, ``i`` (0-based) with
+the block power ``B^e``, using O(log |e|) 2x2 products, so the work grows
+with the entries a word moves, not with g^2.  A negative exponent powers
+the inverse block, ``det * adjugate``, each checked against ``M M^-1 = I``
+at import.  At the end only the moved columns are projected to the
+quotient by the relation class.  That is exact: every letter fixes
+``mu_1 + ... + mu_g``, so the projection is a homomorphism and commutes
+with products.  A product of matrices computes column j only from the
+nonzero entries of the right factor's column j, and copies the columns
+the right factor leaves alone, so powers skip zeros too.
 
 Composition follows word order with the column-vector convention: the
 matrix of ``a b`` is ``M(a) M(b)``, and the permutation of ``a b`` is
@@ -79,41 +84,76 @@ def _binary_power(base, e: int, times):
         base = times(base, base)
 
 
-@dataclasses.dataclass(frozen=True)
 class IntMatrix:
-    """A square matrix over the integers, stored as a tuple of row tuples."""
+    """A square matrix over the integers, stored by the columns that differ from the identity.
 
-    rows: tuple[tuple[int, ...], ...]
+    ``cols`` maps a column index to that column's nonzero entries as a
+    ``{row: value}`` dict; a column equal to the identity's is absent, so
+    the identity is the empty map.  That form is canonical, and equality
+    and hashing compare it.  ``rows`` is a dense view built on demand.
+    Instances are immutable: no method changes ``cols`` or a column in it.
+    """
 
-    def __post_init__(self):
-        n = len(self.rows)
-        for row in self.rows:
+    __slots__ = ("size", "cols")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        n = len(rows)
+        for row in rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
             for v in row:
                 if not isinstance(v, int):
                     raise ValueError(f"matrix entries must be ints, got {v!r}")
+        cols: dict[int, dict[int, int]] = {}
+        for c in range(n):
+            _store(cols, c, {r: row[c] for r, row in enumerate(rows)})
+        self.size, self.cols = n, cols
+
+    @classmethod
+    def _of(cls, size: int, cols: dict[int, dict[int, int]]) -> "IntMatrix":
+        """The matrix of canonical ``cols``, with no checks."""
+        m = object.__new__(cls)
+        m.size, m.cols = size, cols
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls._of(n, {})
 
     @property
-    def size(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        cols, n = self.cols, self.size
+        return tuple(
+            tuple(cols[c].get(r, 0) if c in cols else int(r == c) for c in range(n))
+            for r in range(n)
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return self.size == other.size and self.cols == other.cols
+
+    def __hash__(self):
+        columns = frozenset((c, frozenset(col.items())) for c, col in self.cols.items())
+        return hash((self.size, columns))
+
+    def __repr__(self):
+        return f"IntMatrix({self.rows!r})"
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Column j of the product is ``self`` applied to column j of ``other``.
+
+        A column ``other`` leaves alone is ``self``'s column j as it is; a
+        moved one is summed over its nonzero entries only.
+        """
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if other.size != self.size:
             raise ValueError("size mismatch")
-        cols = tuple(zip(*other.rows))
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
+        cols = dict(self.cols)
+        for j, col in other.cols.items():
+            _store(cols, j, _apply(self.cols, col))
+        return IntMatrix._of(self.size, cols)
 
     def __pow__(self, e: int) -> "IntMatrix":
         if not isinstance(e, int):
@@ -212,12 +252,12 @@ def perm_of(word: Word) -> CrosscapPermutation:
     """Induced permutation of the crosscaps; rejects hybrid-model words."""
     if word.model.is_hybrid:
         raise WordError("the crosscap permutation oracle is defined for the standard model only")
-    g = word.model.genus
-    acc = CrosscapPermutation.identity(g)
+    images = list(range(word.model.genus))
     for letter, exp in word.syllables:
         if letter.kind in ("u", "y") and exp % 2:
-            acc = acc * CrosscapPermutation.transposition(g, letter.index)
-    return acc
+            i = letter.index
+            images[i - 1], images[i] = images[i], images[i - 1]
+    return CrosscapPermutation(tuple(images))
 
 
 def _times(x, y):
@@ -248,12 +288,22 @@ _BLOCKS = {
 _INVERSE_BLOCKS = {kind: _inverse_block(block) for kind, block in _BLOCKS.items()}
 
 
-def _project(cols: list[tuple[int, ...]], g: int) -> IntMatrix:
-    # Quotient by the relation class: [e_g] = -([e_1] + ... + [e_{g-1}]).
-    rows = tuple(
-        tuple(cols[c][r] - cols[c][g - 1] for c in range(g - 1)) for r in range(g - 1)
-    )
-    return IntMatrix(rows)
+def _store(cols: dict[int, dict[int, int]], j: int, col: dict[int, int]) -> None:
+    """Set column ``j`` of canonical ``cols``: zeros dropped, an identity column absent."""
+    col = {r: v for r, v in col.items() if v}
+    if col == {j: 1}:
+        cols.pop(j, None)
+    else:
+        cols[j] = col
+
+
+def _apply(cols: dict[int, dict[int, int]], col: dict[int, int]) -> dict[int, int]:
+    """The column ``M col`` for the matrix ``M`` of canonical ``cols``, over ``col``'s entries."""
+    out: dict[int, int] = {}
+    for k, v in col.items():
+        for r, x in cols.get(k, {k: 1}).items():
+            out[r] = out.get(r, 0) + v * x
+    return out
 
 
 def homology_of(word: Word) -> IntMatrix:
@@ -261,14 +311,22 @@ def homology_of(word: Word) -> IntMatrix:
     if word.model.is_hybrid:
         raise WordError("the homology oracle is defined for the standard model only")
     g = word.model.genus
-    cols = [tuple(int(r == c) for r in range(g)) for c in range(g)]
+    cols: dict[int, dict[int, int]] = {}
     for letter, exp in word.syllables:
         block = _BLOCKS[letter.kind] if exp > 0 else _INVERSE_BLOCKS[letter.kind]
         (a, b), (c, d) = _binary_power(block, abs(exp), _times)
-        left, right = cols[letter.index - 1], cols[letter.index]
-        cols[letter.index - 1] = tuple(a * x + c * z for x, z in zip(left, right))
-        cols[letter.index] = tuple(b * x + d * z for x, z in zip(left, right))
-    return _project(cols, g)
+        i = letter.index
+        left, right = _apply(cols, {i - 1: a, i: c}), _apply(cols, {i - 1: b, i: d})
+        _store(cols, i - 1, left)
+        _store(cols, i, right)
+    # Quotient by the relation class: [e_g] = -([e_1] + ... + [e_{g-1}]), so a
+    # column with e_g entry s loses s from each of its first g-1 rows.
+    image: dict[int, dict[int, int]] = {}
+    for c, col in cols.items():
+        if c < g - 1:
+            s = col.get(g - 1, 0)
+            _store(image, c, {r: col.get(r, 0) - s for r in range(g - 1)} if s else col)
+    return IntMatrix._of(g - 1, image)
 
 
 @lru_cache(maxsize=None)

@@ -306,6 +306,13 @@ class TestRelationsCommand:
         assert report["checks"]["sign"] == "pass"
         assert report["checks"]["permutation"] == "pass"
 
+    def test_largest_catalog_genus50(self, capsys):
+        code, report, _ = run_json(capsys, "relations", "--genus", "50")
+        assert code == 0
+        assert report["verdict"] == "all-relations-hold"
+        assert report["instances"] == 5936
+        assert report["checked"] == {"sign": 5936, "perm": 5789, "homology": 5789}
+
     def test_odd_genus_has_no_hybrid_catalog(self, capsys):
         _, report, _ = run_json(capsys, "relations", "--genus", "5")
         assert report["instances"] == 29

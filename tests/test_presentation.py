@@ -728,9 +728,9 @@ class TestCertificateText:
         assert cert.steps[0] == cert.steps[4] and cert.steps[2].letter is cert.steps[3].letter
 
     def test_bad_position_of_a_repeated_step_fails_on_its_own_line(self):
-        with pytest.raises(CertificateError, match="bad position '0x'"):
+        with pytest.raises(CertificateError, match=r"^line 9: bad position '0x'$"):
             certificate_from_text(self._HEAD + self._STEPS + "step 0x R2 1 fwd\n")
-        with pytest.raises(CertificateError, match="bad position '-0'"):
+        with pytest.raises(CertificateError, match=r"^line 9: bad position '-0'$"):
             certificate_from_text(self._HEAD + self._STEPS + "free insert -0 u1 2\n")
         cert = certificate_from_text(self._HEAD + self._STEPS + "step 9 R2 1 fwd\n")
         with pytest.raises(CertificateError, match=r"^step 5: step position 9 out of range 0\.\.3$"):
@@ -741,13 +741,13 @@ class TestCertificateText:
         [
             ("step 0 R2 1 fwx", "line 9: direction must be fwd or bwd"),
             ("step 0 R2 1 fwd x", "line 9: R2 step needs 1 parameters"),
-            ("step 0 R2 01 fwd", "bad parameter '01'"),
+            ("step 0 R2 01 fwd", "line 9: bad parameter '01'"),
             ("step 0 R22 1 fwd", "line 9: unknown schema 'R22'"),
             ("step 0 R2", "line 9: malformed schema step"),
             ("free insert 1 u1 2 x", "line 9: malformed free step"),
             ("free insrt 1 u1 2", "line 9: unknown free op 'insrt'"),
-            ("free insert 1 u01 2", "bad letter token 'u01'"),
-            ("free insert 1 u1 +2", "bad exponent '+2'"),
+            ("free insert 1 u01 2", "line 9: bad letter token 'u01'"),
+            ("free insert 1 u1 +2", "line 9: bad exponent '+2'"),
             ("move 0 2", "line 9: malformed move step"),
             ("move 0 2 fwd x", "line 9: malformed move step"),
             ("move 0  2 fwd", "line 9: malformed move step"),

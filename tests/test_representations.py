@@ -49,6 +49,49 @@ def _dense_homology(word):
     return acc
 
 
+# The 2x2 blocks of u, t, y and of their inverses on the columns of mu_i,
+# mu_{i+1}, as rows, written out independently of the module's tables.
+_DENSE_BLOCKS = {
+    "u": (((0, 1), (1, 0)), ((0, 1), (1, 0))),
+    "t": (((2, -1), (1, 0)), ((0, 1), (-1, 2))),
+    "y": (((-1, 2), (0, 1)), ((-1, 2), (0, 1))),
+}
+
+
+def _dense_columns_reference(word):
+    """Reference oracle: g dense columns, one block per letter occurrence, then projected."""
+    g = word.model.genus
+    cols = [[int(r == c) for r in range(g)] for c in range(g)]
+    for letter, exp in word.syllables:
+        (a, b), (c, d) = _DENSE_BLOCKS[letter.kind][exp < 0]
+        i = letter.index
+        for _ in range(abs(exp)):
+            left, right = cols[i - 1], cols[i]
+            cols[i - 1] = [a * x + c * z for x, z in zip(left, right)]
+            cols[i] = [b * x + d * z for x, z in zip(left, right)]
+    # [mu_g] = -([mu_1] + ... + [mu_{g-1}])
+    return tuple(tuple(cols[c][r] - cols[c][g - 1] for c in range(g - 1)) for r in range(g - 1))
+
+
+def _dense_product(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)) for r in range(n))
+
+
+def _dense_power(rows, e):
+    """``rows ** e`` by ``e`` dense products of Python ints."""
+    n = len(rows)
+    acc = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    for _ in range(e):
+        acc = _dense_product(acc, rows)
+    return acc
+
+
+def _square_matrices(n):
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    return st.lists(row, min_size=n, max_size=n).map(tuple)
+
+
 @st.composite
 def words_with_a_huge_syllable(draw):
     model = draw(standard_models(3, 12))
@@ -97,6 +140,21 @@ class TestIntMatrix:
             IntMatrix(((1, 2), (3,)))
         with pytest.raises(ValueError):
             IntMatrix(((1.5,),))
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(_square_matrices(n), _square_matrices(n))))
+    def test_rows_round_trip_and_dense_product(self, pair):
+        a, b = pair
+        assert IntMatrix(a).rows == a
+        product = _dense_product(a, b)
+        assert (IntMatrix(a) * IntMatrix(b)).rows == product
+        assert IntMatrix(product) == IntMatrix(a) * IntMatrix(b)
+
+    def test_identity_from_rows_is_the_canonical_identity(self):
+        for n in range(6):
+            m = IntMatrix(tuple(tuple(int(r == c) for c in range(n)) for r in range(n)))
+            assert m == IntMatrix.identity(n) and hash(m) == hash(IntMatrix.identity(n))
+            assert m.cols == {}
 
     @settings(max_examples=40)
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=3, max_size=3))
@@ -193,6 +251,16 @@ class TestPermutationOracle:
     def test_rejects_hybrid(self, hyb6):
         with pytest.raises(WordError):
             perm_of(_w("u1", hyb6))
+
+    @settings(max_examples=60)
+    @given(standard_models(2, 13).flatmap(words_for))
+    def test_matches_product_of_transpositions(self, w):
+        g = w.model.genus
+        acc = CrosscapPermutation.identity(g)
+        for letter, exp in w.syllables:
+            if letter.kind in ("u", "y") and exp % 2:
+                acc = acc * CrosscapPermutation.transposition(g, letter.index)
+        assert perm_of(w) == acc
 
     @settings(max_examples=60)
     @given(model_word_pairs())
@@ -299,6 +367,15 @@ class TestSparseHomology:
     @given(standard_models(3, 12).flatmap(words_for))
     def test_matches_dense_product(self, w):
         assert homology_of(w) == _dense_homology(w)
+
+    @settings(max_examples=80)
+    @given(standard_models(3, 13).flatmap(words_for), st.integers(0, 12))
+    def test_image_and_powers_match_dense_columns(self, w, e):
+        rows = _dense_columns_reference(w)
+        image = homology_of(w)
+        assert image.rows == rows
+        assert image == IntMatrix(rows) and hash(image) == hash(IntMatrix(rows))
+        assert (image**e).rows == _dense_power(rows, e)
 
     @settings(max_examples=30)
     @given(words_with_a_huge_syllable())

@@ -87,6 +87,31 @@ def test_move_lines_parse_and_replay_to_a_verdict_or_a_clean_error(text):
     assert report.certificate in (PASS, FAIL)
 
 
+@st.composite
+def step_and_free_certificates(draw):
+    """A genuine genus-5 certificate with one field of a ``step`` or ``free`` line redrawn.
+
+    Returns the text and the 1-based number of the changed line.
+    """
+    lines = list(LINES)
+    n = draw(st.sampled_from([k for k, line in enumerate(lines) if line.startswith(("step ", "free "))]))
+    tokens = lines[n].split(" ")
+    k = draw(st.integers(1, len(tokens) - 1))
+    tokens[k] = draw(_MOVE_FIELDS | _NUMERALS | st.sampled_from(("u01", "u0", "x1", "R2", "insrt")))
+    lines[n] = " ".join(tokens)
+    return "\n".join(lines) + "\n", n + 1
+
+
+@settings(max_examples=300)
+@given(step_and_free_certificates())
+def test_a_bad_step_or_free_line_is_named(case):
+    text, n = case
+    try:
+        certificate_from_text(text)
+    except CertificateError as exc:
+        assert str(exc).startswith(f"line {n}: "), exc
+
+
 @settings(max_examples=300)
 @given(TEXT, st.sampled_from((SurfaceModel.standard(5), SurfaceModel.hybrid(6))))
 def test_parse_word_yields_a_word_or_a_word_error(text, model):
