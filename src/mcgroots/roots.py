@@ -20,8 +20,10 @@ even_nonorientable  standard  R6closed-even   g-3    ((1-m)/2, 1)
 even_orientable     hybrid    R7chain         g-1    (g/2, -1)
 ==================  ========  ==============  =====  ============
 
-Each construction emits a :class:`~.presentation.Certificate` replaying
-exactly that computation, plus a report from the exact oracles.
+Each construction writes a :class:`~.presentation.Certificate` of
+exactly that computation from closed-form positions, without replaying
+it; the report (:func:`build_report`) replays it once, so a construction
+fault shows as a failed ``certificate`` check naming the step.
 
 No root exists at genus 2 (the group is Klein four and the targets are
 primitive there) or genus 3 (the trace/determinant pairs of torsion in
@@ -56,13 +58,13 @@ from .presentation import (
     RewriteStep,
     SchemaStep,
     _MODEL_COMMUTATIONS,
-    apply_step,
+    apply_step,  # noqa: F401  (a lookup site perfbench traces)
     boundary_identity,
     invert_step,
     replay_certificate,
 )
 from .representations import homology_of, perm_of, sign_of
-from .words import SurfaceModel, Syllable, Word, WordError, _letter, _reduce_syllables
+from .words import MAX_GENUS, SurfaceModel, Word, WordError, _letter, _reduce_syllables
 
 __all__ = [
     "NonexistenceError",
@@ -329,74 +331,14 @@ def build_report(
     )
 
 
-class _CertBuilder:
-    """Records certificate steps while replaying them on a working state.
-
-    Every helper validates its step by applying it immediately, so a
-    finished certificate replays by construction; ``finish`` additionally
-    checks the final state against the stated end word.
-    """
-
-    def __init__(self, start: Word):
-        self.start = start
-        self.model = start.model
-        self.state: list[Syllable] = list(start.syllables)
-        self.steps: list[RewriteStep] = []
-
-    def _push(self, step: RewriteStep) -> None:
-        apply_step(self.state, step, self.model)
-        self.steps.append(step)
-
-    def move_right(self, pos: int, count: int) -> None:
-        """Carry the syllable at ``pos`` right past the next ``count``."""
-        self._push(MoveStep(pos, count, True))
-
-    def move_left(self, pos: int, count: int) -> None:
-        """Carry the syllable at ``pos`` left past the ``count`` before it (none: no step)."""
-        if count:
-            self._push(MoveStep(pos - count, count, False))
-
-    def schema(self, pos: int, schema_id: str, params=(), forward: bool = True) -> None:
-        self._push(SchemaStep(pos, schema_id, tuple(params), forward))
-
-    def merge_at(self, pos: int) -> None:
-        letter, exp = self.state[pos]
-        self._push(FreeStep("merge", pos, letter, exp))
-
-    def merge_run(self, pos: int, count: int) -> None:
-        for _ in range(count):
-            self.merge_at(pos)
-
-    def delete_at(self, pos: int) -> None:
-        letter, exp = self.state[pos]
-        self._push(FreeStep("delete", pos, letter, exp))
-
-    def expand_to(self, raw: tuple[Syllable, ...]) -> None:
-        """Free-expand the current state into ``raw``, whose reduction it must be."""
-        trace: list = []
-        if tuple(self.state) != _reduce_syllables(raw, trace):
-            raise CertificateError("expansion target does not reduce to the current state")
-        for step in reversed(trace):
-            self._push(invert_step(FreeStep(*step)))
-
-    def splice(self, steps, offset: int) -> None:
-        """Replay foreign steps shifted right by ``offset`` positions."""
-        for step in steps:
-            self._push(dataclasses.replace(step, position=step.position + offset))
-
-    def finish(self, end: Word) -> Certificate:
-        if tuple(self.state) != end.syllables:
-            raise CertificateError("certificate construction did not reach the stated end word")
-        return Certificate(self.start, end, tuple(self.steps))
-
-
 def _target_word(model: SurfaceModel, target: str) -> Word:
     return Word(model, ((_letter(target, 1), 1),))
 
 
-def _gathered_root(model: SurfaceModel, target: str) -> RootResult:
+def _gathered_root(model: SurfaceModel, target: str) -> tuple[Word, Word, int, str, Certificate]:
     """The root ``D^p X^q`` of degree ``m`` from the boundary identity ``X^2 = D^m``.
 
+    Returns the root, the target, the degree, the case and the certificate.
     The model's boundary identity supplies the block ``D`` (disjoint from
     the target ``X``), the odd degree ``m`` and the boundary schema; ``q``
     is -1 in the hybrid model and 1 otherwise, and ``p = (1 - qm)/2``.
@@ -406,29 +348,36 @@ def _gathered_root(model: SurfaceModel, target: str) -> RootResult:
     ``D^(pm) X^(qm)``.  The boundary identity then turns ``D^(pm)`` into
     ``|p|`` boundary twists ``X^(+-2)`` (each followed by UsquaredYsquared
     for ``X = y_1``), and ``|p|`` merges reach ``X``: ``2(m-1) + 2|p|``
-    steps, plus ``|p|`` for ``y_1``.
+    steps, plus ``|p|`` for ``y_1``.  Every step is written from these
+    closed-form positions; nothing is replayed here.
     """
     boundary, block, m = boundary_identity(model)
     q = -1 if model.is_hybrid else 1
     p = (1 - q * m) // 2
+    x = _letter(target, 1)
     target_word = _target_word(model, target)
     root = block ** p * target_word ** q
-    start = root ** m
 
-    builder = _CertBuilder(start)
     span = abs(p) * block.syllable_count  # block syllables per root copy
+    steps: list[RewriteStep] = []
     for k in range(1, m):
-        builder.move_right(k * span, span)
-        builder.merge_at((k + 1) * span)
+        steps += [MoveStep(k * span, span, True), FreeStep("merge", (k + 1) * span, x, k * q)]
     for j in range(abs(p)):
-        builder.schema(j, boundary, (), forward=False)
+        steps.append(SchemaStep(j, boundary, (), False))
         if target == "y":
-            builder.schema(j, "UsquaredYsquared", (1,), forward=True)
-    builder.merge_run(0, abs(p))
-    certificate = builder.finish(target_word)
+            steps.append(SchemaStep(j, "UsquaredYsquared", (1,), True))
+    twist = 2 if p > 0 else -2  # the exponent of X one boundary step leaves
+    steps += [FreeStep("merge", 0, x, (j + 1) * twist) for j in range(abs(p))]
+    certificate = Certificate(root ** m, target_word, tuple(steps))
+    return root, target_word, m, _CASES[boundary], certificate
 
-    report = build_report(root, target_word, m, certificate)
-    return RootResult(root, target_word, m, _CASES[boundary], certificate, report)
+
+def _reported(
+    root: Word, target: Word, degree: int, case: str, certificate: Certificate
+) -> RootResult:
+    """The result with its report, whose :func:`verify_identity` is the one replay."""
+    report = build_report(root, target, degree, certificate)
+    return RootResult(root, target, degree, case, certificate, report)
 
 
 def _raise_small_genus(genus: int, target: str) -> None:
@@ -482,26 +431,29 @@ def construct_root(request: RootRequest) -> RootResult:
             case="g4_nonorientable",
             machine_certified=False,
         )
-    return _gathered_root(model, target)
+    return _reported(*_gathered_root(model, target))
 
 
-def _shift_certificate(
-    builder: _CertBuilder, genus: int, shifts: int
-) -> None:
+def _shift_steps(genus: int, shifts: int) -> list[RewriteStep]:
     """From ``delta^shifts u_1 delta^-shifts`` down to ``u_{shifts+1}``.
 
-    Each round applies ``delta u_j = u_{j+1} delta`` on the innermost
-    rotation (commutations + one braid step), then cancels the freed
-    ``delta delta^-1`` pair.
+    Round ``j`` works on the innermost rotation, which starts at ``o``:
+    it carries ``u_j`` left to ``u_{j+1}``, applies ``delta u_j =
+    u_{j+1} delta`` (one braid step), carries ``u_{j+1}`` left out of the
+    rotation, then cancels the freed ``delta delta^-1`` pair syllable by
+    syllable.
     """
     g = genus
+    steps: list[RewriteStep] = []
     for j in range(1, shifts + 1):
         o = (shifts - j) * (g - 1)
-        builder.move_left(o + g - 1, g - 2 - j)
-        builder.schema(o + j - 1, "R2", (j,), forward=True)
-        builder.move_left(o + j - 1, j - 1)
-        for r in range(g - 1, 0, -1):
-            builder.delete_at(o + r)
+        if g - 2 - j:
+            steps.append(MoveStep(o + j + 1, g - 2 - j, False))
+        steps.append(SchemaStep(o + j - 1, "R2", (j,), True))
+        if j - 1:
+            steps.append(MoveStep(o, j - 1, False))
+        steps += [FreeStep("delete", o + r, _letter("u", r), 1) for r in range(g - 1, 0, -1)]
+    return steps
 
 
 def construct_braid_root(punctures: int, index: int) -> RootResult:
@@ -510,10 +462,17 @@ def construct_braid_root(punctures: int, index: int) -> RootResult:
     Blowing punctures up to crosscaps matches elementary braids with the
     crosscap transpositions, and the standard-model constructions use
     ``u``-letters only, so they restrict to the braid setting; index > 1
-    is reached by conjugating with the crosscap rotation.  Refuses
-    ``punctures <= 4``, where no nontrivial root exists.
+    is reached by conjugating with the crosscap rotation.  The index-1
+    certificate is taken from :func:`_gathered_root` unreported; a larger
+    index prefixes the inverted free reduction of the conjugated start,
+    splices the index-1 steps in one rotation to the right and ends with
+    :func:`_shift_steps`, so the report's replay is the only one.  Refuses
+    more than ``MAX_GENUS`` punctures, and ``punctures <= 4``, where no
+    nontrivial root exists.
     """
     n = punctures
+    if n > MAX_GENUS:
+        raise ValueError(f"{n} punctures are over the cap of MAX_GENUS = {MAX_GENUS} punctures")
     if n < 2:
         raise ValueError(f"a braid group needs at least 2 punctures, got {n}")
     if not 1 <= index <= n - 1:
@@ -526,26 +485,22 @@ def construct_braid_root(punctures: int, index: int) -> RootResult:
             case="braid_small_n",
             machine_certified=False,
         )
-    base = construct_root(RootRequest(n, "u", "auto"))
+    model = SurfaceModel.standard(n)
+    base_root, base_target, degree, case, base = _gathered_root(model, "u")
     if index == 1:
-        return base
+        return _reported(base_root, base_target, degree, case, base)
 
-    model = base.root.model
-    g = model.genus
-    delta = Word(model, tuple((_letter("u", k), 1) for k in range(1, g)))
+    delta = Word(model, tuple((_letter("u", k), 1) for k in range(1, n)))
     rotation = delta ** (index - 1)
-    root = rotation * base.root * rotation.inverse()
-    target_word = Word(model, ((_letter("u", index), 1),))
-    degree = base.degree
-    start = root ** degree
-
-    builder = _CertBuilder(start)
-    builder.expand_to(
-        rotation.syllables + base.certificate.start.syllables + rotation.inverse().syllables
+    root = rotation * base_root * rotation.inverse()
+    trace: list = []
+    _reduce_syllables(
+        rotation.syllables + base.start.syllables + rotation.inverse().syllables, trace
     )
-    builder.splice(base.certificate.steps, len(rotation.syllables))
-    _shift_certificate(builder, g, index - 1)
-    certificate = builder.finish(target_word)
-
-    report = build_report(root, target_word, degree, certificate)
-    return RootResult(root, target_word, degree, base.case, certificate, report)
+    offset = len(rotation.syllables)
+    steps = [invert_step(FreeStep(*step)) for step in reversed(trace)]
+    steps += [dataclasses.replace(step, position=step.position + offset) for step in base.steps]
+    steps += _shift_steps(n, index - 1)
+    target_word = Word(model, ((_letter("u", index), 1),))
+    certificate = Certificate(root ** degree, target_word, tuple(steps))
+    return _reported(root, target_word, degree, case, certificate)

@@ -91,6 +91,7 @@ class TestExitCodes:
         code, _, err = run(capsys, *args)
         assert time.perf_counter() - started < 1.0
         assert code == 1 and "error:" in err and "MAX_GENUS" in err
+        assert args[0] != "braid-root" or "punctures" in err
 
     def test_certificate_over_the_genus_cap_is_one(self, capsys, tmp_path):
         path = tmp_path / "cert.txt"

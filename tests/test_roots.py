@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcgroots import presentation, roots
 from mcgroots.presentation import (
     Certificate,
     MoveStep,
@@ -406,13 +408,46 @@ def test_every_root_reverses_to_its_start(genus):
             assert rev.reverse() == cert
 
 
-@pytest.mark.parametrize("punctures", range(5, 12))
+@pytest.mark.parametrize("punctures", (*range(5, 17), 50))
 def test_every_braid_root_reverses_to_its_start(punctures):
-    for index in range(1, punctures):
+    for index in (49,) if punctures == 50 else range(1, punctures):
         result = construct_braid_root(punctures, index)
         assert result.report.proved
         cert = result.certificate
         assert replay_certificate(cert.reverse()) == cert.start.syllables
+
+
+def test_each_certificate_is_replayed_once(monkeypatch):
+    """Builders only write steps: the report's replay applies each step once."""
+    original = presentation.apply_step
+    calls = []
+
+    def counting(state, step, model):
+        calls.append(step)
+        original(state, step, model)
+
+    monkeypatch.setattr(presentation, "apply_step", counting)
+    monkeypatch.setattr(roots, "apply_step", counting)
+    requests = [RootRequest(g, t) for g in (5, 6, 25, 50) for t in "uy"]
+    requests += [RootRequest(g, t, "orientable") for g in (4, 20, 50) for t in "uy"]
+    builds = [functools.partial(construct_root, request) for request in requests]
+    builds += [
+        functools.partial(construct_braid_root, n, i) for n, i in ((7, 4), (11, 10), (50, 49))
+    ]
+    for build in builds:
+        calls.clear()
+        result = build()
+        assert result.report.proved
+        assert len(calls) == len(result.certificate.steps), build
+
+
+def test_a_construction_fault_fails_the_certificate_check(monkeypatch):
+    """Nothing checks a step at build time; a wrong one fails the report's replay by number."""
+    shift_steps = roots._shift_steps
+    monkeypatch.setattr(roots, "_shift_steps", lambda genus, shifts: shift_steps(genus, shifts)[1:])
+    report = construct_braid_root(7, 4).report
+    assert report.certificate == FAIL and not report.proved and not report.all_passed
+    assert any(detail.startswith("certificate:") and "step " in detail for detail in report.details)
 
 
 class TestCertificates:
