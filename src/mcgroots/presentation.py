@@ -81,6 +81,9 @@ Text format (one item per line, words in the module grammar)::
     move <pos> <len> <fwd|bwd>
     free <insert|delete|merge|split> <pos> <letter> <exp>
 
+The start and end lines write a word ``w c w^-1`` whose core ``c`` is a
+proper power ``b^r`` as ``w (b)^r w^-1``, in the same grammar: the start
+``root^m`` of a standard or hybrid root certificate reads ``(root)^m``.
 Serialization round-trips bit-exactly.
 """
 
@@ -99,9 +102,9 @@ from .words import (
     Word,
     WordError,
     _format_syllables,
+    _grouped_text,
     _inverse_syllables,
     _letter,
-    format_word,
     parse_word,
 )
 
@@ -578,7 +581,7 @@ def certificate_to_text(certificate: Certificate) -> str:
     model = certificate.model
     lines = [f"model {model.kind}", f"genus {model.genus}"]
     for tag, word in (("start", certificate.start), ("end", certificate.end)):
-        text = format_word(word)
+        text = _grouped_text(word.syllables)
         lines.append(f"{tag} {text}" if text else tag)
     for step in certificate.steps:
         if isinstance(step, SchemaStep):

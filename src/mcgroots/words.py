@@ -74,13 +74,15 @@ _KIND_NAMES = {
 
 
 # The largest genus a model may have.  Only the start words of root certificates
-# grow with it, like g^3 (no homology table is built); the largest root it admits
-# (genus 50, orientable complement) takes about 0.3 s and 26 MB peak memory.
+# grow with it, like g^3 syllables (no homology table is built), and their text
+# is the grouped power (root)^m, O(g); the largest root it admits (genus 50,
+# orientable complement) takes about 0.2 s and 20 MB peak memory.
 MAX_GENUS = 50
 
-# The most syllables a power of a multi-syllable word may write out.  It sits
-# above the start word of a genus-100 root (451 729 syllables); larger powers
-# raise WordError before anything is written out.
+# The most syllables a power may write out: 2|w| + |c|·|e| for the power e of
+# w c w^-1, whose core c alone is repeated (see _power).  It sits above the
+# start word of a genus-100 root (451 729 syllables); larger powers raise
+# WordError before anything is written out.
 MAX_POWER_SYLLABLES = 1 << 20
 
 
@@ -375,25 +377,82 @@ def _tokenize(text: str, model: SurfaceModel) -> list[tuple[str, object, int]]:
     return tokens
 
 
-def _power(syllables: tuple[Syllable, ...], e: int) -> tuple[Syllable, ...]:
-    """The reduced ``syllables`` written out ``e`` times, inverted for ``e < 0``.
+def _conjugator_length(syllables: Sequence[Syllable]) -> int:
+    """The length of the longest prefix ``w`` whose inverse is the suffix.
 
-    A single syllable powers by scaling its exponent, in O(1).  Other
-    powers may write out at most ``MAX_POWER_SYLLABLES`` syllables, except
-    +-1, which write out no more than the word itself.
+    The reduced ``syllables`` are then ``w c w^-1`` with a core ``c`` that
+    is nonempty unless the word is.
     """
-    if len(syllables) == 1:
-        ((letter, exp),) = syllables
-        return ((letter, exp * e),)
-    size = len(syllables) * abs(e)
+    k, n = 0, len(syllables)
+    while 2 * k + 2 < n:
+        letter, exp = syllables[k]
+        if syllables[n - 1 - k] != (letter, -exp):
+            break
+        k += 1
+    return k
+
+
+def _power(syllables: tuple[Syllable, ...], e: int) -> tuple[Syllable, ...]:
+    """The reduced ``syllables`` to the power ``e``, as ``w c^e w^-1``.
+
+    With ``syllables = w c w^-1`` (see :func:`_conjugator_length`) only the
+    core ``c`` is written out ``|e|`` times, inverted for ``e < 0``; a
+    core of one syllable powers by scaling its exponent.  What is written
+    out, ``2|w| + |c|·|e|`` syllables, may be at most
+    ``MAX_POWER_SYLLABLES``, except for the powers +-1, which write out no
+    more than the word itself.  The result is the written-out power up to
+    free reduction.
+    """
+    k = _conjugator_length(syllables)
+    conjugator, core = syllables[:k], syllables[k : len(syllables) - k]
+    if len(core) == 1:
+        ((letter, exp),) = core
+        return conjugator + ((letter, exp * e),) + _inverse_syllables(conjugator)
+    size = 2 * k + len(core) * abs(e)
     if abs(e) > 1 and size > MAX_POWER_SYLLABLES:
         raise WordError(
             f"the power {e} of a {len(syllables)}-syllable word would write out {size}"
             f" syllables, over the cap of {MAX_POWER_SYLLABLES}"
         )
     if e < 0:
-        syllables = _inverse_syllables(syllables)
-    return syllables * abs(e)
+        core = _inverse_syllables(core)
+    return conjugator + core * abs(e) + _inverse_syllables(conjugator)
+
+
+def _power_length(syllables: tuple[Syllable, ...], e: int) -> int | None:
+    """The syllable count of the power ``e != 0``, when known without writing it out.
+
+    With ``syllables = w c w^-1`` and a core ``c`` that begins and ends
+    with different letters, ``w c^e w^-1`` is reduced as written: ``2|w| +
+    |c|·|e|`` syllables.  None when that does not hold, or when the count
+    is over ``MAX_POWER_SYLLABLES``, where :func:`_power` refuses.
+    """
+    k = _conjugator_length(syllables)
+    core = syllables[k : len(syllables) - k]
+    size = 2 * k + len(core) * abs(e)
+    if e and core and core[0][0] != core[-1][0] and size <= MAX_POWER_SYLLABLES:
+        return size
+    return None
+
+
+def _grouped_text(syllables: Sequence[Syllable]) -> str:
+    """The text of reduced ``syllables``, with a core that is a proper power grouped.
+
+    For ``syllables = w c w^-1`` whose core is ``b^r`` with ``r >= 2`` and
+    ``b`` shortest, the text is ``w (b)^r w^-1``; otherwise it is that of
+    :func:`format_word`.  Parsing the text gives back the same syllables:
+    ``b`` is a slice of a reduced word whose ends are adjacent in it, so it
+    has no conjugator and :func:`_power` writes it out as it stands.
+    """
+    k = _conjugator_length(syllables)
+    core = syllables[k : len(syllables) - k]
+    n = len(core)
+    for d in range(2, n // 2 + 1):
+        if n % d == 0 and core[d : 2 * d] == core[:d] and core[d:] == core[:-d]:
+            head = _format_syllables(syllables[:k], "")
+            tail = _format_syllables(syllables[len(syllables) - k :], "")
+            return f"{head} ({_format_syllables(core[:d])})^{n // d} {tail}".strip()
+    return _format_syllables(syllables, "")
 
 
 def _parse_sequence(tokens, k: int, model: SurfaceModel) -> tuple[list[Syllable], int]:

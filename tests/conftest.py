@@ -43,6 +43,27 @@ def model_word_pairs(max_genus: int = 8) -> st.SearchStrategy:
     )
 
 
+def conjugates(max_genus: int = 6) -> st.SearchStrategy:
+    """Reduced words ``w c w^-1``, some with a core ``c`` whose end syllables share a letter."""
+
+    def build(model: SurfaceModel) -> st.SearchStrategy:
+        def conjugate(w: Word, c: Word, letter, ends: tuple[int, int] | None) -> Word:
+            if ends is not None:
+                c = Word(model, ((letter, ends[0]),) + c.syllables + ((letter, ends[1]),))
+            return w * c * w.inverse()
+
+        exps = st.integers(-3, 3).filter(lambda e: e != 0)
+        return st.builds(
+            conjugate,
+            words_for(model),
+            words_for(model),
+            letters_for(model),
+            st.none() | st.tuples(exps, exps),
+        )
+
+    return standard_models(2, max_genus).flatmap(build)
+
+
 def random_word(rng: random.Random, model: SurfaceModel, max_syllables: int = 4) -> Word:
     """Deterministic random word for seeded bulk checks outside hypothesis."""
     letters = model.letters()

@@ -37,9 +37,16 @@ from mcgroots.roots import (
     construct_root,
     verify_identity,
 )
-from mcgroots.words import GeneratorLetter, SurfaceModel, WordError, parse_word
+from mcgroots.words import (
+    GeneratorLetter,
+    SurfaceModel,
+    WordError,
+    _grouped_text,
+    format_word,
+    parse_word,
+)
 
-from conftest import hybrid_models, standard_models, words_for
+from conftest import conjugates, hybrid_models, standard_models, words_for
 
 
 def _w(text, model):
@@ -771,8 +778,39 @@ class TestCertificateText:
         assert certificate_from_text(certificate_to_text(cert)) == cert
 
 
-# sha256 of certificate_to_text for the roots of u1 and y1: standard model at
-# genus 5..13 (nonorientable complement), hybrid model at genus 4..12.
+def _written_out_text(certificate):
+    """certificate_to_text with the start and end lines written out by format_word."""
+    lines = certificate_to_text(certificate).split("\n")
+    for n, (tag, word) in enumerate((("start", certificate.start), ("end", certificate.end)), 2):
+        lines[n] = f"{tag} {format_word(word)}".rstrip()
+    return "\n".join(lines)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+    @settings(max_examples=80)
+    @given(
+        conjugates(max_genus=6).flatmap(
+            lambda x: st.tuples(st.just(x), words_for(x.model), st.integers(2, 4), words_for(x.model))
+        )
+    )
+    def test_grouped_endpoints_round_trip(self, data):
+        # start and end words w b^r w^-1 read back as the same certificate, and
+        # their grouped lines are never longer than the written-out ones
+        conjugate, b, r, w = data
+        a = w * conjugate**r * w.inverse()
+        c = w * b**r * w.inverse()
+        cert = Certificate(a, c)
+        assert certificate_from_text(certificate_to_text(cert)) == cert
+        for word in (a, c):
+            assert len(_grouped_text(word.syllables)) <= len(format_word(word))
+
+# sha256 of _written_out_text for the roots of u1 and y1: standard model at
+# genus 5..13 (nonorientable complement), hybrid model at genus 4..12.  These
+# are the digests of certificate_to_text from before grouped start lines, so
+# they pin every step line and the end line byte for byte.
 CERTIFICATE_SHA256 = {
     ("standard", 5, "u"): "08bfb05c8e2fe02acc8f118aa95ab0d459589ef4bd258376fc77d4e62ce78e53",
     ("standard", 5, "y"): "69abbe13fb79772d07a8233e243bae8a8a4e54f9727665f354a4e578c07fcd8e",
@@ -805,15 +843,49 @@ CERTIFICATE_SHA256 = {
 }
 
 
+# sha256 of certificate_to_text, as written, for the same roots.
+GROUPED_CERTIFICATE_SHA256 = {
+    ("standard", 5, "u"): "3b0fed97bd50717c17762ffd792f922a7eb47610d275783df99a399c000164c2",
+    ("standard", 5, "y"): "f95fe82b63575b3f208d9d1cee884949c423d4d833a76a7af77b2de361f75e63",
+    ("standard", 6, "u"): "81dd3d737b74263f53b4c15a1520bfdeca83316d909d9fd322ffe7bc3138b12a",
+    ("standard", 6, "y"): "b6cfa53c13d53df6e9c13be2f3d963932dd424a2d04d08ceed06d461e1b30644",
+    ("standard", 7, "u"): "c9558c85d0dc28bfdf57db874dbe0a231a9950c06112c8fb945899e65dc38fd7",
+    ("standard", 7, "y"): "22980ec5f61fda74008ec3711d46cd805e0798756efaaa5e7064f6790ed099a9",
+    ("standard", 8, "u"): "77f95cba5e06420b4c453084bfdf820f4619ee573d0939c8a1e94ab50d3cb65d",
+    ("standard", 8, "y"): "56a21c21ecbfcfede73c359223c86914c2ec52d7fd5611bccb2184bec9a882d9",
+    ("standard", 9, "u"): "b62679fb5584d0bd5f022f7908308621dda7e7823535dade67574dcbc9535562",
+    ("standard", 9, "y"): "3cac3c1028f6b22566f75c2253c016ea1fa9bb365ca2c51d8d33ea1b526d0ad2",
+    ("standard", 10, "u"): "44dfafcca46479bea6c8b5ac3efbe3dbe59c3a557a764e0c8ffb697dc2bd472f",
+    ("standard", 10, "y"): "e02805c31ee9e5cf1eff0a115cabd1acaa47f67b5cf4663e5e4f832379efac3e",
+    ("standard", 11, "u"): "a2d12e569c4f41ff2d6d565e58c600f9b538e213ed829a6354ebd85a362e4b82",
+    ("standard", 11, "y"): "77b664d88d762d574137b2d897f4ec81b73cbecf0af28a776c93ad8b508bed90",
+    ("standard", 12, "u"): "0a1b07e813e91b25db85e305d0739ff15f9bc4711e437d7a78e1cd75edfda91e",
+    ("standard", 12, "y"): "554ea45940f8ac569cde7759b479bb1babe5589ad2d739dee97a879ce2f0981b",
+    ("standard", 13, "u"): "c2d246f5114ad929945c14223e1c7d2fb5092d9bf700f80d23a712cab991e1db",
+    ("standard", 13, "y"): "2dd9f88397fbdb7e89ee23c881d634eb70d1e33e72ded18b14199ab09aa4829d",
+    ("hybrid", 4, "u"): "cb9286d32f8d7e745bc69d1268835e2a71b2a25b3e40932e75078bc07dcc9cdc",
+    ("hybrid", 4, "y"): "c1a813ae8eea798e691cf491123cf4bc6dee4013ced28272ff34833fe9fa3c17",
+    ("hybrid", 6, "u"): "82dfdb917ec196613f1089f470773c21a2cffdc5a5844af8718199adcb357c2f",
+    ("hybrid", 6, "y"): "80f043a0e784bbfed4d0f9a9844e19d4cbdbed57ba7f854841d41688e63a9412",
+    ("hybrid", 8, "u"): "553c7cc000cef92c09b7c10e5f9e4e9c8d7068dacb6a5a9a76f6cc6ee7cf0f52",
+    ("hybrid", 8, "y"): "6fcbb67323c7fe9c8f802467a7afcbd0aafe5bdcf440635103cfac2ea6a65550",
+    ("hybrid", 10, "u"): "3ccae332ed52731f281b4ccea0b7ac94c237b0ce0c1059bd716aff5a172cbfb9",
+    ("hybrid", 10, "y"): "333e1dd40b0a9cfa88846c7492af7b926b4487828bca7f59909b76d3df555ee5",
+    ("hybrid", 12, "u"): "e040f1975e2eeba7717348e94921cd8ee218eca931c838042cfdf5207375b949",
+    ("hybrid", 12, "y"): "671bbe310911bc76e3ff0ffc378384776a83b9b73b92e2dd001ba473e1262853",
+}
+
+
 @pytest.mark.parametrize("kind, genus, target", sorted(CERTIFICATE_SHA256))
 def test_certificate_text_is_byte_stable(kind, genus, target):
     complement = "orientable" if kind == "hybrid" else "nonorientable"
-    result = construct_root(RootRequest(genus, target, complement))
-    text = certificate_to_text(result.certificate)
-    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256[kind, genus, target]
+    certificate = construct_root(RootRequest(genus, target, complement)).certificate
+    key = kind, genus, target
+    assert _sha256(_written_out_text(certificate)) == CERTIFICATE_SHA256[key]
+    assert _sha256(certificate_to_text(certificate)) == GROUPED_CERTIFICATE_SHA256[key]
 
 
-# sha256 of certificate_to_text(construct_braid_root(n, i).certificate) for
+# sha256 of _written_out_text(construct_braid_root(n, i).certificate) for
 # n = 5..8 punctures and every index; index 1 is the standard root of u1.
 BRAID_CERTIFICATE_SHA256 = {
     (5, 1): "08bfb05c8e2fe02acc8f118aa95ab0d459589ef4bd258376fc77d4e62ce78e53",
@@ -841,11 +913,51 @@ BRAID_CERTIFICATE_SHA256 = {
 }
 
 
+# sha256 of certificate_to_text, as written, for the same braid roots.
+GROUPED_BRAID_CERTIFICATE_SHA256 = {
+    (5, 1): "3b0fed97bd50717c17762ffd792f922a7eb47610d275783df99a399c000164c2",
+    (5, 2): "d8cb9144db9d24fba1051831a396ffed0e473ba7b360b029a81f485a9430bd06",
+    (5, 3): "599a1089fcc217d8d6ed3d19442084bd73166589bc283764a970b39fd2823673",
+    (5, 4): "924296b8f4665d2051685778d5d4c22913ed326d4fb73951b2ebc86524280192",
+    (6, 1): "81dd3d737b74263f53b4c15a1520bfdeca83316d909d9fd322ffe7bc3138b12a",
+    (6, 2): "596317a935647b140f49ceec3e5e13a8d505bf27a00b32ddebe88b4ac1fd3292",
+    (6, 3): "80959c9c1caf4c0aef93ee979a9b055674aac06feec9c40ce3f3da29c32b7eb5",
+    (6, 4): "9a14a77baa7b0fac088f684a8227306fd22acd9b7ab25dc7e57b3b5cc596923e",
+    (6, 5): "f9df0789eab978df5ae729c26e91aae58185df8f84bdac49eb2dc737011e4cca",
+    (7, 1): "c9558c85d0dc28bfdf57db874dbe0a231a9950c06112c8fb945899e65dc38fd7",
+    (7, 2): "c244ac4eca5b70f6fc7a52ea8af3f61c1b28157546625117787894057171ea36",
+    (7, 3): "04b5bf254c4eb7ba8840b5065cf9943e2c4d10f67ed9f6a5fb7dd539ad1884d2",
+    (7, 4): "14e70fbeb907a13be15c6b3bc3692992de51783364ee7008b7cab4d62b3d1460",
+    (7, 5): "7ee750a47d6702b3d6a20b0696940ea180daa51606542c3bdced6433f6c61bce",
+    (7, 6): "0d4d9b09089933d8c348514c48123c542e5291f64e271230f17ef51bd5ed2056",
+    (8, 1): "77f95cba5e06420b4c453084bfdf820f4619ee573d0939c8a1e94ab50d3cb65d",
+    (8, 2): "582334551b58310ff497d2ab9a0947a239252a232e2dbecfea6a1f4516fe1c0d",
+    (8, 3): "006043fac00af702bfc827bf2140d42e25ba2222a4359f609d7e4c8a93c89c17",
+    (8, 4): "95618921f689dc55e5d94cc691713a0c601106a1ef10269f0264fdfbf3985cf9",
+    (8, 5): "120663b0958964baccff5b3d78fe964a8d209d2d730ee9047d9127d7a86bd5cd",
+    (8, 6): "395efd62ab3e2afdf852bd594b337e20e5c17e36de30e2a5902aac609e7f0953",
+    (8, 7): "ea97a78c9ec0c6530ee0fe2548303b1b8c034a97ebc1aaa0903193620e1bdfcc",
+}
+
+
 @pytest.mark.parametrize("punctures, index", sorted(BRAID_CERTIFICATE_SHA256))
 def test_braid_certificate_text_is_byte_stable(punctures, index):
-    text = certificate_to_text(construct_braid_root(punctures, index).certificate)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == BRAID_CERTIFICATE_SHA256[punctures, index]
+    certificate = construct_braid_root(punctures, index).certificate
+    key = punctures, index
+    assert _sha256(_written_out_text(certificate)) == BRAID_CERTIFICATE_SHA256[key]
+    assert _sha256(certificate_to_text(certificate)) == GROUPED_BRAID_CERTIFICATE_SHA256[key]
+
+
+@pytest.mark.parametrize(
+    "certificate, line",
+    [
+        (lambda: construct_root(RootRequest(5, "u", "nonorientable")), "start (u4^-1 u3^-1 u1)^3"),
+        (lambda: construct_braid_root(5, 2), "start u1 u2 (u1 u4^-1 u3^-1)^3 u2^-1 u1^-1"),
+    ],
+    ids=["standard-5-u", "braid-5-2"],
+)
+def test_grouped_start_lines(certificate, line):
+    assert certificate_to_text(certificate().certificate).split("\n")[2] == line
 
 
 def _per_swap(certificate):
@@ -860,12 +972,21 @@ def _per_swap(certificate):
     return dataclasses.replace(certificate, steps=tuple(steps))
 
 
-# sha256 of certificate_to_text as written before move steps, one swap a
+# sha256 of _written_out_text as written before move steps, one swap a
 # line; writing out the moves of today's certificates gives the same text
 PER_SWAP_SHA256 = {
     ("standard", 5, "u"): "24cd35507e610dbf022ce5168cc674c5b37a2b01bee6c8ddda70866bb6ed22e5",
     ("standard", 6, "y"): "71d358991964dddd94007e11cb67b834b1e7e631c0492ac857b417a1db437212",
     ("hybrid", 4, "y"): "1739f84665dcc7cdde66ac5c63a0d88c217d1377daa81278d7e204104ce993b2",
+    ("braid", 6, 3): "ea0de2f84346d28bac331b1c1e759725da70d3d3844580d0cbfbb986d8b1f98c",
+}
+
+
+# sha256 of certificate_to_text of the same per-swap certificates, as written.
+GROUPED_PER_SWAP_SHA256 = {
+    ("standard", 5, "u"): "a860e79d90375ba478631fe6f7382dafc7059c7ef95b01bae7f596d0bb3357cb",
+    ("standard", 6, "y"): "27700b1e8ccd0b347f41fc317895682e1653801490ffd068785858b55435ad00",
+    ("hybrid", 4, "y"): "c04ed5eb2b385231b511c33bb4b7d6c3f4f861188bc2ca97345ab2facc961a43",
     ("braid", 6, 3): "ea0de2f84346d28bac331b1c1e759725da70d3d3844580d0cbfbb986d8b1f98c",
 }
 
@@ -877,8 +998,10 @@ def test_per_swap_form_still_verifies(kind, genus, target):
     else:
         complement = "orientable" if kind == "hybrid" else "nonorientable"
         result = construct_root(RootRequest(genus, target, complement))
-    text = certificate_to_text(_per_swap(result.certificate))
-    assert hashlib.sha256(text.encode()).hexdigest() == PER_SWAP_SHA256[kind, genus, target]
+    per_swap = _per_swap(result.certificate)
+    assert _sha256(_written_out_text(per_swap)) == PER_SWAP_SHA256[kind, genus, target]
+    text = certificate_to_text(per_swap)
+    assert _sha256(text) == GROUPED_PER_SWAP_SHA256[kind, genus, target]
     assert "move " not in text
     parsed = certificate_from_text(text)
     assert len(parsed.steps) > len(result.certificate.steps)

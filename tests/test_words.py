@@ -17,7 +17,7 @@ from mcgroots.words import (
     parse_word,
 )
 
-from conftest import model_word_pairs, standard_models, words_for
+from conftest import conjugates, model_word_pairs, standard_models, words_for
 
 
 class TestSurfaceModel:
@@ -259,6 +259,40 @@ class TestGroupOperations:
                 assert str(info.value) == str(exc)
             else:
                 assert parse_word(text, a.model) == expected
+
+    @settings(max_examples=100)
+    @given(conjugates(), st.integers(-5, 5))
+    def test_core_power_is_the_written_out_power(self, word, e):
+        # _power writes w c^e w^-1; up to free reduction that is the word
+        # written out |e| times, inverted for e < 0
+        s = word.syllables
+        k = words._conjugator_length(s)
+        assert words._inverse_syllables(s[:k]) == s[len(s) - k :]
+        assert len(s) - 2 * k >= min(len(s), 1)  # a nonempty core unless s is empty
+        base = s if e >= 0 else words._inverse_syllables(s)
+        assert Word(word.model, words._power(s, e)) == Word(word.model, base * abs(e))
+
+    @settings(max_examples=100)
+    @given(conjugates(), st.integers(-5, 5))
+    def test_power_length_is_exact_when_known(self, word, n):
+        s = word.syllables
+        k = words._conjugator_length(s)
+        core = s[k : len(s) - k]
+        length = words._power_length(s, n)
+        if n and core and core[0][0] != core[-1][0]:
+            assert length == 2 * k + len(core) * abs(n) == len((word**n).syllables)
+        else:
+            assert length is None
+
+    def test_the_cap_counts_what_is_written_out(self, std5, monkeypatch):
+        monkeypatch.setattr(words, "MAX_POWER_SYLLABLES", 100)
+        w = parse_word("(u1 u2)^20", std5)
+        conjugate = w * parse_word("u3 t4", std5) * w.inverse()  # 82 syllables
+        # 2·40 + 2·5 = 90 syllables written out, where 82·5 = 410 once were
+        assert conjugate**5 == w * parse_word("(u3 t4)^5", std5) * w.inverse()
+        assert parse_word(f"({conjugate})^-5", std5) == conjugate.inverse() ** 5
+        with pytest.raises(WordError, match="would write out 102 syllables, over the cap of 100"):
+            conjugate**11
 
     @settings(max_examples=60)
     @given(model_word_pairs())
