@@ -64,15 +64,7 @@ from .presentation import (
     replay_certificate,
 )
 from .representations import homology_of, perm_of, sign_of
-from .words import (
-    MAX_GENUS,
-    SurfaceModel,
-    Word,
-    WordError,
-    _letter,
-    _power_length,
-    _reduce_syllables,
-)
+from .words import MAX_GENUS, SurfaceModel, Word, WordError, _letter, _reduce_syllables
 
 __all__ = [
     "NonexistenceError",
@@ -289,11 +281,8 @@ def verify_identity(
     assumptions: tuple[str, ...] = ()
     if certificate is None:
         if not refuted:
-            length = _power_length(word.syllables, power)
             try:
-                # a known length that differs settles the claim unwritten
-                if length is None or length == equals.syllable_count:
-                    proved = word ** power == equals
+                proved = word ** power == equals
             except WordError as exc:
                 details.append(f"proof: not attempted, {exc}")
             else:

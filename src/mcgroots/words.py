@@ -419,22 +419,6 @@ def _power(syllables: tuple[Syllable, ...], e: int) -> tuple[Syllable, ...]:
     return conjugator + core * abs(e) + _inverse_syllables(conjugator)
 
 
-def _power_length(syllables: tuple[Syllable, ...], e: int) -> int | None:
-    """The syllable count of the power ``e != 0``, when known without writing it out.
-
-    With ``syllables = w c w^-1`` and a core ``c`` that begins and ends
-    with different letters, ``w c^e w^-1`` is reduced as written: ``2|w| +
-    |c|·|e|`` syllables.  None when that does not hold, or when the count
-    is over ``MAX_POWER_SYLLABLES``, where :func:`_power` refuses.
-    """
-    k = _conjugator_length(syllables)
-    core = syllables[k : len(syllables) - k]
-    size = 2 * k + len(core) * abs(e)
-    if e and core and core[0][0] != core[-1][0] and size <= MAX_POWER_SYLLABLES:
-        return size
-    return None
-
-
 def _grouped_text(syllables: Sequence[Syllable]) -> str:
     """The text of reduced ``syllables``, with a core that is a proper power grouped.
 

@@ -777,19 +777,6 @@ class TestCertificateText:
         cert = Certificate(a, b)
         assert certificate_from_text(certificate_to_text(cert)) == cert
 
-
-def _written_out_text(certificate):
-    """certificate_to_text with the start and end lines written out by format_word."""
-    lines = certificate_to_text(certificate).split("\n")
-    for n, (tag, word) in enumerate((("start", certificate.start), ("end", certificate.end)), 2):
-        lines[n] = f"{tag} {format_word(word)}".rstrip()
-    return "\n".join(lines)
-
-
-def _sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
     @settings(max_examples=80)
     @given(
         conjugates(max_genus=6).flatmap(
@@ -806,6 +793,19 @@ def _sha256(text):
         assert certificate_from_text(certificate_to_text(cert)) == cert
         for word in (a, c):
             assert len(_grouped_text(word.syllables)) <= len(format_word(word))
+
+
+def _written_out_text(certificate):
+    """certificate_to_text with the start and end lines written out by format_word."""
+    lines = certificate_to_text(certificate).split("\n")
+    for n, (tag, word) in enumerate((("start", certificate.start), ("end", certificate.end)), 2):
+        lines[n] = f"{tag} {format_word(word)}".rstrip()
+    return "\n".join(lines)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 # sha256 of _written_out_text for the roots of u1 and y1: standard model at
 # genus 5..13 (nonorientable complement), hybrid model at genus 4..12.  These

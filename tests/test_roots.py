@@ -324,15 +324,6 @@ class TestVerifyIdentity:
         assert checks["permutation"] == checks["homology"] == expected
         assert report.certificate == report.nontriviality == NOT_APPLICABLE
 
-    def test_a_power_of_known_length_is_not_written_out(self, monkeypatch):
-        # (u1 u2)^524288 has 2^20 syllables, so it is not u2 u1, which every
-        # oracle accepts; the length settles it with the same details line
-        model = SurfaceModel.standard(5)
-        monkeypatch.setattr("mcgroots.words._power", None)  # writing a power out fails
-        report = verify_identity(parse_word("u1 u2", model), 524288, parse_word("u2 u1", model))
-        assert report.all_passed and not report.proved
-        assert report.details[-1] == "proof: root^524288 reduces to the target = False"
-
     @settings(max_examples=80, deadline=None)
     @given(_words_of_either_model(), st.integers(-4, 4))
     def test_verdicts_match_the_dense_comparison(self, words, n):

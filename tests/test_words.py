@@ -272,18 +272,6 @@ class TestGroupOperations:
         base = s if e >= 0 else words._inverse_syllables(s)
         assert Word(word.model, words._power(s, e)) == Word(word.model, base * abs(e))
 
-    @settings(max_examples=100)
-    @given(conjugates(), st.integers(-5, 5))
-    def test_power_length_is_exact_when_known(self, word, n):
-        s = word.syllables
-        k = words._conjugator_length(s)
-        core = s[k : len(s) - k]
-        length = words._power_length(s, n)
-        if n and core and core[0][0] != core[-1][0]:
-            assert length == 2 * k + len(core) * abs(n) == len((word**n).syllables)
-        else:
-            assert length is None
-
     def test_the_cap_counts_what_is_written_out(self, std5, monkeypatch):
         monkeypatch.setattr(words, "MAX_POWER_SYLLABLES", 100)
         w = parse_word("(u1 u2)^20", std5)
