@@ -290,7 +290,12 @@ def verify_identity(
     else:
         cert_ok = False
         count = len(certificate.steps)
-        if certificate.start != word ** power:
+        if certificate.model != word.model:
+            details.append(
+                f"certificate: its {certificate.model.describe()}"
+                f" is not the claim's {word.model.describe()}"
+            )
+        elif certificate.start != word ** power:
             details.append(f"certificate: start is not root^{power}")
         elif certificate.end != equals:
             details.append("certificate: end is not the target")

@@ -35,7 +35,7 @@ from mcgroots.roots import (
     verify_identity,
 )
 from mcgroots.representations import homology_of, perm_of, sign_of
-from mcgroots.words import GeneratorLetter, SurfaceModel, WordError, parse_word
+from mcgroots.words import GeneratorLetter, SurfaceModel, Word, WordError, parse_word
 
 from conftest import hybrid_models, standard_models, words_for
 
@@ -369,6 +369,35 @@ class TestVerifyIdentity:
         assert report.details[-1] == "certificate: end is not the target"
         report = verify_identity(result.root, 3, result.target, cert)
         assert report.all_passed and report.assumptions == result.report.assumptions
+
+    def test_certificate_model_must_match_the_claim(self):
+        # a genus-6 certificate against a genus-5 claim names both models
+        cert = construct_root(RootRequest(6, "u")).certificate
+        model = SurfaceModel.standard(5)
+        report = verify_identity(_w("u1 u2", model), 2, _w("u1 u2 u1 u2", model), cert)
+        assert report.certificate == FAIL and not report.proved
+        assert report.details[-1] == (
+            "certificate: its standard genus-6 model is not the claim's standard genus-5 model"
+        )
+
+
+def test_a_root_and_its_certificate_do_not_check_the_start_again(monkeypatch):
+    # the start root^m and the report's root^m are powers of a checked word,
+    # so Word(...) never sees their 6 859 syllables, let alone twice
+    checked = []
+    post_init = Word.__post_init__
+
+    def counting(word):
+        object.__setattr__(word, "syllables", tuple(word.syllables))
+        checked.append(len(word.syllables))
+        post_init(word)
+
+    monkeypatch.setattr(Word, "__post_init__", counting)
+    result = construct_root(RootRequest(20, "u", "orientable"))
+    certificate_to_text(result.certificate)
+    assert result.certificate.model == SurfaceModel.hybrid(20)
+    assert len(result.certificate.start.syllables) == 6859
+    assert sum(checked) < 6859
 
 
 def _complements(genus):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcgroots import words
+from mcgroots.roots import construct_braid_root
 from mcgroots.words import (
     GeneratorLetter,
     ParseError,
@@ -261,16 +262,39 @@ class TestGroupOperations:
                 assert parse_word(text, a.model) == expected
 
     @settings(max_examples=100)
-    @given(conjugates(), st.integers(-5, 5))
-    def test_core_power_is_the_written_out_power(self, word, e):
-        # _power writes w c^e w^-1; up to free reduction that is the word
-        # written out |e| times, inverted for e < 0
+    @given(conjugates(), st.booleans())
+    def test_core_power_is_the_written_out_power(self, word, fresh):
+        # _power writes w c^e w^-1, reduced.  Word.__pow__ and Word.inverse()
+        # skip the checks of Word(...), so their syllables must already be
+        # the reduced written-out word, also in letters built directly
+        # rather than taken from the shared table
+        model = word.model
+        if fresh:
+            word = Word(model, tuple((GeneratorLetter(x.kind, x.index), e) for x, e in word))
         s = word.syllables
         k = words._conjugator_length(s)
         assert words._inverse_syllables(s[:k]) == s[len(s) - k :]
         assert len(s) - 2 * k >= min(len(s), 1)  # a nonempty core unless s is empty
-        base = s if e >= 0 else words._inverse_syllables(s)
-        assert Word(word.model, words._power(s, e)) == Word(word.model, base * abs(e))
+        built = [(word.inverse(), words._inverse_syllables(s))]
+        for n in range(-6, 7):
+            built.append((word**n, (s if n >= 0 else words._inverse_syllables(s)) * abs(n)))
+        for result, written in built:
+            assert result.model == model
+            assert result.syllables == Word(model, written).syllables
+            assert all(e != 0 for _, e in result.syllables)
+            assert all(x != y for (x, _), (y, _) in zip(result.syllables, result.syllables[1:]))
+
+    def test_copies_of_a_core_join_where_its_ends_share_a_letter(self):
+        # the braid root (6, 2): its core begins and ends with u3^-1, so the
+        # copies of the core join in u3^-2
+        root = construct_braid_root(6, 2).root
+        assert str(root) == "u1 u2 u3^-1 u1 u5^-1 u4^-1 u3^-1 u2^-1 u1^-1"
+        assert str(root**3) == (
+            "u1 u2 u3^-1 u1 u5^-1 u4^-1 u3^-2 u1 u5^-1 u4^-1 u3^-2 u1 u5^-1 u4^-1"
+            " u3^-1 u2^-1 u1^-1"
+        )
+        assert (root**3).syllables == Word(root.model, root.syllables * 3).syllables
+        assert (root**-3).syllables == Word(root.model, root.inverse().syllables * 3).syllables
 
     def test_the_cap_counts_what_is_written_out(self, std5, monkeypatch):
         monkeypatch.setattr(words, "MAX_POWER_SYLLABLES", 100)
