@@ -89,7 +89,6 @@ Serialization round-trips bit-exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import re
 from functools import lru_cache
@@ -101,6 +100,7 @@ from .words import (
     Syllable,
     Word,
     WordError,
+    _Record,
     _format_syllables,
     _grouped_text,
     _inverse_syllables,
@@ -178,15 +178,13 @@ class CertificateError(ValueError):
     """A certificate step that cannot be applied to the working sequence."""
 
 
-@dataclasses.dataclass(frozen=True)
-class RelationInstance:
+class RelationInstance(_Record):
     """One concrete relation ``lhs = rhs`` of a model's presentation."""
 
-    schema: str
-    params: tuple
-    model: SurfaceModel
-    lhs: Word
-    rhs: Word
+    __slots__ = ("schema", "params", "model", "lhs", "rhs")
+
+    def __init__(self, schema: str, params: tuple, model: SurfaceModel, lhs: Word, rhs: Word):
+        super().__init__(schema, params, model, lhs, rhs)
 
 
 def _word(model: SurfaceModel, syllables: Iterable[Syllable]) -> Word:
@@ -332,32 +330,33 @@ def relation_catalog(model: SurfaceModel) -> tuple[RelationInstance, ...]:
     return tuple(out)
 
 
-@dataclasses.dataclass(frozen=True)
-class SchemaStep:
+class SchemaStep(_Record):
     """Replace one side of a relation instance by the other at a position."""
 
-    position: int
-    schema: str
-    params: tuple
-    forward: bool = True
+    __slots__ = ("position", "schema", "params", "forward")
+
+    def __init__(self, position: int, schema: str, params: tuple, forward: bool = True):
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "forward", forward)
 
 
-@dataclasses.dataclass(frozen=True)
-class FreeStep:
+class FreeStep(_Record):
     """Free-group bookkeeping: insert/delete a canceling pair, merge/split syllables."""
 
-    op: str
-    position: int
-    letter: GeneratorLetter
-    exponent: int
+    __slots__ = ("op", "position", "letter", "exponent")
 
-    def __post_init__(self):
-        if self.op not in _FREE_OPS:
-            raise CertificateError(f"unknown free op {self.op!r}")
+    def __init__(self, op: str, position: int, letter: GeneratorLetter, exponent: int):
+        if op not in _FREE_OPS:
+            raise CertificateError(f"unknown free op {op!r}")
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "letter", letter)
+        object.__setattr__(self, "exponent", exponent)
 
 
-@dataclasses.dataclass(frozen=True)
-class MoveStep:
+class MoveStep(_Record):
     """Carry one syllable past the ``length`` syllables after ``position``.
 
     Forward, the syllable at ``position`` moves right to ``position +
@@ -365,9 +364,12 @@ class MoveStep:
     ``position``.
     """
 
-    position: int
-    length: int
-    forward: bool = True
+    __slots__ = ("position", "length", "forward")
+
+    def __init__(self, position: int, length: int, forward: bool = True):
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "forward", forward)
 
 
 RewriteStep = Union[SchemaStep, FreeStep, MoveStep]
@@ -375,10 +377,12 @@ RewriteStep = Union[SchemaStep, FreeStep, MoveStep]
 
 def invert_step(step: RewriteStep) -> RewriteStep:
     """The step that undoes ``step`` at the same position."""
-    if isinstance(step, (SchemaStep, MoveStep)):
-        return dataclasses.replace(step, forward=not step.forward)
+    if isinstance(step, SchemaStep):
+        return SchemaStep(step.position, step.schema, step.params, not step.forward)
+    if isinstance(step, MoveStep):
+        return MoveStep(step.position, step.length, not step.forward)
     paired = {"insert": "delete", "delete": "insert", "merge": "split", "split": "merge"}
-    return dataclasses.replace(step, op=paired[step.op])
+    return FreeStep(paired[step.op], step.position, step.letter, step.exponent)
 
 
 def _apply_schema_step(state: list[Syllable], step: SchemaStep, model: SurfaceModel) -> None:
@@ -508,17 +512,15 @@ def apply_step(state: list[Syllable], step: RewriteStep, model: SurfaceModel) ->
         raise CertificateError(f"unknown step type {type(step).__name__}")
 
 
-@dataclasses.dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """A replayable derivation transforming ``start`` into ``end``."""
 
-    start: Word
-    end: Word
-    steps: tuple[RewriteStep, ...] = ()
+    __slots__ = ("start", "end", "steps")
 
-    def __post_init__(self):
-        if self.start.model != self.end.model:
+    def __init__(self, start: Word, end: Word, steps: tuple[RewriteStep, ...] = ()):
+        if start.model != end.model:
             raise WordError("certificate endpoints must share one model")
+        super().__init__(start, end, steps)
 
     @property
     def model(self) -> SurfaceModel:

@@ -51,12 +51,11 @@ with GL(2, Z).
 
 from __future__ import annotations
 
-import dataclasses
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .words import GeneratorLetter, SurfaceModel, Word, WordError
+from .words import GeneratorLetter, SurfaceModel, Word, WordError, _Record
 
 __all__ = [
     "CrosscapPermutation",
@@ -185,15 +184,15 @@ class IntMatrix:
         return sign * m[-1][-1]
 
 
-@dataclasses.dataclass(frozen=True)
-class CrosscapPermutation:
+class CrosscapPermutation(_Record):
     """A permutation of the crosscaps 1..g, stored 0-based: images[k] = image of k."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a permutation: {self.images!r}")
+    def __init__(self, images: tuple[int, ...]):
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a permutation: {images!r}")
+        super().__init__(images)
 
     @classmethod
     def identity(cls, g: int) -> "CrosscapPermutation":

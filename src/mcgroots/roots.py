@@ -47,8 +47,6 @@ and certifying the shift ``delta u_j delta^-1 = u_{j+1}`` step by step.
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import small_genus
 from .presentation import (
     Certificate,
@@ -64,7 +62,15 @@ from .presentation import (
     replay_certificate,
 )
 from .representations import homology_of, perm_of, sign_of
-from .words import MAX_GENUS, SurfaceModel, Word, WordError, _letter, _reduce_syllables
+from .words import (
+    MAX_GENUS,
+    SurfaceModel,
+    Word,
+    WordError,
+    _letter,
+    _Record,
+    _reduce_syllables,
+)
 
 __all__ = [
     "NonexistenceError",
@@ -143,23 +149,20 @@ class NonexistenceError(ValueError):
         self.machine_certified = machine_certified
 
 
-@dataclasses.dataclass(frozen=True)
-class RootRequest:
+class RootRequest(_Record):
     """What to take a root of: ``u`` -> u_1, ``y`` -> y_1 at the given genus."""
 
-    genus: int
-    target: str = "u"
-    complement: str = "auto"
+    __slots__ = ("genus", "target", "complement")
 
-    def __post_init__(self):
-        if self.target not in ("u", "y"):
-            raise ValueError(f"target must be 'u' or 'y', got {self.target!r}")
-        if self.complement not in ("auto", "nonorientable", "orientable"):
-            raise ValueError(f"unknown complement choice {self.complement!r}")
+    def __init__(self, genus: int, target: str = "u", complement: str = "auto"):
+        if target not in ("u", "y"):
+            raise ValueError(f"target must be 'u' or 'y', got {target!r}")
+        if complement not in ("auto", "nonorientable", "orientable"):
+            raise ValueError(f"unknown complement choice {complement!r}")
+        super().__init__(genus, target, complement)
 
 
-@dataclasses.dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Per-check verdicts for one claimed identity ``word^power = equals``.
 
     ``oracles`` holds one ``(key, verdict)`` pair per row of
@@ -169,12 +172,18 @@ class VerificationReport:
     reduces to ``equals``.
     """
 
-    oracles: tuple[tuple[str, str], ...]
-    certificate: str
-    nontriviality: str
-    details: tuple[str, ...] = ()
-    assumptions: tuple[str, ...] = ()
-    proved: bool = False
+    __slots__ = ("oracles", "certificate", "nontriviality", "details", "assumptions", "proved")
+
+    def __init__(
+        self,
+        oracles: tuple[tuple[str, str], ...],
+        certificate: str,
+        nontriviality: str,
+        details: tuple[str, ...] = (),
+        assumptions: tuple[str, ...] = (),
+        proved: bool = False,
+    ):
+        super().__init__(oracles, certificate, nontriviality, details, assumptions, proved)
 
     def checks(self) -> dict[str, str]:
         return {
@@ -188,16 +197,21 @@ class VerificationReport:
         return all(verdict != FAIL for verdict in self.checks().values())
 
 
-@dataclasses.dataclass(frozen=True)
-class RootResult:
+class RootResult(_Record):
     """A constructed root with its certificate and verification report."""
 
-    root: Word
-    target: Word
-    degree: int
-    case: str
-    certificate: Certificate
-    report: VerificationReport
+    __slots__ = ("root", "target", "degree", "case", "certificate", "report")
+
+    def __init__(
+        self,
+        root: Word,
+        target: Word,
+        degree: int,
+        case: str,
+        certificate: Certificate,
+        report: VerificationReport,
+    ):
+        super().__init__(root, target, degree, case, certificate, report)
 
 
 def certificate_assumptions(certificate: Certificate) -> tuple[str, ...]:
@@ -246,6 +260,34 @@ def _verdict(ok: bool) -> str:
     return PASS if ok else FAIL
 
 
+def _certificate_check(
+    certificate: Certificate, word: Word, power: int, equals: Word
+) -> tuple[str, str]:
+    """The certificate's verdict on ``word^power = equals`` and its detail line.
+
+    A power over the syllable cap leaves the certificate unchecked: ``n/a``.
+    """
+    if certificate.model != word.model:
+        return FAIL, (
+            f"certificate: its {certificate.model.describe()}"
+            f" is not the claim's {word.model.describe()}"
+        )
+    try:
+        start = word ** power
+    except WordError as exc:
+        return NOT_APPLICABLE, f"certificate: not checked, {exc}"
+    if certificate.start != start:
+        return FAIL, f"certificate: start is not root^{power}"
+    if certificate.end != equals:
+        return FAIL, "certificate: end is not the target"
+    count = len(certificate.steps)
+    try:
+        ok = replay_certificate(certificate) == certificate.end.syllables
+    except CertificateError as exc:
+        return FAIL, f"certificate: {count} steps, {exc}"
+    return _verdict(ok), f"certificate: {count} steps replay root^{power} -> target = {ok}"
+
+
 def verify_identity(
     word: Word, power: int, equals: Word, certificate: Certificate | None = None
 ) -> VerificationReport:
@@ -256,11 +298,13 @@ def verify_identity(
     its inverse otherwise: the image of ``word`` is powered, never the
     written-out word, so any exponent costs O(log |power|) products.  A
     given certificate must run from ``word^power`` to ``equals`` and
-    replay step by step; a failing step is named in the details.  Without
-    a certificate a claim no oracle refutes is proved only when
-    ``word^power`` and ``equals`` are equal as reduced words; a power over
-    the syllable cap proves nothing and says so in the details.
-    Nontriviality is ``n/a``: the claim is an identity, not a root.
+    replay step by step; a failing step is named in the details, and only
+    a certificate that replays lends its axioms to ``assumptions``.
+    Without a certificate a claim no oracle refutes is proved only when
+    ``word^power`` and ``equals`` are equal as reduced words.  A power over
+    the syllable cap proves nothing, with or without a certificate, and
+    says so in the details.  Nontriviality is ``n/a``: the claim is an
+    identity, not a root.
     """
     details: list[str] = []
     proved = False
@@ -288,29 +332,11 @@ def verify_identity(
             else:
                 details.append(f"proof: root^{power} reduces to the target = {proved}")
     else:
-        cert_ok = False
-        count = len(certificate.steps)
-        if certificate.model != word.model:
-            details.append(
-                f"certificate: its {certificate.model.describe()}"
-                f" is not the claim's {word.model.describe()}"
-            )
-        elif certificate.start != word ** power:
-            details.append(f"certificate: start is not root^{power}")
-        elif certificate.end != equals:
-            details.append("certificate: end is not the target")
-        else:
-            try:
-                cert_ok = replay_certificate(certificate) == certificate.end.syllables
-            except CertificateError as exc:
-                details.append(f"certificate: {count} steps, {exc}")
-            else:
-                details.append(
-                    f"certificate: {count} steps replay root^{power} -> target = {cert_ok}"
-                )
-        cert = _verdict(cert_ok)
-        assumptions = certificate_assumptions(certificate)
-        proved = cert_ok
+        cert, detail = _certificate_check(certificate, word, power, equals)
+        details.append(detail)
+        proved = cert == PASS
+        if proved:
+            assumptions = certificate_assumptions(certificate)
 
     return VerificationReport(
         oracles=tuple(oracles),
@@ -328,11 +354,13 @@ def build_report(
     """:func:`verify_identity` on ``root^degree = target`` plus the nontriviality witness."""
     report = verify_identity(root, degree, target, certificate)
     nontrivial = is_nontrivial(root, target)
-    return dataclasses.replace(
-        report,
-        nontriviality=_verdict(nontrivial),
-        details=report.details
-        + (f"nontriviality: root is no power of the target = {nontrivial}",),
+    return VerificationReport(
+        report.oracles,
+        report.certificate,
+        _verdict(nontrivial),
+        report.details + (f"nontriviality: root is no power of the target = {nontrivial}",),
+        report.assumptions,
+        report.proved,
     )
 
 
@@ -461,6 +489,16 @@ def _shift_steps(genus: int, shifts: int) -> list[RewriteStep]:
     return steps
 
 
+def _shifted(step: RewriteStep, offset: int) -> RewriteStep:
+    """``step`` at a position ``offset`` syllables further right."""
+    position = step.position + offset
+    if isinstance(step, SchemaStep):
+        return SchemaStep(position, step.schema, step.params, step.forward)
+    if isinstance(step, MoveStep):
+        return MoveStep(position, step.length, step.forward)
+    return FreeStep(step.op, position, step.letter, step.exponent)
+
+
 def construct_braid_root(punctures: int, index: int) -> RootResult:
     """Root of the elementary braid ``sigma_index`` on a sphere with punctures.
 
@@ -504,7 +542,7 @@ def construct_braid_root(punctures: int, index: int) -> RootResult:
     )
     offset = len(rotation.syllables)
     steps = [invert_step(FreeStep(*step)) for step in reversed(trace)]
-    steps += [dataclasses.replace(step, position=step.position + offset) for step in base.steps]
+    steps += [_shifted(step, offset) for step in base.steps]
     steps += _shift_steps(n, index - 1)
     target_word = Word(model, ((_letter("u", index), 1),))
     certificate = Certificate(root ** degree, target_word, tuple(steps))

@@ -19,11 +19,10 @@ on a box of matrices.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 from .representations import IntMatrix, _times, homology_of
-from .words import Word
+from .words import Word, _OrderedRecord, _Record
 
 __all__ = [
     "Gl2Certification",
@@ -42,15 +41,15 @@ __all__ = [
 _KLEIN_LABELS = ("1", "t", "y", "ty")
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class KleinFourElement:
+class KleinFourElement(_OrderedRecord):
     """Element of Z2 x Z2 written multiplicatively over generators t, y."""
 
-    label: str
+    __slots__ = ("label",)
 
-    def __post_init__(self):
-        if self.label not in _KLEIN_LABELS:
-            raise ValueError(f"label must be one of {_KLEIN_LABELS}, got {self.label!r}")
+    def __init__(self, label: str):
+        if label not in _KLEIN_LABELS:
+            raise ValueError(f"label must be one of {_KLEIN_LABELS}, got {label!r}")
+        super().__init__(label)
 
     def __mul__(self, other: "KleinFourElement") -> "KleinFourElement":
         if not isinstance(other, KleinFourElement):
@@ -149,18 +148,23 @@ def _order_by_iteration(rows) -> int | None:
     return None
 
 
-@dataclasses.dataclass(frozen=True)
-class TorsionScan:
+class TorsionScan(_Record):
     """The table checked on every unimodular matrix with entries in [-B, B].
 
     ``pairs`` lists the table's pairs, in table order, that the box
     realizes by a matrix other than +-I: the scan checked only those.
     """
 
-    entry_bound: int
-    checked: int
-    order_counts: dict[int, int]
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("entry_bound", "checked", "order_counts", "pairs")
+
+    def __init__(
+        self,
+        entry_bound: int,
+        checked: int,
+        order_counts: dict[int, int],
+        pairs: tuple[tuple[int, int], ...],
+    ):
+        super().__init__(entry_bound, checked, order_counts, pairs)
 
 
 # the grid has (2B + 1)^4 candidates
@@ -208,14 +212,19 @@ def _pair_note(pair) -> str | None:
     return f"the scalar {sign}I has order {_SCALAR_ORDERS[pair]}"
 
 
-@dataclasses.dataclass(frozen=True)
-class Gl2Certification:
+class Gl2Certification(_Record):
     """Machine-checked nonexistence of nontrivial roots of any degree at genus 3."""
 
-    target: Word
-    target_matrix: IntMatrix
-    scan: TorsionScan
-    assumptions: tuple[str, ...]
+    __slots__ = ("target", "target_matrix", "scan", "assumptions")
+
+    def __init__(
+        self,
+        target: Word,
+        target_matrix: IntMatrix,
+        scan: TorsionScan,
+        assumptions: tuple[str, ...],
+    ):
+        super().__init__(target, target_matrix, scan, assumptions)
 
     def passed(self) -> bool:
         """The argument holds: (0, -1) is the one finite pair of determinant -1, of order 2."""

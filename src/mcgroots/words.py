@@ -50,8 +50,8 @@ the exponent differs from 1.
 
 from __future__ import annotations
 
-import dataclasses
 import re
+from operator import attrgetter, ge, gt, le, lt
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -89,6 +89,74 @@ MAX_GENUS = 50
 MAX_POWER_SYLLABLES = 1 << 20
 
 
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields, in order, in ``__slots__`` (a name with a
+    leading underscore holds a cached value, not a field); its ``__init__``
+    checks the values and passes them to this ``__init__``.  Assigning or
+    deleting a field afterwards raises ``AttributeError``.  Records of one
+    class are equal, and hash alike, when their fields are; ``repr`` and
+    pickling go through the fields.  The records built most (letters,
+    models, words and certificate steps) set their fields through
+    ``object.__setattr__`` themselves, and letters, compared most, write
+    their own ``__eq__`` and ``__hash__``: the generic methods here, shared
+    by every class, run about 1.5 times slower.
+
+    These are plain classes, not frozen dataclasses, because importing
+    :mod:`dataclasses` and generating the records' methods took about 25 ms
+    of every cold ``mcgroots`` call.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if cls._fields:
+            cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+def _ordering(op):
+    def compare(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return op(self._key(self), self._key(other))
+
+    return compare
+
+
+class _OrderedRecord(_Record):
+    """A record ordered by its fields, compared in order."""
+
+    __slots__ = ()
+    __lt__, __le__, __gt__, __ge__ = map(_ordering, (lt, le, gt, ge))
+
+
 class WordError(ValueError):
     """Malformed letter, inadmissible word, or model mismatch."""
 
@@ -101,26 +169,26 @@ class ParseError(WordError):
         self.position = position
 
 
-@dataclasses.dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(_Record):
     """Alphabet selector for a closed nonorientable surface of genus >= 2.
 
     ``kind`` is ``"standard"`` or ``"hybrid"``; the hybrid decomposition
     exists only for even genus >= 4.
     """
 
-    genus: int
-    kind: str = "standard"
+    __slots__ = ("genus", "kind")
 
-    def __post_init__(self):
-        if not isinstance(self.genus, int) or self.genus < 2:
-            raise WordError(f"genus must be an integer >= 2, got {self.genus!r}")
-        if self.genus > MAX_GENUS:
-            raise WordError(f"genus {self.genus} is over the cap of MAX_GENUS = {MAX_GENUS}")
-        if self.kind not in ("standard", "hybrid"):
-            raise WordError(f"unknown model kind {self.kind!r}")
-        if self.kind == "hybrid" and (self.genus < 4 or self.genus % 2):
+    def __init__(self, genus: int, kind: str = "standard"):
+        if not isinstance(genus, int) or genus < 2:
+            raise WordError(f"genus must be an integer >= 2, got {genus!r}")
+        if genus > MAX_GENUS:
+            raise WordError(f"genus {genus} is over the cap of MAX_GENUS = {MAX_GENUS}")
+        if kind not in ("standard", "hybrid"):
+            raise WordError(f"unknown model kind {kind!r}")
+        if kind == "hybrid" and (genus < 4 or genus % 2):
             raise WordError("hybrid model requires even genus >= 4")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "kind", kind)
 
     @classmethod
     def standard(cls, genus: int) -> "SurfaceModel":
@@ -159,18 +227,34 @@ class SurfaceModel:
         return tuple(out)
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class GeneratorLetter:
-    """A single generator symbol: kind in {t, u, y, c} plus a 1-based index."""
+class GeneratorLetter(_OrderedRecord):
+    """A single generator symbol: kind in {t, u, y, c} plus a 1-based index.
 
-    kind: str
-    index: int
+    The hash is computed on first use and kept: memo caches keyed by
+    letters hash them on every lookup.
+    """
 
-    def __post_init__(self):
-        if self.kind not in _KIND_NAMES:
-            raise WordError(f"unknown letter kind {self.kind!r}")
-        if not isinstance(self.index, int) or self.index < 1:
-            raise WordError(f"letter index must be a positive integer, got {self.index!r}")
+    __slots__ = ("kind", "index", "_hash")
+
+    def __init__(self, kind: str, index: int):
+        if kind not in _KIND_NAMES:
+            raise WordError(f"unknown letter kind {kind!r}")
+        if not isinstance(index, int) or index < 1:
+            raise WordError(f"letter index must be a positive integer, got {index!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.index == other.index
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+            return self._hash
 
     def __str__(self) -> str:
         return f"{self.kind}{self.index}"
@@ -230,8 +314,7 @@ def _format_syllables(syllables: Iterable[Syllable], empty: str = "(empty)") -> 
     return text or empty
 
 
-@dataclasses.dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """A free-reduced word over the model's alphabet.
 
     Construction validates every letter against the model, drops zero
@@ -240,11 +323,10 @@ class Word:
     adjacent syllables share a letter.
     """
 
-    model: SurfaceModel
-    syllables: tuple[Syllable, ...] = ()
+    __slots__ = ("model", "syllables")
 
-    def __post_init__(self):
-        syllables = tuple(self.syllables)
+    def __init__(self, model: SurfaceModel, syllables: Iterable[Syllable] = ()):
+        syllables = tuple(syllables)
         letters: dict[int, GeneratorLetter] = {}  # each letter object, checked once
         reduced, previous = True, None
         for letter, exp in syllables:
@@ -253,7 +335,7 @@ class Word:
                     raise WordError(f"syllable letter must be a GeneratorLetter, got {letter!r}")
                 if not isinstance(exp, int):
                     raise WordError(f"syllable exponent must be an int, got {exp!r}")
-                self.model.check(letter)
+                model.check(letter)
                 letters[id(letter)] = letter
             if letter is previous or not exp:
                 reduced = False
@@ -262,6 +344,7 @@ class Word:
         # full reduction; with shared letters that never happens.
         if not reduced or len(set(letters.values())) < len(letters):
             syllables = _reduce_syllables(syllables)
+        object.__setattr__(self, "model", model)
         object.__setattr__(self, "syllables", syllables)
 
     @classmethod

@@ -183,6 +183,18 @@ def test_cli_import_leaves_numpy_unloaded():
     assert done.stdout.splitlines()[-1] == "0 False"
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # the records are plain slotted classes: importing dataclasses (and the
+    # inspect, ast and dis it pulls in) cost every cold call about 25 ms
+    done = run_cold(
+        "-c",
+        "import sys; import mcgroots.cli;"
+        " print('dataclasses' in sys.modules, 'inspect' in sys.modules)",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False False"
+
+
 class TestDeepNesting:
     DEPTH = 5000
     WORD = "(" * DEPTH + "u1" + ")" * DEPTH
@@ -495,6 +507,29 @@ class TestVerifyCommand:
         assert report["verdict"] == "unproven"
         assert set(report["checks"].values()) == {"pass", "n/a"}
         assert any(d.startswith("proof: not attempted") and "cap" in d for d in report["details"])
+
+    @pytest.mark.parametrize(
+        "word, equals, verdict", [("u1 u2", "u1", "refuted"), ("u1 u3", "", "unproven")]
+    )
+    def test_power_over_the_cap_leaves_the_certificate_unchecked(
+        self, capsys, tmp_path, word, equals, verdict
+    ):
+        # a report, not an input error: the oracles refute (u1 u2)^10000000 = u1
+        # and pass (u1 u3)^10000000 = 1, which no certificate check can prove
+        path = tmp_path / "cert5.txt"
+        run(capsys, "root", "--genus", "5", "--emit-certificate", str(path))
+        code, report, err = run_json(
+            capsys, "verify", "--genus", "5", "--word", word, "--power", "10000000",
+            "--equals", equals, "--certificate", str(path),
+        )
+        assert code == 2 and err == ""
+        assert report["verdict"] == verdict
+        assert report["checks"]["certificate"] == "n/a"
+        assert report["assumptions"] == []
+        assert report["details"][-1] == (
+            "certificate: not checked, the power 10000000 of a 2-syllable word would write"
+            " out 20000000 syllables, over the cap of 1048576"
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import pathlib
 import re
@@ -969,7 +968,7 @@ def _per_swap(certificate):
         else:
             apply_step(state, step, certificate.model)
             steps.append(step)
-    return dataclasses.replace(certificate, steps=tuple(steps))
+    return Certificate(certificate.start, certificate.end, tuple(steps))
 
 
 # sha256 of _written_out_text as written before move steps, one swap a

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import pytest
@@ -19,6 +18,7 @@ from mcgroots.presentation import (
     certificate_to_text,
     commute_step,
     instantiate,
+    invert_step,
     replay_certificate,
 )
 from mcgroots.roots import (
@@ -350,9 +350,9 @@ class TestVerifyIdentity:
         index, step = next(
             (k, s) for k, s in enumerate(cert.steps) if isinstance(s, SchemaStep)
         )
-        flipped = dataclasses.replace(step, forward=not step.forward)
-        bad = dataclasses.replace(
-            cert, steps=cert.steps[:index] + (flipped,) + cert.steps[index + 1 :]
+        flipped = invert_step(step)
+        bad = Certificate(
+            cert.start, cert.end, cert.steps[:index] + (flipped,) + cert.steps[index + 1 :]
         )
         report = verify_identity(result.root, result.degree, result.target, bad)
         assert report.certificate == FAIL
@@ -380,19 +380,49 @@ class TestVerifyIdentity:
             "certificate: its standard genus-6 model is not the claim's standard genus-5 model"
         )
 
+    def test_power_over_the_cap_leaves_the_certificate_unchecked(self, std5):
+        # (u1 u3)^10000000 passes every oracle but is over the syllable cap
+        cert = construct_root(RootRequest(5, "u")).certificate
+        report = verify_identity(_w("u1 u3", std5), 10_000_000, _w("", std5), cert)
+        assert report.checks()["certificate"] == NOT_APPLICABLE and report.all_passed
+        assert not report.proved and report.assumptions == ()
+        assert report.details[-1] == (
+            "certificate: not checked, the power 10000000 of a 2-syllable word would write"
+            " out 20000000 syllables, over the cap of 1048576"
+        )
+
+    @pytest.mark.parametrize("certificate", ["genuine", "other-model", "tampered-step"])
+    def test_only_a_certificate_that_replays_lends_its_axioms(self, certificate):
+        result = construct_root(RootRequest(5, "u"))
+        cert, word, power, target = result.certificate, result.root, result.degree, result.target
+        if certificate == "other-model":
+            cert = construct_root(RootRequest(6, "u")).certificate
+            word, power = _w("u1 u2", result.root.model), 2
+            target = _w("u1 u2 u1 u2", result.root.model)
+        elif certificate == "tampered-step":
+            index = next(k for k, s in enumerate(cert.steps) if isinstance(s, SchemaStep))
+            steps = cert.steps[:index] + (invert_step(cert.steps[index]),) + cert.steps[index + 1 :]
+            cert = Certificate(cert.start, cert.end, steps)
+        report = verify_identity(word, power, target, cert)
+        if certificate == "genuine":
+            assert report.certificate == PASS
+            assert report.assumptions == result.report.assumptions != ()
+        else:
+            assert report.certificate == FAIL and report.assumptions == ()
+
 
 def test_a_root_and_its_certificate_do_not_check_the_start_again(monkeypatch):
     # the start root^m and the report's root^m are powers of a checked word,
     # so Word(...) never sees their 6 859 syllables, let alone twice
     checked = []
-    post_init = Word.__post_init__
+    init = Word.__init__
 
-    def counting(word):
-        object.__setattr__(word, "syllables", tuple(word.syllables))
-        checked.append(len(word.syllables))
-        post_init(word)
+    def counting(word, model, syllables=()):
+        syllables = tuple(syllables)
+        checked.append(len(syllables))
+        init(word, model, syllables)
 
-    monkeypatch.setattr(Word, "__post_init__", counting)
+    monkeypatch.setattr(Word, "__init__", counting)
     result = construct_root(RootRequest(20, "u", "orientable"))
     certificate_to_text(result.certificate)
     assert result.certificate.model == SurfaceModel.hybrid(20)
@@ -503,14 +533,13 @@ class TestCertificates:
         index, step = next(
             (k, s) for k, s in enumerate(cert.steps) if isinstance(s, SchemaStep)
         )
-        bad = dataclasses.replace(
-            cert, steps=cert.steps[:index] + (dataclasses.replace(step, forward=not step.forward),) + cert.steps[index + 1 :]
-        )
+        steps = cert.steps[:index] + (invert_step(step),) + cert.steps[index + 1 :]
+        bad = Certificate(cert.start, cert.end, steps)
         assert verify_identity(bad.start, 1, bad.end, bad).certificate == FAIL
 
     def test_tampered_endpoint_is_rejected(self, std5):
         cert = construct_root(RootRequest(5, "u")).certificate
-        bad = dataclasses.replace(cert, end=_w("u2", std5))
+        bad = Certificate(cert.start, _w("u2", std5), cert.steps)
         assert verify_identity(bad.start, 1, bad.end, bad).certificate == FAIL
 
     def test_assumptions_listed_in_first_use_order(self):

@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcgroots import words
-from mcgroots.roots import construct_braid_root
+from mcgroots.presentation import (
+    Certificate,
+    FreeStep,
+    MoveStep,
+    RelationInstance,
+    SchemaStep,
+    instantiate,
+)
+from mcgroots.representations import CrosscapPermutation, IntMatrix
+from mcgroots.roots import RootRequest, RootResult, VerificationReport, construct_braid_root
+from mcgroots.small_genus import Gl2Certification, KleinFourElement, TorsionScan
 from mcgroots.words import (
     GeneratorLetter,
     ParseError,
@@ -91,6 +104,78 @@ class TestGeneratorLetter:
         assert sorted(m.letters()) == sorted(m.letters(), key=str) or True
         assert GeneratorLetter("t", 1) < GeneratorLetter("t", 2)
         assert GeneratorLetter("t", 9) < GeneratorLetter("u", 1)
+
+
+def _records():
+    """Per record class: a factory, a field to assign, and a larger record or None."""
+    model = SurfaceModel(5, "standard")
+    letter = GeneratorLetter("u", 3)
+    word = lambda: Word(model, ((letter, 2), (GeneratorLetter("t", 1), -1)))
+    inst = instantiate("R2", (1,), model)
+    step = lambda: SchemaStep(3, "R1", (1, 3, 1, 1), False)
+    report = lambda: VerificationReport((("sign", "pass"),), "pass", "n/a", ("d",), ("a",), True)
+    scan = lambda: TorsionScan(1, 10, {2: 3}, ((0, -1),))
+    return {
+        "SurfaceModel": (lambda: SurfaceModel(5, "standard"), "genus", None),
+        "GeneratorLetter": (
+            lambda: GeneratorLetter("u", 3), "index", lambda: GeneratorLetter("u", 12)
+        ),
+        "Word": (word, "syllables", None),
+        "RelationInstance": (
+            lambda: RelationInstance(inst.schema, inst.params, model, inst.lhs, inst.rhs),
+            "lhs",
+            None,
+        ),
+        "SchemaStep": (step, "forward", None),
+        "FreeStep": (lambda: FreeStep("merge", 3, letter, 1), "op", None),
+        "MoveStep": (lambda: MoveStep(3, 10, False), "length", None),
+        "Certificate": (lambda: Certificate(word(), word(), (step(),)), "steps", None),
+        "CrosscapPermutation": (lambda: CrosscapPermutation((1, 0, 2)), "images", None),
+        "RootRequest": (lambda: RootRequest(5, "y", "nonorientable"), "target", None),
+        "VerificationReport": (report, "proved", None),
+        "RootResult": (
+            lambda: RootResult(word(), word(), 3, "odd", Certificate(word(), word()), report()),
+            "degree",
+            None,
+        ),
+        "KleinFourElement": (
+            lambda: KleinFourElement("t"), "label", lambda: KleinFourElement("ty")
+        ),
+        "TorsionScan": (scan, "checked", None),
+        "Gl2Certification": (
+            lambda: Gl2Certification(word(), IntMatrix(((0, 1), (1, 0))), scan(), ("a",)),
+            "scan",
+            None,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_records()))
+def test_records_are_immutable_values(name):
+    make, field, make_larger = _records()[name]
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert repr(a) == repr(b) and repr(a).startswith(f"{name}(")
+    if name in ("TorsionScan", "Gl2Certification"):
+        with pytest.raises(TypeError):  # the order_counts dict is unhashable
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    value = getattr(a, field)
+    with pytest.raises(AttributeError):
+        setattr(a, field, value)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert getattr(a, field) is value and a == b
+    assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a)
+    if make_larger is None:
+        with pytest.raises(TypeError):
+            a < b
+    else:
+        larger = make_larger()
+        assert a < larger and a <= b and larger > a and larger >= a and not larger < a
+        with pytest.raises(TypeError):
+            a < SurfaceModel(5)
 
 
 class TestWordReduction:
