@@ -587,14 +587,13 @@ def certificate_to_text(certificate: Certificate) -> str:
         lines.append(f"{tag} {text}" if text else tag)
     for step in certificate.steps:
         if isinstance(step, SchemaStep):
-            parts = ["step", str(step.position), step.schema]
-            parts.extend(str(p) for p in step.params)
-            parts.append("fwd" if step.forward else "bwd")
+            params = "".join([f" {p}" for p in step.params])
+            way = "fwd" if step.forward else "bwd"
+            lines.append(f"step {step.position} {step.schema}{params} {way}")
         elif isinstance(step, MoveStep):
-            parts = ["move", str(step.position), str(step.length), "fwd" if step.forward else "bwd"]
+            lines.append(f"move {step.position} {step.length} {'fwd' if step.forward else 'bwd'}")
         else:
-            parts = ["free", step.op, str(step.position), str(step.letter), str(step.exponent)]
-        lines.append(" ".join(parts))
+            lines.append(f"free {step.op} {step.position} {step.letter._text} {step.exponent}")
     return "\n".join(lines) + "\n"
 
 

@@ -110,6 +110,14 @@ _CASES = {
 # Statements a certificate may lean on beyond pure free-group bookkeeping
 # and the commutation/braid schemas; reports list the ones actually used.
 _AXIOM_NOTES = {
+    "R3": (
+        "axiom R3: (u1 u2 .. u_{g-1})^g = 1"
+        " (global relation of the crosscap transpositions)"
+    ),
+    "R5": (
+        "axiom R5: (u1^2 u2 .. u_{g-1})^{g-1} = 1"
+        " (global relation of the crosscap transpositions)"
+    ),
     "R6closed-odd": (
         "axiom R6closed-odd: u1^2 equals the complementary transposition chain"
         " to the power g-2 (boundary twist of the Klein bottle neighborhood, odd genus)"

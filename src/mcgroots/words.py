@@ -51,6 +51,7 @@ the exponent differs from 1.
 from __future__ import annotations
 
 import re
+from math import isqrt
 from operator import attrgetter, ge, gt, le, lt
 from typing import Iterable, Iterator, Sequence
 
@@ -77,8 +78,9 @@ _KIND_NAMES = {
 
 # The largest genus a model may have.  Only the start words of root certificates
 # grow with it, like g^3 syllables (no homology table is built), and their text
-# is the grouped power (root)^m, O(g); the largest root it admits (genus 50,
-# orientable complement) takes about 0.12 s and 19 MB peak memory in a cold
+# is the grouped power (root)^m with the root's repeated blocks grouped inside
+# it, O(g) (at most 340 bytes at genus 50); the largest root it admits (genus
+# 50, orientable complement) takes about 0.09 s and 18 MB peak memory in a cold
 # `mcgroots root` call (best of 5, 2-vCPU Xeon, Python 3.11).
 MAX_GENUS = 50
 
@@ -231,10 +233,11 @@ class GeneratorLetter(_OrderedRecord):
     """A single generator symbol: kind in {t, u, y, c} plus a 1-based index.
 
     The hash is computed on first use and kept: memo caches keyed by
-    letters hash them on every lookup.
+    letters hash them on every lookup.  The text is kept too, since words
+    are printed a letter at a time.
     """
 
-    __slots__ = ("kind", "index", "_hash")
+    __slots__ = ("kind", "index", "_hash", "_text")
 
     def __init__(self, kind: str, index: int):
         if kind not in _KIND_NAMES:
@@ -243,6 +246,7 @@ class GeneratorLetter(_OrderedRecord):
             raise WordError(f"letter index must be a positive integer, got {index!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_text", f"{kind}{index}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -257,7 +261,7 @@ class GeneratorLetter(_OrderedRecord):
             return self._hash
 
     def __str__(self) -> str:
-        return f"{self.kind}{self.index}"
+        return self._text
 
 
 # The shared letters (see the module docstring), keyed by their text.
@@ -308,10 +312,14 @@ def _inverse_syllables(syllables: Sequence[Syllable]) -> tuple[Syllable, ...]:
     return tuple((letter, -exp) for letter, exp in reversed(syllables))
 
 
+def _syllable_texts(syllables: Iterable[Syllable]) -> list[str]:
+    """The text of each syllable in the text grammar."""
+    return [letter._text if exp == 1 else f"{letter._text}^{exp}" for letter, exp in syllables]
+
+
 def _format_syllables(syllables: Iterable[Syllable], empty: str = "(empty)") -> str:
     """Syllables in the text grammar; ``empty`` stands for no syllables."""
-    text = " ".join([str(letter) if exp == 1 else f"{letter}^{exp}" for letter, exp in syllables])
-    return text or empty
+    return " ".join(_syllable_texts(syllables)) or empty
 
 
 class Word(_Record):
@@ -524,23 +532,92 @@ def _power(syllables: tuple[Syllable, ...], e: int) -> tuple[Syllable, ...]:
 
 
 def _grouped_text(syllables: Sequence[Syllable]) -> str:
-    """The text of reduced ``syllables``, with a core that is a proper power grouped.
+    """The text of reduced ``syllables``, with repeated blocks grouped at every level.
 
     For ``syllables = w c w^-1`` whose core is ``b^r`` with ``r >= 2`` and
-    ``b`` shortest, the text is ``w (b)^r w^-1``; otherwise it is that of
-    :func:`format_word`.  Parsing the text gives back the same syllables:
-    ``b`` is a slice of a reduced word whose ends are adjacent in it, so it
-    has no conjugator and :func:`_power` writes it out as it stands.
+    ``b`` shortest, the text is ``w (b)^r w^-1``; otherwise ``b`` is the
+    core and ``r = 1`` writes no group.  Each of ``w``, ``b`` and ``w^-1``
+    is then written by :func:`_blocks_text`, which groups adjacent copies
+    of blocks of at most ``_MAX_BLOCK`` syllables, and blocks inside them.
+    Parsing the text gives back the same syllables: every group is a slice
+    of a reduced word whose copies are adjacent in it, so its ends have
+    different letters, it has no conjugator, and :func:`_power` writes it
+    out as it stands.
     """
     k = _conjugator_length(syllables)
     core = syllables[k : len(syllables) - k]
     n = len(core)
-    for d in range(2, n // 2 + 1):
-        if n % d == 0 and core[d : 2 * d] == core[:d] and core[d:] == core[:-d]:
-            head = _format_syllables(syllables[:k], "")
-            tail = _format_syllables(syllables[len(syllables) - k :], "")
-            return f"{head} ({_format_syllables(core[:d])})^{n // d} {tail}".strip()
-    return _format_syllables(syllables, "")
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    periods = small[1:] + [n // d for d in reversed(small) if d * d != n][:-1]
+    for d in periods:  # the divisors of n from 2 to n/2, increasing
+        if core[d : 2 * d] == core[:d] and core[d:] == core[:-d]:
+            body = f"({_blocks_text(_syllable_texts(core[:d]))})^{n // d}"
+            break
+    else:
+        body = _blocks_text(_syllable_texts(core))
+    if not k:
+        return body
+    head = _blocks_text(_syllable_texts(syllables[:k]))
+    return f"{head} {body} {_blocks_text(_syllable_texts(syllables[len(syllables) - k :]))}"
+
+
+# The most syllables of a block that _blocks_text repeats in a group.
+_MAX_BLOCK = 64
+
+
+def _blocks_text(texts: list[str]) -> str:
+    """The syllable ``texts`` of a reduced slice joined, adjacent copies of a block grouped.
+
+    Left to right, at each position the block of at most ``_MAX_BLOCK``
+    syllables whose adjacent copies cover the most syllables is written
+    ``(block)^copies``, the shortest block on ties, and the block's text is
+    grouped the same way; where no block has two copies, one syllable is
+    written.  A group of two or more copies of a block of two or more
+    syllables (one syllable has no adjacent copy in a reduced word) is
+    always shorter than the copies written out.  The work is on the texts,
+    which hash and compare without calls into letter methods; equal texts
+    are equal syllables.
+
+    A block's copies start with its first syllable, so the block lengths
+    tried at a position are the distances to the next copies of that
+    syllable within reach, which ``list.index`` finds; a slice in which no
+    syllable repeats is joined unscanned.  At most ``_MAX_BLOCK / 2``
+    lengths are tried at a position (adjacent syllables differ), each
+    counting its copies in slices of at most ``_MAX_BLOCK`` syllables, and
+    none covers more than the group the position starts; so a slice costs
+    at most about ``_MAX_BLOCK^2 / 2`` comparisons of syllable texts per
+    syllable, all of them in slice compares and searches.
+    """
+    n = len(texts)
+    if len(set(texts)) == n:
+        return " ".join(texts)
+    parts: list[str] = []
+    i = run = 0
+    while i < n:
+        reach = min(_MAX_BLOCK, (n - i) // 2)  # the longest block with two copies
+        first = texts[i]
+        ahead = texts[i : i + reach + 1]
+        ahead.append(first)  # so each search ends, at reach + 1 when nothing is within reach
+        cover = size = 0
+        d = ahead.index(first, 1)
+        while d <= reach:
+            block, end = ahead[:d], i + 2 * d
+            while texts[end - d : end] == block:
+                end += d
+            copies = (end - i) // d - 1
+            if copies > 1 and copies * d > cover:
+                cover, size = copies * d, d
+            d = ahead.index(first, d + 1)
+        if cover:
+            if run < i:
+                parts.append(" ".join(texts[run:i]))
+            parts.append(f"({_blocks_text(texts[i : i + size])})^{cover // size}")
+            i = run = i + cover
+        else:
+            i += 1
+    if run < n:
+        parts.append(" ".join(texts[run:]))
+    return " ".join(parts)
 
 
 def _parse_sequence(tokens, k: int, model: SurfaceModel) -> tuple[list[Syllable], int]:

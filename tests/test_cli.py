@@ -468,6 +468,23 @@ class TestVerifyCommand:
         assert report["checks"]["homology"] == "pass"
         assert report["checks"]["certificate"] == "pass"
 
+    @pytest.mark.parametrize(
+        "schema, word, power", [("R3", "u1 u2 u3 u4", 5), ("R5", "u1^2 u2 u3 u4", 4)]
+    )
+    def test_global_relation_is_listed_as_an_assumption(self, capsys, tmp_path, schema, word, power):
+        path = tmp_path / "cert.txt"
+        path.write_text(
+            f"model standard\ngenus 5\nstart ({word})^{power}\nend\nstep 0 {schema} fwd\n",
+            encoding="utf-8",
+        )
+        code, report, _ = run_json(
+            capsys, "verify", "--genus", "5", "--word", word, "--power", str(power), "--equals", "",
+            "--certificate", str(path),
+        )
+        assert code == 0
+        assert report["verdict"] == "verified"
+        assert [note.split(":")[0] for note in report["assumptions"]] == [f"axiom {schema}"]
+
     def test_identity_unproven_without_certificate(self, capsys):
         # true, but the oracles only fail to refute it and the words differ
         code, report, _ = run_json(

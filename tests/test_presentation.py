@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import pathlib
+import random
 import re
 
 import pytest
@@ -37,8 +38,10 @@ from mcgroots.roots import (
     verify_identity,
 )
 from mcgroots.words import (
+    _LETTERS,
     GeneratorLetter,
     SurfaceModel,
+    Word,
     WordError,
     _grouped_text,
     format_word,
@@ -653,7 +656,7 @@ class TestCertificateText:
             "model standard\n"
             "genus 5\n"
             "start u1^5\n"
-            "end u3 u4 u3 u4 u3 u4 u1^3\n"
+            "end (u3 u4)^3 u1^3\n"
             "free split 0 u1 2\n"
             "step 0 R6closed-odd fwd\n"
         )
@@ -793,6 +796,60 @@ class TestCertificateText:
         for word in (a, c):
             assert len(_grouped_text(word.syllables)) <= len(format_word(word))
 
+    @settings(max_examples=150)
+    @given(
+        standard_models(3, 6).flatmap(
+            lambda m: st.tuples(
+                words_for(m),
+                words_for(m),
+                words_for(m),
+                st.integers(2, 4),
+                st.integers(1, 4),
+                words_for(m, max_len=30),
+            )
+        )
+    )
+    def test_nested_groups_round_trip(self, data):
+        # w ((a)^p b)^r w^-1, whose groups nest, and random words read back
+        # as the same word, and grouped text is never longer than written out
+        w, a, b, p, r, other = data
+        nested = w * (a**p * b) ** r * w.inverse()
+        for word in (nested, other):
+            text = _grouped_text(word.syllables)
+            assert parse_word(text, word.model) == word
+            assert len(text) <= len(format_word(word))
+
+    def test_blocks_of_at_most_max_block_syllables_are_grouped(self, std5):
+        # inside a core that is no power, two copies of a block are grouped
+        # when it has at most 64 syllables, and written out when longer
+        for size, grouped in ((64, True), (65, False)):
+            block = tuple((_LETTERS[f"u{1 + k % 4}"], 1 + k // 4) for k in range(size - 1))
+            syllables = (block + ((_LETTERS["t2"], 1),)) * 2 + ((_LETTERS["t1"], 1),)
+            word = Word(std5, syllables)
+            assert word.syllables == syllables
+            text = _grouped_text(word.syllables)
+            assert text.startswith("(") == grouped
+            assert parse_word(text, std5) == word
+
+    def test_dense_random_word_round_trips(self):
+        """A dense random reduced word of 10^5 syllables over two letters round-trips.
+
+        Each syllable recurs a few positions on, so several block lengths
+        are tried at almost every position.  The worst case of the block
+        rule is 32 lengths at every position, each compared in slices of at
+        most 64 syllables.  This word takes about 0.6 s to write and 0.1 s
+        to read on a 2-vCPU Xeon VM with Python 3.11.
+        """
+        model = SurfaceModel.standard(5)
+        rng = random.Random(5)
+        letters = (_LETTERS["u1"], _LETTERS["t2"])
+        syllables = tuple((letters[k % 2], rng.choice((-2, -1, 1, 2))) for k in range(10**5))
+        word = Word(model, syllables)
+        assert word.syllables == syllables
+        text = _grouped_text(syllables)
+        assert "(" in text and len(text) < len(format_word(word))
+        assert parse_word(text, model) == word
+
 
 def _written_out_text(certificate):
     """certificate_to_text with the start and end lines written out by format_word."""
@@ -842,36 +899,37 @@ CERTIFICATE_SHA256 = {
 }
 
 
-# sha256 of certificate_to_text, as written, for the same roots.
+# sha256 of certificate_to_text, as written (repeated blocks grouped at every
+# level), for the same roots.
 GROUPED_CERTIFICATE_SHA256 = {
     ("standard", 5, "u"): "3b0fed97bd50717c17762ffd792f922a7eb47610d275783df99a399c000164c2",
     ("standard", 5, "y"): "f95fe82b63575b3f208d9d1cee884949c423d4d833a76a7af77b2de361f75e63",
     ("standard", 6, "u"): "81dd3d737b74263f53b4c15a1520bfdeca83316d909d9fd322ffe7bc3138b12a",
     ("standard", 6, "y"): "b6cfa53c13d53df6e9c13be2f3d963932dd424a2d04d08ceed06d461e1b30644",
-    ("standard", 7, "u"): "c9558c85d0dc28bfdf57db874dbe0a231a9950c06112c8fb945899e65dc38fd7",
-    ("standard", 7, "y"): "22980ec5f61fda74008ec3711d46cd805e0798756efaaa5e7064f6790ed099a9",
-    ("standard", 8, "u"): "77f95cba5e06420b4c453084bfdf820f4619ee573d0939c8a1e94ab50d3cb65d",
-    ("standard", 8, "y"): "56a21c21ecbfcfede73c359223c86914c2ec52d7fd5611bccb2184bec9a882d9",
-    ("standard", 9, "u"): "b62679fb5584d0bd5f022f7908308621dda7e7823535dade67574dcbc9535562",
-    ("standard", 9, "y"): "3cac3c1028f6b22566f75c2253c016ea1fa9bb365ca2c51d8d33ea1b526d0ad2",
-    ("standard", 10, "u"): "44dfafcca46479bea6c8b5ac3efbe3dbe59c3a557a764e0c8ffb697dc2bd472f",
-    ("standard", 10, "y"): "e02805c31ee9e5cf1eff0a115cabd1acaa47f67b5cf4663e5e4f832379efac3e",
-    ("standard", 11, "u"): "a2d12e569c4f41ff2d6d565e58c600f9b538e213ed829a6354ebd85a362e4b82",
-    ("standard", 11, "y"): "77b664d88d762d574137b2d897f4ec81b73cbecf0af28a776c93ad8b508bed90",
-    ("standard", 12, "u"): "0a1b07e813e91b25db85e305d0739ff15f9bc4711e437d7a78e1cd75edfda91e",
-    ("standard", 12, "y"): "554ea45940f8ac569cde7759b479bb1babe5589ad2d739dee97a879ce2f0981b",
-    ("standard", 13, "u"): "c2d246f5114ad929945c14223e1c7d2fb5092d9bf700f80d23a712cab991e1db",
-    ("standard", 13, "y"): "2dd9f88397fbdb7e89ee23c881d634eb70d1e33e72ded18b14199ab09aa4829d",
-    ("hybrid", 4, "u"): "cb9286d32f8d7e745bc69d1268835e2a71b2a25b3e40932e75078bc07dcc9cdc",
-    ("hybrid", 4, "y"): "c1a813ae8eea798e691cf491123cf4bc6dee4013ced28272ff34833fe9fa3c17",
-    ("hybrid", 6, "u"): "82dfdb917ec196613f1089f470773c21a2cffdc5a5844af8718199adcb357c2f",
-    ("hybrid", 6, "y"): "80f043a0e784bbfed4d0f9a9844e19d4cbdbed57ba7f854841d41688e63a9412",
-    ("hybrid", 8, "u"): "553c7cc000cef92c09b7c10e5f9e4e9c8d7068dacb6a5a9a76f6cc6ee7cf0f52",
-    ("hybrid", 8, "y"): "6fcbb67323c7fe9c8f802467a7afcbd0aafe5bdcf440635103cfac2ea6a65550",
-    ("hybrid", 10, "u"): "3ccae332ed52731f281b4ccea0b7ac94c237b0ce0c1059bd716aff5a172cbfb9",
-    ("hybrid", 10, "y"): "333e1dd40b0a9cfa88846c7492af7b926b4487828bca7f59909b76d3df555ee5",
-    ("hybrid", 12, "u"): "e040f1975e2eeba7717348e94921cd8ee218eca931c838042cfdf5207375b949",
-    ("hybrid", 12, "y"): "671bbe310911bc76e3ff0ffc378384776a83b9b73b92e2dd001ba473e1262853",
+    ("standard", 7, "u"): "00e30888dcebf45b4e075b1ad130cde83f557bcda0f0c02705ba9d82b23b75a2",
+    ("standard", 7, "y"): "5328457867a48020bee0ab3bf7aec6a26fc56ae6b1e47c7dea3e7a6e2ef2cf75",
+    ("standard", 8, "u"): "8fc11b0cf1836d5f58e18d08a23d56c069e4a5d61984c3cce923ffb989edbb23",
+    ("standard", 8, "y"): "c9a3ce1e7fb9913ea2cc47061b09273e8c943ca88e5d1e540119b5a2f383afa7",
+    ("standard", 9, "u"): "81ecac6f9ee398baf9ed6846aa6757af7587634aa8f1b72233b08e121f8b301d",
+    ("standard", 9, "y"): "119deceffd055e4e4379cede23db693cbb1d7ac90798da2390e6f8e614431144",
+    ("standard", 10, "u"): "b64d4bef24073e7e6bad4d7eced3bcbe19797f7425f4df9254711a48b5824d7c",
+    ("standard", 10, "y"): "49c3f01aff036bb17530ce3b09305e6f6ab06a3d7ea15d7777831efa15696b19",
+    ("standard", 11, "u"): "007d003f70245322a4a5b34f7106df4d7d2197f7e1d1f155affd2178ceeebf4f",
+    ("standard", 11, "y"): "7f8db65a4eef6a25e09c8a68c1eedd7bbdb183e9d8623e5c51446ff140440926",
+    ("standard", 12, "u"): "b0672e2122e3a97f812db32d27e8123f8003a5d8279d13883384376fe40c0b55",
+    ("standard", 12, "y"): "7a83fcf446c6a1cf13e48ffaed03045f88a017bb0f190a1f6bdb04c07980b217",
+    ("standard", 13, "u"): "7de74dbc7fbd675dc0fdfb53bfcbff4320209d6f9bf2f3474619078efab05cef",
+    ("standard", 13, "y"): "455af50e0dda1f820869e198bb7c58cef167846a4e7897a70f3ffdf6c2c62ca3",
+    ("hybrid", 4, "u"): "8e04ab60d84b3f546f3102c7cea4bf6554cb204e5137008f56f5cab366719f89",
+    ("hybrid", 4, "y"): "422a456c5259fe138f72810209e70aabed931ea5f134a2b510ec9e762ab85862",
+    ("hybrid", 6, "u"): "4985e180c70f73f172e0d5515e23d62bba3439c6b200ac8e7af174162444418c",
+    ("hybrid", 6, "y"): "80990e164d2411096b055af7ca10dc4e00ee505cc3d9c3e9488b839a88338062",
+    ("hybrid", 8, "u"): "15bd90057920b72ad354df0365a33027fdbe6e9aa5a9e10632d68dd2a64e99c9",
+    ("hybrid", 8, "y"): "3842db8162b49ff9deae835af793de7eded27130641fd04f26e77e5fcd4582c6",
+    ("hybrid", 10, "u"): "eec51aacbbea5752a0ac99d990927530dad92c0f83d0c9f40624eae4acac3a40",
+    ("hybrid", 10, "y"): "3f6e7d35ed1786d0508179f6ded04bd1ce3f61d2f832d82ba9755f4df0cfae23",
+    ("hybrid", 12, "u"): "0ed7ee9c7051d1f409cb92f4b225f41ca2afd044ce3b05357748b9fbcf66c0a4",
+    ("hybrid", 12, "y"): "50e7fe05f0f4f579d353882c878a5685c46db5a591f54be203fcefb69d8c546a",
 }
 
 
@@ -917,25 +975,25 @@ GROUPED_BRAID_CERTIFICATE_SHA256 = {
     (5, 1): "3b0fed97bd50717c17762ffd792f922a7eb47610d275783df99a399c000164c2",
     (5, 2): "d8cb9144db9d24fba1051831a396ffed0e473ba7b360b029a81f485a9430bd06",
     (5, 3): "599a1089fcc217d8d6ed3d19442084bd73166589bc283764a970b39fd2823673",
-    (5, 4): "924296b8f4665d2051685778d5d4c22913ed326d4fb73951b2ebc86524280192",
+    (5, 4): "3af114ef335c95d4f3779403c4b8eb7605f2c0009512637da7d6b7033027ce8d",
     (6, 1): "81dd3d737b74263f53b4c15a1520bfdeca83316d909d9fd322ffe7bc3138b12a",
-    (6, 2): "596317a935647b140f49ceec3e5e13a8d505bf27a00b32ddebe88b4ac1fd3292",
-    (6, 3): "80959c9c1caf4c0aef93ee979a9b055674aac06feec9c40ce3f3da29c32b7eb5",
-    (6, 4): "9a14a77baa7b0fac088f684a8227306fd22acd9b7ab25dc7e57b3b5cc596923e",
-    (6, 5): "f9df0789eab978df5ae729c26e91aae58185df8f84bdac49eb2dc737011e4cca",
-    (7, 1): "c9558c85d0dc28bfdf57db874dbe0a231a9950c06112c8fb945899e65dc38fd7",
+    (6, 2): "276f1374688179fa3149997f5fe4578ba5a1927ef684285d78286cad9937a01b",
+    (6, 3): "142210438c70eae94f174f809558fbfbb5faefa4b845ee95e768911ef61b90e0",
+    (6, 4): "4ca815607b0d26ea42b9ff560683c494e2032fc506e6b02fe94f5f625f641fc2",
+    (6, 5): "6299eedb135ee21caf75903ada6fa9107a3398a0e735ff094c190cfa36504c92",
+    (7, 1): "00e30888dcebf45b4e075b1ad130cde83f557bcda0f0c02705ba9d82b23b75a2",
     (7, 2): "c244ac4eca5b70f6fc7a52ea8af3f61c1b28157546625117787894057171ea36",
     (7, 3): "04b5bf254c4eb7ba8840b5065cf9943e2c4d10f67ed9f6a5fb7dd539ad1884d2",
-    (7, 4): "14e70fbeb907a13be15c6b3bc3692992de51783364ee7008b7cab4d62b3d1460",
-    (7, 5): "7ee750a47d6702b3d6a20b0696940ea180daa51606542c3bdced6433f6c61bce",
-    (7, 6): "0d4d9b09089933d8c348514c48123c542e5291f64e271230f17ef51bd5ed2056",
-    (8, 1): "77f95cba5e06420b4c453084bfdf820f4619ee573d0939c8a1e94ab50d3cb65d",
-    (8, 2): "582334551b58310ff497d2ab9a0947a239252a232e2dbecfea6a1f4516fe1c0d",
-    (8, 3): "006043fac00af702bfc827bf2140d42e25ba2222a4359f609d7e4c8a93c89c17",
-    (8, 4): "95618921f689dc55e5d94cc691713a0c601106a1ef10269f0264fdfbf3985cf9",
-    (8, 5): "120663b0958964baccff5b3d78fe964a8d209d2d730ee9047d9127d7a86bd5cd",
-    (8, 6): "395efd62ab3e2afdf852bd594b337e20e5c17e36de30e2a5902aac609e7f0953",
-    (8, 7): "ea97a78c9ec0c6530ee0fe2548303b1b8c034a97ebc1aaa0903193620e1bdfcc",
+    (7, 4): "7a812d0e0c815503c28bde4c8366a31f00a74b27e1c28b97ddbb0a2f121f1298",
+    (7, 5): "9fdc10a6a46360a022f87c311bc3cb5f2eb1c3c6dc1c8ffa00283f33fd9b77ef",
+    (7, 6): "08278760f1922a3702a9fbe84d312bd4d271ad4589daec40c42bbfe07dfaaaa5",
+    (8, 1): "8fc11b0cf1836d5f58e18d08a23d56c069e4a5d61984c3cce923ffb989edbb23",
+    (8, 2): "0659dd3fc4ddffb7327aeca9be4405338fb59ccf8c20443b9d40d863284f917e",
+    (8, 3): "aae1501ce01a2c47225566f5bfbdce3dd5507c4ca3e8be0f8ba478dd24518a1f",
+    (8, 4): "26e74bc8eaac0da03f4915507b8d57f30c24ed50a39cb3a7102c992949b27af2",
+    (8, 5): "ecad13a46db013379e78e98714a1fd38c962b24f382ad27719040b55fcd5a90f",
+    (8, 6): "d42e55b154ae33084a0345776d4a6d689e58d3b70c8fb79664b6ff039033e6bf",
+    (8, 7): "2ee71c8b9d2ab15513da19595ab326e47c1e7bcf761e0adaee54654ba5ef7a50",
 }
 
 
@@ -951,9 +1009,17 @@ def test_braid_certificate_text_is_byte_stable(punctures, index):
     "certificate, line",
     [
         (lambda: construct_root(RootRequest(5, "u", "nonorientable")), "start (u4^-1 u3^-1 u1)^3"),
+        (
+            lambda: construct_root(RootRequest(7, "u", "nonorientable")),
+            "start ((u6^-1 u5^-1 u4^-1 u3^-1)^2 u1)^5",
+        ),
         (lambda: construct_braid_root(5, 2), "start u1 u2 (u1 u4^-1 u3^-1)^3 u2^-1 u1^-1"),
+        (
+            lambda: construct_braid_root(6, 2),
+            "start u1 u2 u3^-1 (u1 u5^-1 u4^-1 u3^-2)^2 u1 u5^-1 u4^-1 u3^-1 u2^-1 u1^-1",
+        ),
     ],
-    ids=["standard-5-u", "braid-5-2"],
+    ids=["standard-5-u", "standard-7-u", "braid-5-2", "braid-6-2"],
 )
 def test_grouped_start_lines(certificate, line):
     assert certificate_to_text(certificate().certificate).split("\n")[2] == line
@@ -985,8 +1051,8 @@ PER_SWAP_SHA256 = {
 GROUPED_PER_SWAP_SHA256 = {
     ("standard", 5, "u"): "a860e79d90375ba478631fe6f7382dafc7059c7ef95b01bae7f596d0bb3357cb",
     ("standard", 6, "y"): "27700b1e8ccd0b347f41fc317895682e1653801490ffd068785858b55435ad00",
-    ("hybrid", 4, "y"): "c04ed5eb2b385231b511c33bb4b7d6c3f4f861188bc2ca97345ab2facc961a43",
-    ("braid", 6, 3): "ea0de2f84346d28bac331b1c1e759725da70d3d3844580d0cbfbb986d8b1f98c",
+    ("hybrid", 4, "y"): "85bc4f31f51d0fedfd403fb7535292516117556eef38f50a296225d182026022",
+    ("braid", 6, 3): "ec2a8da07b5b61a097953d82a92fd4717b6f9b76e62b9952e26b243a896cef53",
 }
 
 

@@ -100,8 +100,10 @@ class TestGeneratorLetter:
             GeneratorLetter("u", -2)
 
     def test_ordering_is_total(self):
-        m = SurfaceModel.standard(5)
-        assert sorted(m.letters()) == sorted(m.letters(), key=str) or True
+        # letters order by (kind, index), not by text: at genus 12, t10 < t2 as text
+        letters = SurfaceModel.standard(12).letters()
+        assert sorted(letters) == sorted(letters, key=lambda x: (x.kind, x.index))
+        assert sorted(letters) != sorted(letters, key=str)
         assert GeneratorLetter("t", 1) < GeneratorLetter("t", 2)
         assert GeneratorLetter("t", 9) < GeneratorLetter("u", 1)
 
