@@ -52,7 +52,7 @@ Certificates
 A :class:`Certificate` carries a start word, an end word, and a step list.
 Replaying the steps transforms the start syllable sequence into the end
 syllable sequence exactly.  Steps address syllables by position in the
-current (not necessarily reduced) working sequence and come in three forms:
+current (not necessarily reduced) working sequence and come in four forms:
 
 * schema steps replace a literal occurrence of one side of a relation
   instance by the other side (``forward``: lhs -> rhs); an occurrence of
@@ -64,6 +64,11 @@ current (not necessarily reduced) working sequence and come in three forms:
   ``split`` one syllable in two.  ``merge`` and ``split`` carry the
   exponent of the first fragment, which makes every step invertible with
   its own parameters, so a certificate replays backwards mechanically;
+* block steps ``insert``/``delete`` a canceling block ``w w^-1`` of a
+  reduced word ``w`` of two or more syllables: exactly the nested pairs
+  of its syllables, inserted outermost first at ``pos, pos + 1, ...`` or
+  deleted innermost first.  A pair is the block of one syllable and
+  replays on the same path, but is written as a free step;
 * move steps carry one syllable past a block of ``len`` syllables:
   ``fwd`` moves the syllable at ``pos`` right past the next ``len``, and
   ``bwd`` moves the syllable at ``pos + len`` left to ``pos``.  Replay
@@ -80,10 +85,12 @@ Text format (one item per line, words in the module grammar)::
     step <pos> <schemaId> <params...> <fwd|bwd>
     move <pos> <len> <fwd|bwd>
     free <insert|delete|merge|split> <pos> <letter> <exp>
+    block <insert|delete> <pos> <word>
 
 The start and end lines write a word ``w c w^-1`` whose core ``c`` is a
 proper power ``b^r`` as ``w (b)^r w^-1``, in the same grammar: the start
 ``root^m`` of a standard or hybrid root certificate reads ``(root)^m``.
+A block's word is written the same way, and read only in that form.
 Serialization round-trips bit-exactly.
 """
 
@@ -105,10 +112,12 @@ from .words import (
     _grouped_text,
     _inverse_syllables,
     _letter,
+    _reduce_syllables,
     parse_word,
 )
 
 __all__ = [
+    "BlockStep",
     "Certificate",
     "CertificateError",
     "FreeStep",
@@ -168,6 +177,7 @@ _MODEL_COMMUTATIONS = {
 }
 
 _FREE_OPS = ("insert", "delete", "merge", "split")
+_INVERSE_OPS = {"insert": "delete", "delete": "insert", "merge": "split", "split": "merge"}
 
 
 class SchemaError(ValueError):
@@ -372,7 +382,31 @@ class MoveStep(_Record):
         object.__setattr__(self, "forward", forward)
 
 
-RewriteStep = Union[SchemaStep, FreeStep, MoveStep]
+class BlockStep(_Record):
+    """Insert or delete the canceling block ``w w^-1`` at ``position``.
+
+    ``syllables`` is ``w``: reduced, of two or more syllables (one is a
+    :class:`FreeStep` pair), and ``position`` is not negative.
+    """
+
+    __slots__ = ("op", "position", "syllables")
+
+    def __init__(self, op: str, position: int, syllables: tuple[Syllable, ...]):
+        syllables = tuple(syllables)
+        if op not in ("insert", "delete"):
+            raise CertificateError(f"unknown block op {op!r}")
+        if position < 0:
+            raise CertificateError(f"block position {position} is negative")
+        if len(syllables) < 2:
+            raise CertificateError(f"a block needs 2 or more syllables, got {len(syllables)}")
+        if _reduce_syllables(syllables) != syllables:
+            raise CertificateError(f"block word {_format_syllables(syllables)} is not reduced")
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "syllables", syllables)
+
+
+RewriteStep = Union[SchemaStep, FreeStep, MoveStep, BlockStep]
 
 
 def invert_step(step: RewriteStep) -> RewriteStep:
@@ -381,8 +415,9 @@ def invert_step(step: RewriteStep) -> RewriteStep:
         return SchemaStep(step.position, step.schema, step.params, not step.forward)
     if isinstance(step, MoveStep):
         return MoveStep(step.position, step.length, not step.forward)
-    paired = {"insert": "delete", "delete": "insert", "merge": "split", "split": "merge"}
-    return FreeStep(paired[step.op], step.position, step.letter, step.exponent)
+    if isinstance(step, BlockStep):
+        return BlockStep(_INVERSE_OPS[step.op], step.position, step.syllables)
+    return FreeStep(_INVERSE_OPS[step.op], step.position, step.letter, step.exponent)
 
 
 def _apply_schema_step(state: list[Syllable], step: SchemaStep, model: SurfaceModel) -> None:
@@ -411,27 +446,40 @@ def _apply_schema_step(state: list[Syllable], step: SchemaStep, model: SurfaceMo
     )
 
 
-def _apply_free_step(state: list[Syllable], step: FreeStep, model: SurfaceModel) -> None:
-    pos, letter, e = step.position, step.letter, step.exponent
-    if not model.admits(letter):
-        raise CertificateError(f"letter {letter} is not admissible in the {model.describe()}")
-    if e == 0:
-        raise CertificateError("free-op exponent must be nonzero")
-    if step.op == "insert":
+def _check_syllables(syllables: Iterable[Syllable], model: SurfaceModel) -> None:
+    for letter, e in syllables:
+        if not model.admits(letter):
+            raise CertificateError(f"letter {letter} is not admissible in the {model.describe()}")
+        if e == 0:
+            raise CertificateError("free-op exponent must be nonzero")
+
+
+def _apply_block(
+    state: list[Syllable], op: str, pos: int, syllables: tuple[Syllable, ...], model: SurfaceModel
+) -> None:
+    """Insert or delete ``w w^-1`` at ``pos``, ``w`` being ``syllables``: a block or a pair."""
+    _check_syllables(syllables, model)
+    block = syllables + _inverse_syllables(syllables)
+    if op == "insert":
         if not 0 <= pos <= len(state):
             raise CertificateError(f"insert position {pos} out of range 0..{len(state)}")
-        state[pos:pos] = [(letter, e), (letter, -e)]
+        state[pos:pos] = block
         return
-    if step.op == "delete":
-        found = tuple(state[pos : pos + 2])
-        if pos < 0 or found != ((letter, e), (letter, -e)):
-            raise CertificateError(
-                f"delete mismatch at position {pos}: expected"
-                f" {_format_syllables(((letter, e), (letter, -e)))},"
-                f" found {_format_syllables(found)}"
-            )
-        del state[pos : pos + 2]
+    found = tuple(state[pos : pos + len(block)])
+    if pos < 0 or found != block:
+        raise CertificateError(
+            f"delete mismatch at position {pos}: expected {_format_syllables(block)},"
+            f" found {_format_syllables(found)}"
+        )
+    del state[pos : pos + len(block)]
+
+
+def _apply_free_step(state: list[Syllable], step: FreeStep, model: SurfaceModel) -> None:
+    pos, letter, e = step.position, step.letter, step.exponent
+    if step.op in ("insert", "delete"):
+        _apply_block(state, step.op, pos, ((letter, e),), model)
         return
+    _check_syllables(((letter, e),), model)
     if step.op == "split":
         if not 0 <= pos < len(state):
             raise CertificateError(f"split position {pos} out of range")
@@ -508,6 +556,8 @@ def apply_step(state: list[Syllable], step: RewriteStep, model: SurfaceModel) ->
         _apply_schema_step(state, step, model)
     elif isinstance(step, FreeStep):
         _apply_free_step(state, step, model)
+    elif isinstance(step, BlockStep):
+        _apply_block(state, step.op, step.position, step.syllables, model)
     else:
         raise CertificateError(f"unknown step type {type(step).__name__}")
 
@@ -592,6 +642,8 @@ def certificate_to_text(certificate: Certificate) -> str:
             lines.append(f"step {step.position} {step.schema}{params} {way}")
         elif isinstance(step, MoveStep):
             lines.append(f"move {step.position} {step.length} {'fwd' if step.forward else 'bwd'}")
+        elif isinstance(step, BlockStep):
+            lines.append(f"block {step.op} {step.position} {_grouped_text(step.syllables)}")
         else:
             lines.append(f"free {step.op} {step.position} {step.letter._text} {step.exponent}")
     return "\n".join(lines) + "\n"
@@ -633,8 +685,8 @@ def _schema_fields(tokens: list[str]) -> tuple[str, tuple, bool]:
     return schema, params, tokens[-1] == "fwd"
 
 
-def _parse_step(line: str) -> RewriteStep:
-    """One ``step``, ``free`` or ``move`` line; the caller names the line in an error."""
+def _parse_step(line: str, model: SurfaceModel) -> RewriteStep:
+    """One ``step``, ``free``, ``move`` or ``block`` line; the caller names the line in an error."""
     tag, _, rest = line.partition(" ")
     if tag == "step":
         if line.count(" ") < 3:
@@ -655,7 +707,18 @@ def _parse_step(line: str) -> RewriteStep:
             raise CertificateError("malformed move step")
         number, length = _parse_int(fields[0], "position"), _parse_int(fields[1], "length")
         return MoveStep(number, length, fields[2] == "fwd")
-    raise CertificateError("expected a step, move or free line")
+    if tag == "block":
+        op, _, rest = rest.partition(" ")
+        position, _, text = rest.partition(" ")
+        number = _parse_int(position, "position")
+        try:
+            syllables = parse_word(text, model).syllables
+        except WordError as exc:
+            raise CertificateError(f"bad block word: {exc}") from None
+        if _grouped_text(syllables) != text:
+            raise CertificateError(f"block word {text[:40]!r} is not in its written form")
+        return BlockStep(op, number, syllables)
+    raise CertificateError("expected a step, move, free or block line")
 
 
 def certificate_from_text(text: str) -> Certificate:
@@ -678,7 +741,7 @@ def certificate_from_text(text: str) -> Certificate:
     steps: list[RewriteStep] = []
     for n, line in enumerate(lines[4:], 5):
         try:
-            steps.append(_parse_step(line))
+            steps.append(_parse_step(line, model))
         except CertificateError as exc:
             raise CertificateError(f"line {n}: {exc}") from None
     return Certificate(start, end, tuple(steps))

@@ -42,13 +42,15 @@ of a sphere with ``g`` punctures.  The standard constructions above use
 only ``u``-letters, so for ``n >= 5`` punctures they restrict to roots of
 elementary braids; ``construct_braid_root`` serves index ``i > 1`` by
 conjugating the index-1 root with the rotation ``(u_1 .. u_{n-1})^{i-1}``
-and certifying the shift ``delta u_j delta^-1 = u_{j+1}`` step by step.
+and certifying the shift ``delta u_j delta^-1 = u_{j+1}`` step by step;
+each freed ``delta delta^-1`` is one block step.
 """
 
 from __future__ import annotations
 
 from . import small_genus
 from .presentation import (
+    BlockStep,
     Certificate,
     CertificateError,
     FreeStep,
@@ -58,13 +60,13 @@ from .presentation import (
     _MODEL_COMMUTATIONS,
     apply_step,  # noqa: F401  (a lookup site perfbench traces)
     boundary_identity,
-    invert_step,
     replay_certificate,
 )
 from .representations import homology_of, perm_of, sign_of
 from .words import (
     MAX_GENUS,
     SurfaceModel,
+    Syllable,
     Word,
     WordError,
     _letter,
@@ -481,10 +483,11 @@ def _shift_steps(genus: int, shifts: int) -> list[RewriteStep]:
     Round ``j`` works on the innermost rotation, which starts at ``o``:
     it carries ``u_j`` left to ``u_{j+1}``, applies ``delta u_j =
     u_{j+1} delta`` (one braid step), carries ``u_{j+1}`` left out of the
-    rotation, then cancels the freed ``delta delta^-1`` pair syllable by
-    syllable.
+    rotation, then deletes the freed ``delta delta^-1`` at ``o + 1`` in
+    one block step.
     """
     g = genus
+    delta = tuple((_letter("u", r), 1) for r in range(1, g))
     steps: list[RewriteStep] = []
     for j in range(1, shifts + 1):
         o = (shifts - j) * (g - 1)
@@ -493,7 +496,38 @@ def _shift_steps(genus: int, shifts: int) -> list[RewriteStep]:
         steps.append(SchemaStep(o + j - 1, "R2", (j,), True))
         if j - 1:
             steps.append(MoveStep(o, j - 1, False))
-        steps += [FreeStep("delete", o + r, _letter("u", r), 1) for r in range(g - 1, 0, -1)]
+        steps.append(BlockStep("delete", o + 1, delta))
+    return steps
+
+
+def _unreduction_steps(trace: list) -> list[RewriteStep]:
+    """The inverse of the free reduction ``trace`` of :func:`_reduce_syllables`.
+
+    Its merges become splits, and each nested run of its deletes one insert
+    of the block (a pair for one syllable).  A nested run deletes at
+    positions ``p + k - 1, ..., p`` of a reduced stack, so the block word
+    is reduced.
+    """
+    steps: list[RewriteStep] = []
+    run: list[Syllable] = []  # the inserts at start, start + 1, ... not yet written
+
+    def write_run() -> None:
+        if len(run) > 1:
+            steps.append(BlockStep("insert", start, tuple(run)))
+        elif run:
+            steps.append(FreeStep("insert", start, *run[0]))
+        run.clear()
+
+    for op, position, letter, exp in reversed(trace):
+        if run and (op != "delete" or position != start + len(run)):
+            write_run()
+        if op == "merge":
+            steps.append(FreeStep("split", position, letter, exp))
+            continue
+        if not run:
+            start = position
+        run.append((letter, exp))
+    write_run()
     return steps
 
 
@@ -515,9 +549,10 @@ def construct_braid_root(punctures: int, index: int) -> RootResult:
     ``u``-letters only, so they restrict to the braid setting; index > 1
     is reached by conjugating with the crosscap rotation.  The index-1
     certificate is taken from :func:`_gathered_root` unreported; a larger
-    index prefixes the inverted free reduction of the conjugated start,
-    splices the index-1 steps in one rotation to the right and ends with
-    :func:`_shift_steps`, so the report's replay is the only one.  Refuses
+    index prefixes the inverted free reduction of the conjugated start
+    (:func:`_unreduction_steps`), splices the index-1 steps in one
+    rotation to the right and ends with :func:`_shift_steps`, so the
+    report's replay is the only one.  Refuses
     more than ``MAX_GENUS`` punctures, and ``punctures <= 4``, where no
     nontrivial root exists.
     """
@@ -549,7 +584,7 @@ def construct_braid_root(punctures: int, index: int) -> RootResult:
         rotation.syllables + base.start.syllables + rotation.inverse().syllables, trace
     )
     offset = len(rotation.syllables)
-    steps = [invert_step(FreeStep(*step)) for step in reversed(trace)]
+    steps = _unreduction_steps(trace)
     steps += [_shifted(step, offset) for step in base.steps]
     steps += _shift_steps(n, index - 1)
     target_word = Word(model, ((_letter("u", index), 1),))

@@ -531,30 +531,51 @@ def _power(syllables: tuple[Syllable, ...], e: int) -> tuple[Syllable, ...]:
     return conjugator + core + _inverse_syllables(conjugator)
 
 
+def _divisors(n: int) -> list[int]:
+    """The divisors of ``n`` from 2 to ``n/2``, increasing."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small[1:] + [n // d for d in reversed(small) if d * d != n][:-1]
+
+
+def _power_base(core: Sequence[Syllable]) -> tuple[Sequence[Syllable], int]:
+    """The shortest ``b`` and the ``r`` with ``core`` the power ``b^r`` as :func:`_power` writes it.
+
+    ``core`` is reduced, with no conjugator.  Either the copies of ``b``
+    stand side by side, or ``b = x^a m x^c`` has end syllables of one
+    letter and its copies are joined by the syllable ``x^(a+c)``; when
+    neither holds, ``b`` is ``core`` and ``r`` is 1.
+    """
+    n = len(core)
+    for d in _divisors(n):
+        if core[d : 2 * d] == core[:d] and core[d:] == core[:-d]:
+            return core[:d], n // d
+    if n > 2 and core[0][0] == core[-1][0]:
+        seam = (core[0][0], core[0][1] + core[-1][1])
+        for d in _divisors(n - 1):
+            if core[d] == seam and core[d + 1 : n - 1] == core[1 : n - 1 - d]:
+                return core[:d] + core[-1:], (n - 1) // d
+    return core, 1
+
+
 def _grouped_text(syllables: Sequence[Syllable]) -> str:
     """The text of reduced ``syllables``, with repeated blocks grouped at every level.
 
-    For ``syllables = w c w^-1`` whose core is ``b^r`` with ``r >= 2`` and
-    ``b`` shortest, the text is ``w (b)^r w^-1``; otherwise ``b`` is the
-    core and ``r = 1`` writes no group.  Each of ``w``, ``b`` and ``w^-1``
-    is then written by :func:`_blocks_text`, which groups adjacent copies
-    of blocks of at most ``_MAX_BLOCK`` syllables, and blocks inside them.
-    Parsing the text gives back the same syllables: every group is a slice
-    of a reduced word whose copies are adjacent in it, so its ends have
-    different letters, it has no conjugator, and :func:`_power` writes it
-    out as it stands.
+    For ``syllables = w c w^-1`` whose core is the power ``b^r`` of
+    :func:`_power_base` with ``r >= 2``, the text is ``w (b)^r w^-1``;
+    otherwise ``b`` is the core and ``r = 1`` writes no group.  Each of
+    ``w``, ``b`` and ``w^-1`` is then written by :func:`_blocks_text`,
+    which groups adjacent copies of blocks of at most ``_MAX_BLOCK``
+    syllables, and blocks inside them.  Parsing the text gives back the
+    same syllables: :func:`_power` writes ``(b)^r`` out as the core, and
+    every group of :func:`_blocks_text` is a slice of a reduced word whose
+    copies are adjacent in it, so its ends have different letters, it has
+    no conjugator, and :func:`_power` writes it out as it stands.
     """
     k = _conjugator_length(syllables)
-    core = syllables[k : len(syllables) - k]
-    n = len(core)
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    periods = small[1:] + [n // d for d in reversed(small) if d * d != n][:-1]
-    for d in periods:  # the divisors of n from 2 to n/2, increasing
-        if core[d : 2 * d] == core[:d] and core[d:] == core[:-d]:
-            body = f"({_blocks_text(_syllable_texts(core[:d]))})^{n // d}"
-            break
-    else:
-        body = _blocks_text(_syllable_texts(core))
+    block, copies = _power_base(syllables[k : len(syllables) - k])
+    body = _blocks_text(_syllable_texts(block))
+    if copies > 1:
+        body = f"({body})^{copies}"
     if not k:
         return body
     head = _blocks_text(_syllable_texts(syllables[:k]))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mcgroots import presentation
 from mcgroots.presentation import (
     SCHEMA_IDS,
+    BlockStep,
     Certificate,
     CertificateError,
     FreeStep,
@@ -29,6 +30,7 @@ from mcgroots.presentation import (
     relation_catalog,
     replay_certificate,
 )
+from mcgroots.cli import main
 from mcgroots.roots import (
     FAIL,
     PASS,
@@ -43,12 +45,16 @@ from mcgroots.words import (
     SurfaceModel,
     Word,
     WordError,
+    _format_syllables,
     _grouped_text,
+    _inverse_syllables,
+    _power,
+    _power_base,
     format_word,
     parse_word,
 )
 
-from conftest import conjugates, hybrid_models, standard_models, words_for
+from conftest import conjugates, hybrid_models, standard_models, syllables_for, words_for
 
 
 def _w(text, model):
@@ -390,6 +396,87 @@ class TestFreeSteps:
             apply_step([], FreeStep("insert", 0, GeneratorLetter("u", 7), 1), std3)
 
 
+_STD5 = SurfaceModel.standard(5)
+
+
+@st.composite
+def block_cases(draw):
+    """A raw working state and a block step on it, at the place its word cancels or near it."""
+    w = draw(words_for(_STD5, max_len=5).filter(lambda w: w.syllable_count >= 2)).syllables
+    raw = st.lists(syllables_for(_STD5, max_exp=2), max_size=4)
+    before = draw(raw)
+    middle = list(w + _inverse_syllables(w)) if draw(st.booleans()) else draw(raw)
+    state = before + middle + draw(raw)
+    position = draw(st.just(len(before)) | st.integers(0, len(state) + 1))
+    return state, BlockStep(draw(st.sampled_from(("insert", "delete"))), position, w)
+
+
+class TestBlockSteps:
+    def test_insert_and_delete(self, std5):
+        state = list(_w("t1", std5).syllables)
+        step = BlockStep("insert", 1, _w("u2^-3 t4", std5).syllables)
+        apply_step(state, step, std5)
+        assert tuple(state) == _w("t1", std5).syllables + _w("u2^-3 t4", std5).syllables + (
+            _w("t4^-1 u2^3", std5).syllables
+        )
+        apply_step(state, invert_step(step), std5)
+        assert tuple(state) == _w("t1", std5).syllables
+
+    def test_delete_mismatch_names_the_block(self, std5):
+        state = [(_LETTERS[name], e) for name, e in (("u1", 1), ("u2", 1), ("u2", -1), ("u3", 1))]
+        with pytest.raises(CertificateError) as info:
+            apply_step(state, BlockStep("delete", 0, _w("u1 u2", std5).syllables), std5)
+        assert str(info.value) == (
+            "delete mismatch at position 0: expected u1 u2 u2^-1 u1^-1, found u1 u2 u2^-1 u3"
+        )
+
+    def test_insert_out_of_range(self, std5):
+        with pytest.raises(CertificateError, match="insert position 2 out of range 0..1"):
+            step = BlockStep("insert", 2, _w("u1 u2", std5).syllables)
+            apply_step([(_LETTERS["u1"], 1)], step, std5)
+
+    def test_inadmissible_letter(self, std3):
+        block = BlockStep("insert", 0, ((_LETTERS["u1"], 1), (_LETTERS["u7"], 1)))
+        with pytest.raises(CertificateError, match="letter u7 is not admissible"):
+            apply_step([], block, std3)
+
+    @pytest.mark.parametrize(
+        "op, position, syllables, message",
+        [
+            ("swap", 0, (("u1", 1), ("u2", 1)), "unknown block op 'swap'"),
+            ("merge", 0, (("u1", 1), ("u2", 1)), "unknown block op 'merge'"),
+            ("insert", -1, (("u1", 1), ("u2", 1)), "block position -1 is negative"),
+            ("insert", 0, (("u1", 1),), "a block needs 2 or more syllables, got 1"),
+            ("delete", 0, (), "a block needs 2 or more syllables, got 0"),
+            ("insert", 0, (("u1", 1), ("u1", 2)), "block word u1 u1^2 is not reduced"),
+            ("insert", 0, (("u1", 1), ("u2", 0)), "block word u1 u2^0 is not reduced"),
+        ],
+    )
+    def test_bad_block_rejected_at_construction(self, op, position, syllables, message):
+        with pytest.raises(CertificateError) as info:
+            BlockStep(op, position, tuple((_LETTERS[name], e) for name, e in syllables))
+        assert str(info.value) == message
+
+    @settings(max_examples=300)
+    @given(block_cases())
+    def test_block_applies_exactly_when_its_pairs_do(self, case):
+        # a block is its free pairs: inserted outermost first at p, p+1, ...,
+        # deleted innermost first at p+|w|-1, ..., p
+        state, step = case
+        outcomes = []
+        for steps in ([step], _pair_steps(step)):
+            work = list(state)
+            try:
+                for each in steps:
+                    apply_step(work, each, _STD5)
+            except CertificateError:
+                work = None
+            outcomes.append(work)
+        assert outcomes[0] == outcomes[1]
+        if step.op == "insert":
+            assert outcomes[0] is not None or step.position > len(state)
+
+
 class TestStepInversion:
     # raw working states, since mid-derivation sequences need not be reduced
     CASES = [
@@ -401,6 +488,11 @@ class TestStepInversion:
         ([("u", 1, 5)], FreeStep("split", 0, GeneratorLetter("u", 1), 2)),
         ([("u", 1, 2), ("u", 3, 1), ("t", 4, -1)], MoveStep(0, 2, True)),
         ([("t", 4, -1), ("u", 3, 1), ("u", 1, 2), ("y", 2, 1)], MoveStep(0, 2, False)),
+        ([("t", 1, 1)], BlockStep("insert", 1, ((_LETTERS["u4"], -2), (_LETTERS["t1"], 1)))),
+        (
+            [("u", 1, 1), ("u", 2, 1), ("u", 2, -1), ("u", 1, -1)],
+            BlockStep("delete", 0, ((_LETTERS["u1"], 1), (_LETTERS["u2"], 1))),
+        ),
     ]
 
     @pytest.mark.parametrize("raw,step", CASES)
@@ -764,7 +856,41 @@ class TestCertificateText:
             ("move 0x 2 fwd", "line 9: bad position '0x'"),
             ("move 0 02 bwd", "line 9: bad length '02'"),
             ("move 0 +2 bwd", "line 9: bad length '+2'"),
-            ("mv 0 2 fwd", "line 9: expected a step, move or free line"),
+            ("mv 0 2 fwd", "line 9: expected a step, move, free or block line"),
+            ("block insrt 1 u1 u2", "line 9: unknown block op 'insrt'"),
+            ("block merge 1 u1 u2", "line 9: unknown block op 'merge'"),
+            ("block insert 1 u1", "line 9: a block needs 2 or more syllables, got 1"),
+            ("block insert 1 u1^2", "line 9: a block needs 2 or more syllables, got 1"),
+            ("block insert 1", "line 9: a block needs 2 or more syllables, got 0"),
+            ("block insert 1 ", "line 9: a block needs 2 or more syllables, got 0"),
+            ("block insert 1 u1 u1 u2", "line 9: block word 'u1 u1 u2' is not in its written form"),
+            (
+                "block delete 1 u1 u3 u3^-1 u2",
+                "line 9: block word 'u1 u3 u3^-1 u2' is not in its written form",
+            ),
+            ("block insert 1 u1 u2 ", "line 9: block word 'u1 u2 ' is not in its written form"),
+            (
+                "block insert 1 (u1 u2)^1",
+                "line 9: block word '(u1 u2)^1' is not in its written form",
+            ),
+            (
+                "block insert 1 u1 u9",
+                "line 9: bad block word: letter u9 is not admissible"
+                " in the standard genus-5 model (column 3)",
+            ),
+            (
+                "block insert 1 u1 c2",
+                "line 9: bad block word: letter c2 is not admissible"
+                " in the standard genus-5 model (column 3)",
+            ),
+            (
+                "block insert 1 u1 u2^0",
+                "line 9: bad block word: exponent must be a nonzero integer"
+                " without leading 0 (column 6)",
+            ),
+            ("block insert -1 u1 u2", "line 9: block position -1 is negative"),
+            ("block delete 01 u1 u2", "line 9: bad position '01'"),
+            ("block delete +1 u1 u2", "line 9: bad position '+1'"),
         ],
     )
     def test_tampered_copy_of_a_parsed_tail_is_rejected(self, line, message):
@@ -851,9 +977,19 @@ class TestCertificateText:
         assert parse_word(text, model) == word
 
 
+def _pair_steps(step):
+    """The free pairs a block step stands for: inserts outermost first, deletes innermost first."""
+    if not isinstance(step, BlockStep):
+        return [step]
+    pairs = [FreeStep(step.op, step.position + j, *s) for j, s in enumerate(step.syllables)]
+    return pairs if step.op == "insert" else pairs[::-1]
+
+
 def _written_out_text(certificate):
-    """certificate_to_text with the start and end lines written out by format_word."""
-    lines = certificate_to_text(certificate).split("\n")
+    """certificate_to_text with the start and end lines written out by format_word
+    and each block step written out as its free pairs."""
+    steps = tuple(pair for step in certificate.steps for pair in _pair_steps(step))
+    lines = certificate_to_text(Certificate(certificate.start, certificate.end, steps)).split("\n")
     for n, (tag, word) in enumerate((("start", certificate.start), ("end", certificate.end)), 2):
         lines[n] = f"{tag} {format_word(word)}".rstrip()
     return "\n".join(lines)
@@ -973,27 +1109,27 @@ BRAID_CERTIFICATE_SHA256 = {
 # sha256 of certificate_to_text, as written, for the same braid roots.
 GROUPED_BRAID_CERTIFICATE_SHA256 = {
     (5, 1): "3b0fed97bd50717c17762ffd792f922a7eb47610d275783df99a399c000164c2",
-    (5, 2): "d8cb9144db9d24fba1051831a396ffed0e473ba7b360b029a81f485a9430bd06",
-    (5, 3): "599a1089fcc217d8d6ed3d19442084bd73166589bc283764a970b39fd2823673",
-    (5, 4): "3af114ef335c95d4f3779403c4b8eb7605f2c0009512637da7d6b7033027ce8d",
+    (5, 2): "4d6aa10e05ff058a76df393806944ee07bf1b71e57218deb143ed804a8cd4ade",
+    (5, 3): "7e604c511b5663061c1a0092f44588597523a7c73273cce8bf25154d4bed40ec",
+    (5, 4): "0bdf4cbc7b5631be948533f6735923715194342f4acbc23079a229bf9f1984cd",
     (6, 1): "81dd3d737b74263f53b4c15a1520bfdeca83316d909d9fd322ffe7bc3138b12a",
-    (6, 2): "276f1374688179fa3149997f5fe4578ba5a1927ef684285d78286cad9937a01b",
-    (6, 3): "142210438c70eae94f174f809558fbfbb5faefa4b845ee95e768911ef61b90e0",
-    (6, 4): "4ca815607b0d26ea42b9ff560683c494e2032fc506e6b02fe94f5f625f641fc2",
-    (6, 5): "6299eedb135ee21caf75903ada6fa9107a3398a0e735ff094c190cfa36504c92",
+    (6, 2): "c2e97c559cbb783e0c05eecd5bdd7e756e7081cc0c9ca8ae6d64f696f10093b4",
+    (6, 3): "b3f7cca00be212779dd9fcbb4ecbf2285199cb66cdc10284be69c555e669a6e0",
+    (6, 4): "7ff8f9e9e01b1ed54c8d1b1b335e8078e736579717736e3941af40cc617ca12e",
+    (6, 5): "4bd55c8b23ab349477a4b4bdf3564121d82e4139c2e115c6eefd446608da1b01",
     (7, 1): "00e30888dcebf45b4e075b1ad130cde83f557bcda0f0c02705ba9d82b23b75a2",
-    (7, 2): "c244ac4eca5b70f6fc7a52ea8af3f61c1b28157546625117787894057171ea36",
-    (7, 3): "04b5bf254c4eb7ba8840b5065cf9943e2c4d10f67ed9f6a5fb7dd539ad1884d2",
-    (7, 4): "7a812d0e0c815503c28bde4c8366a31f00a74b27e1c28b97ddbb0a2f121f1298",
-    (7, 5): "9fdc10a6a46360a022f87c311bc3cb5f2eb1c3c6dc1c8ffa00283f33fd9b77ef",
-    (7, 6): "08278760f1922a3702a9fbe84d312bd4d271ad4589daec40c42bbfe07dfaaaa5",
+    (7, 2): "1cd2c5a9e19497261cb177700cbce580226122a1a1b029797d9ff34402da6dca",
+    (7, 3): "1a5b1f1541d031fe3adfd34255ae7e4a11a5e30fde3e5e0d816c00505ed1fad9",
+    (7, 4): "ebd60f0e3c28dceb7162a6ffa864206d0509eb461f3a7f0d68762d215cca288c",
+    (7, 5): "475e823524be0b0985ed336a49cebe0e2464eef308dd4811ac6dcb4d175010c4",
+    (7, 6): "537e52cf396d62720bb96135bbcf835dbd2df584cd349fd11bb6024e4f6cc0e4",
     (8, 1): "8fc11b0cf1836d5f58e18d08a23d56c069e4a5d61984c3cce923ffb989edbb23",
-    (8, 2): "0659dd3fc4ddffb7327aeca9be4405338fb59ccf8c20443b9d40d863284f917e",
-    (8, 3): "aae1501ce01a2c47225566f5bfbdce3dd5507c4ca3e8be0f8ba478dd24518a1f",
-    (8, 4): "26e74bc8eaac0da03f4915507b8d57f30c24ed50a39cb3a7102c992949b27af2",
-    (8, 5): "ecad13a46db013379e78e98714a1fd38c962b24f382ad27719040b55fcd5a90f",
-    (8, 6): "d42e55b154ae33084a0345776d4a6d689e58d3b70c8fb79664b6ff039033e6bf",
-    (8, 7): "2ee71c8b9d2ab15513da19595ab326e47c1e7bcf761e0adaee54654ba5ef7a50",
+    (8, 2): "162d37863c03f4358a145b8e9df44bd18dc0d9a74a64797514d02028b3cb08a0",
+    (8, 3): "43b41c204381b137e77a3d494ef12371caee41418ac73a58d9edbe949aa20011",
+    (8, 4): "319408afc6c92b2a200053435fb2809947aa069ae8810a0087560c26440ffdb0",
+    (8, 5): "e15876fdc7cfdca8a2a53b82e019d119640f45722c1475d8a963bbb775f5d25f",
+    (8, 6): "45c11ab38469a1ce7733ac04978aca00af4813d867faed55543f3c7aa8df3e00",
+    (8, 7): "90e00407211b7d78260b8c32d87f205c2583c4043ec94bdb14830f8145a03ed5",
 }
 
 
@@ -1016,7 +1152,7 @@ def test_braid_certificate_text_is_byte_stable(punctures, index):
         (lambda: construct_braid_root(5, 2), "start u1 u2 (u1 u4^-1 u3^-1)^3 u2^-1 u1^-1"),
         (
             lambda: construct_braid_root(6, 2),
-            "start u1 u2 u3^-1 (u1 u5^-1 u4^-1 u3^-2)^2 u1 u5^-1 u4^-1 u3^-1 u2^-1 u1^-1",
+            "start u1 u2 (u3^-1 u1 u5^-1 u4^-1 u3^-1)^3 u2^-1 u1^-1",
         ),
     ],
     ids=["standard-5-u", "standard-7-u", "braid-5-2", "braid-6-2"],
@@ -1052,7 +1188,7 @@ GROUPED_PER_SWAP_SHA256 = {
     ("standard", 5, "u"): "a860e79d90375ba478631fe6f7382dafc7059c7ef95b01bae7f596d0bb3357cb",
     ("standard", 6, "y"): "27700b1e8ccd0b347f41fc317895682e1653801490ffd068785858b55435ad00",
     ("hybrid", 4, "y"): "85bc4f31f51d0fedfd403fb7535292516117556eef38f50a296225d182026022",
-    ("braid", 6, 3): "ec2a8da07b5b61a097953d82a92fd4717b6f9b76e62b9952e26b243a896cef53",
+    ("braid", 6, 3): "06d7a8d8578a2e450bd0c560d6c8faef17b8a114a4c63e1d0f6ca4efe50813fe",
 }
 
 
@@ -1071,3 +1207,124 @@ def test_per_swap_form_still_verifies(kind, genus, target):
     parsed = certificate_from_text(text)
     assert len(parsed.steps) > len(result.certificate.steps)
     assert verify_identity(result.root, result.degree, result.target, parsed).proved
+
+
+# certificate_to_text of braid (7, 3) as written with one free line per
+# cancelled pair, before block steps
+BRAID_7_3_PER_PAIR = (
+    'model standard\n'
+    'genus 7\n'
+    'start u1 u2 u3 u4 u5 u6 u1 u2 (u6^-1 u5^-1 u4^-1 u3^-1 u1 u6^-1 u5^-1 u4^-1 u3^-1)^5 u2^-1 u1^-1 u6^-1 u5^-1 u4^-1 u3^-1 u2^-1 u1^-1\n'
+    'end u3\n'
+    'free insert 8 u3 1\n'
+    'free insert 9 u4 1\n'
+    'free insert 10 u5 1\n'
+    'free insert 11 u6 1\n'
+    'move 20 8 fwd\n'
+    'free merge 28 u1 1\n'
+    'move 28 8 fwd\n'
+    'free merge 36 u1 2\n'
+    'move 36 8 fwd\n'
+    'free merge 44 u1 3\n'
+    'move 44 8 fwd\n'
+    'free merge 52 u1 4\n'
+    'step 12 R6closed-odd bwd\n'
+    'step 13 R6closed-odd bwd\n'
+    'free merge 12 u1 -2\n'
+    'free merge 12 u1 -4\n'
+    'move 8 4 bwd\n'
+    'step 6 R2 1 fwd\n'
+    'free delete 12 u6 1\n'
+    'free delete 11 u5 1\n'
+    'free delete 10 u4 1\n'
+    'free delete 9 u3 1\n'
+    'free delete 8 u2 1\n'
+    'free delete 7 u1 1\n'
+    'move 3 3 bwd\n'
+    'step 1 R2 2 fwd\n'
+    'move 0 1 bwd\n'
+    'free delete 6 u6 1\n'
+    'free delete 5 u5 1\n'
+    'free delete 4 u4 1\n'
+    'free delete 3 u3 1\n'
+    'free delete 2 u2 1\n'
+    'free delete 1 u1 1\n'
+)
+
+
+def test_per_pair_braid_text_still_verifies(tmp_path):
+    result = construct_braid_root(7, 3)
+    parsed = certificate_from_text(BRAID_7_3_PER_PAIR)
+    assert not any(isinstance(step, BlockStep) for step in parsed.steps)
+    assert verify_identity(result.root, result.degree, result.target, parsed).proved
+    # today's certificate is the same derivation, its pairs grouped in blocks
+    steps = tuple(pair for step in result.certificate.steps for pair in _pair_steps(step))
+    assert steps == parsed.steps and len(result.certificate.steps) < len(steps)
+    path = tmp_path / "braid73.txt"
+    path.write_text(BRAID_7_3_PER_PAIR)
+    argv = ["verify", "--genus", "7", "--word", str(result.root), "--power", "5"]
+    assert main(argv + ["--equals", "u3", "--certificate", str(path)]) == 0
+
+
+@pytest.mark.parametrize("punctures, index", [(5, 4), (7, 3), (8, 4), (12, 11), (50, 49)])
+def test_braid_certificates_with_blocks_round_trip(punctures, index):
+    certificate = construct_braid_root(punctures, index).certificate
+    text = certificate_to_text(certificate)
+    assert "\nblock delete " in text and "\nblock insert " in text
+    assert certificate_from_text(text) == certificate
+
+
+def test_largest_braid_certificate_is_short():
+    # braid (50, 49): 2 679 steps and 75 644 bytes with one line per pair and
+    # the core written out past 64-syllable blocks; the core is a power whose
+    # 1 083-syllable copies share their end letter and so merge at the seams
+    certificate = construct_braid_root(50, 49).certificate
+    text = certificate_to_text(certificate)
+    assert len(certificate.steps) == 330
+    assert len(text.split("\n")[2]) == 1217 and len(text) == 16871
+
+
+class TestPowerBase:
+    def test_whole_power(self, std5):
+        core = _w("u1 u2^-1 u1 u2^-1 u1 u2^-1", std5).syllables
+        assert _power_base(core) == (core[:2], 3)
+
+    def test_copies_joined_at_their_seams(self, std5):
+        block = _w("u1^2 u2 u3 u1^-1", std5).syllables
+        core = _power(block, 4)
+        assert len(core) == 4 * 3 + 1
+        assert _power_base(core) == (block, 4)
+        assert _grouped_text(core) == "(u1^2 u2 u3 u1^-1)^4"
+
+    @pytest.mark.parametrize(
+        "text",
+        # the ends' exponents miss the seam's sum; copies differ in one syllable
+        ["u1^2 u2 u3 u1^-1 u2 u3 u1^2", "u1 u2 u3 u1^2 u4 u3 u1", "u1 u2 u3 u1^2 u2 u4 u1"],
+    )
+    def test_no_power(self, text, std5):
+        core = _w(text, std5).syllables
+        assert _power_base(core) == (core, 1)
+        assert _grouped_text(core) == text
+
+    @settings(max_examples=200)
+    @given(
+        standard_models(3, 6).flatmap(
+            lambda m: st.tuples(
+                words_for(m, max_len=4), st.sampled_from(m.letters()), st.integers(2, 5)
+            )
+        ),
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda e: 0 not in e and sum(e)),
+    )
+    def test_seam_joined_powers_round_trip(self, data, ends):
+        # x^a m x^c with a + c != 0 has no conjugator, and its powers join
+        # their copies at x^(a+c); the grouped text writes one copy
+        m, x, r = data
+        block = Word(m.model, ((x, ends[0]),) + m.syllables + ((x, ends[1]),)).syllables
+        if len(block) < 3 or block[0][0] != block[-1][0] or block[0][1] + block[-1][1] == 0:
+            return
+        core = _power(block, r)
+        base, copies = _power_base(core)
+        assert copies >= r and _power(base, copies) == core
+        text = _grouped_text(core)
+        assert text.startswith("(") and parse_word(text, m.model).syllables == core
+        assert len(text) < len(_format_syllables(core))

@@ -19,7 +19,14 @@ from mcgroots.presentation import (
     certificate_from_text,
     certificate_to_text,
 )
-from mcgroots.roots import FAIL, PASS, RootRequest, construct_root, verify_identity
+from mcgroots.roots import (
+    FAIL,
+    PASS,
+    RootRequest,
+    construct_braid_root,
+    construct_root,
+    verify_identity,
+)
 from mcgroots.words import SurfaceModel, Word, WordError, parse_word
 
 # Pieces of the word grammar, and look-alikes it must refuse: non-ASCII digits,
@@ -33,13 +40,23 @@ _NUMERALS = st.sampled_from(("7", "-3", "0", "01", "-0", " 1", "+1", "1_0", "\u0
 
 GENUINE = certificate_to_text(construct_root(RootRequest(5, "u", "auto")).certificate)
 LINES = GENUINE.splitlines()
+# A braid certificate with block lines: one block insert and two block deletes.
+BRAID_LINES = certificate_to_text(construct_braid_root(7, 3).certificate).splitlines()
+BLOCK_LINES = [k for k, line in enumerate(BRAID_LINES) if line.startswith("block ")]
 
 
 @st.composite
 def mutated_certificates(draw):
-    """A genuine genus-5 certificate with one line changed; header lines are drawn more often."""
-    lines = list(LINES)
-    n = draw(st.integers(1, 3) | st.integers(0, len(lines) - 1))
+    """A genuine genus-5 root or genus-7 braid certificate with one line changed.
+
+    Header lines, and the braid's block lines, are drawn more often.
+    """
+    if draw(st.booleans()):
+        lines = list(BRAID_LINES)
+        n = draw(st.integers(1, 3) | st.integers(0, len(lines) - 1) | st.sampled_from(BLOCK_LINES))
+    else:
+        lines = list(LINES)
+        n = draw(st.integers(1, 3) | st.integers(0, len(lines) - 1))
     line = lines[n]
     numerals = [m.span() for m in re.finditer("[0-9]+", line)]
     how = draw(st.sampled_from(("numeral", "rest", "insert", "truncate")))
@@ -89,15 +106,20 @@ def test_move_lines_parse_and_replay_to_a_verdict_or_a_clean_error(text):
 
 @st.composite
 def step_and_free_certificates(draw):
-    """A genuine genus-5 certificate with one field of a ``step`` or ``free`` line redrawn.
+    """A genuine certificate with one field of a ``step``, ``free`` or ``block`` line redrawn.
 
     Returns the text and the 1-based number of the changed line.
     """
-    lines = list(LINES)
-    n = draw(st.sampled_from([k for k, line in enumerate(lines) if line.startswith(("step ", "free "))]))
+    lines = list(draw(st.sampled_from((LINES, BRAID_LINES))))
+    tags = ("step ", "free ", "block ")
+    n = draw(st.sampled_from([k for k, line in enumerate(lines) if line.startswith(tags)]))
     tokens = lines[n].split(" ")
     k = draw(st.integers(1, len(tokens) - 1))
-    tokens[k] = draw(_MOVE_FIELDS | _NUMERALS | st.sampled_from(("u01", "u0", "x1", "R2", "insrt")))
+    tokens[k] = draw(
+        _MOVE_FIELDS
+        | _NUMERALS
+        | st.sampled_from(("u01", "u0", "x1", "u8", "(u1", "R2", "insrt", "merge"))
+    )
     lines[n] = " ".join(tokens)
     return "\n".join(lines) + "\n", n + 1
 
