@@ -52,7 +52,7 @@ Certificates
 A :class:`Certificate` carries a start word, an end word, and a step list.
 Replaying the steps transforms the start syllable sequence into the end
 syllable sequence exactly.  Steps address syllables by position in the
-current (not necessarily reduced) working sequence and come in four forms:
+current (not necessarily reduced) working sequence and come in five forms:
 
 * schema steps replace a literal occurrence of one side of a relation
   instance by the other side (``forward``: lhs -> rhs); an occurrence of
@@ -74,7 +74,16 @@ current (not necessarily reduced) working sequence and come in four forms:
   ``bwd`` moves the syllable at ``pos + len`` left to ``pos``.  Replay
   checks the moving syllable against each one it passes with
   :func:`commute_step`, so a move is exactly the run of commutation
-  steps it abbreviates; flipping the direction inverts it.
+  steps it abbreviates; flipping the direction inverts it;
+* gather steps collect ``copies`` periods ``A x^e``, ``A`` being the
+  ``len`` syllables at ``pos``: ``fwd`` turns ``(A x^e)^copies`` into
+  ``A^copies x^(e·copies)``, checked by one comparison with the first
+  period and a :func:`commute_step` check of ``x`` against each
+  distinct letter of ``A``; ``bwd`` turns ``A^copies x^E`` back into
+  ``(A x^(E/copies))^copies``.  A gather is exactly its rounds ``move
+  pos+kL L fwd``, ``free merge pos+(k+1)L x k·e`` (``L = len``, ``k =
+  1 .. copies-1``), so it needs no further axiom; flipping the
+  direction inverts it.
 
 Text format (one item per line, words in the module grammar)::
 
@@ -84,6 +93,7 @@ Text format (one item per line, words in the module grammar)::
     end <word>
     step <pos> <schemaId> <params...> <fwd|bwd>
     move <pos> <len> <fwd|bwd>
+    gather <pos> <len> <copies> <fwd|bwd>
     free <insert|delete|merge|split> <pos> <letter> <exp>
     block <insert|delete> <pos> <word>
 
@@ -121,6 +131,7 @@ __all__ = [
     "Certificate",
     "CertificateError",
     "FreeStep",
+    "GatherStep",
     "MoveStep",
     "RelationInstance",
     "RewriteStep",
@@ -382,6 +393,30 @@ class MoveStep(_Record):
         object.__setattr__(self, "forward", forward)
 
 
+class GatherStep(_Record):
+    """Gather ``copies`` periods ``A x^e`` at ``position``, ``A`` being ``length`` syllables.
+
+    Forward, the window ``(A x^e)^copies`` becomes ``A^copies
+    x^(e·copies)``; backward, ``A^copies x^E`` becomes ``(A
+    x^(E/copies))^copies``.  ``length`` is at least 1, ``copies`` at
+    least 2, and ``position`` is not negative.
+    """
+
+    __slots__ = ("position", "length", "copies", "forward")
+
+    def __init__(self, position: int, length: int, copies: int, forward: bool = True):
+        if position < 0:
+            raise CertificateError(f"gather position {position} is negative")
+        if length < 1:
+            raise CertificateError(f"gather length must be >= 1, got {length}")
+        if copies < 2:
+            raise CertificateError(f"gather copies must be >= 2, got {copies}")
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "copies", copies)
+        object.__setattr__(self, "forward", forward)
+
+
 class BlockStep(_Record):
     """Insert or delete the canceling block ``w w^-1`` at ``position``.
 
@@ -406,7 +441,7 @@ class BlockStep(_Record):
         object.__setattr__(self, "syllables", syllables)
 
 
-RewriteStep = Union[SchemaStep, FreeStep, MoveStep, BlockStep]
+RewriteStep = Union[SchemaStep, FreeStep, MoveStep, GatherStep, BlockStep]
 
 
 def invert_step(step: RewriteStep) -> RewriteStep:
@@ -415,6 +450,8 @@ def invert_step(step: RewriteStep) -> RewriteStep:
         return SchemaStep(step.position, step.schema, step.params, not step.forward)
     if isinstance(step, MoveStep):
         return MoveStep(step.position, step.length, not step.forward)
+    if isinstance(step, GatherStep):
+        return GatherStep(step.position, step.length, step.copies, not step.forward)
     if isinstance(step, BlockStep):
         return BlockStep(_INVERSE_OPS[step.op], step.position, step.syllables)
     return FreeStep(_INVERSE_OPS[step.op], step.position, step.letter, step.exponent)
@@ -517,6 +554,25 @@ def _check_commuting(x: GeneratorLetter, z: GeneratorLetter, genus: int, model_k
     commute_step(((x, 1), (z, 1)), 0, SurfaceModel(genus, model_kind))
 
 
+def _blocked(
+    x: GeneratorLetter, passed: Sequence[Syllable], forward: bool, model: SurfaceModel
+) -> tuple[int, str] | None:
+    """The index in ``passed`` of a syllable ``x`` cannot pass, and why; ``None`` if none.
+
+    ``forward`` puts ``x`` first in each pair checked.  Each distinct
+    letter is checked once (shared letters are one object each), in order
+    of first occurrence, so for syllables in the order ``x`` meets them
+    the first failing letter is the first failing swap.
+    """
+    letters = {id(letter): letter for letter, _ in passed}
+    for letter in letters.values():
+        try:
+            _check_commuting(*((x, letter) if forward else (letter, x)), model.genus, model.kind)
+        except SchemaError as exc:
+            return next(k for k, (other, _) in enumerate(passed) if other is letter), str(exc)
+    return None
+
+
 def _apply_move_step(state: list[Syllable], step: MoveStep, model: SurfaceModel) -> None:
     pos, length = step.position, step.length
     if length < 1:
@@ -531,21 +587,54 @@ def _apply_move_step(state: list[Syllable], step: MoveStep, model: SurfaceModel)
         moving, passed = state[pos], state[pos + 1 : end + 1]
     else:
         moving, passed = state[end], state[end - 1 : pos - 1 if pos else None : -1]
-    # each distinct letter once (shared letters are one object each), in order
-    # of first occurrence, so the first failing letter is the first failing swap
-    letters = {id(letter): letter for letter, _ in passed}
-    for letter in letters.values():
-        pair = (moving[0], letter) if step.forward else (letter, moving[0])
-        try:
-            _check_commuting(*pair, model.genus, model.kind)
-        except SchemaError as exc:
-            k = next(k for k, (other, _) in enumerate(passed) if other is letter)
-            at = pos + 1 + k if step.forward else end - 1 - k
-            raise CertificateError(f"move mismatch at position {at}: {exc}") from None
+    blocked = _blocked(moving[0], passed, step.forward, model)
+    if blocked:
+        k, reason = blocked
+        at = pos + 1 + k if step.forward else end - 1 - k
+        raise CertificateError(f"move mismatch at position {at}: {reason}")
     if step.forward:
         state[pos : end + 1] = passed + [moving]
     else:
         state[pos : end + 1] = [moving] + state[pos:end]
+
+
+def _gather_mismatch(at: int, message: str) -> CertificateError:
+    return CertificateError(f"gather mismatch at position {at}: {message}")
+
+
+def _apply_gather_step(state: list[Syllable], step: GatherStep, model: SurfaceModel) -> None:
+    pos, length, copies = step.position, step.length, step.copies
+    size = length + step.forward  # forward, the period is A x^e; backward, A, before x^E
+    period = state[pos : pos + size]
+    if len(period) < size:
+        raise CertificateError(
+            f"gather of {length} from position {pos} out of range: {len(state)} syllables"
+        )
+    found = state[pos : pos + copies * size]
+    expected = period * min(copies, len(found) // size + 1)  # no longer than the state allows
+    if found != expected:
+        k = next((k for k, (a, b) in enumerate(zip(found, expected)) if a != b), len(found))
+        raise _gather_mismatch(
+            pos + k,
+            f"expected {_format_syllables(expected[k : k + 1])} of copy {k // size + 1},"
+            f" found {_format_syllables(found[k : k + 1], 'the end')}",
+        )
+    end = pos + len(found)  # backward, the position of x^E
+    if step.forward:
+        block, (x, e) = period[:-1], period[-1]
+    elif end == len(state):
+        raise _gather_mismatch(end, "expected the syllable to share out, found the end")
+    else:
+        block, (x, e) = period, state[end]
+        if e % copies:
+            raise _gather_mismatch(end, f"{x}^{e} does not split into {copies} equal powers")
+    blocked = _blocked(x, block, step.forward, model)
+    if blocked:
+        raise _gather_mismatch(pos + blocked[0], blocked[1])
+    if step.forward:
+        state[pos:end] = block * copies + [(x, e * copies)]
+    else:
+        state[pos : end + 1] = (block + [(x, e // copies)]) * copies
 
 
 def apply_step(state: list[Syllable], step: RewriteStep, model: SurfaceModel) -> None:
@@ -558,6 +647,8 @@ def apply_step(state: list[Syllable], step: RewriteStep, model: SurfaceModel) ->
         _apply_free_step(state, step, model)
     elif isinstance(step, BlockStep):
         _apply_block(state, step.op, step.position, step.syllables, model)
+    elif isinstance(step, GatherStep):
+        _apply_gather_step(state, step, model)
     else:
         raise CertificateError(f"unknown step type {type(step).__name__}")
 
@@ -642,6 +733,9 @@ def certificate_to_text(certificate: Certificate) -> str:
             lines.append(f"step {step.position} {step.schema}{params} {way}")
         elif isinstance(step, MoveStep):
             lines.append(f"move {step.position} {step.length} {'fwd' if step.forward else 'bwd'}")
+        elif isinstance(step, GatherStep):
+            way = "fwd" if step.forward else "bwd"
+            lines.append(f"gather {step.position} {step.length} {step.copies} {way}")
         elif isinstance(step, BlockStep):
             lines.append(f"block {step.op} {step.position} {_grouped_text(step.syllables)}")
         else:
@@ -686,7 +780,7 @@ def _schema_fields(tokens: list[str]) -> tuple[str, tuple, bool]:
 
 
 def _parse_step(line: str, model: SurfaceModel) -> RewriteStep:
-    """One ``step``, ``free``, ``move`` or ``block`` line; the caller names the line in an error."""
+    """One step line, of any form; the caller names the line in an error."""
     tag, _, rest = line.partition(" ")
     if tag == "step":
         if line.count(" ") < 3:
@@ -707,6 +801,14 @@ def _parse_step(line: str, model: SurfaceModel) -> RewriteStep:
             raise CertificateError("malformed move step")
         number, length = _parse_int(fields[0], "position"), _parse_int(fields[1], "length")
         return MoveStep(number, length, fields[2] == "fwd")
+    if tag == "gather":
+        fields = rest.split(" ")
+        if len(fields) != 4 or fields[3] not in ("fwd", "bwd"):
+            raise CertificateError("malformed gather step")
+        number, length, copies = (
+            _parse_int(token, what) for token, what in zip(fields, ("position", "length", "copies"))
+        )
+        return GatherStep(number, length, copies, fields[3] == "fwd")
     if tag == "block":
         op, _, rest = rest.partition(" ")
         position, _, text = rest.partition(" ")
@@ -718,7 +820,7 @@ def _parse_step(line: str, model: SurfaceModel) -> RewriteStep:
         if _grouped_text(syllables) != text:
             raise CertificateError(f"block word {text[:40]!r} is not in its written form")
         return BlockStep(op, number, syllables)
-    raise CertificateError("expected a step, move, free or block line")
+    raise CertificateError("expected a step, move, gather, free or block line")
 
 
 def certificate_from_text(text: str) -> Certificate:
@@ -733,11 +835,17 @@ def certificate_from_text(text: str) -> Certificate:
             raise CertificateError(f"line {n + 1}: expected {tag!r}")
         return line[len(tag) + 1 :]
 
+    def word_line(n: int, tag: str) -> Word:
+        try:
+            return parse_word(header(n, tag), model)
+        except WordError as exc:
+            raise CertificateError(f"line {n + 1}: {exc}") from None
+
     kind = header(0, "model")
     genus = _parse_int(header(1, "genus"), "genus")
     model = SurfaceModel(genus, kind)
-    start = parse_word(header(2, "start"), model)
-    end = parse_word(header(3, "end"), model)
+    start = word_line(2, "start")
+    end = word_line(3, "end")
     steps: list[RewriteStep] = []
     for n, line in enumerate(lines[4:], 5):
         try:

@@ -54,6 +54,7 @@ from .presentation import (
     Certificate,
     CertificateError,
     FreeStep,
+    GatherStep,
     MoveStep,
     RewriteStep,
     SchemaStep,
@@ -227,15 +228,15 @@ class RootResult(_Record):
 def certificate_assumptions(certificate: Certificate) -> tuple[str, ...]:
     """Axiom notes for the schemas a certificate actually uses, in first-use order.
 
-    A move step stands for commutations, so it uses the model's commutation
-    schemas.
+    A move or gather step stands for commutations, so it uses the model's
+    commutation schemas.
     """
     moves = _MODEL_COMMUTATIONS[certificate.model.kind]
     seen: list[str] = []
     for step in certificate.steps:
         if isinstance(step, SchemaStep):
             schemas = (step.schema,)
-        elif isinstance(step, MoveStep):
+        elif isinstance(step, (MoveStep, GatherStep)):
             schemas = moves
         else:
             continue
@@ -385,14 +386,14 @@ def _gathered_root(model: SurfaceModel, target: str) -> tuple[Word, Word, int, s
     The model's boundary identity supplies the block ``D`` (disjoint from
     the target ``X``), the odd degree ``m`` and the boundary schema; ``q``
     is -1 in the hybrid model and 1 otherwise, and ``p = (1 - qm)/2``.
-    The certificate gathers left to right: round ``k`` moves the running
-    ``X^(kq)`` past the next copy of ``D^p`` in one move step and merges
-    it with the next ``X^q`` at once, so ``(m-1)`` rounds leave
-    ``D^(pm) X^(qm)``.  The boundary identity then turns ``D^(pm)`` into
-    ``|p|`` boundary twists ``X^(+-2)`` (each followed by UsquaredYsquared
-    for ``X = y_1``), and ``|p|`` merges reach ``X``: ``2(m-1) + 2|p|``
-    steps, plus ``|p|`` for ``y_1``.  Every step is written from these
-    closed-form positions; nothing is replayed here.
+    The certificate opens with one gather step: the start ``(D^p X^q)^m``
+    becomes ``D^(pm) X^(qm)``, the ``(m-1)`` rounds that carry the running
+    ``X^(kq)`` past the next copy of ``D^p`` and merge it with the next
+    ``X^q``.  The boundary identity then turns ``D^(pm)`` into ``|p|``
+    boundary twists ``X^(+-2)`` (each followed by UsquaredYsquared for
+    ``X = y_1``), and ``|p|`` merges reach ``X``: ``1 + 2|p|`` steps, plus
+    ``|p|`` for ``y_1``.  Every step is written from these closed-form
+    positions; nothing is replayed here.
     """
     boundary, block, m = boundary_identity(model)
     q = -1 if model.is_hybrid else 1
@@ -402,9 +403,7 @@ def _gathered_root(model: SurfaceModel, target: str) -> tuple[Word, Word, int, s
     root = block ** p * target_word ** q
 
     span = abs(p) * block.syllable_count  # block syllables per root copy
-    steps: list[RewriteStep] = []
-    for k in range(1, m):
-        steps += [MoveStep(k * span, span, True), FreeStep("merge", (k + 1) * span, x, k * q)]
+    steps: list[RewriteStep] = [GatherStep(0, span, m, True)]
     for j in range(abs(p)):
         steps.append(SchemaStep(j, boundary, (), False))
         if target == "y":
@@ -538,6 +537,8 @@ def _shifted(step: RewriteStep, offset: int) -> RewriteStep:
         return SchemaStep(position, step.schema, step.params, step.forward)
     if isinstance(step, MoveStep):
         return MoveStep(position, step.length, step.forward)
+    if isinstance(step, GatherStep):
+        return GatherStep(position, step.length, step.copies, step.forward)
     return FreeStep(step.op, position, step.letter, step.exponent)
 
 

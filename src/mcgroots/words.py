@@ -87,7 +87,8 @@ MAX_GENUS = 50
 # The most syllables a power may write out: 2|w| + |c|·|e| for the power e of
 # w c w^-1, whose core c alone is repeated (see _power).  It sits above the
 # start word of a genus-100 root (451 729 syllables); larger powers raise
-# WordError before anything is written out.
+# WordError before anything is written out.  Word text may write out no more
+# in all, at any level of its groups (see _parse_sequence).
 MAX_POWER_SYLLABLES = 1 << 20
 
 
@@ -641,7 +642,16 @@ def _blocks_text(texts: list[str]) -> str:
     return " ".join(parts)
 
 
-def _parse_sequence(tokens, k: int, model: SurfaceModel) -> tuple[list[Syllable], int]:
+def _parse_sequence(
+    tokens, k: int, model: SurfaceModel, held: int = 0
+) -> tuple[list[Syllable], int]:
+    """The syllables from token ``k`` to the next ')' or the end, and that token's index.
+
+    What the text writes out, ``held`` syllables of the enclosing groups
+    and the powers of groups included, may be at most
+    ``MAX_POWER_SYLLABLES``: the syllable or group that passes the cap is
+    refused, so at most about twice the cap is ever held.
+    """
     out: list[Syllable] = []
     while True:
         kind, value, pos = tokens[k]
@@ -651,7 +661,7 @@ def _parse_sequence(tokens, k: int, model: SurfaceModel) -> tuple[list[Syllable]
         elif kind == "gen":
             raise ParseError(f"letter {value[0]} is not admissible in the {model.describe()}", pos)
         elif kind == "lp":
-            body, k = _parse_sequence(tokens, k + 1, model)
+            body, k = _parse_sequence(tokens, k + 1, model, held + len(out))
             if tokens[k][0] != "rp":
                 raise ParseError("unclosed '('", pos)
             k += 1
@@ -661,6 +671,12 @@ def _parse_sequence(tokens, k: int, model: SurfaceModel) -> tuple[list[Syllable]
             out.extend(body)
         else:
             return out, k
+        if held + len(out) > MAX_POWER_SYLLABLES:
+            raise ParseError(
+                f"the word writes out {held + len(out)} syllables up to here,"
+                f" over the cap of {MAX_POWER_SYLLABLES}",
+                pos,
+            )
 
 
 def parse_word(text: str, model: SurfaceModel) -> Word:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcgroots
-from mcgroots import cli, roots
+from mcgroots import cli, roots, words
 from mcgroots.cli import main
 from mcgroots.presentation import RelationInstance
 from mcgroots.words import SurfaceModel, format_word, parse_word
@@ -155,6 +155,22 @@ class TestExitCodes:
         assert code == 1 and not out
         assert "bad integer" in err
 
+    def test_a_word_over_the_syllable_cap_is_one(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(words, "MAX_POWER_SYLLABLES", 100)
+        big = "(u1 u2)^30 (u1 u2)^30"
+        code, out, err = run(capsys, "verify", "--genus", "5", "--word", big, "--power", "1",
+                             "--equals", "u1")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the word writes out 120 syllables up to here, over the cap of 100 (column 11)\n"
+        )
+        path = tmp_path / "cert.txt"
+        path.write_text(f"model standard\ngenus 5\nstart {big}\nend u1\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--genus", "5", "--word", "u1", "--power", "1",
+                             "--equals", "u1", "--certificate", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 3: the word writes out 120 syllables up to here")
+
     def test_help_is_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0
@@ -216,7 +232,7 @@ class TestDeepNesting:
             "--power", "1", "--equals", "u1", "--certificate", str(path),
         )
         assert done.returncode == 1
-        assert "error: parentheses are nested too deeply" in done.stderr
+        assert "error: line 3: parentheses are nested too deeply" in done.stderr
         assert "Traceback" not in done.stderr
 
 
@@ -653,25 +669,51 @@ class TestCertificateCycle:
         assert code == 2
         assert report["checks"]["certificate"] == "fail"
 
+    VERIFY6 = ("verify", "--genus", "6", "--word", "u5^-1 u4^-1 u3^-2 u1", "--power", "3",
+               "--equals", "u1", "--certificate")
+
     def test_flipped_step_is_refuted_with_its_number(self, capsys, tmp_path):
         path = tmp_path / "cert.txt"
         run(capsys, "root", "--genus", "6", "--emit-certificate", str(path))
         lines = path.read_text().splitlines()
-        # every schema step of this certificate runs bwd; each move runs fwd
-        k = next(n for n, line in enumerate(lines) if line.startswith("move ") and line.endswith(" fwd"))
+        # every schema step of this certificate runs bwd; the gather runs fwd
+        k = next(n for n, line in enumerate(lines) if line.startswith("gather ") and line.endswith(" fwd"))
         lines[k] = lines[k][: -len("fwd")] + "bwd"
         path.write_text("\n".join(lines) + "\n")
-        code, report, _ = run_json(
-            capsys, "verify", "--genus", "6",
-            "--word", "u5^-1 u4^-1 u3^-2 u1", "--power", "3", "--equals", "u1",
-            "--certificate", str(path),
-        )
+        code, report, _ = run_json(capsys, *self.VERIFY6, str(path))
         assert code == 2
         assert report["verdict"] == "refuted"
         assert report["checks"]["certificate"] == "fail"
         header = 4  # model, genus, start, end
-        assert any(re.search(rf"step {k - header + 1}: move mismatch at position \d+: ", d)
+        assert any(re.search(rf"step {k - header + 1}: gather mismatch at position 3: ", d)
                    for d in report["details"])
+
+    def _edited(self, capsys, tmp_path, lines_for):
+        """The genus-6 root certificate with its gather line (line 5) replaced by ``lines_for``."""
+        path = tmp_path / "cert.txt"
+        run(capsys, "root", "--genus", "6", "--emit-certificate", str(path))
+        lines = path.read_text().splitlines()
+        assert lines[4] == "gather 0 3 3 fwd"
+        lines[4:5] = lines_for
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    # the gather line as written before gather steps: one move and one merge a round
+    ROUNDS = ["move 3 3 fwd", "free merge 6 u1 1", "move 6 3 fwd", "free merge 9 u1 2"]
+
+    def test_move_form_still_verifies(self, capsys, tmp_path):
+        path = self._edited(capsys, tmp_path, self.ROUNDS)
+        code, report, _ = run_json(capsys, *self.VERIFY6, str(path))
+        assert (code, report["verdict"]) == (0, "verified")
+        assert "certificate: 6 steps replay" in " ".join(report["details"])
+
+    def _verdict(self, capsys, path, code, message):
+        if code == 1:
+            assert run(capsys, *self.VERIFY6, str(path)) == (1, "", message)
+            return
+        got, report, _ = run_json(capsys, *self.VERIFY6, str(path))
+        assert (got, report["verdict"]) == (2, "refuted")
+        assert f"step 1: {message}" in " ".join(report["details"])
 
     @pytest.mark.parametrize(
         "line, code, message",
@@ -687,20 +729,32 @@ class TestCertificateCycle:
     )
     def test_edited_move_line(self, capsys, tmp_path, line, code, message):
         # a move that does not apply is refuted; one that does not parse is an input error
-        path = tmp_path / "cert.txt"
-        run(capsys, "root", "--genus", "6", "--emit-certificate", str(path))
-        lines = path.read_text().splitlines()
-        assert lines[4] == "move 3 3 fwd"
-        lines[4] = line
-        path.write_text("\n".join(lines) + "\n")
-        argv = ("verify", "--genus", "6", "--word", "u5^-1 u4^-1 u3^-2 u1", "--power", "3",
-                "--equals", "u1", "--certificate", str(path))
-        if code == 1:
-            assert run(capsys, *argv) == (1, "", message)
-            return
-        got, report, _ = run_json(capsys, *argv)
-        assert (got, report["verdict"]) == (2, "refuted")
-        assert f"step 1: {message}" in " ".join(report["details"])
+        path = self._edited(capsys, tmp_path, [line] + self.ROUNDS[1:])
+        self._verdict(capsys, path, code, message)
+
+    @pytest.mark.parametrize(
+        "line, code, message",
+        [
+            ("gather 0 3 4 fwd", 2, "gather mismatch at position 12: expected u5^-1 of copy 4,"
+             " found the end"),
+            ("gather 0 2 3 fwd", 2, "gather mismatch at position 3: expected u5^-1 of copy 2,"
+             " found u1"),
+            ("gather 0 3 3 bwd", 2, "gather mismatch at position 3: expected u5^-1 of copy 2,"
+             " found u1"),
+            ("gather 1 3 2 fwd", 2, "gather mismatch at position 1: R1 needs disjoint supports,"
+             " but u4 and u5 meet"),
+            ("gather 12 3 2 fwd", 2, "gather of 3 from position 12 out of range: 12 syllables"),
+            ("gather 0 3 1 fwd", 1, "error: line 5: gather copies must be >= 2, got 1\n"),
+            ("gather 0 0 3 fwd", 1, "error: line 5: gather length must be >= 1, got 0\n"),
+            ("gather -1 3 3 fwd", 1, "error: line 5: gather position -1 is negative\n"),
+            ("gather 0 3 x fwd", 1, "error: line 5: bad copies 'x'\n"),
+            ("gather 0 3 03 fwd", 1, "error: line 5: bad copies '03'\n"),
+            ("gather 0 3 fwd", 1, "error: line 5: malformed gather step\n"),
+        ],
+    )
+    def test_edited_gather_line(self, capsys, tmp_path, line, code, message):
+        # a gather that does not apply is refuted; one that does not parse is an input error
+        self._verdict(capsys, self._edited(capsys, tmp_path, [line]), code, message)
 
     def test_braid_emit_then_verify(self, capsys, tmp_path):
         path = tmp_path / "braid.txt"

@@ -18,6 +18,7 @@ from mcgroots.presentation import (
     Certificate,
     CertificateError,
     FreeStep,
+    GatherStep,
     MoveStep,
     SchemaError,
     SchemaStep,
@@ -54,7 +55,14 @@ from mcgroots.words import (
     parse_word,
 )
 
-from conftest import conjugates, hybrid_models, standard_models, syllables_for, words_for
+from conftest import (
+    conjugates,
+    hybrid_models,
+    letters_for,
+    standard_models,
+    syllables_for,
+    words_for,
+)
 
 
 def _w(text, model):
@@ -732,6 +740,171 @@ class TestMoveStep:
         assert certificate_to_text(cert.reverse()).endswith("\nmove 0 2 bwd\n")
 
 
+def _gather_rounds(state, step):
+    """The move and merge rounds a gather stands for, with ``x^e`` read from ``state``.
+
+    Forward, round ``k = 1 .. copies-1`` is ``move pos+kL L fwd; free merge
+    pos+(k+1)L x k·e``; backward, the inverted rounds in reverse order, with
+    ``e = E/copies`` for the ``x^E`` after the copies of ``A``.
+    """
+    pos, length, copies = step.position, step.length, step.copies
+    if step.forward:
+        x, e = state[pos + length]
+    else:
+        x, total = state[pos + copies * length]
+        e = total // copies
+    rounds = []
+    for k in range(1, copies):
+        rounds += [
+            MoveStep(pos + k * length, length, True),
+            FreeStep("merge", pos + (k + 1) * length, x, k * e),
+        ]
+    return rounds if step.forward else [invert_step(s) for s in reversed(rounds)]
+
+
+def _commutes(x, z, model):
+    try:
+        commute_step(((x, 1), (z, 1)), 0, model)
+    except SchemaError:
+        return False
+    return True
+
+
+@st.composite
+def gather_cases(draw):
+    """A state holding the window of a gather, one of its syllables redrawn sometimes.
+
+    Forward, the window is ``(A x^e)^copies``; backward, ``A^copies
+    x^(e·copies)``.  Half the time ``A`` takes only letters that commute
+    with ``x``, so that most such windows gather.
+    """
+    model = draw(standard_models(3, 7) | hybrid_models(8))
+    x = draw(letters_for(model))
+    e = draw(st.integers(-3, 3).filter(bool))
+    near = [z for z in model.letters() if _commutes(x, z, model)]
+    letters = st.sampled_from(near) if near and draw(st.booleans()) else letters_for(model)
+    block = draw(st.lists(st.tuples(letters, st.integers(-3, 3).filter(bool)), min_size=1, max_size=4))
+    copies = draw(st.integers(2, 4))
+    forward = draw(st.booleans())
+    prefix = draw(st.lists(syllables_for(model), max_size=3))
+    suffix = draw(st.lists(syllables_for(model), max_size=3))
+    window = (block + [(x, e)]) * copies if forward else block * copies + [(x, e * copies)]
+    state = prefix + window + suffix
+    if draw(st.booleans()):
+        state[len(prefix) + draw(st.integers(0, len(window) - 1))] = draw(syllables_for(model))
+    return model, state, GatherStep(len(prefix), len(block), copies, forward)
+
+
+class TestGatherStep:
+    def test_forward_and_backward(self, std5):
+        state = list(_w("t1 u3 t4^-1 u1^2 u3 t4^-1 u1^2 u3 t4^-1 u1^2 t2", std5).syllables)
+        apply_step(state, GatherStep(1, 2, 3, True), std5)
+        assert tuple(state) == _w("t1 u3 t4^-1 u3 t4^-1 u3 t4^-1 u1^6 t2", std5).syllables
+        apply_step(state, GatherStep(1, 2, 3, False), std5)
+        assert tuple(state) == _w("t1 (u3 t4^-1 u1^2)^3 t2", std5).syllables
+
+    @settings(max_examples=400)
+    @given(gather_cases())
+    def test_a_gather_is_its_move_and_merge_rounds(self, case):
+        # on a window of copies of one period (backward: copies of A, then
+        # x^E with E divisible by copies) a gather applies exactly when its
+        # rounds do, with the same state; on any other window it is refused
+        model, state, step = case
+        pos, length, copies = step.position, step.length, step.copies
+        size = length + step.forward
+        window = state[pos : pos + copies * size]
+        periodic = window == window[:size] * copies
+        if not step.forward:
+            periodic = periodic and state[pos + copies * length][1] % copies == 0
+        gathered, expanded = list(state), list(state)
+        try:
+            apply_step(gathered, step, model)
+        except CertificateError:
+            gathered = None
+        if not periodic:
+            assert gathered is None
+            return
+        try:
+            for round_step in _gather_rounds(state, step):
+                apply_step(expanded, round_step, model)
+        except CertificateError:
+            expanded = None
+        assert gathered == expanded
+
+    @pytest.mark.parametrize(
+        "text, step, message",
+        [
+            ("u3 u1 u3 u2", GatherStep(0, 1, 2, True),
+             "gather mismatch at position 3: expected u1 of copy 2, found u2"),
+            ("u3 u1 u3", GatherStep(0, 1, 2, True),
+             "gather mismatch at position 3: expected u1 of copy 2, found the end"),
+            ("u3 u1 u3 u1 u3 u1", GatherStep(0, 1, 4, True),
+             "gather mismatch at position 6: expected u3 of copy 4, found the end"),
+            ("u2 u1 u2 u1", GatherStep(0, 1, 2, True),
+             "gather mismatch at position 0: R1 needs disjoint supports, but u1 and u2 meet"),
+            ("u3 u4 t2 u1 u3 u4 t2 u1", GatherStep(0, 3, 2, True),
+             "gather mismatch at position 2: R4a needs disjoint supports, but t2 and u1 meet"),
+            ("u3 t4 u3 u1^2", GatherStep(0, 2, 2, False),
+             "gather mismatch at position 3: expected t4 of copy 2, found u1^2"),
+            ("u3 t4 u3 t4 u1^3", GatherStep(0, 2, 2, False),
+             "gather mismatch at position 4: u1^3 does not split into 2 equal powers"),
+            ("u3 t4 u3 t4", GatherStep(0, 2, 2, False),
+             "gather mismatch at position 4: expected the syllable to share out, found the end"),
+            ("u3 t2 u3 t2 u1^2", GatherStep(0, 2, 2, False),
+             "gather mismatch at position 1: R4a needs disjoint supports, but t2 and u1 meet"),
+            ("u1 u3", GatherStep(1, 1, 2, True), "gather of 1 from position 1 out of range: 2 syllables"),
+            ("u1 u3", GatherStep(2, 1, 2, False), "gather of 1 from position 2 out of range: 2 syllables"),
+        ],
+    )
+    def test_refusals_name_the_position_or_the_pair(self, std5, text, step, message):
+        state = list(_w(text, std5).syllables)
+        with pytest.raises(CertificateError) as info:
+            apply_step(state, step, std5)
+        assert str(info.value) == message
+        assert tuple(state) == _w(text, std5).syllables
+
+    def test_a_huge_copy_count_is_refused_without_writing_it_out(self, std5):
+        state = list(_w("u3 u1 u3 u1", std5).syllables)
+        with pytest.raises(CertificateError) as info:
+            apply_step(state, GatherStep(0, 1, 10**18, True), std5)
+        assert str(info.value) == "gather mismatch at position 4: expected u3 of copy 3, found the end"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-1, 1, 2), "gather position -1 is negative"),
+            ((0, 0, 2), "gather length must be >= 1, got 0"),
+            ((0, -3, 2), "gather length must be >= 1, got -3"),
+            ((0, 1, 1), "gather copies must be >= 2, got 1"),
+            ((0, 1, 0), "gather copies must be >= 2, got 0"),
+        ],
+    )
+    def test_constructor_refusals(self, args, message):
+        with pytest.raises(CertificateError) as info:
+            GatherStep(*args)
+        assert str(info.value) == message
+
+    def test_replay_names_the_step(self, std5):
+        cert = Certificate(
+            _w("(u3 u1)^2", std5), _w("u3^2 u1^2", std5),
+            (FreeStep("insert", 4, _LETTERS["u2"], 1), GatherStep(0, 1, 3, True)),
+        )
+        with pytest.raises(CertificateError, match="^step 2: gather mismatch at position 4: "):
+            replay_certificate(cert)
+
+    def test_text_round_trip(self, std5):
+        cert = Certificate(
+            _w("(u3 t4^-1 u1^2)^3", std5), _w("(u3 t4^-1)^3 u1^6", std5), (GatherStep(0, 2, 3, True),)
+        )
+        text = certificate_to_text(cert)
+        assert text.endswith("\ngather 0 2 3 fwd\n")
+        assert certificate_from_text(text) == cert
+        assert replay_certificate(cert) == cert.end.syllables
+        reverse = cert.reverse()
+        assert certificate_to_text(reverse).endswith("\ngather 0 2 3 bwd\n")
+        assert replay_certificate(reverse) == cert.start.syllables
+
+
 class TestCertificateText:
     def _sample(self, std5):
         return Certificate(
@@ -779,6 +952,21 @@ class TestCertificateText:
             "step 2: move mismatch at position 2: R1 needs disjoint supports, but u3 and u4 meet"
         )
         assert report.details[-1].endswith(quote)
+
+    def test_readme_gather_example_fails_as_quoted(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Certificate format", 1)[1]
+        section = " ".join(section.split())
+        text = certificate_to_text(construct_root(RootRequest(5, "u", "auto")).certificate)
+        assert "start (u4^-1 u3^-1 u1)^3\n" in text and "\ngather 0 2 3 fwd\n" in text
+        cert = certificate_from_text(text.replace("gather 0 2 3 fwd", "gather 0 2 4 fwd"))
+        report = verify_identity(cert.start, 1, cert.end, cert)
+        quote = re.search(r"with `gather 0 2 4 fwd` instead, replay stops at `([^`]*)`", section)
+        assert report.certificate == FAIL and report.details[-1].endswith(quote.group(1))
+        refused = re.search(r"such as `gather 0 2 1 fwd` is refused as input \(`([^`]*)`", section)
+        with pytest.raises(CertificateError) as info:
+            certificate_from_text(text.replace("gather 0 2 3 fwd", "gather 0 2 1 fwd"))
+        assert str(info.value) == refused.group(1)
 
     def test_empty_word_uses_bare_tag(self, std5):
         cert = Certificate(_w("", std5), _w("", std5))
@@ -856,7 +1044,19 @@ class TestCertificateText:
             ("move 0x 2 fwd", "line 9: bad position '0x'"),
             ("move 0 02 bwd", "line 9: bad length '02'"),
             ("move 0 +2 bwd", "line 9: bad length '+2'"),
-            ("mv 0 2 fwd", "line 9: expected a step, move, free or block line"),
+            ("mv 0 2 fwd", "line 9: expected a step, move, gather, free or block line"),
+            ("gather 0 2 3", "line 9: malformed gather step"),
+            ("gather 0 2 3 fwd x", "line 9: malformed gather step"),
+            ("gather 0  2 3 fwd", "line 9: malformed gather step"),
+            ("gather 0 2 3 fwx", "line 9: malformed gather step"),
+            ("gather 0x 2 3 fwd", "line 9: bad position '0x'"),
+            ("gather 0 02 3 bwd", "line 9: bad length '02'"),
+            ("gather 0 2 +3 fwd", "line 9: bad copies '+3'"),
+            ("gather 0 2 \u0663 fwd", "line 9: bad copies '\u0663'"),
+            ("gather -0 2 3 fwd", "line 9: bad position '-0'"),
+            ("gather -1 2 3 fwd", "line 9: gather position -1 is negative"),
+            ("gather 0 0 3 fwd", "line 9: gather length must be >= 1, got 0"),
+            ("gather 0 2 1 bwd", "line 9: gather copies must be >= 2, got 1"),
             ("block insrt 1 u1 u2", "line 9: unknown block op 'insrt'"),
             ("block merge 1 u1 u2", "line 9: unknown block op 'merge'"),
             ("block insert 1 u1", "line 9: a block needs 2 or more syllables, got 1"),
@@ -985,10 +1185,19 @@ def _pair_steps(step):
     return pairs if step.op == "insert" else pairs[::-1]
 
 
+def _expanded(certificate):
+    """The certificate with each gather step written out as its move and merge rounds."""
+    state, steps = list(certificate.start.syllables), []
+    for step in certificate.steps:
+        steps += _gather_rounds(state, step) if isinstance(step, GatherStep) else [step]
+        apply_step(state, step, certificate.model)
+    return Certificate(certificate.start, certificate.end, tuple(steps))
+
+
 def _written_out_text(certificate):
-    """certificate_to_text with the start and end lines written out by format_word
-    and each block step written out as its free pairs."""
-    steps = tuple(pair for step in certificate.steps for pair in _pair_steps(step))
+    """certificate_to_text with the start and end lines written out by format_word,
+    each gather step written out as its rounds and each block step as its free pairs."""
+    steps = tuple(pair for step in _expanded(certificate).steps for pair in _pair_steps(step))
     lines = certificate_to_text(Certificate(certificate.start, certificate.end, steps)).split("\n")
     for n, (tag, word) in enumerate((("start", certificate.start), ("end", certificate.end)), 2):
         lines[n] = f"{tag} {format_word(word)}".rstrip()
@@ -1038,34 +1247,34 @@ CERTIFICATE_SHA256 = {
 # sha256 of certificate_to_text, as written (repeated blocks grouped at every
 # level), for the same roots.
 GROUPED_CERTIFICATE_SHA256 = {
-    ("standard", 5, "u"): "3b0fed97bd50717c17762ffd792f922a7eb47610d275783df99a399c000164c2",
-    ("standard", 5, "y"): "f95fe82b63575b3f208d9d1cee884949c423d4d833a76a7af77b2de361f75e63",
-    ("standard", 6, "u"): "81dd3d737b74263f53b4c15a1520bfdeca83316d909d9fd322ffe7bc3138b12a",
-    ("standard", 6, "y"): "b6cfa53c13d53df6e9c13be2f3d963932dd424a2d04d08ceed06d461e1b30644",
-    ("standard", 7, "u"): "00e30888dcebf45b4e075b1ad130cde83f557bcda0f0c02705ba9d82b23b75a2",
-    ("standard", 7, "y"): "5328457867a48020bee0ab3bf7aec6a26fc56ae6b1e47c7dea3e7a6e2ef2cf75",
-    ("standard", 8, "u"): "8fc11b0cf1836d5f58e18d08a23d56c069e4a5d61984c3cce923ffb989edbb23",
-    ("standard", 8, "y"): "c9a3ce1e7fb9913ea2cc47061b09273e8c943ca88e5d1e540119b5a2f383afa7",
-    ("standard", 9, "u"): "81ecac6f9ee398baf9ed6846aa6757af7587634aa8f1b72233b08e121f8b301d",
-    ("standard", 9, "y"): "119deceffd055e4e4379cede23db693cbb1d7ac90798da2390e6f8e614431144",
-    ("standard", 10, "u"): "b64d4bef24073e7e6bad4d7eced3bcbe19797f7425f4df9254711a48b5824d7c",
-    ("standard", 10, "y"): "49c3f01aff036bb17530ce3b09305e6f6ab06a3d7ea15d7777831efa15696b19",
-    ("standard", 11, "u"): "007d003f70245322a4a5b34f7106df4d7d2197f7e1d1f155affd2178ceeebf4f",
-    ("standard", 11, "y"): "7f8db65a4eef6a25e09c8a68c1eedd7bbdb183e9d8623e5c51446ff140440926",
-    ("standard", 12, "u"): "b0672e2122e3a97f812db32d27e8123f8003a5d8279d13883384376fe40c0b55",
-    ("standard", 12, "y"): "7a83fcf446c6a1cf13e48ffaed03045f88a017bb0f190a1f6bdb04c07980b217",
-    ("standard", 13, "u"): "7de74dbc7fbd675dc0fdfb53bfcbff4320209d6f9bf2f3474619078efab05cef",
-    ("standard", 13, "y"): "455af50e0dda1f820869e198bb7c58cef167846a4e7897a70f3ffdf6c2c62ca3",
-    ("hybrid", 4, "u"): "8e04ab60d84b3f546f3102c7cea4bf6554cb204e5137008f56f5cab366719f89",
-    ("hybrid", 4, "y"): "422a456c5259fe138f72810209e70aabed931ea5f134a2b510ec9e762ab85862",
-    ("hybrid", 6, "u"): "4985e180c70f73f172e0d5515e23d62bba3439c6b200ac8e7af174162444418c",
-    ("hybrid", 6, "y"): "80990e164d2411096b055af7ca10dc4e00ee505cc3d9c3e9488b839a88338062",
-    ("hybrid", 8, "u"): "15bd90057920b72ad354df0365a33027fdbe6e9aa5a9e10632d68dd2a64e99c9",
-    ("hybrid", 8, "y"): "3842db8162b49ff9deae835af793de7eded27130641fd04f26e77e5fcd4582c6",
-    ("hybrid", 10, "u"): "eec51aacbbea5752a0ac99d990927530dad92c0f83d0c9f40624eae4acac3a40",
-    ("hybrid", 10, "y"): "3f6e7d35ed1786d0508179f6ded04bd1ce3f61d2f832d82ba9755f4df0cfae23",
-    ("hybrid", 12, "u"): "0ed7ee9c7051d1f409cb92f4b225f41ca2afd044ce3b05357748b9fbcf66c0a4",
-    ("hybrid", 12, "y"): "50e7fe05f0f4f579d353882c878a5685c46db5a591f54be203fcefb69d8c546a",
+    ("standard", 5, "u"): "bfd7d803b93113b9b9eed2b09882cb02c6544f1dbcdc55343d608e684597a634",
+    ("standard", 5, "y"): "5aedc3cc1d640bf2dfdc9fcfdf3d7de6f04b1b5d42f453de1f01ed492e718a6e",
+    ("standard", 6, "u"): "a292b36394dc3d0b3f0568b31196dc60d648ee5405b8ae0e5890f557803aa1f5",
+    ("standard", 6, "y"): "ac29fa48de76e5441faadfae272c1c239e615ec03dd4bf14950b7b37900ecfcd",
+    ("standard", 7, "u"): "72f243d3ec03759785698295c49496198ce78a769a0035f139cb9353aa3b5d30",
+    ("standard", 7, "y"): "a743c0c3070d1756f1e8218d9d9a8d81d708f06fa19378bc214baf9fd6470b72",
+    ("standard", 8, "u"): "ba696d304f35a4a757a34198b31e8cc516f3d5dc51a683eddbfe3d32c25f3fca",
+    ("standard", 8, "y"): "2dbbd76b0a5a601aadcedcc7c208bc8eef4f1b12845ec17a2b9aa2690ef4de19",
+    ("standard", 9, "u"): "427e42a4091d8700681e0d835a912c5d2ac57f1128934b74ca42e1c27139ebb9",
+    ("standard", 9, "y"): "16c068893b53dd896bb4c55b96d494030f723e272313258084345b94ed08386b",
+    ("standard", 10, "u"): "b87fdf73b487caaf69d58e8e56e25e736267d4d1cbcfc4c69b5ddef448eea26e",
+    ("standard", 10, "y"): "a9eeda06c03884a1ef3c962d8e18fb2345ce816c4d8c24fe8c92a0978a3cc4bb",
+    ("standard", 11, "u"): "8e83b635376114b4985933a556bc38ebb4ffcbe109884aeb1f0614af3db2a0d7",
+    ("standard", 11, "y"): "43792d315e7fb87920ca2188ac4cd98dce320cc3fce44a8c57ae15d7656e2e7f",
+    ("standard", 12, "u"): "b1456d190d8e34d4abd3b94efbcc5477610b0dd2efaa2590cdf1f16aefd9dfb8",
+    ("standard", 12, "y"): "bdbfade16eedc44bbfacf7a580f85c14571938b63e7d64e984f14652cdffdcc1",
+    ("standard", 13, "u"): "cf11749540623c4d0bb4852b6792ba85fa68167cacdc036428b5a8b9fd44b2ff",
+    ("standard", 13, "y"): "56ac9caab8fad92bd987b9c64301a6c005cd679aee4227415177b2814de0a94e",
+    ("hybrid", 4, "u"): "84328ac13b34d7710363575e9c09aa5111bcc38089bfb6cdf476c252c4145c3c",
+    ("hybrid", 4, "y"): "9041403a9675f17eead5626b729db4c06b39e4614c579c6840712da66b7e70ec",
+    ("hybrid", 6, "u"): "04ef07519cef72ea035722a244bb6fbe1a19e3e5dde9aa00166567904ea7b657",
+    ("hybrid", 6, "y"): "759525b599756eea85a755a78921b50997278c97b9346c07e7bdba5892204fb0",
+    ("hybrid", 8, "u"): "1dc4ea973a76bd37f5ed3ad510fc2193dc966c550a9f357ccecdd20fc2ae6900",
+    ("hybrid", 8, "y"): "a7986c3e6a2a38957533bd3f94b2318cd1771c72ac8dc0be99a6db69aa61560c",
+    ("hybrid", 10, "u"): "6d21f25542d6c469953efd91351d80e8413346da4b78817567e1b2c335989d22",
+    ("hybrid", 10, "y"): "bc57ec297428df6b26df3f20baf64f927a9b4b2f1621e99695afb7787229969f",
+    ("hybrid", 12, "u"): "87503aa92e7bd3ed6467fa7b5358fe1a578aad2d27b0cb77c2bf1c709d6bd4a3",
+    ("hybrid", 12, "y"): "9d1e4cad3d925d00304b2c117df7681a74acd3a04fdf2aed7c2a3b519e53a059",
 }
 
 
@@ -1108,28 +1317,28 @@ BRAID_CERTIFICATE_SHA256 = {
 
 # sha256 of certificate_to_text, as written, for the same braid roots.
 GROUPED_BRAID_CERTIFICATE_SHA256 = {
-    (5, 1): "3b0fed97bd50717c17762ffd792f922a7eb47610d275783df99a399c000164c2",
-    (5, 2): "4d6aa10e05ff058a76df393806944ee07bf1b71e57218deb143ed804a8cd4ade",
-    (5, 3): "7e604c511b5663061c1a0092f44588597523a7c73273cce8bf25154d4bed40ec",
-    (5, 4): "0bdf4cbc7b5631be948533f6735923715194342f4acbc23079a229bf9f1984cd",
-    (6, 1): "81dd3d737b74263f53b4c15a1520bfdeca83316d909d9fd322ffe7bc3138b12a",
-    (6, 2): "c2e97c559cbb783e0c05eecd5bdd7e756e7081cc0c9ca8ae6d64f696f10093b4",
-    (6, 3): "b3f7cca00be212779dd9fcbb4ecbf2285199cb66cdc10284be69c555e669a6e0",
-    (6, 4): "7ff8f9e9e01b1ed54c8d1b1b335e8078e736579717736e3941af40cc617ca12e",
-    (6, 5): "4bd55c8b23ab349477a4b4bdf3564121d82e4139c2e115c6eefd446608da1b01",
-    (7, 1): "00e30888dcebf45b4e075b1ad130cde83f557bcda0f0c02705ba9d82b23b75a2",
-    (7, 2): "1cd2c5a9e19497261cb177700cbce580226122a1a1b029797d9ff34402da6dca",
-    (7, 3): "1a5b1f1541d031fe3adfd34255ae7e4a11a5e30fde3e5e0d816c00505ed1fad9",
-    (7, 4): "ebd60f0e3c28dceb7162a6ffa864206d0509eb461f3a7f0d68762d215cca288c",
-    (7, 5): "475e823524be0b0985ed336a49cebe0e2464eef308dd4811ac6dcb4d175010c4",
-    (7, 6): "537e52cf396d62720bb96135bbcf835dbd2df584cd349fd11bb6024e4f6cc0e4",
-    (8, 1): "8fc11b0cf1836d5f58e18d08a23d56c069e4a5d61984c3cce923ffb989edbb23",
-    (8, 2): "162d37863c03f4358a145b8e9df44bd18dc0d9a74a64797514d02028b3cb08a0",
-    (8, 3): "43b41c204381b137e77a3d494ef12371caee41418ac73a58d9edbe949aa20011",
-    (8, 4): "319408afc6c92b2a200053435fb2809947aa069ae8810a0087560c26440ffdb0",
-    (8, 5): "e15876fdc7cfdca8a2a53b82e019d119640f45722c1475d8a963bbb775f5d25f",
-    (8, 6): "45c11ab38469a1ce7733ac04978aca00af4813d867faed55543f3c7aa8df3e00",
-    (8, 7): "90e00407211b7d78260b8c32d87f205c2583c4043ec94bdb14830f8145a03ed5",
+    (5, 1): "bfd7d803b93113b9b9eed2b09882cb02c6544f1dbcdc55343d608e684597a634",
+    (5, 2): "2fee84cf5259fce45826381efb88b20fd2d4f8f85b790018aca7b5fb78918d86",
+    (5, 3): "a9bf46264e21a5533c26a44566a16b383c4b3fff3861c2e3083c274edaefc017",
+    (5, 4): "1d6ba0d271ae1f60717916baaa1e67a197285a0e04e5707cba4d5a4a97c15ecd",
+    (6, 1): "a292b36394dc3d0b3f0568b31196dc60d648ee5405b8ae0e5890f557803aa1f5",
+    (6, 2): "732f3540d84e3da0c7dcf3b9f15a57183df6c2cedfca8b3040628c7a68fb1218",
+    (6, 3): "eafd52ccaf9f1661103b2dea56d7158ed50faff72911d644a0f3eac784713f26",
+    (6, 4): "fed1779c5f28debdb64d109ddb8cfd623e6573ba1e053a79f7043f066cbd7766",
+    (6, 5): "b7086c6f281e28fac13e640474ce3678dae728f9a5dfe2a3290fae6481198ac2",
+    (7, 1): "72f243d3ec03759785698295c49496198ce78a769a0035f139cb9353aa3b5d30",
+    (7, 2): "9cf2d8a5915a34a324dbc198c760435b06ec069439f33b2541e3e241b90aeefe",
+    (7, 3): "77c882030da203717059529785d947615b54f7ddb42142e258a413e562be1779",
+    (7, 4): "02b3388d54dca3cd4c412851543a90224ea14042cd894ced8f47a3203fda43b0",
+    (7, 5): "f707e0375e5462ce42e06be5ebe9a88ef0c0bbf682f6a773e3da7f49795c1963",
+    (7, 6): "e1a5461f85c509d9316f3eea27eb493e4ee0cccc2a4c67b5ffbe00164ce24f11",
+    (8, 1): "ba696d304f35a4a757a34198b31e8cc516f3d5dc51a683eddbfe3d32c25f3fca",
+    (8, 2): "aadc2b76233b2f9487a3a41ad4c493795fd2cc7087efd753dc1ef6bf01a13c5c",
+    (8, 3): "42e7972df39d79dca5933c39098692d208ae0ece580f636e17b5be657099cc9f",
+    (8, 4): "d9452b385cee3e2920feb291216306d6586afd0bf05276c2334b7a247d45fa93",
+    (8, 5): "e370e0e28f5647f4e9292ab91c02f18691521472e3949e25d72efa0f3f11c241",
+    (8, 6): "cd249c55ca78d7e11e62360e6b867562c875da4d355a7c8d970370230af9fcd6",
+    (8, 7): "f2c9cdf99f41814442eaedb897fb667fcf84f980ade05cc1f3970533ca9b01fb",
 }
 
 
@@ -1162,9 +1371,9 @@ def test_grouped_start_lines(certificate, line):
 
 
 def _per_swap(certificate):
-    """The certificate with each move written out as its commute_step swaps."""
+    """The certificate with each gather and move written out as its commute_step swaps."""
     state, steps = list(certificate.start.syllables), []
-    for step in certificate.steps:
+    for step in _expanded(certificate).steps:
         if isinstance(step, MoveStep):
             steps += _swaps_of_move(state, step, certificate.model)
         else:
@@ -1258,7 +1467,8 @@ def test_per_pair_braid_text_still_verifies(tmp_path):
     assert not any(isinstance(step, BlockStep) for step in parsed.steps)
     assert verify_identity(result.root, result.degree, result.target, parsed).proved
     # today's certificate is the same derivation, its pairs grouped in blocks
-    steps = tuple(pair for step in result.certificate.steps for pair in _pair_steps(step))
+    # and its gather rounds in one gather step
+    steps = tuple(pair for step in _expanded(result.certificate).steps for pair in _pair_steps(step))
     assert steps == parsed.steps and len(result.certificate.steps) < len(steps)
     path = tmp_path / "braid73.txt"
     path.write_text(BRAID_7_3_PER_PAIR)
@@ -1276,12 +1486,14 @@ def test_braid_certificates_with_blocks_round_trip(punctures, index):
 
 def test_largest_braid_certificate_is_short():
     # braid (50, 49): 2 679 steps and 75 644 bytes with one line per pair and
-    # the core written out past 64-syllable blocks; the core is a power whose
-    # 1 083-syllable copies share their end letter and so merge at the seams
+    # the core written out past 64-syllable blocks, 330 steps and 16 871
+    # bytes with one move and one merge line per gather round; the core is a
+    # power whose 1 083-syllable copies share their end letter and so merge
+    # at the seams
     certificate = construct_braid_root(50, 49).certificate
     text = certificate_to_text(certificate)
-    assert len(certificate.steps) == 330
-    assert len(text.split("\n")[2]) == 1217 and len(text) == 16871
+    assert len(certificate.steps) == 239
+    assert len(text.split("\n")[2]) == 1217 and len(text) == 14939
 
 
 class TestPowerBase:

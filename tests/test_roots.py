@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from mcgroots import presentation, roots
 from mcgroots.presentation import (
     Certificate,
+    FreeStep,
+    GatherStep,
     MoveStep,
     SchemaStep,
     boundary_identity,
@@ -184,10 +186,7 @@ class TestEvenGenusOrientable:
         assert str(result.root) == "c1 c2 c1 c2 c1 c2 c1 c2 u1^-1"
         assert result.degree == 3
         assert certificate_to_text(result.certificate).splitlines()[4:] == [
-            "move 8 8 fwd",
-            "free merge 16 u1 -1",
-            "move 16 8 fwd",
-            "free merge 24 u1 -2",
+            "gather 0 8 3 fwd",
             "step 0 R7chain bwd",
             "step 1 R7chain bwd",
             "free merge 0 u1 2",
@@ -442,16 +441,16 @@ def _complements(genus):
     + [(50, c, "u") for c in _complements(50)],
 )
 def test_gather_takes_one_round_of_span_swaps_per_copy(genus, complement, target):
-    # root = D^p X^q with 2p + qm = 1: (m-1) rounds of one move past span
-    # syllables and one merge, |p| boundary steps (and |p| u^2 -> y^2
-    # steps), |p| final merges
+    # root = D^p X^q with 2p + qm = 1: one gather of the m copies of span + 1
+    # syllables (the (m-1) rounds of one move past span syllables and one
+    # merge), |p| boundary steps (and |p| u^2 -> y^2 steps), |p| final merges
     result = construct_root(RootRequest(genus, target, complement))
     m, span = result.degree, result.root.syllable_count - 1
     p = abs(1 - result.root.syllables[-1][1] * m) // 2
-    expected = 2 * (m - 1) + 2 * p + p * (target == "y")
-    assert len(result.certificate.steps) == expected
-    moves = [step for step in result.certificate.steps if isinstance(step, MoveStep)]
-    assert moves == [MoveStep(k * span, span, True) for k in range(1, m)]
+    steps = result.certificate.steps
+    assert len(steps) == 1 + 2 * p + p * (target == "y")
+    assert steps[0] == GatherStep(0, span, m, True)
+    assert not any(isinstance(step, (GatherStep, MoveStep)) for step in steps[1:])
     assert result.report.proved
 
 
@@ -541,6 +540,15 @@ class TestCertificates:
         cert = construct_root(RootRequest(5, "u")).certificate
         bad = Certificate(cert.start, _w("u2", std5), cert.steps)
         assert verify_identity(bad.start, 1, bad.end, bad).certificate == FAIL
+
+    def test_a_gather_lends_the_commutation_schemas(self, hyb6):
+        c1 = _w("c1", hyb6).syllables[0][0]
+        steps = (GatherStep(0, 1, 2), FreeStep("merge", 0, c1, 1))
+        cert = Certificate(_w("c1 u1 c1 u1", hyb6), _w("c1^2 u1^2", hyb6), steps)
+        assert replay_certificate(cert) == cert.end.syllables
+        notes = certificate_assumptions(cert)
+        assert len(notes) == 1 and notes[0].startswith("axiom ChainCommute:")
+        assert certificate_assumptions(cert.reverse()) == notes
 
     def test_assumptions_listed_in_first_use_order(self):
         cert = construct_root(RootRequest(4, "y", complement="orientable")).certificate

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import os
 import re
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -102,6 +103,51 @@ def test_move_lines_parse_and_replay_to_a_verdict_or_a_clean_error(text):
         return
     report = verify_identity(certificate.start, 1, certificate.end, certificate)
     assert report.certificate in (PASS, FAIL)
+
+
+# The gather line of the genus-5 root certificate, and its fields.
+GATHER_LINE = next(k for k, line in enumerate(LINES) if line.startswith("gather "))
+_GATHER = LINES[GATHER_LINE].split(" ")[1:]
+
+
+def _edited_numeral(value: str) -> st.SearchStrategy:
+    """A numeral near ``value``, far from it, or one ``str(int)`` never writes."""
+    near = st.integers(-2, 2).map(lambda d: str(int(value) + d))
+    return near | st.integers(-1, 10**6).map(str) | _MOVE_FIELDS | _NUMERALS
+
+
+@st.composite
+def gather_certificates(draw):
+    """The genus-5 root certificate with its gather line's fields edited, or the
+    line moved to another step's place: position, length, copies and direction."""
+    lines = list(LINES)
+    fields = [draw(_edited_numeral(value)) for value in _GATHER[:3]]
+    fields.append(draw(st.sampled_from(("fwd", "bwd", "fwx", ""))))
+    if draw(st.integers(0, 4)) == 0:  # a field left out or one too many
+        k = draw(st.integers(0, 3))
+        fields = fields[:k] + fields[k + 1 :] if draw(st.booleans()) else fields + [fields[k]]
+    n = GATHER_LINE if draw(st.integers(0, 3)) else draw(st.integers(4, len(lines) - 1))
+    lines[n] = " ".join(["gather"] + fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gather_certificates())
+def test_cli_verify_of_an_edited_gather_ends_in_a_verdict_or_exit_one(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["verify", "--genus", "5", "--word", "u4^-1 u3^-1 u1", "--power", "3",
+                "--equals", "u1", "--certificate", path]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert re.match(r"error: line \d+: ", err.getvalue()), err.getvalue()
+    else:
+        assert ("verdict: verified" if code == 0 else "verdict: refuted") in out.getvalue()
 
 
 @st.composite

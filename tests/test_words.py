@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 from mcgroots import words
 from mcgroots.presentation import (
     Certificate,
+    CertificateError,
     FreeStep,
+    GatherStep,
     MoveStep,
     RelationInstance,
     SchemaStep,
+    certificate_from_text,
     instantiate,
 )
 from mcgroots.representations import CrosscapPermutation, IntMatrix
@@ -131,6 +134,7 @@ def _records():
         "SchemaStep": (step, "forward", None),
         "FreeStep": (lambda: FreeStep("merge", 3, letter, 1), "op", None),
         "MoveStep": (lambda: MoveStep(3, 10, False), "length", None),
+        "GatherStep": (lambda: GatherStep(3, 10, 4, False), "copies", None),
         "Certificate": (lambda: Certificate(word(), word(), (step(),)), "steps", None),
         "CrosscapPermutation": (lambda: CrosscapPermutation((1, 0, 2)), "images", None),
         "RootRequest": (lambda: RootRequest(5, "y", "nonorientable"), "target", None),
@@ -392,6 +396,44 @@ class TestGroupOperations:
         assert parse_word(f"({conjugate})^-5", std5) == conjugate.inverse() ** 5
         with pytest.raises(WordError, match="would write out 102 syllables, over the cap of 100"):
             conjugate**11
+
+    def test_the_cap_counts_the_whole_word(self, std5, monkeypatch):
+        # each group is under the cap, the word is not: refused at the
+        # syllable or group that passes the cap, at any level of groups
+        monkeypatch.setattr(words, "MAX_POWER_SYLLABLES", 100)
+        assert parse_word("(u1 u2)^25 (u1 u2)^25", std5) == parse_word("(u1 u2)^50", std5)
+        cases = [
+            ("(u1 u2)^30 (u1 u2)^30", 120, 11),
+            ("u3 (u1 u2)^50", 101, 3),
+            ("((u1 u2)^30 t1 (u1 u2)^30)^1", 121, 15),
+            ("(u1 u2)^30 ((u1 u2)^30 t1)^-1", 120, 12),
+            # what enclosing groups hold counts too
+            ("(u1 u2)^20 ((u1 u2)^20 ((u1 u2)^20)^2)^1", 120, 24),
+            ("u1 u2 " * 51, 101, 300),
+        ]
+        for text, count, column in cases:
+            with pytest.raises(ParseError) as info:
+                parse_word(text, std5)
+            assert str(info.value) == (
+                f"the word writes out {count} syllables up to here, over the cap of 100"
+                f" (column {column})"
+            )
+            assert info.value.position == column
+        # a certificate names the line, and a short line is refused
+        with pytest.raises(CertificateError) as info:
+            certificate_from_text("model standard\ngenus 5\nstart (u1 u2)^30 (u1 u2)^30\nend\n")
+        assert str(info.value).startswith("line 3: the word writes out 120 syllables up to here")
+        with pytest.raises(CertificateError, match="^line 4: the word writes out 101 "):
+            certificate_from_text("model standard\ngenus 5\nstart\nend " + "u1 u2 " * 51 + "\n")
+
+    def test_three_groups_under_the_default_cap_are_refused(self, std5):
+        # each (u1 u2)^500000 writes out 10^6 syllables, under the cap of 2^20
+        text = " ".join(["(u1 u2)^500000"] * 3)
+        with pytest.raises(ParseError, match="writes out 2000000 syllables up to here") as info:
+            parse_word(text, std5)
+        assert info.value.position == 15
+        with pytest.raises(CertificateError, match="^line 3: the word writes out 2000000 "):
+            certificate_from_text(f"model standard\ngenus 5\nstart {text}\nend\n")
 
     @settings(max_examples=60)
     @given(model_word_pairs())
