@@ -391,11 +391,6 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code, report = args.handler(args)
-    except NonexistenceError as exc:
-        # handlers convert expected nonexistence into reports; a stray one
-        # still deserves the verdict exit code
-        print(f"no root: {exc}", file=sys.stderr)
-        return 2
     except (WordError, SchemaError, CertificateError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -446,15 +446,9 @@ RewriteStep = Union[SchemaStep, FreeStep, MoveStep, GatherStep, BlockStep]
 
 def invert_step(step: RewriteStep) -> RewriteStep:
     """The step that undoes ``step`` at the same position."""
-    if isinstance(step, SchemaStep):
-        return SchemaStep(step.position, step.schema, step.params, not step.forward)
-    if isinstance(step, MoveStep):
-        return MoveStep(step.position, step.length, not step.forward)
-    if isinstance(step, GatherStep):
-        return GatherStep(step.position, step.length, step.copies, not step.forward)
-    if isinstance(step, BlockStep):
-        return BlockStep(_INVERSE_OPS[step.op], step.position, step.syllables)
-    return FreeStep(_INVERSE_OPS[step.op], step.position, step.letter, step.exponent)
+    if isinstance(step, (FreeStep, BlockStep)):
+        return step._replace(op=_INVERSE_OPS[step.op])
+    return step._replace(forward=not step.forward)
 
 
 def _apply_schema_step(state: list[Syllable], step: SchemaStep, model: SurfaceModel) -> None:

@@ -72,7 +72,6 @@ from .words import (
     WordError,
     _letter,
     _Record,
-    _reduce_syllables,
 )
 
 __all__ = [
@@ -499,47 +498,28 @@ def _shift_steps(genus: int, shifts: int) -> list[RewriteStep]:
     return steps
 
 
-def _unreduction_steps(trace: list) -> list[RewriteStep]:
-    """The inverse of the free reduction ``trace`` of :func:`_reduce_syllables`.
+def _opening_steps(
+    rotation: tuple[Syllable, ...], start: tuple[Syllable, ...]
+) -> list[RewriteStep]:
+    """Steps from the reduced ``rotation start rotation^-1`` to its three words side by side.
 
-    Its merges become splits, and each nested run of its deletes one insert
-    of the block (a pair for one syllable).  A nested run deletes at
-    positions ``p + k - 1, ..., p`` of a reduced stack, so the block word
-    is reduced.
+    The only free reduction is at the left seam, where the longest tail
+    ``w`` of ``rotation`` that is the inverse of the head of ``start``
+    cancels; the right seam meets the final ``u_1`` of ``start`` with
+    ``u_{n-1}^-1``.  The syllables on either side of ``w w^-1`` merge when
+    they share a letter.  So a split undoes that merge and one block step
+    inserts ``w w^-1``; ``w`` has two or more syllables for every admitted
+    braid.
     """
+    k = 0  # the syllables of w
+    while k < len(start) and rotation[-k - 1] == (start[k][0], -start[k][1]):
+        k += 1
+    seam = len(rotation) - k
     steps: list[RewriteStep] = []
-    run: list[Syllable] = []  # the inserts at start, start + 1, ... not yet written
-
-    def write_run() -> None:
-        if len(run) > 1:
-            steps.append(BlockStep("insert", start, tuple(run)))
-        elif run:
-            steps.append(FreeStep("insert", start, *run[0]))
-        run.clear()
-
-    for op, position, letter, exp in reversed(trace):
-        if run and (op != "delete" or position != start + len(run)):
-            write_run()
-        if op == "merge":
-            steps.append(FreeStep("split", position, letter, exp))
-            continue
-        if not run:
-            start = position
-        run.append((letter, exp))
-    write_run()
+    if rotation[seam - 1][0] == start[k][0]:
+        steps.append(FreeStep("split", seam - 1, *rotation[seam - 1]))
+    steps.append(BlockStep("insert", seam, rotation[seam:]))
     return steps
-
-
-def _shifted(step: RewriteStep, offset: int) -> RewriteStep:
-    """``step`` at a position ``offset`` syllables further right."""
-    position = step.position + offset
-    if isinstance(step, SchemaStep):
-        return SchemaStep(position, step.schema, step.params, step.forward)
-    if isinstance(step, MoveStep):
-        return MoveStep(position, step.length, step.forward)
-    if isinstance(step, GatherStep):
-        return GatherStep(position, step.length, step.copies, step.forward)
-    return FreeStep(step.op, position, step.letter, step.exponent)
 
 
 def construct_braid_root(punctures: int, index: int) -> RootResult:
@@ -550,12 +530,12 @@ def construct_braid_root(punctures: int, index: int) -> RootResult:
     ``u``-letters only, so they restrict to the braid setting; index > 1
     is reached by conjugating with the crosscap rotation.  The index-1
     certificate is taken from :func:`_gathered_root` unreported; a larger
-    index prefixes the inverted free reduction of the conjugated start
-    (:func:`_unreduction_steps`), splices the index-1 steps in one
-    rotation to the right and ends with :func:`_shift_steps`, so the
-    report's replay is the only one.  Refuses
-    more than ``MAX_GENUS`` punctures, and ``punctures <= 4``, where no
-    nontrivial root exists.
+    index opens by writing out the conjugated start at its one seam
+    (:func:`_opening_steps`), splices the index-1 steps in one rotation
+    to the right and ends with :func:`_shift_steps`, all from closed-form
+    positions, so the report's replay is the only one.  Refuses more than
+    ``MAX_GENUS`` punctures, and ``punctures <= 4``, where no nontrivial
+    root exists.
     """
     n = punctures
     if n > MAX_GENUS:
@@ -580,13 +560,9 @@ def construct_braid_root(punctures: int, index: int) -> RootResult:
     delta = Word(model, tuple((_letter("u", k), 1) for k in range(1, n)))
     rotation = delta ** (index - 1)
     root = rotation * base_root * rotation.inverse()
-    trace: list = []
-    _reduce_syllables(
-        rotation.syllables + base.start.syllables + rotation.inverse().syllables, trace
-    )
+    steps = _opening_steps(rotation.syllables, base.start.syllables)
     offset = len(rotation.syllables)
-    steps = _unreduction_steps(trace)
-    steps += [_shifted(step, offset) for step in base.steps]
+    steps += [step._replace(position=step.position + offset) for step in base.steps]
     steps += _shift_steps(n, index - 1)
     target_word = Word(model, ((_letter("u", index), 1),))
     certificate = Certificate(root ** degree, target_word, tuple(steps))

@@ -143,6 +143,11 @@ class _Record:
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
+    def _replace(self, **changes):
+        """This record with ``changes`` to its fields, built through the class's checks."""
+        fields = {name: getattr(self, name) for name in self._fields}
+        return type(self)(**{**fields, **changes})
+
 
 def _ordering(op):
     def compare(self, other):
@@ -281,25 +286,14 @@ def _letter(kind: str, index: int) -> GeneratorLetter:
 Syllable = tuple[GeneratorLetter, int]
 
 
-def _reduce_syllables(
-    syllables: Iterable[Syllable], trace: list | None = None
-) -> tuple[Syllable, ...]:
-    """Free reduction on a stack; ``trace`` receives each merge as a free step.
-
-    A step is ``(op, position, letter, exponent)`` on the partly reduced
-    sequence, ``op`` being ``"delete"`` when the pair cancels and
-    ``"merge"`` otherwise, with the left syllable's exponent.  Positions
-    hold for input without zero exponents.
-    """
+def _reduce_syllables(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
+    """Free reduction on a stack: merge equal neighbours, drop zero exponents."""
     stack: list[list] = []
     for letter, exp in syllables:
         if exp == 0:
             continue
         if stack and stack[-1][0] == letter:
             top = stack[-1]
-            if trace is not None:
-                op = "delete" if top[1] + exp == 0 else "merge"
-                trace.append((op, len(stack) - 1, letter, top[1]))
             top[1] += exp
             if top[1] == 0:
                 stack.pop()

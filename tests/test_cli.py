@@ -756,6 +756,11 @@ class TestCertificateCycle:
         # a gather that does not apply is refuted; one that does not parse is an input error
         self._verdict(capsys, self._edited(capsys, tmp_path, [line]), code, message)
 
+    def test_split_past_the_end_is_refuted(self, capsys, tmp_path):
+        # the genus-6 start has 12 syllables
+        path = self._edited(capsys, tmp_path, ["free split 12 u1 1"])
+        self._verdict(capsys, path, 2, "split position 12 out of range")
+
     def test_braid_emit_then_verify(self, capsys, tmp_path):
         path = tmp_path / "braid.txt"
         code, report, _ = run_json(

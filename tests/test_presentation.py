@@ -391,6 +391,13 @@ class TestFreeSteps:
         with pytest.raises(CertificateError, match="split mismatch"):
             apply_step([(u1, 5)], FreeStep("split", 0, u1, 5), std5)
 
+    def test_split_past_the_end_is_refuted_with_its_step(self, std5):
+        u1 = GeneratorLetter("u", 1)
+        start = Word(std5, ((u1, 5),))
+        steps = (FreeStep("split", 0, u1, 2), FreeStep("split", 2, u1, 1))
+        with pytest.raises(CertificateError, match=r"^step 2: split position 2 out of range$"):
+            replay_certificate(Certificate(start, start, steps))
+
     def test_zero_exponent_rejected(self, std5):
         with pytest.raises(CertificateError, match="nonzero"):
             apply_step([], FreeStep("insert", 0, GeneratorLetter("u", 1), 0), std5)

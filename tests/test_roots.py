@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mcgroots import presentation, roots
 from mcgroots.presentation import (
+    BlockStep,
     Certificate,
     FreeStep,
     GatherStep,
@@ -577,6 +578,22 @@ class TestBraidRoots:
         braid = construct_braid_root(5, 1)
         base = construct_root(RootRequest(5, "u"))
         assert (braid.root, braid.degree, braid.case) == (base.root, base.degree, base.case)
+
+    @pytest.mark.parametrize(
+        "punctures, index", [(n, i) for n in (5, 6, 25, 26, 49, 50) for i in (2, n - 1)]
+    )
+    def test_opening_writes_out_the_one_seam(self, punctures, index):
+        # the rotation's tail u3 .. u_{n-1} (u4 .. at even n, after a split of u3)
+        # cancels against the head of the index-1 start
+        steps = construct_braid_root(punctures, index).certificate.steps
+        opening = steps[: next(k for k, step in enumerate(steps) if isinstance(step, GatherStep))]
+        u = lambda j: GeneratorLetter("u", j)
+        tail = tuple((u(j), 1) for j in range(3 if punctures % 2 else 4, punctures))
+        seam = (index - 1) * (punctures - 1) - len(tail)
+        expected = (BlockStep("insert", seam, tail),)
+        if punctures % 2 == 0:
+            expected = (FreeStep("split", seam - 1, u(3), 1),) + expected
+        assert opening == expected
 
     def test_frozen_conjugated_root(self):
         result = construct_braid_root(5, 2)

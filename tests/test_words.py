@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mcgroots import words
 from mcgroots.presentation import (
+    BlockStep,
     Certificate,
     CertificateError,
     FreeStep,
@@ -173,7 +174,7 @@ def test_records_are_immutable_values(name):
     with pytest.raises(AttributeError):
         delattr(a, field)
     assert getattr(a, field) is value and a == b
-    assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a)
+    assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a) == a._replace()
     if make_larger is None:
         with pytest.raises(TypeError):
             a < b
@@ -182,6 +183,19 @@ def test_records_are_immutable_values(name):
         assert a < larger and a <= b and larger > a and larger >= a and not larger < a
         with pytest.raises(TypeError):
             a < SurfaceModel(5)
+
+
+def test_replace_builds_through_the_class_checks():
+    u3, u4 = GeneratorLetter("u", 3), GeneratorLetter("u", 4)
+    gather, block = GatherStep(0, 2, 3), BlockStep("insert", 0, ((u3, 1), (u4, 1)))
+    assert gather._replace(position=4, forward=False) == GatherStep(4, 2, 3, False)
+    assert block._replace(op="delete") == BlockStep("delete", 0, block.syllables)
+    with pytest.raises(CertificateError, match="gather copies must be >= 2, got 1"):
+        gather._replace(copies=1)
+    with pytest.raises(CertificateError, match="a block needs 2 or more syllables, got 1"):
+        block._replace(syllables=((u3, 1),))
+    with pytest.raises(TypeError):
+        block._replace(length=2)
 
 
 class TestWordReduction:
