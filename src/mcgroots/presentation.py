@@ -208,10 +208,6 @@ class RelationInstance(_Record):
         super().__init__(schema, params, model, lhs, rhs)
 
 
-def _word(model: SurfaceModel, syllables: Iterable[Syllable]) -> Word:
-    return Word(model, tuple(syllables))
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SchemaError(message)
@@ -221,14 +217,14 @@ def boundary_identity(model: SurfaceModel) -> tuple[str, Word, int] | None:
     """``(schema, D, m)`` of the model's boundary identity ``u_1^2 = D^m``, if any."""
     g = model.genus
     if model.is_hybrid:
-        chain = _word(model, ((_letter("c", k), 1) for k in range(1, g - 1)))
+        chain = Word(model, ((_letter("c", k), 1) for k in range(1, g - 1)))
         return "R7chain", chain ** 2, g - 1
     if g % 2:
-        return "R6closed-odd", _word(model, ((_letter("u", k), 1) for k in range(3, g))), g - 2
+        return "R6closed-odd", Word(model, ((_letter("u", k), 1) for k in range(3, g))), g - 2
     if g >= 6:
         head = ((_letter("u", 3), 2),)
         tail = tuple((_letter("u", k), 1) for k in range(4, g))
-        return "R6closed-even", _word(model, head + tail), g - 3
+        return "R6closed-even", Word(model, head + tail), g - 3
     return None
 
 
@@ -291,21 +287,21 @@ def _build_instance(schema: str, params: tuple, genus: int, model_kind: str) -> 
         _require(disjoint, f"{schema} needs disjoint supports, but {x} and {z} meet")
         _require(x.kind != z.kind or x.index < z.index, f"{schema} needs i < j")
         _require(a != 0 and b != 0, f"{schema} exponents must be nonzero")
-        lhs = _word(model, ((x, a), (z, b)))
-        rhs = _word(model, ((z, b), (x, a)))
+        lhs = Word(model, ((x, a), (z, b)))
+        rhs = Word(model, ((z, b), (x, a)))
     elif schema == "R2":
         (i,) = params
         _require(i <= g - 2, f"R2 needs 1 <= i <= {g - 2}")
-        lhs = _word(model, ((_letter("u", i), 1), (_letter("u", i + 1), 1), (_letter("u", i), 1)))
-        rhs = _word(model, ((_letter("u", i + 1), 1), (_letter("u", i), 1), (_letter("u", i + 1), 1)))
+        lhs = Word(model, ((_letter("u", i), 1), (_letter("u", i + 1), 1), (_letter("u", i), 1)))
+        rhs = Word(model, ((_letter("u", i + 1), 1), (_letter("u", i), 1), (_letter("u", i + 1), 1)))
     elif schema == "R3":
-        chain = _word(model, tuple((_letter("u", k), 1) for k in range(1, g)))
+        chain = Word(model, ((_letter("u", k), 1) for k in range(1, g)))
         lhs = chain ** g
-        rhs = _word(model, ())
+        rhs = Word(model, ())
     elif schema == "R5":
-        base = _word(model, ((_letter("u", 1), 2),) + tuple((_letter("u", k), 1) for k in range(2, g)))
+        base = Word(model, ((_letter("u", 1), 2),) + tuple((_letter("u", k), 1) for k in range(2, g)))
         lhs = base ** (g - 1)
-        rhs = _word(model, ())
+        rhs = Word(model, ())
     elif schema in ("R6closed-odd", "R6closed-even", "R7chain"):
         identity = boundary_identity(model)
         _require(
@@ -313,18 +309,18 @@ def _build_instance(schema: str, params: tuple, genus: int, model_kind: str) -> 
             f"{schema} is not the boundary identity of the {model.describe()}",
         )
         _, block, m = identity
-        lhs = _word(model, ((_letter("u", 1), 2),))
+        lhs = Word(model, ((_letter("u", 1), 2),))
         rhs = block ** m
     elif schema == "SlideDef":
         (i,) = params
         _require(model.admits(_letter("y", i)), f"SlideDef index {i} is not admissible")
-        lhs = _word(model, ((_letter("y", i), 1),))
-        rhs = _word(model, ((_letter("t", i), 1), (_letter("u", i), 1)))
+        lhs = Word(model, ((_letter("y", i), 1),))
+        rhs = Word(model, ((_letter("t", i), 1), (_letter("u", i), 1)))
     elif schema == "UsquaredYsquared":
         (i,) = params
         _require(model.admits(_letter("u", i)), f"UsquaredYsquared index {i} is not admissible")
-        lhs = _word(model, ((_letter("u", i), 2),))
-        rhs = _word(model, ((_letter("y", i), 2),))
+        lhs = Word(model, ((_letter("u", i), 2),))
+        rhs = Word(model, ((_letter("y", i), 2),))
     else:  # pragma: no cover - SCHEMA_IDS and dispatch agree
         raise SchemaError(f"unhandled schema {schema!r}")
     return RelationInstance(schema, params, model, lhs, rhs)
@@ -351,12 +347,19 @@ def relation_catalog(model: SurfaceModel) -> tuple[RelationInstance, ...]:
     return tuple(out)
 
 
+def _check_position(tag: str, position: int) -> None:
+    """Refuse a negative step position, naming the step's line tag."""
+    if position < 0:
+        raise CertificateError(f"{tag} position {position} is negative")
+
+
 class SchemaStep(_Record):
     """Replace one side of a relation instance by the other at a position."""
 
     __slots__ = ("position", "schema", "params", "forward")
 
     def __init__(self, position: int, schema: str, params: tuple, forward: bool = True):
+        _check_position("step", position)
         object.__setattr__(self, "position", position)
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "params", params)
@@ -371,6 +374,7 @@ class FreeStep(_Record):
     def __init__(self, op: str, position: int, letter: GeneratorLetter, exponent: int):
         if op not in _FREE_OPS:
             raise CertificateError(f"unknown free op {op!r}")
+        _check_position("free", position)
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "position", position)
         object.__setattr__(self, "letter", letter)
@@ -382,12 +386,15 @@ class MoveStep(_Record):
 
     Forward, the syllable at ``position`` moves right to ``position +
     length``; backward, the syllable at ``position + length`` moves left to
-    ``position``.
+    ``position``.  ``length`` is at least 1; ``position`` is not negative.
     """
 
     __slots__ = ("position", "length", "forward")
 
     def __init__(self, position: int, length: int, forward: bool = True):
+        _check_position("move", position)
+        if length < 1:
+            raise CertificateError(f"move length must be >= 1, got {length}")
         object.__setattr__(self, "position", position)
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "forward", forward)
@@ -405,8 +412,7 @@ class GatherStep(_Record):
     __slots__ = ("position", "length", "copies", "forward")
 
     def __init__(self, position: int, length: int, copies: int, forward: bool = True):
-        if position < 0:
-            raise CertificateError(f"gather position {position} is negative")
+        _check_position("gather", position)
         if length < 1:
             raise CertificateError(f"gather length must be >= 1, got {length}")
         if copies < 2:
@@ -430,8 +436,7 @@ class BlockStep(_Record):
         syllables = tuple(syllables)
         if op not in ("insert", "delete"):
             raise CertificateError(f"unknown block op {op!r}")
-        if position < 0:
-            raise CertificateError(f"block position {position} is negative")
+        _check_position("block", position)
         if len(syllables) < 2:
             raise CertificateError(f"a block needs 2 or more syllables, got {len(syllables)}")
         if _reduce_syllables(syllables) != syllables:
@@ -462,7 +467,7 @@ def _apply_schema_step(state: list[Syllable], step: SchemaStep, model: SurfaceMo
         else (inst.rhs.syllables, inst.lhs.syllables)
     )
     pos = step.position
-    if pos < 0 or pos > len(state):
+    if pos > len(state):
         raise CertificateError(f"step position {pos} out of range 0..{len(state)}")
     found = tuple(state[pos : pos + len(pattern)])
     if found == pattern:
@@ -492,12 +497,12 @@ def _apply_block(
     _check_syllables(syllables, model)
     block = syllables + _inverse_syllables(syllables)
     if op == "insert":
-        if not 0 <= pos <= len(state):
+        if pos > len(state):
             raise CertificateError(f"insert position {pos} out of range 0..{len(state)}")
         state[pos:pos] = block
         return
     found = tuple(state[pos : pos + len(block)])
-    if pos < 0 or found != block:
+    if found != block:
         raise CertificateError(
             f"delete mismatch at position {pos}: expected {_format_syllables(block)},"
             f" found {_format_syllables(found)}"
@@ -512,7 +517,7 @@ def _apply_free_step(state: list[Syllable], step: FreeStep, model: SurfaceModel)
         return
     _check_syllables(((letter, e),), model)
     if step.op == "split":
-        if not 0 <= pos < len(state):
+        if pos >= len(state):
             raise CertificateError(f"split position {pos} out of range")
         cur_letter, cur_exp = state[pos]
         if cur_letter != letter or cur_exp == e:
@@ -525,8 +530,7 @@ def _apply_free_step(state: list[Syllable], step: FreeStep, model: SurfaceModel)
     # merge
     found = tuple(state[pos : pos + 2])
     if (
-        pos < 0
-        or len(found) != 2
+        len(found) != 2
         or found[0] != (letter, e)
         or found[1][0] != letter
         or found[0][1] + found[1][1] == 0
@@ -569,10 +573,8 @@ def _blocked(
 
 def _apply_move_step(state: list[Syllable], step: MoveStep, model: SurfaceModel) -> None:
     pos, length = step.position, step.length
-    if length < 1:
-        raise CertificateError(f"move length must be >= 1, got {length}")
     end = pos + length
-    if pos < 0 or end >= len(state):
+    if end >= len(state):
         raise CertificateError(
             f"move of {length} from position {pos} out of range: {len(state)} syllables"
         )
@@ -785,8 +787,6 @@ def _parse_step(line: str, model: SurfaceModel) -> RewriteStep:
         if line.count(" ") != 4:
             raise CertificateError("malformed free step")
         op, position, letter, exponent = rest.split(" ")
-        if op not in _FREE_OPS:
-            raise CertificateError(f"unknown free op {op!r}")
         number = _parse_int(position, "position")
         return FreeStep(op, number, _parse_letter(letter), _parse_int(exponent, "exponent"))
     if tag == "move":

@@ -1,12 +1,12 @@
 """Exact representation oracles for generator words.
 
-Three independent oracles, all in exact integer arithmetic:
+Three oracles in exact integer arithmetic, all read from the letter blocks:
 
-* sign character -- the determinant-parity homomorphism to {+1, -1}; each
-  transposition or slide occurrence contributes -1, twists contribute +1.
-* crosscap permutation -- the induced permutation of the g crosscaps;
-  ``u<i>`` and ``y<i>`` map to the transposition (i, i+1), twists to the
-  identity.  Standard model only.
+* sign character -- the determinant; each occurrence of a letter whose
+  block has determinant -1 (``u``, ``y``) contributes -1, others +1.
+* crosscap permutation -- the action on H1(N_g; Z/2), the blocks mod 2:
+  ``t<i>`` and ``u<i>`` swap crosscaps i, i+1 and ``y<i>`` fixes them.
+  Standard model only; from genus 3 on the homology image determines it.
 * homology action -- the induced automorphism of the rank-(g-1) first
   homology of the closed surface with real coefficients, written as an
   integer matrix in the crosscap-class basis ``mu_1 .. mu_{g-1}`` (the
@@ -198,15 +198,6 @@ class CrosscapPermutation(_Record):
     def identity(cls, g: int) -> "CrosscapPermutation":
         return cls(tuple(range(g)))
 
-    @classmethod
-    def transposition(cls, g: int, i: int) -> "CrosscapPermutation":
-        """The swap of crosscaps i and i+1 (1-based), 1 <= i <= g-1."""
-        if not 1 <= i <= g - 1:
-            raise ValueError(f"transposition index {i} out of range for {g} crosscaps")
-        images = list(range(g))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return cls(tuple(images))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -242,18 +233,21 @@ class CrosscapPermutation(_Record):
 
 
 def sign_of(word: Word) -> int:
-    """The sign character: (-1) per transposition/slide letter, counted with |exponent|."""
-    flips = sum(abs(exp) for letter, exp in word.syllables if letter.kind in ("u", "y"))
+    """The sign character: (-1) per occurrence of a letter whose block has determinant -1."""
+    flips = sum(abs(exp) for letter, exp in word.syllables if letter.kind in _FLIPS)
     return -1 if flips % 2 else 1
 
 
 def perm_of(word: Word) -> CrosscapPermutation:
-    """Induced permutation of the crosscaps; rejects hybrid-model words."""
+    """The action on H1(N_g; Z/2); standard model only.
+
+    ``t_i`` and ``u_i`` swap crosscaps i and i+1, and ``y_i`` fixes them.
+    """
     if word.model.is_hybrid:
         raise WordError("the crosscap permutation oracle is defined for the standard model only")
     images = list(range(word.model.genus))
     for letter, exp in word.syllables:
-        if letter.kind in ("u", "y") and exp % 2:
+        if letter.kind in _SWAPS and exp % 2:
             i = letter.index
             images[i - 1], images[i] = images[i], images[i - 1]
     return CrosscapPermutation(tuple(images))
@@ -285,6 +279,11 @@ _BLOCKS = {
     "y": ((-1, 2), (0, 1)),
 }
 _INVERSE_BLOCKS = {kind: _inverse_block(block) for kind, block in _BLOCKS.items()}
+# The kinds whose block has determinant -1, and those whose block is the swap mod 2.
+_FLIPS = frozenset(k for k, ((a, b), (c, d)) in _BLOCKS.items() if a * d - b * c == -1)
+_SWAPS = frozenset(
+    k for k, m in _BLOCKS.items() if [v % 2 for row in m for v in row] == [0, 1, 1, 0]
+)
 
 
 def _store(cols: dict[int, dict[int, int]], j: int, col: dict[int, int]) -> None:

@@ -249,9 +249,9 @@ def certificate_assumptions(certificate: Certificate) -> tuple[str, ...]:
 def is_nontrivial(root: Word, target: Word) -> bool:
     """Witness that ``root`` is not a power of ``target``.
 
-    Standard model: the crosscap permutation of ``root`` is compared with
-    every power of the target's permutation; a miss soundly proves the
-    root is no power of the target.  Hybrid model: targets contain no
+    Standard model: the crosscap permutation, a homomorphism, of ``root``
+    is compared with every power of the target's; a miss soundly proves
+    the root is no power of the target.  Hybrid model: targets contain no
     chain letters, so a chain letter in the root separates it from every
     target power as a reduced word only.  That is no proof in the group:
     at genus 6, ``(c1 c2 c3 c4)^10`` passes, yet R7chain makes it equal
@@ -364,13 +364,9 @@ def build_report(
     """:func:`verify_identity` on ``root^degree = target`` plus the nontriviality witness."""
     report = verify_identity(root, degree, target, certificate)
     nontrivial = is_nontrivial(root, target)
-    return VerificationReport(
-        report.oracles,
-        report.certificate,
-        _verdict(nontrivial),
-        report.details + (f"nontriviality: root is no power of the target = {nontrivial}",),
-        report.assumptions,
-        report.proved,
+    return report._replace(
+        nontriviality=_verdict(nontrivial),
+        details=report.details + (f"nontriviality: root is no power of the target = {nontrivial}",),
     )
 
 

@@ -718,8 +718,8 @@ class TestCertificateCycle:
     @pytest.mark.parametrize(
         "line, code, message",
         [
-            ("move 3 0 fwd", 2, "move length must be >= 1, got 0"),
-            ("move 3 -2 bwd", 2, "move length must be >= 1, got -2"),
+            ("move 3 0 fwd", 1, "error: line 5: move length must be >= 1, got 0\n"),
+            ("move 3 -2 bwd", 1, "error: line 5: move length must be >= 1, got -2\n"),
             ("move 3 99 fwd", 2, "move of 99 from position 3 out of range: 12 syllables"),
             ("move 3 3 bwd", 2, "move mismatch at position 5: R1 needs disjoint supports,"
              " but u3 and u4 meet"),
@@ -755,6 +755,20 @@ class TestCertificateCycle:
     def test_edited_gather_line(self, capsys, tmp_path, line, code, message):
         # a gather that does not apply is refuted; one that does not parse is an input error
         self._verdict(capsys, self._edited(capsys, tmp_path, [line]), code, message)
+
+    def test_a_bad_letter_kind_is_refuted(self, capsys, tmp_path):
+        # a kind parameter is checked before it names a letter, so the step is refuted
+        path = tmp_path / "cert.txt"
+        path.write_text("model hybrid\ngenus 4\nstart u1 c1\nend c1 u1\nstep 0 ChainCommute x 1 1 1 fwd\n")
+        code, report, _ = run_json(
+            capsys, "verify", "--model", "hybrid", "--genus", "4", "--word", "u1 c1",
+            "--power", "1", "--equals", "c1 u1", "--certificate", str(path),
+        )
+        assert (code, report["verdict"]) == (2, "refuted")
+        assert (
+            "step 1: invalid schema step: ChainCommute: letter kind t/u/y expected, got 'x'"
+            in " ".join(report["details"])
+        )
 
     def test_split_past_the_end_is_refuted(self, capsys, tmp_path):
         # the genus-6 start has 12 syllables

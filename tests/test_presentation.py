@@ -343,6 +343,16 @@ class TestSchemaSteps:
         with pytest.raises(CertificateError, match="invalid schema step"):
             apply_step(state, SchemaStep(0, "R1", (1, 2, 1, 1), True), std5)
 
+    def test_an_empty_pattern_inserts_at_the_end(self, std3):
+        # R3 backward matches the empty word at every position, the end included
+        state = list(_w("t1", std3).syllables)
+        apply_step(state, SchemaStep(len(state), "R3", (), False), std3)
+        assert tuple(state) == _w("t1 (u1 u2)^3", std3).syllables
+
+    def test_an_unknown_step_type_is_refused(self, std5):
+        with pytest.raises(CertificateError, match="^unknown step type object$"):
+            apply_step([], object(), std5)
+
 
 class TestFreeSteps:
     def test_insert_and_delete(self, std5):
@@ -713,10 +723,7 @@ class TestMoveStep:
              " supports, but t2 and u1 meet"),
             ("t1 u1", MoveStep(0, 1, True), "move mismatch at position 1: R4a needs disjoint"
              " supports, but t1 and u1 meet"),
-            ("u1 u3", MoveStep(0, 0, True), "move length must be >= 1, got 0"),
-            ("u1 u3", MoveStep(0, -1, False), "move length must be >= 1, got -1"),
             ("u1 u3", MoveStep(1, 1, True), "move of 1 from position 1 out of range: 2 syllables"),
-            ("u1 u3", MoveStep(-1, 1, True), "move of 1 from position -1 out of range: 2 syllables"),
         ],
     )
     def test_refusals_name_the_position_and_the_pair(self, std5, text, step, message):
@@ -725,6 +732,22 @@ class TestMoveStep:
             apply_step(state, step, std5)
         assert str(info.value) == message
         assert tuple(state) == _w(text, std5).syllables
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: MoveStep(0, 0, True), "move length must be >= 1, got 0"),
+            (lambda: MoveStep(0, -1, False), "move length must be >= 1, got -1"),
+            (lambda: MoveStep(-1, 1, True), "move position -1 is negative"),
+            (lambda: SchemaStep(-1, "R2", (1,), True), "step position -1 is negative"),
+            (lambda: FreeStep("split", -1, _LETTERS["u1"], 1), "free position -1 is negative"),
+        ],
+    )
+    def test_fields_are_refused_at_construction(self, make, message):
+        # a field's check lives in its record, so replay keeps only those on the state
+        with pytest.raises(CertificateError) as info:
+            make()
+        assert str(info.value) == message
 
     def test_chain_letters_do_not_pass_each_other(self, hyb6):
         with pytest.raises(CertificateError, match="no commutation schema for the pair c1, c2"):
@@ -1051,6 +1074,10 @@ class TestCertificateText:
             ("move 0x 2 fwd", "line 9: bad position '0x'"),
             ("move 0 02 bwd", "line 9: bad length '02'"),
             ("move 0 +2 bwd", "line 9: bad length '+2'"),
+            ("move -1 2 fwd", "line 9: move position -1 is negative"),
+            ("move 0 0 fwd", "line 9: move length must be >= 1, got 0"),
+            ("step -1 R2 1 fwd", "line 9: step position -1 is negative"),
+            ("free merge -1 u1 2", "line 9: free position -1 is negative"),
             ("mv 0 2 fwd", "line 9: expected a step, move, gather, free or block line"),
             ("gather 0 2 3", "line 9: malformed gather step"),
             ("gather 0 2 3 fwd x", "line 9: malformed gather step"),

@@ -164,31 +164,28 @@ class TestIntMatrix:
         assert (a * b).det() == a.det() * b.det()
 
 
-class TestCrosscapPermutation:
-    def test_transposition(self):
-        t2 = CrosscapPermutation.transposition(4, 2)
-        assert t2.images == (0, 2, 1, 3)
-        with pytest.raises(ValueError):
-            CrosscapPermutation.transposition(4, 4)
+def _swap(g, i):
+    """The swap of crosscaps i and i+1 (1-based) among g."""
+    images = list(range(g))
+    images[i - 1], images[i] = images[i], images[i - 1]
+    return CrosscapPermutation(tuple(images))
 
+
+class TestCrosscapPermutation:
     def test_composition_applies_right_factor_first(self):
-        t1 = CrosscapPermutation.transposition(3, 1)
-        t2 = CrosscapPermutation.transposition(3, 2)
+        t1, t2 = _swap(3, 1), _swap(3, 2)
         assert (t1 * t2).images == (1, 2, 0)
         assert (t2 * t1).images == (2, 0, 1)
 
     def test_inverse_and_order(self):
-        t1 = CrosscapPermutation.transposition(3, 1)
-        t2 = CrosscapPermutation.transposition(3, 2)
-        cycle = t1 * t2
+        cycle = _swap(3, 1) * _swap(3, 2)
         assert cycle.order() == 3
         assert (cycle * cycle**2).is_identity
         assert CrosscapPermutation.identity(5).order() == 1
 
     def test_pow_matches_repeated_products(self):
-        t1 = CrosscapPermutation.transposition(4, 1)
-        t3 = CrosscapPermutation.transposition(4, 3)
-        cycle = t1 * CrosscapPermutation.transposition(4, 2) * t3
+        t1, t3 = _swap(4, 1), _swap(4, 3)
+        cycle = t1 * _swap(4, 2) * t3
         for base in (t1, cycle, t1 * t3):
             acc = CrosscapPermutation.identity(4)
             for n in range(9):
@@ -200,7 +197,7 @@ class TestCrosscapPermutation:
     def test_negative_power_is_refused(self):
         # as for IntMatrix: a negative power of a word powers its inverse's image
         with pytest.raises(ValueError):
-            CrosscapPermutation.transposition(4, 1) ** -1
+            _swap(4, 1) ** -1
 
     def test_not_a_permutation(self):
         with pytest.raises(ValueError):
@@ -232,8 +229,24 @@ class TestPermutationOracle:
     def test_transpositions_and_even_exponents(self, std5):
         assert perm_of(_w("u2", std5)).images == (0, 2, 1, 3, 4)
         assert perm_of(_w("u2^2", std5)).is_identity
-        assert perm_of(_w("y2", std5)) == perm_of(_w("u2", std5))
-        assert perm_of(_w("t1^7", std5)).is_identity
+        assert perm_of(_w("t2", std5)) == perm_of(_w("u2", std5))
+        assert perm_of(_w("t1^7", std5)).images == (1, 0, 2, 3, 4)
+        assert perm_of(_w("y2^3", std5)).is_identity
+
+    def test_is_the_homology_blocks_mod_2(self):
+        # each letter's block reduces mod 2 to its action on H1(N_g; Z/2):
+        # the swap for t and u, the identity for y
+        swapping = set()
+        for g in range(2, 9):
+            model = SurfaceModel.standard(g)
+            for letter in model.letters():
+                block = [[v % 2 for v in row] for row in _DENSE_BLOCKS[letter.kind][0]]
+                swaps = block == [[0, 1], [1, 0]]
+                expected = _swap(g, letter.index) if swaps else CrosscapPermutation.identity(g)
+                assert perm_of(Word(model, ((letter, 1),))) == expected, letter
+                if swaps:
+                    swapping.add(letter.kind)
+        assert swapping == {"t", "u"}
 
     def test_rotation_has_full_order(self):
         for g in range(3, 9):
@@ -258,8 +271,8 @@ class TestPermutationOracle:
         g = w.model.genus
         acc = CrosscapPermutation.identity(g)
         for letter, exp in w.syllables:
-            if letter.kind in ("u", "y") and exp % 2:
-                acc = acc * CrosscapPermutation.transposition(g, letter.index)
+            if letter.kind in ("t", "u") and exp % 2:
+                acc = acc * _swap(g, letter.index)
         assert perm_of(w) == acc
 
     @settings(max_examples=60)
