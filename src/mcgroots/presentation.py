@@ -97,11 +97,13 @@ Text format (one item per line, words in the module grammar)::
     free <insert|delete|merge|split> <pos> <letter> <exp>
     block <insert|delete> <pos> <word>
 
-The start and end lines write a word ``w c w^-1`` whose core ``c`` is a
-proper power ``b^r`` as ``w (b)^r w^-1``, in the same grammar: the start
-``root^m`` of a standard or hybrid root certificate reads ``(root)^m``.
-A block's word is written the same way, and read only in that form.
-Serialization round-trips bit-exactly.
+The start and end lines write each word as it was built, in the same
+grammar (see :class:`~mcgroots.words.Word`): a parsed word as its text,
+``base ** n`` as ``(base)^n`` and a product as its factors side by
+side, so the start ``(D^p X^q)^m`` of a root certificate reads
+``((D)^p X^q)^m``.  A block's word is written flat, syllable by
+syllable, and read only in that form.  Serialization round-trips
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -375,6 +377,8 @@ class FreeStep(_Record):
         if op not in _FREE_OPS:
             raise CertificateError(f"unknown free op {op!r}")
         _check_position("free", position)
+        if exponent == 0:
+            raise CertificateError("free exponent must be nonzero")
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "position", position)
         object.__setattr__(self, "letter", letter)
@@ -483,11 +487,9 @@ def _apply_schema_step(state: list[Syllable], step: SchemaStep, model: SurfaceMo
 
 
 def _check_syllables(syllables: Iterable[Syllable], model: SurfaceModel) -> None:
-    for letter, e in syllables:
+    for letter, _ in syllables:
         if not model.admits(letter):
             raise CertificateError(f"letter {letter} is not admissible in the {model.describe()}")
-        if e == 0:
-            raise CertificateError("free-op exponent must be nonzero")
 
 
 def _apply_block(
@@ -720,7 +722,7 @@ def certificate_to_text(certificate: Certificate) -> str:
     model = certificate.model
     lines = [f"model {model.kind}", f"genus {model.genus}"]
     for tag, word in (("start", certificate.start), ("end", certificate.end)):
-        text = _grouped_text(word.syllables)
+        text = _grouped_text(word)
         lines.append(f"{tag} {text}" if text else tag)
     for step in certificate.steps:
         if isinstance(step, SchemaStep):
@@ -733,7 +735,7 @@ def certificate_to_text(certificate: Certificate) -> str:
             way = "fwd" if step.forward else "bwd"
             lines.append(f"gather {step.position} {step.length} {step.copies} {way}")
         elif isinstance(step, BlockStep):
-            lines.append(f"block {step.op} {step.position} {_grouped_text(step.syllables)}")
+            lines.append(f"block {step.op} {step.position} {_format_syllables(step.syllables)}")
         else:
             lines.append(f"free {step.op} {step.position} {step.letter._text} {step.exponent}")
     return "\n".join(lines) + "\n"
@@ -811,7 +813,7 @@ def _parse_step(line: str, model: SurfaceModel) -> RewriteStep:
             syllables = parse_word(text, model).syllables
         except WordError as exc:
             raise CertificateError(f"bad block word: {exc}") from None
-        if _grouped_text(syllables) != text:
+        if _format_syllables(syllables, "") != text:
             raise CertificateError(f"block word {text[:40]!r} is not in its written form")
         return BlockStep(op, number, syllables)
     raise CertificateError("expected a step, move, gather, free or block line")

@@ -45,13 +45,13 @@ Text grammar, shared by the parser, the printer and the certificate files::
 
 Terms are separated by whitespace; the empty string denotes the empty word.
 Printing emits one space between syllables and an exponent suffix only when
-the exponent differs from 1.
+the exponent differs from 1.  Certificates write a word as it was built
+instead (see :class:`Word` and :func:`_grouped_text`).
 """
 
 from __future__ import annotations
 
 import re
-from math import isqrt
 from operator import attrgetter, ge, gt, le, lt
 from typing import Iterable, Iterator, Sequence
 
@@ -78,10 +78,10 @@ _KIND_NAMES = {
 
 # The largest genus a model may have.  Only the start words of root certificates
 # grow with it, like g^3 syllables (no homology table is built), and their text
-# is the grouped power (root)^m with the root's repeated blocks grouped inside
-# it, O(g) (at most 340 bytes at genus 50); the largest root it admits (genus
-# 50, orientable complement) takes about 0.09 s and 18 MB peak memory in a cold
-# `mcgroots root` call (best of 5, 2-vCPU Xeon, Python 3.11).
+# is the power ((D)^p X^q)^m as the builder wrote it, O(g) (at most 204 bytes at
+# genus 50); the largest root it admits (genus 50, orientable complement) takes
+# about 0.09 s and 18 MB peak memory in a cold `mcgroots root` call (best of 5,
+# 2-vCPU Xeon, Python 3.11).
 MAX_GENUS = 50
 
 # The most syllables a power may write out: 2|w| + |c|·|e| for the power e of
@@ -324,9 +324,18 @@ class Word(_Record):
     exponents, and merges adjacent syllables with equal letters, so the
     stored form is canonical: no syllable has exponent 0 and no two
     adjacent syllables share a letter.
+
+    A word built by :func:`parse_word`, ``*``, ``**`` or :meth:`inverse`
+    also keeps how it was built, in the private slot ``_source``: the text
+    it was parsed from, with each run of whitespace written as one space;
+    ``(base, n)`` for ``base ** n`` (``inverse()`` is the power -1, and a
+    power of a power multiplies the exponents); or the flat tuple of the
+    factors of a product, a product of products extending it.  The record
+    is not a field: ``==``, ``hash``, ``repr`` and pickling ignore it.
+    :func:`_grouped_text` writes it.
     """
 
-    __slots__ = ("model", "syllables")
+    __slots__ = ("model", "syllables", "_source")
 
     def __init__(self, model: SurfaceModel, syllables: Iterable[Syllable] = ()):
         syllables = tuple(syllables)
@@ -377,15 +386,25 @@ class Word(_Record):
                 f"cannot compose words from the {self.model.describe()} "
                 f"and the {other.model.describe()}"
             )
-        return Word(self.model, self.syllables + other.syllables)
+        product = Word(self.model, self.syllables + other.syllables)
+        object.__setattr__(product, "_source", _factors(self) + _factors(other))
+        return product
 
     def inverse(self) -> "Word":
-        return Word._of(self.model, _inverse_syllables(self.syllables))
+        return self._powered(_inverse_syllables(self.syllables), -1)
 
     def __pow__(self, n: int) -> "Word":
         if not isinstance(n, int):
             return NotImplemented
-        return Word._of(self.model, _power(self.syllables, n))
+        return self._powered(_power(self.syllables, n), n)
+
+    def _powered(self, syllables: tuple[Syllable, ...], n: int) -> "Word":
+        """The word of ``syllables``, the power ``n`` of this word, with its record."""
+        power = Word._of(self.model, syllables)
+        source = getattr(self, "_source", None)
+        base, e = source if _is_power(source) else (self, 1)
+        object.__setattr__(power, "_source", (base, e * n))
+        return power
 
     def __str__(self) -> str:
         return format_word(self)
@@ -399,6 +418,40 @@ def format_word(word: Word) -> str:
     'u4^-1 u3^-1 u1'
     """
     return _format_syllables(word.syllables, "")
+
+
+def _is_power(source) -> bool:
+    """True iff ``source`` is the record ``(base, n)`` of a power."""
+    return source.__class__ is tuple and source[1].__class__ is int
+
+
+def _factors(word: Word) -> tuple[Word, ...]:
+    """The factors of ``word`` as a product records them: its own, or itself."""
+    source = getattr(word, "_source", None)
+    return source if source.__class__ is tuple and not _is_power(source) else (word,)
+
+
+def _grouped_text(word: Word) -> str:
+    """The text of ``word`` as it was built (see :class:`Word`); it parses back to ``word``.
+
+    A parsed word is written as its text, a power ``(base)^n`` (``base``
+    alone for ``n = 1``) and a product as its factors side by side, each
+    written the same way.  A word with no record, or with at most one
+    syllable, is written by :func:`format_word`.  Parsing the text gives
+    back the same syllables: the parser reads ``(T)^n`` as the power and
+    juxtaposition as the product of what it reads, and free reduction is
+    canonical, so it ends where ``**`` and ``*`` ended.
+    """
+    source = getattr(word, "_source", None)
+    if source is None or len(word.syllables) < 2:
+        return format_word(word)
+    if source.__class__ is str:
+        return source
+    if not _is_power(source):
+        return " ".join(filter(None, map(_grouped_text, source)))
+    base, n = source
+    text = _grouped_text(base)
+    return text if n == 1 else f"({text})^{n}"
 
 
 def _to_int(numeral: str, position: int) -> int:
@@ -526,116 +579,6 @@ def _power(syllables: tuple[Syllable, ...], e: int) -> tuple[Syllable, ...]:
     return conjugator + core + _inverse_syllables(conjugator)
 
 
-def _divisors(n: int) -> list[int]:
-    """The divisors of ``n`` from 2 to ``n/2``, increasing."""
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return small[1:] + [n // d for d in reversed(small) if d * d != n][:-1]
-
-
-def _power_base(core: Sequence[Syllable]) -> tuple[Sequence[Syllable], int]:
-    """The shortest ``b`` and the ``r`` with ``core`` the power ``b^r`` as :func:`_power` writes it.
-
-    ``core`` is reduced, with no conjugator.  Either the copies of ``b``
-    stand side by side, or ``b = x^a m x^c`` has end syllables of one
-    letter and its copies are joined by the syllable ``x^(a+c)``; when
-    neither holds, ``b`` is ``core`` and ``r`` is 1.
-    """
-    n = len(core)
-    for d in _divisors(n):
-        if core[d : 2 * d] == core[:d] and core[d:] == core[:-d]:
-            return core[:d], n // d
-    if n > 2 and core[0][0] == core[-1][0]:
-        seam = (core[0][0], core[0][1] + core[-1][1])
-        for d in _divisors(n - 1):
-            if core[d] == seam and core[d + 1 : n - 1] == core[1 : n - 1 - d]:
-                return core[:d] + core[-1:], (n - 1) // d
-    return core, 1
-
-
-def _grouped_text(syllables: Sequence[Syllable]) -> str:
-    """The text of reduced ``syllables``, with repeated blocks grouped at every level.
-
-    For ``syllables = w c w^-1`` whose core is the power ``b^r`` of
-    :func:`_power_base` with ``r >= 2``, the text is ``w (b)^r w^-1``;
-    otherwise ``b`` is the core and ``r = 1`` writes no group.  Each of
-    ``w``, ``b`` and ``w^-1`` is then written by :func:`_blocks_text`,
-    which groups adjacent copies of blocks of at most ``_MAX_BLOCK``
-    syllables, and blocks inside them.  Parsing the text gives back the
-    same syllables: :func:`_power` writes ``(b)^r`` out as the core, and
-    every group of :func:`_blocks_text` is a slice of a reduced word whose
-    copies are adjacent in it, so its ends have different letters, it has
-    no conjugator, and :func:`_power` writes it out as it stands.
-    """
-    k = _conjugator_length(syllables)
-    block, copies = _power_base(syllables[k : len(syllables) - k])
-    body = _blocks_text(_syllable_texts(block))
-    if copies > 1:
-        body = f"({body})^{copies}"
-    if not k:
-        return body
-    head = _blocks_text(_syllable_texts(syllables[:k]))
-    return f"{head} {body} {_blocks_text(_syllable_texts(syllables[len(syllables) - k :]))}"
-
-
-# The most syllables of a block that _blocks_text repeats in a group.
-_MAX_BLOCK = 64
-
-
-def _blocks_text(texts: list[str]) -> str:
-    """The syllable ``texts`` of a reduced slice joined, adjacent copies of a block grouped.
-
-    Left to right, at each position the block of at most ``_MAX_BLOCK``
-    syllables whose adjacent copies cover the most syllables is written
-    ``(block)^copies``, the shortest block on ties, and the block's text is
-    grouped the same way; where no block has two copies, one syllable is
-    written.  A group of two or more copies of a block of two or more
-    syllables (one syllable has no adjacent copy in a reduced word) is
-    always shorter than the copies written out.  The work is on the texts,
-    which hash and compare without calls into letter methods; equal texts
-    are equal syllables.
-
-    A block's copies start with its first syllable, so the block lengths
-    tried at a position are the distances to the next copies of that
-    syllable within reach, which ``list.index`` finds; a slice in which no
-    syllable repeats is joined unscanned.  At most ``_MAX_BLOCK / 2``
-    lengths are tried at a position (adjacent syllables differ), each
-    counting its copies in slices of at most ``_MAX_BLOCK`` syllables, and
-    none covers more than the group the position starts; so a slice costs
-    at most about ``_MAX_BLOCK^2 / 2`` comparisons of syllable texts per
-    syllable, all of them in slice compares and searches.
-    """
-    n = len(texts)
-    if len(set(texts)) == n:
-        return " ".join(texts)
-    parts: list[str] = []
-    i = run = 0
-    while i < n:
-        reach = min(_MAX_BLOCK, (n - i) // 2)  # the longest block with two copies
-        first = texts[i]
-        ahead = texts[i : i + reach + 1]
-        ahead.append(first)  # so each search ends, at reach + 1 when nothing is within reach
-        cover = size = 0
-        d = ahead.index(first, 1)
-        while d <= reach:
-            block, end = ahead[:d], i + 2 * d
-            while texts[end - d : end] == block:
-                end += d
-            copies = (end - i) // d - 1
-            if copies > 1 and copies * d > cover:
-                cover, size = copies * d, d
-            d = ahead.index(first, d + 1)
-        if cover:
-            if run < i:
-                parts.append(" ".join(texts[run:i]))
-            parts.append(f"({_blocks_text(texts[i : i + size])})^{cover // size}")
-            i = run = i + cover
-        else:
-            i += 1
-    if run < n:
-        parts.append(" ".join(texts[run:]))
-    return " ".join(parts)
-
-
 def _parse_sequence(
     tokens, k: int, model: SurfaceModel, held: int = 0
 ) -> tuple[list[Syllable], int]:
@@ -692,4 +635,6 @@ def parse_word(text: str, model: SurfaceModel) -> Word:
     if kind != "end":
         message = "unmatched ')'" if kind == "rp" else "unexpected token"
         raise ParseError(message, pos)
-    return Word(model, tuple(syllables))
+    word = Word(model, tuple(syllables))
+    object.__setattr__(word, "_source", " ".join(text.split()))
+    return word

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import pathlib
-import random
 import re
 
 import pytest
@@ -46,11 +45,8 @@ from mcgroots.words import (
     SurfaceModel,
     Word,
     WordError,
-    _format_syllables,
     _grouped_text,
     _inverse_syllables,
-    _power,
-    _power_base,
     format_word,
     parse_word,
 )
@@ -741,6 +737,7 @@ class TestMoveStep:
             (lambda: MoveStep(-1, 1, True), "move position -1 is negative"),
             (lambda: SchemaStep(-1, "R2", (1,), True), "step position -1 is negative"),
             (lambda: FreeStep("split", -1, _LETTERS["u1"], 1), "free position -1 is negative"),
+            (lambda: FreeStep("insert", 0, _LETTERS["u2"], 0), "free exponent must be nonzero"),
         ],
     )
     def test_fields_are_refused_at_construction(self, make, message):
@@ -951,7 +948,7 @@ class TestCertificateText:
             "model standard\n"
             "genus 5\n"
             "start u1^5\n"
-            "end (u3 u4)^3 u1^3\n"
+            "end u3 u4 u3 u4 u3 u4 u1^3\n"
             "free split 0 u1 2\n"
             "step 0 R6closed-odd fwd\n"
         )
@@ -988,7 +985,7 @@ class TestCertificateText:
         section = readme.read_text(encoding="utf-8").split("## Certificate format", 1)[1]
         section = " ".join(section.split())
         text = certificate_to_text(construct_root(RootRequest(5, "u", "auto")).certificate)
-        assert "start (u4^-1 u3^-1 u1)^3\n" in text and "\ngather 0 2 3 fwd\n" in text
+        assert "start ((u3 u4)^-1 u1)^3\n" in text and "\ngather 0 2 3 fwd\n" in text
         cert = certificate_from_text(text.replace("gather 0 2 3 fwd", "gather 0 2 4 fwd"))
         report = verify_identity(cert.start, 1, cert.end, cert)
         quote = re.search(r"with `gather 0 2 4 fwd` instead, replay stops at `([^`]*)`", section)
@@ -1078,6 +1075,7 @@ class TestCertificateText:
             ("move 0 0 fwd", "line 9: move length must be >= 1, got 0"),
             ("step -1 R2 1 fwd", "line 9: step position -1 is negative"),
             ("free merge -1 u1 2", "line 9: free position -1 is negative"),
+            ("free insert 0 u2 0", "line 9: free exponent must be nonzero"),
             ("mv 0 2 fwd", "line 9: expected a step, move, gather, free or block line"),
             ("gather 0 2 3", "line 9: malformed gather step"),
             ("gather 0 2 3 fwd x", "line 9: malformed gather step"),
@@ -1106,6 +1104,10 @@ class TestCertificateText:
             (
                 "block insert 1 (u1 u2)^1",
                 "line 9: block word '(u1 u2)^1' is not in its written form",
+            ),
+            (
+                "block insert 1 (u1 u2)^2",
+                "line 9: block word '(u1 u2)^2' is not in its written form",
             ),
             (
                 "block insert 1 u1 u9",
@@ -1146,15 +1148,12 @@ class TestCertificateText:
         )
     )
     def test_grouped_endpoints_round_trip(self, data):
-        # start and end words w b^r w^-1 read back as the same certificate, and
-        # their grouped lines are never longer than the written-out ones
+        # start and end words w b^r w^-1 read back as the same certificate
         conjugate, b, r, w = data
         a = w * conjugate**r * w.inverse()
         c = w * b**r * w.inverse()
         cert = Certificate(a, c)
         assert certificate_from_text(certificate_to_text(cert)) == cert
-        for word in (a, c):
-            assert len(_grouped_text(word.syllables)) <= len(format_word(word))
 
     @settings(max_examples=150)
     @given(
@@ -1171,44 +1170,67 @@ class TestCertificateText:
     )
     def test_nested_groups_round_trip(self, data):
         # w ((a)^p b)^r w^-1, whose groups nest, and random words read back
-        # as the same word, and grouped text is never longer than written out
+        # as the same word
         w, a, b, p, r, other = data
         nested = w * (a**p * b) ** r * w.inverse()
         for word in (nested, other):
-            text = _grouped_text(word.syllables)
-            assert parse_word(text, word.model) == word
-            assert len(text) <= len(format_word(word))
+            assert parse_word(_grouped_text(word), word.model) == word
 
-    def test_blocks_of_at_most_max_block_syllables_are_grouped(self, std5):
-        # inside a core that is no power, two copies of a block are grouped
-        # when it has at most 64 syllables, and written out when longer
-        for size, grouped in ((64, True), (65, False)):
-            block = tuple((_LETTERS[f"u{1 + k % 4}"], 1 + k // 4) for k in range(size - 1))
-            syllables = (block + ((_LETTERS["t2"], 1),)) * 2 + ((_LETTERS["t1"], 1),)
-            word = Word(std5, syllables)
-            assert word.syllables == syllables
-            text = _grouped_text(word.syllables)
-            assert text.startswith("(") == grouped
-            assert parse_word(text, std5) == word
+    @settings(max_examples=150)
+    @given(
+        (standard_models(3, 7) | hybrid_models(8)).flatmap(
+            lambda m: st.tuples(_built_words(m), _built_words(m))
+        )
+    )
+    def test_words_are_written_as_built(self, pair):
+        # each word reads back from the record of how it was built, and a
+        # certificate of two such words reads back to the same text
+        for word in pair:
+            assert parse_word(_grouped_text(word), word.model) == word
+        cert = Certificate(*pair)
+        text = certificate_to_text(cert)
+        assert certificate_from_text(text) == cert
+        assert certificate_to_text(certificate_from_text(text)) == text
 
-    def test_dense_random_word_round_trips(self):
-        """A dense random reduced word of 10^5 syllables over two letters round-trips.
+    def test_parsed_text_is_written_on_one_line(self, std5):
+        cert = Certificate(_w("u1\n u2", std5), _w("u2 \t u1", std5))
+        text = certificate_to_text(cert)
+        assert text == "model standard\ngenus 5\nstart u1 u2\nend u2 u1\n"
+        assert certificate_from_text(text) == cert
 
-        Each syllable recurs a few positions on, so several block lengths
-        are tried at almost every position.  The worst case of the block
-        rule is 32 lengths at every position, each compared in slices of at
-        most 64 syllables.  This word takes about 0.6 s to write and 0.1 s
-        to read on a 2-vCPU Xeon VM with Python 3.11.
-        """
-        model = SurfaceModel.standard(5)
-        rng = random.Random(5)
-        letters = (_LETTERS["u1"], _LETTERS["t2"])
-        syllables = tuple((letters[k % 2], rng.choice((-2, -1, 1, 2))) for k in range(10**5))
-        word = Word(model, syllables)
-        assert word.syllables == syllables
-        text = _grouped_text(syllables)
-        assert "(" in text and len(text) < len(format_word(word))
-        assert parse_word(text, model) == word
+    def test_long_product_loop_is_written_flat(self, std5):
+        # a product of products extends one flat record, so writing it does
+        # not recurse once per factor
+        block = _w("u1 u2", std5)
+        word = block
+        for k in range(5000):
+            word = word * (block.inverse() if k % 2 == 0 else block)
+        assert word == block
+        text = _grouped_text(word)
+        assert text.count("(u1 u2)^-1") == 2500
+        assert parse_word(text, std5) == block
+
+
+def _built_words(model):
+    """Words built by nesting ``*``, ``**`` (-4..4), ``inverse()`` and parse_word of their text."""
+
+    @st.composite
+    def build(draw):
+        pool = [draw(words_for(model, max_len=3)) for _ in range(2)]
+        for _ in range(draw(st.integers(1, 6))):
+            a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+            op = draw(st.sampled_from(("*", "**", "inverse", "parse")))
+            if op == "*":
+                pool.append(a * b)
+            elif op == "**":
+                pool.append(a ** draw(st.integers(-4, 4)))
+            elif op == "inverse":
+                pool.append(a.inverse())
+            else:
+                pool.append(parse_word(_grouped_text(a), model))
+        return pool[-1]
+
+    return build()
 
 
 def _pair_steps(step):
@@ -1278,27 +1300,27 @@ CERTIFICATE_SHA256 = {
 }
 
 
-# sha256 of certificate_to_text, as written (repeated blocks grouped at every
-# level), for the same roots.
+# sha256 of certificate_to_text, each word written as it was built, for the
+# same roots.
 GROUPED_CERTIFICATE_SHA256 = {
-    ("standard", 5, "u"): "bfd7d803b93113b9b9eed2b09882cb02c6544f1dbcdc55343d608e684597a634",
-    ("standard", 5, "y"): "5aedc3cc1d640bf2dfdc9fcfdf3d7de6f04b1b5d42f453de1f01ed492e718a6e",
-    ("standard", 6, "u"): "a292b36394dc3d0b3f0568b31196dc60d648ee5405b8ae0e5890f557803aa1f5",
-    ("standard", 6, "y"): "ac29fa48de76e5441faadfae272c1c239e615ec03dd4bf14950b7b37900ecfcd",
-    ("standard", 7, "u"): "72f243d3ec03759785698295c49496198ce78a769a0035f139cb9353aa3b5d30",
-    ("standard", 7, "y"): "a743c0c3070d1756f1e8218d9d9a8d81d708f06fa19378bc214baf9fd6470b72",
-    ("standard", 8, "u"): "ba696d304f35a4a757a34198b31e8cc516f3d5dc51a683eddbfe3d32c25f3fca",
-    ("standard", 8, "y"): "2dbbd76b0a5a601aadcedcc7c208bc8eef4f1b12845ec17a2b9aa2690ef4de19",
-    ("standard", 9, "u"): "427e42a4091d8700681e0d835a912c5d2ac57f1128934b74ca42e1c27139ebb9",
-    ("standard", 9, "y"): "16c068893b53dd896bb4c55b96d494030f723e272313258084345b94ed08386b",
-    ("standard", 10, "u"): "b87fdf73b487caaf69d58e8e56e25e736267d4d1cbcfc4c69b5ddef448eea26e",
-    ("standard", 10, "y"): "a9eeda06c03884a1ef3c962d8e18fb2345ce816c4d8c24fe8c92a0978a3cc4bb",
-    ("standard", 11, "u"): "8e83b635376114b4985933a556bc38ebb4ffcbe109884aeb1f0614af3db2a0d7",
-    ("standard", 11, "y"): "43792d315e7fb87920ca2188ac4cd98dce320cc3fce44a8c57ae15d7656e2e7f",
-    ("standard", 12, "u"): "b1456d190d8e34d4abd3b94efbcc5477610b0dd2efaa2590cdf1f16aefd9dfb8",
-    ("standard", 12, "y"): "bdbfade16eedc44bbfacf7a580f85c14571938b63e7d64e984f14652cdffdcc1",
-    ("standard", 13, "u"): "cf11749540623c4d0bb4852b6792ba85fa68167cacdc036428b5a8b9fd44b2ff",
-    ("standard", 13, "y"): "56ac9caab8fad92bd987b9c64301a6c005cd679aee4227415177b2814de0a94e",
+    ("standard", 5, "u"): "bcdbcb493f3a2d637e749828502084bb03b3404562631f968a475a5fd3daa168",
+    ("standard", 5, "y"): "bea88a53ed0fe37d7095f07d040f1593ec9376e53eae0824251b1faeeda77859",
+    ("standard", 6, "u"): "46ba5004fff6efc04114dc88a7cec274935e0770127518e1fd585a3b5c962a74",
+    ("standard", 6, "y"): "81536ed5583ed0b2e3bb5c6560d21f56efb105761e603b3e92da30300a2496e8",
+    ("standard", 7, "u"): "e6ad44c6f88dde62e901cfa30ccc15e72a887191e6ea08f77148718f3530b8c4",
+    ("standard", 7, "y"): "38c1b46f43169bad204bcb772bcf25b2ea55a1d35eea680848519f7def2724de",
+    ("standard", 8, "u"): "9555f0d7a483f12ffb0549a236550439e19c8798d064928b46ebd2375a6c96af",
+    ("standard", 8, "y"): "7cb5ec1ff3b07ec6ac7e0a8304768386ed91525147a8a97ded6be02d2822208e",
+    ("standard", 9, "u"): "d8f4eae2e675e1f761408ad3485e50898ea74cebf5c7ac46d75e8f27c3b98774",
+    ("standard", 9, "y"): "7ae369590a23c2ef6dd51600ee39ca8b08b7dad8ffe1e5934d73f2a7e4eff0b7",
+    ("standard", 10, "u"): "0b3c86c79ee3bb9414727f461e2fdeb02b6e3eca98d434a4b9153d15759eb447",
+    ("standard", 10, "y"): "46e48344d6012b9d6f2d1fda8e75803225a81928cab45abddd5531060c1fa4b4",
+    ("standard", 11, "u"): "73b78a8b2a70bcc849608d419778710ba5fe31981ba831b152bcbefd411167c9",
+    ("standard", 11, "y"): "328161583b31e68663bdb87d73c0e5eeb5bc47114e2ac55c42adafe42c8a5725",
+    ("standard", 12, "u"): "34e6738dae631d6bf94943e80825083b733894f11e029c88ea19ac2fbd23c71a",
+    ("standard", 12, "y"): "093dab0c7c9c3d884120b62ab72bb1cfdd85bfdce6df80ddb70af8b5d1bde29f",
+    ("standard", 13, "u"): "5c5ef84110e4d8234ea464a53c445a61fb2244862d4e6d2d85d23782068938da",
+    ("standard", 13, "y"): "38fd65318172fa60103de68cfe159d53a60123c837bd10f4e50226f87f229631",
     ("hybrid", 4, "u"): "84328ac13b34d7710363575e9c09aa5111bcc38089bfb6cdf476c252c4145c3c",
     ("hybrid", 4, "y"): "9041403a9675f17eead5626b729db4c06b39e4614c579c6840712da66b7e70ec",
     ("hybrid", 6, "u"): "04ef07519cef72ea035722a244bb6fbe1a19e3e5dde9aa00166567904ea7b657",
@@ -1351,28 +1373,28 @@ BRAID_CERTIFICATE_SHA256 = {
 
 # sha256 of certificate_to_text, as written, for the same braid roots.
 GROUPED_BRAID_CERTIFICATE_SHA256 = {
-    (5, 1): "bfd7d803b93113b9b9eed2b09882cb02c6544f1dbcdc55343d608e684597a634",
-    (5, 2): "2fee84cf5259fce45826381efb88b20fd2d4f8f85b790018aca7b5fb78918d86",
-    (5, 3): "a9bf46264e21a5533c26a44566a16b383c4b3fff3861c2e3083c274edaefc017",
-    (5, 4): "1d6ba0d271ae1f60717916baaa1e67a197285a0e04e5707cba4d5a4a97c15ecd",
-    (6, 1): "a292b36394dc3d0b3f0568b31196dc60d648ee5405b8ae0e5890f557803aa1f5",
-    (6, 2): "732f3540d84e3da0c7dcf3b9f15a57183df6c2cedfca8b3040628c7a68fb1218",
-    (6, 3): "eafd52ccaf9f1661103b2dea56d7158ed50faff72911d644a0f3eac784713f26",
-    (6, 4): "fed1779c5f28debdb64d109ddb8cfd623e6573ba1e053a79f7043f066cbd7766",
-    (6, 5): "b7086c6f281e28fac13e640474ce3678dae728f9a5dfe2a3290fae6481198ac2",
-    (7, 1): "72f243d3ec03759785698295c49496198ce78a769a0035f139cb9353aa3b5d30",
-    (7, 2): "9cf2d8a5915a34a324dbc198c760435b06ec069439f33b2541e3e241b90aeefe",
-    (7, 3): "77c882030da203717059529785d947615b54f7ddb42142e258a413e562be1779",
-    (7, 4): "02b3388d54dca3cd4c412851543a90224ea14042cd894ced8f47a3203fda43b0",
-    (7, 5): "f707e0375e5462ce42e06be5ebe9a88ef0c0bbf682f6a773e3da7f49795c1963",
-    (7, 6): "e1a5461f85c509d9316f3eea27eb493e4ee0cccc2a4c67b5ffbe00164ce24f11",
-    (8, 1): "ba696d304f35a4a757a34198b31e8cc516f3d5dc51a683eddbfe3d32c25f3fca",
-    (8, 2): "aadc2b76233b2f9487a3a41ad4c493795fd2cc7087efd753dc1ef6bf01a13c5c",
-    (8, 3): "42e7972df39d79dca5933c39098692d208ae0ece580f636e17b5be657099cc9f",
-    (8, 4): "d9452b385cee3e2920feb291216306d6586afd0bf05276c2334b7a247d45fa93",
-    (8, 5): "e370e0e28f5647f4e9292ab91c02f18691521472e3949e25d72efa0f3f11c241",
-    (8, 6): "cd249c55ca78d7e11e62360e6b867562c875da4d355a7c8d970370230af9fcd6",
-    (8, 7): "f2c9cdf99f41814442eaedb897fb667fcf84f980ade05cc1f3970533ca9b01fb",
+    (5, 1): "bcdbcb493f3a2d637e749828502084bb03b3404562631f968a475a5fd3daa168",
+    (5, 2): "3f72822ef37d6015ad1c6e17916b308ab0cddb7025614dc6d8d792a1e19acedb",
+    (5, 3): "392a34049dc8f1a1a96de706b23d908379b152759fb4bb8c23573a75fefdb732",
+    (5, 4): "668deb4664058db496850249700a0c9ae1db3b41461a354b6facf5e0c92436ba",
+    (6, 1): "46ba5004fff6efc04114dc88a7cec274935e0770127518e1fd585a3b5c962a74",
+    (6, 2): "d8bb83981c346af604944f84bec25c7354b3d699b17940f080bd1f6d937c6a8a",
+    (6, 3): "c4c27af9d47441fae9b74f9be08f627f64b1e6be00105580bc6b491928999310",
+    (6, 4): "44eddc4d2ff2c6b592a3f7f7b3aad590485557d5f85045826b59f2fc5089347c",
+    (6, 5): "3ec7d271e8d19627d1030539729a8844b40dd6f26519c8ae3d9715827028c27f",
+    (7, 1): "e6ad44c6f88dde62e901cfa30ccc15e72a887191e6ea08f77148718f3530b8c4",
+    (7, 2): "9a6bd6cc0d8d12297d1df343311b3f1164ac56179cb3b137af708d8b555fa774",
+    (7, 3): "40d7c34417db6884f147881a1066de13f8e896d3e8569a19c8e5d914de58361f",
+    (7, 4): "c1e9cd7c65ecdb5b00a208c2cfa37d41a5d9faebcbef8e8ee006ee4a3d0fc94a",
+    (7, 5): "2a03251dcfb19a4e0b4f54d145b40d0af859a80826bfead72f6f3e2b61558a88",
+    (7, 6): "3bebb46b7ac3ee29906bb7b8ebad1c67754f670ca8baba4b21996bd5d5beb2ce",
+    (8, 1): "9555f0d7a483f12ffb0549a236550439e19c8798d064928b46ebd2375a6c96af",
+    (8, 2): "aed10bdfdae0e47021bf01826a1877615a5849766e1af80ab5392142a98a8681",
+    (8, 3): "d9eab9fd2fa6b39c1ca1e118405f76acf0042b42513898a7e68ae16eb5605cd5",
+    (8, 4): "6770467d2cdbdca84163bd77d4edca1c779d6eb1cfa19fafbefe3f973b576b3a",
+    (8, 5): "404874a507eb8d8f79e78b039494a0b47b5d280acf802bf3de44eb104e1f1eaf",
+    (8, 6): "d78e254c96061239f410f6c58ded864987946a9058d211f49453d308edfa1dcc",
+    (8, 7): "936f32fa534cf204906451250163710fc3846e209a083d71b437f494258ab9b9",
 }
 
 
@@ -1387,18 +1409,27 @@ def test_braid_certificate_text_is_byte_stable(punctures, index):
 @pytest.mark.parametrize(
     "certificate, line",
     [
-        (lambda: construct_root(RootRequest(5, "u", "nonorientable")), "start (u4^-1 u3^-1 u1)^3"),
+        (lambda: construct_root(RootRequest(5, "u", "nonorientable")), "start ((u3 u4)^-1 u1)^3"),
         (
             lambda: construct_root(RootRequest(7, "u", "nonorientable")),
-            "start ((u6^-1 u5^-1 u4^-1 u3^-1)^2 u1)^5",
+            "start ((u3 u4 u5 u6)^-2 u1)^5",
         ),
-        (lambda: construct_braid_root(5, 2), "start u1 u2 (u1 u4^-1 u3^-1)^3 u2^-1 u1^-1"),
+        (lambda: construct_root(RootRequest(6, "u", "orientable")), "start ((c1 c2 c3 c4)^6 u1^-1)^5"),
+        (
+            lambda: construct_braid_root(5, 2),
+            "start (u1 u2 u3 u4 (u3 u4)^-1 u1 (u1 u2 u3 u4)^-1)^3",
+        ),
         (
             lambda: construct_braid_root(6, 2),
-            "start u1 u2 (u3^-1 u1 u5^-1 u4^-1 u3^-1)^3 u2^-1 u1^-1",
+            "start (u1 u2 u3 u4 u5 (u3^2 u4 u5)^-1 u1 (u1 u2 u3 u4 u5)^-1)^3",
+        ),
+        (
+            lambda: construct_braid_root(11, 10),
+            "start ((u1 u2 u3 u4 u5 u6 u7 u8 u9 u10)^9 (u3 u4 u5 u6 u7 u8 u9 u10)^-4 u1"
+            " (u1 u2 u3 u4 u5 u6 u7 u8 u9 u10)^-9)^9",
         ),
     ],
-    ids=["standard-5-u", "standard-7-u", "braid-5-2", "braid-6-2"],
+    ids=["standard-5-u", "standard-7-u", "hybrid-6-u", "braid-5-2", "braid-6-2", "braid-11-10"],
 )
 def test_grouped_start_lines(certificate, line):
     assert certificate_to_text(certificate().certificate).split("\n")[2] == line
@@ -1428,10 +1459,10 @@ PER_SWAP_SHA256 = {
 
 # sha256 of certificate_to_text of the same per-swap certificates, as written.
 GROUPED_PER_SWAP_SHA256 = {
-    ("standard", 5, "u"): "a860e79d90375ba478631fe6f7382dafc7059c7ef95b01bae7f596d0bb3357cb",
-    ("standard", 6, "y"): "27700b1e8ccd0b347f41fc317895682e1653801490ffd068785858b55435ad00",
+    ("standard", 5, "u"): "892ac3e274c259c95249865e68253cbe97a740258568e03c8901c275a75d6ed0",
+    ("standard", 6, "y"): "1d357d39578166e256d05ff71f5280024b8f3847f7383724deb18cce8db5df3e",
     ("hybrid", 4, "y"): "85bc4f31f51d0fedfd403fb7535292516117556eef38f50a296225d182026022",
-    ("braid", 6, 3): "06d7a8d8578a2e450bd0c560d6c8faef17b8a114a4c63e1d0f6ca4efe50813fe",
+    ("braid", 6, 3): "397b3e72b6b3b2c0ca80f6579a1ab51b0b110bf03ddac31f33749761ff7a91dd",
 }
 
 
@@ -1519,58 +1550,12 @@ def test_braid_certificates_with_blocks_round_trip(punctures, index):
 
 
 def test_largest_braid_certificate_is_short():
-    # braid (50, 49): 2 679 steps and 75 644 bytes with one line per pair and
-    # the core written out past 64-syllable blocks, 330 steps and 16 871
-    # bytes with one move and one merge line per gather round; the core is a
-    # power whose 1 083-syllable copies share their end letter and so merge
-    # at the seams
+    # braid (50, 49): 2 679 steps and 75 644 bytes with one line per pair,
+    # 330 steps and 16 871 bytes with one move and one merge line per gather
+    # round; the start (rho D^p u1 rho^-1)^m, written as built, is 587
+    # bytes (1 217 when grouped by a search for repeated blocks)
     certificate = construct_braid_root(50, 49).certificate
     text = certificate_to_text(certificate)
     assert len(certificate.steps) == 239
-    assert len(text.split("\n")[2]) == 1217 and len(text) == 14939
+    assert len(text.split("\n")[2]) <= 600 and len(text) == 14309
 
-
-class TestPowerBase:
-    def test_whole_power(self, std5):
-        core = _w("u1 u2^-1 u1 u2^-1 u1 u2^-1", std5).syllables
-        assert _power_base(core) == (core[:2], 3)
-
-    def test_copies_joined_at_their_seams(self, std5):
-        block = _w("u1^2 u2 u3 u1^-1", std5).syllables
-        core = _power(block, 4)
-        assert len(core) == 4 * 3 + 1
-        assert _power_base(core) == (block, 4)
-        assert _grouped_text(core) == "(u1^2 u2 u3 u1^-1)^4"
-
-    @pytest.mark.parametrize(
-        "text",
-        # the ends' exponents miss the seam's sum; copies differ in one syllable
-        ["u1^2 u2 u3 u1^-1 u2 u3 u1^2", "u1 u2 u3 u1^2 u4 u3 u1", "u1 u2 u3 u1^2 u2 u4 u1"],
-    )
-    def test_no_power(self, text, std5):
-        core = _w(text, std5).syllables
-        assert _power_base(core) == (core, 1)
-        assert _grouped_text(core) == text
-
-    @settings(max_examples=200)
-    @given(
-        standard_models(3, 6).flatmap(
-            lambda m: st.tuples(
-                words_for(m, max_len=4), st.sampled_from(m.letters()), st.integers(2, 5)
-            )
-        ),
-        st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda e: 0 not in e and sum(e)),
-    )
-    def test_seam_joined_powers_round_trip(self, data, ends):
-        # x^a m x^c with a + c != 0 has no conjugator, and its powers join
-        # their copies at x^(a+c); the grouped text writes one copy
-        m, x, r = data
-        block = Word(m.model, ((x, ends[0]),) + m.syllables + ((x, ends[1]),)).syllables
-        if len(block) < 3 or block[0][0] != block[-1][0] or block[0][1] + block[-1][1] == 0:
-            return
-        core = _power(block, r)
-        base, copies = _power_base(core)
-        assert copies >= r and _power(base, copies) == core
-        text = _grouped_text(core)
-        assert text.startswith("(") and parse_word(text, m.model).syllables == core
-        assert len(text) < len(_format_syllables(core))

@@ -459,6 +459,30 @@ class TestGroupOperations:
         assert all(e != 0 for _, e in w.syllables)
 
 
+class TestBuildRecord:
+    def test_the_record_is_not_a_field(self, std5):
+        built = parse_word("u1 u2", std5) ** 3
+        plain = Word(std5, built.syllables)
+        assert built == plain and hash(built) == hash(plain) and repr(built) == repr(plain)
+        assert words._grouped_text(built) == "(u1 u2)^3"
+        assert words._grouped_text(plain) == format_word(plain)
+        for copied in (pickle.loads(pickle.dumps(built)), copy.copy(built), built._replace()):
+            assert copied == built and words._grouped_text(copied) == format_word(built)
+
+    def test_powers_and_products_are_written_as_built(self, std5):
+        base = parse_word("u1 \t u2", std5)
+        assert words._grouped_text(base) == "u1 u2"
+        assert words._grouped_text((base**2) ** -3) == "(u1 u2)^-6"
+        assert words._grouped_text((base**2).inverse()) == "(u1 u2)^-2"
+        # a product keeps its factors as built, though they cancel
+        product = base**1 * base.inverse() ** 2
+        assert product == base.inverse()
+        assert words._grouped_text(product) == "u1 u2 (u1 u2)^-2"
+        # at most one syllable is written out
+        assert words._grouped_text(parse_word("u1 u1", std5)) == "u1^2"
+        assert words._grouped_text(base * base.inverse()) == ""
+
+
 class TestTextFormat:
     def test_format_examples(self, std5):
         assert format_word(parse_word("u1^1", std5)) == "u1"
