@@ -362,10 +362,7 @@ class SchemaStep(_Record):
 
     def __init__(self, position: int, schema: str, params: tuple, forward: bool = True):
         _check_position("step", position)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "forward", forward)
+        super().__init__(position, schema, params, forward)
 
 
 class FreeStep(_Record):
@@ -379,10 +376,7 @@ class FreeStep(_Record):
         _check_position("free", position)
         if exponent == 0:
             raise CertificateError("free exponent must be nonzero")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "letter", letter)
-        object.__setattr__(self, "exponent", exponent)
+        super().__init__(op, position, letter, exponent)
 
 
 class MoveStep(_Record):
@@ -399,9 +393,7 @@ class MoveStep(_Record):
         _check_position("move", position)
         if length < 1:
             raise CertificateError(f"move length must be >= 1, got {length}")
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "forward", forward)
+        super().__init__(position, length, forward)
 
 
 class GatherStep(_Record):
@@ -421,10 +413,7 @@ class GatherStep(_Record):
             raise CertificateError(f"gather length must be >= 1, got {length}")
         if copies < 2:
             raise CertificateError(f"gather copies must be >= 2, got {copies}")
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "copies", copies)
-        object.__setattr__(self, "forward", forward)
+        super().__init__(position, length, copies, forward)
 
 
 class BlockStep(_Record):
@@ -445,9 +434,7 @@ class BlockStep(_Record):
             raise CertificateError(f"a block needs 2 or more syllables, got {len(syllables)}")
         if _reduce_syllables(syllables) != syllables:
             raise CertificateError(f"block word {_format_syllables(syllables)} is not reduced")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "syllables", syllables)
+        super().__init__(op, position, syllables)
 
 
 RewriteStep = Union[SchemaStep, FreeStep, MoveStep, GatherStep, BlockStep]

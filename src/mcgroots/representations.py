@@ -198,19 +198,11 @@ class CrosscapPermutation(_Record):
     def identity(cls, g: int) -> "CrosscapPermutation":
         return cls(tuple(range(g)))
 
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(len(self.images)))
-
     def __mul__(self, other: "CrosscapPermutation") -> "CrosscapPermutation":
         """Composition ``self`` after ``other``."""
         if not isinstance(other, CrosscapPermutation):
             return NotImplemented
-        if other.degree != self.degree:
+        if len(other.images) != len(self.images):
             raise ValueError("degree mismatch")
         return CrosscapPermutation(tuple(self.images[k] for k in other.images))
 
@@ -220,16 +212,8 @@ class CrosscapPermutation(_Record):
         if n < 0:
             raise ValueError("no negative permutation powers; power the inverse word's image")
         if not n:
-            return CrosscapPermutation.identity(self.degree)
+            return CrosscapPermutation.identity(len(self.images))
         return _binary_power(self, n, CrosscapPermutation.__mul__)
-
-    def order(self) -> int:
-        acc = self
-        n = 1
-        while not acc.is_identity:
-            acc = acc * self
-            n += 1
-        return n
 
 
 def sign_of(word: Word) -> int:

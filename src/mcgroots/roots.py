@@ -261,9 +261,13 @@ def is_nontrivial(root: Word, target: Word) -> bool:
         return False
     if root.model.is_hybrid:
         return any(letter.kind == "c" for letter, _ in root.syllables)
-    p_root = perm_of(root)
-    p_target = perm_of(target)
-    return all(p_root != p_target ** k for k in range(p_target.order()))
+    p_root, p_target = perm_of(root), perm_of(target)
+    one = power = p_target ** 0
+    while power != p_root:  # walk the target's powers until they cycle back to one
+        power = power * p_target
+        if power == one:
+            return True
+    return False
 
 
 def _verdict(ok: bool) -> str:

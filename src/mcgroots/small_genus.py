@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from .representations import IntMatrix, _times, homology_of
-from .words import Word, _OrderedRecord, _Record
+from .words import Word, _Record
 
 __all__ = [
     "Gl2Certification",
@@ -41,7 +41,7 @@ __all__ = [
 _KLEIN_LABELS = ("1", "t", "y", "ty")
 
 
-class KleinFourElement(_OrderedRecord):
+class KleinFourElement(_Record):
     """Element of Z2 x Z2 written multiplicatively over generators t, y."""
 
     __slots__ = ("label",)

@@ -52,7 +52,7 @@ instead (see :class:`Word` and :func:`_grouped_text`).
 from __future__ import annotations
 
 import re
-from operator import attrgetter, ge, gt, le, lt
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -100,11 +100,11 @@ class _Record:
     checks the values and passes them to this ``__init__``.  Assigning or
     deleting a field afterwards raises ``AttributeError``.  Records of one
     class are equal, and hash alike, when their fields are; ``repr`` and
-    pickling go through the fields.  The records built most (letters,
-    models, words and certificate steps) set their fields through
-    ``object.__setattr__`` themselves, and letters, compared most, write
-    their own ``__eq__`` and ``__hash__``: the generic methods here, shared
-    by every class, run about 1.5 times slower.
+    pickling go through the fields.  The records built most (models and
+    words) set their fields through ``object.__setattr__`` themselves, and
+    letters, compared most, write their own ``__eq__`` and ``__hash__``:
+    the generic methods here, shared by every class, run about 1.5 times
+    slower.
 
     These are plain classes, not frozen dataclasses, because importing
     :mod:`dataclasses` and generating the records' methods took about 25 ms
@@ -147,22 +147,6 @@ class _Record:
         """This record with ``changes`` to its fields, built through the class's checks."""
         fields = {name: getattr(self, name) for name in self._fields}
         return type(self)(**{**fields, **changes})
-
-
-def _ordering(op):
-    def compare(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return op(self._key(self), self._key(other))
-
-    return compare
-
-
-class _OrderedRecord(_Record):
-    """A record ordered by its fields, compared in order."""
-
-    __slots__ = ()
-    __lt__, __le__, __gt__, __ge__ = map(_ordering, (lt, le, gt, ge))
 
 
 class WordError(ValueError):
@@ -235,12 +219,12 @@ class SurfaceModel(_Record):
         return tuple(out)
 
 
-class GeneratorLetter(_OrderedRecord):
+class GeneratorLetter(_Record):
     """A single generator symbol: kind in {t, u, y, c} plus a 1-based index.
 
-    The hash is computed on first use and kept: memo caches keyed by
-    letters hash them on every lookup.  The text is kept too, since words
-    are printed a letter at a time.
+    The hash is kept: memo caches keyed by letters hash them on every
+    lookup.  The text is kept too, since words are printed a letter at a
+    time.
     """
 
     __slots__ = ("kind", "index", "_hash", "_text")
@@ -250,8 +234,8 @@ class GeneratorLetter(_OrderedRecord):
             raise WordError(f"unknown letter kind {kind!r}")
         if not isinstance(index, int) or index < 1:
             raise WordError(f"letter index must be a positive integer, got {index!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
+        super().__init__(kind, index)
+        object.__setattr__(self, "_hash", hash((kind, index)))
         object.__setattr__(self, "_text", f"{kind}{index}")
 
     def __eq__(self, other):
@@ -260,11 +244,7 @@ class GeneratorLetter(_OrderedRecord):
         return self.kind == other.kind and self.index == other.index
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.kind, self.index)))
-            return self._hash
+        return self._hash
 
     def __str__(self) -> str:
         return self._text
@@ -431,26 +411,30 @@ def _factors(word: Word) -> tuple[Word, ...]:
     return source if source.__class__ is tuple and not _is_power(source) else (word,)
 
 
-def _grouped_text(word: Word) -> str:
+def _grouped_text(word: Word, depth: int = 8) -> str:
     """The text of ``word`` as it was built (see :class:`Word`); it parses back to ``word``.
 
     A parsed word is written as its text, a power ``(base)^n`` (``base``
     alone for ``n = 1``) and a product as its factors side by side, each
-    written the same way.  A word with no record, or with at most one
-    syllable, is written by :func:`format_word`.  Parsing the text gives
-    back the same syllables: the parser reads ``(T)^n`` as the power and
-    juxtaposition as the product of what it reads, and free reduction is
-    canonical, so it ends where ``**`` and ``*`` ended.
+    written the same way, down to ``depth`` levels of the record.  A word
+    past that depth, with no record, or with at most one syllable, is
+    written by :func:`format_word`.  The builders' words nest at most 4
+    levels (the root start ``((D)^p X^q)^m``), and a record built in a
+    loop is written flat below the depth, far under the parser's nesting
+    limit.  Parsing the text gives back the same syllables: the parser
+    reads ``(T)^n`` as the power and juxtaposition as the product of what
+    it reads, and free reduction is canonical, so it ends where ``**`` and
+    ``*`` ended.
     """
     source = getattr(word, "_source", None)
-    if source is None or len(word.syllables) < 2:
+    if source is None or len(word.syllables) < 2 or not depth:
         return format_word(word)
     if source.__class__ is str:
         return source
     if not _is_power(source):
-        return " ".join(filter(None, map(_grouped_text, source)))
+        return " ".join(filter(None, (_grouped_text(factor, depth - 1) for factor in source)))
     base, n = source
-    text = _grouped_text(base)
+    text = _grouped_text(base, depth - 1)
     return text if n == 1 else f"({text})^{n}"
 
 

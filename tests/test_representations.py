@@ -178,10 +178,10 @@ class TestCrosscapPermutation:
         assert (t2 * t1).images == (2, 0, 1)
 
     def test_inverse_and_order(self):
-        cycle = _swap(3, 1) * _swap(3, 2)
-        assert cycle.order() == 3
-        assert (cycle * cycle**2).is_identity
-        assert CrosscapPermutation.identity(5).order() == 1
+        cycle, one = _swap(3, 1) * _swap(3, 2), CrosscapPermutation.identity(3)
+        assert cycle != one and cycle**2 != one and cycle**3 == one
+        assert cycle * cycle**2 == one == cycle**2 * cycle
+        assert CrosscapPermutation.identity(5) == CrosscapPermutation((0, 1, 2, 3, 4))
 
     def test_pow_matches_repeated_products(self):
         t1, t3 = _swap(4, 1), _swap(4, 3)
@@ -228,10 +228,10 @@ class TestSign:
 class TestPermutationOracle:
     def test_transpositions_and_even_exponents(self, std5):
         assert perm_of(_w("u2", std5)).images == (0, 2, 1, 3, 4)
-        assert perm_of(_w("u2^2", std5)).is_identity
+        assert perm_of(_w("u2^2", std5)) == CrosscapPermutation.identity(5)
         assert perm_of(_w("t2", std5)) == perm_of(_w("u2", std5))
         assert perm_of(_w("t1^7", std5)).images == (1, 0, 2, 3, 4)
-        assert perm_of(_w("y2^3", std5)).is_identity
+        assert perm_of(_w("y2^3", std5)) == CrosscapPermutation.identity(5)
 
     def test_is_the_homology_blocks_mod_2(self):
         # each letter's block reduces mod 2 to its action on H1(N_g; Z/2):
@@ -252,14 +252,18 @@ class TestPermutationOracle:
         for g in range(3, 9):
             m = SurfaceModel.standard(g)
             delta = _w(" ".join(f"u{i}" for i in range(1, g)), m)
-            assert perm_of(delta).order() == g
-            assert perm_of(delta**g).is_identity
+            one = CrosscapPermutation.identity(g)
+            powers = [perm_of(delta) ** k for k in range(1, g + 1)]
+            assert powers[-1] == one and one not in powers[:-1]
+            assert perm_of(delta**g) == one
 
     def test_stabilized_rotation_has_order_genus_minus_one(self):
         for g in range(3, 9):
             m = SurfaceModel.standard(g)
             w = _w("u1^2 " + " ".join(f"u{i}" for i in range(2, g)), m)
-            assert perm_of(w).order() == g - 1
+            one = CrosscapPermutation.identity(g)
+            powers = [perm_of(w) ** k for k in range(1, g)]
+            assert powers[-1] == one and one not in powers[:-1]
 
     def test_rejects_hybrid(self, hyb6):
         with pytest.raises(WordError):
@@ -281,7 +285,7 @@ class TestPermutationOracle:
         # letters act left to right, so images compose contravariantly
         _, a, b = data
         assert perm_of(a * b) == perm_of(a) * perm_of(b)
-        assert (perm_of(a.inverse()) * perm_of(a)).is_identity
+        assert perm_of(a.inverse()) * perm_of(a) == CrosscapPermutation.identity(a.model.genus)
 
 
 class TestHomologyMatrices:

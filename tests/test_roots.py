@@ -252,6 +252,16 @@ class TestNontriviality:
         # t1 u1 has the same crosscap permutation as u1, so no witness exists
         assert not is_nontrivial(_w("t1 u1", std5), _w("u1", std5))
 
+    @pytest.mark.parametrize("genus, target, other", [(5, "y1", "u2"), (6, "u3", "u1 u3")])
+    def test_both_exits_of_the_power_walk(self, genus, target, other):
+        # y1 fixes every crosscap, so the walk over its powers stops at once;
+        # u3 swaps crosscaps 3 and 4, so its powers cycle back after two
+        model = SurfaceModel.standard(genus)
+        x = _w(target, model)
+        for k in range(-3, 4):
+            assert not is_nontrivial(x**k, x)
+        assert is_nontrivial(_w(other, model), x)
+
     def test_hybrid_uses_chain_letters(self, hyb6):
         u1 = _w("u1", hyb6)
         assert is_nontrivial(_w("c1 u1", hyb6), u1)
