@@ -400,7 +400,20 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run :func:`main` and exit with its code; a reader that closes stdout early gets exit 1.
+
+    The flush inside the ``try`` raises a closed pipe here, not at
+    interpreter exit, and pointing stdout at ``os.devnull`` keeps the
+    exit's own flush quiet (the recipe of the Python ``signal`` docs).
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

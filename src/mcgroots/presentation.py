@@ -58,7 +58,9 @@ current (not necessarily reduced) working sequence and come in five forms:
   instance by the other side (``forward``: lhs -> rhs); an occurrence of
   the formal inverse of the pattern is likewise accepted and replaced by
   the inverse of the other side, which is sound since ``L = R`` entails
-  ``L^-1 = R^-1``;
+  ``L^-1 = R^-1``.  The inverse sides are stored with the instance the
+  first time a step compares a window with them, so a replay inverts
+  each side at most once while the instance memo holds it;
 * free steps perform free-group bookkeeping: ``insert``/``delete`` a
   canceling syllable pair, ``merge`` two adjacent equal-letter syllables,
   ``split`` one syllable in two.  ``merge`` and ``split`` carry the
@@ -72,13 +74,14 @@ current (not necessarily reduced) working sequence and come in five forms:
 * move steps carry one syllable past a block of ``len`` syllables:
   ``fwd`` moves the syllable at ``pos`` right past the next ``len``, and
   ``bwd`` moves the syllable at ``pos + len`` left to ``pos``.  Replay
-  checks the moving syllable against each one it passes with
-  :func:`commute_step`, so a move is exactly the run of commutation
-  steps it abbreviates; flipping the direction inverts it;
+  checks the moving syllable against each one it passes with the side
+  conditions of :func:`commute_step`'s instance, without building the
+  step, so a move is exactly the run of commutation steps it
+  abbreviates; flipping the direction inverts it;
 * gather steps collect ``copies`` periods ``A x^e``, ``A`` being the
   ``len`` syllables at ``pos``: ``fwd`` turns ``(A x^e)^copies`` into
   ``A^copies x^(e·copies)``, checked by one comparison with the first
-  period and a :func:`commute_step` check of ``x`` against each
+  period and the same commutation check of ``x`` against each
   distinct letter of ``A``; ``bwd`` turns ``A^copies x^E`` back into
   ``(A x^(E/copies))^copies``.  A gather is exactly its rounds ``move
   pos+kL L fwd``, ``free merge pos+(k+1)L x k·e`` (``L = len``, ``k =
@@ -202,9 +205,14 @@ class CertificateError(ValueError):
 
 
 class RelationInstance(_Record):
-    """One concrete relation ``lhs = rhs`` of a model's presentation."""
+    """One concrete relation ``lhs = rhs`` of a model's presentation.
 
-    __slots__ = ("schema", "params", "model", "lhs", "rhs")
+    The private slot ``_inverses`` keeps the syllables of ``lhs^-1`` and
+    ``rhs^-1`` once a step first compares a window with them (see
+    :func:`_inverse_sides`); it is not a field.
+    """
+
+    __slots__ = ("schema", "params", "model", "lhs", "rhs", "_inverses")
 
     def __init__(self, schema: str, params: tuple, model: SurfaceModel, lhs: Word, rhs: Word):
         super().__init__(schema, params, model, lhs, rhs)
@@ -217,16 +225,18 @@ def _require(condition: bool, message: str) -> None:
 
 def boundary_identity(model: SurfaceModel) -> tuple[str, Word, int] | None:
     """``(schema, D, m)`` of the model's boundary identity ``u_1^2 = D^m``, if any."""
+    # every block letter lies in the model's alphabet, and no two neighbours share one
     g = model.genus
     if model.is_hybrid:
-        chain = Word(model, ((_letter("c", k), 1) for k in range(1, g - 1)))
+        chain = Word._of(model, tuple((_letter("c", k), 1) for k in range(1, g - 1)))
         return "R7chain", chain ** 2, g - 1
     if g % 2:
-        return "R6closed-odd", Word(model, ((_letter("u", k), 1) for k in range(3, g))), g - 2
+        chain = Word._of(model, tuple((_letter("u", k), 1) for k in range(3, g)))
+        return "R6closed-odd", chain, g - 2
     if g >= 6:
         head = ((_letter("u", 3), 2),)
         tail = tuple((_letter("u", k), 1) for k in range(4, g))
-        return "R6closed-even", Word(model, head + tail), g - 3
+        return "R6closed-even", Word._of(model, head + tail), g - 3
     return None
 
 
@@ -278,19 +288,12 @@ def _build_instance(schema: str, params: tuple, genus: int, model_kind: str) -> 
     model = SurfaceModel(genus, model_kind)
     g = model.genus
 
-    kinds = _COMMUTING_KINDS.get(schema)
-    if kinds is not None:
+    if schema in _COMMUTING_KINDS:
         p, q, a, b = params
-        x = _letter(p, 1) if spec[0] == "k" else _letter(kinds[0], p)
-        z = _letter(kinds[1], q)
-        _require(model.admits(x) and model.admits(z), f"{schema}: {x} or {z} is not admissible")
-        # a chain twist misses the Klein bottle; other letters need |i - j| > 1
-        disjoint = (x.kind == "c") != (z.kind == "c") or abs(x.index - z.index) > 1
-        _require(disjoint, f"{schema} needs disjoint supports, but {x} and {z} meet")
-        _require(x.kind != z.kind or x.index < z.index, f"{schema} needs i < j")
+        x, z = _commuting_letters(schema, p, q, model)
         _require(a != 0 and b != 0, f"{schema} exponents must be nonzero")
-        lhs = Word(model, ((x, a), (z, b)))
-        rhs = Word(model, ((z, b), (x, a)))
+        lhs = Word._of(model, ((x, a), (z, b)))
+        rhs = Word._of(model, ((z, b), (x, a)))
     elif schema == "R2":
         (i,) = params
         _require(i <= g - 2, f"R2 needs 1 <= i <= {g - 2}")
@@ -326,6 +329,29 @@ def _build_instance(schema: str, params: tuple, genus: int, model_kind: str) -> 
     else:  # pragma: no cover - SCHEMA_IDS and dispatch agree
         raise SchemaError(f"unhandled schema {schema!r}")
     return RelationInstance(schema, params, model, lhs, rhs)
+
+
+def _commuting_letters(
+    schema: str, p: int | str, q: int, model: SurfaceModel
+) -> tuple[GeneratorLetter, GeneratorLetter]:
+    """The letters ``x``, ``z`` of the commutation ``schema`` with letter parameters ``p``, ``q``.
+
+    Raises :class:`SchemaError` unless both letters are admissible, their
+    supports are disjoint and, for one kind, ``x`` has the lower index:
+    the one statement of when two letters commute.  A message is built
+    only when its check fails.
+    """
+    kinds = _COMMUTING_KINDS[schema]
+    x = _letter(p, 1) if _SCHEMAS[schema][0][0] == "k" else _letter(kinds[0], p)
+    z = _letter(kinds[1], q)
+    if not (model.admits(x) and model.admits(z)):
+        raise SchemaError(f"{schema}: {x} or {z} is not admissible")
+    # a chain twist misses the Klein bottle; other letters need |i - j| > 1
+    if (x.kind == "c") == (z.kind == "c") and abs(x.index - z.index) <= 1:
+        raise SchemaError(f"{schema} needs disjoint supports, but {x} and {z} meet")
+    if x.kind == z.kind and x.index >= z.index:
+        raise SchemaError(f"{schema} needs i < j")
+    return x, z
 
 
 def relation_catalog(model: SurfaceModel) -> tuple[RelationInstance, ...]:
@@ -447,6 +473,18 @@ def invert_step(step: RewriteStep) -> RewriteStep:
     return step._replace(forward=not step.forward)
 
 
+def _inverse_sides(inst: RelationInstance) -> tuple[tuple[Syllable, ...], tuple[Syllable, ...]]:
+    """The syllables of ``lhs^-1`` and ``rhs^-1``, inverted at the first call and kept.
+
+    They live as long as the instance, so the instance memo keeps them too.
+    """
+    inverses = getattr(inst, "_inverses", None)
+    if inverses is None:
+        inverses = (_inverse_syllables(inst.lhs.syllables), _inverse_syllables(inst.rhs.syllables))
+        object.__setattr__(inst, "_inverses", inverses)
+    return inverses
+
+
 def _apply_schema_step(state: list[Syllable], step: SchemaStep, model: SurfaceModel) -> None:
     try:
         inst = instantiate(step.schema, step.params, model)
@@ -460,12 +498,17 @@ def _apply_schema_step(state: list[Syllable], step: SchemaStep, model: SurfaceMo
     pos = step.position
     if pos > len(state):
         raise CertificateError(f"step position {pos} out of range 0..{len(state)}")
-    found = tuple(state[pos : pos + len(pattern)])
+    end = pos + len(pattern)
+    found = tuple(state[pos:end])
     if found == pattern:
-        state[pos : pos + len(pattern)] = list(replacement)
+        state[pos:end] = replacement
         return
-    if pattern and found == _inverse_syllables(pattern):
-        state[pos : pos + len(pattern)] = list(_inverse_syllables(replacement))
+    inverse_lhs, inverse_rhs = _inverse_sides(inst)
+    inverse_pattern, inverse_replacement = (
+        (inverse_lhs, inverse_rhs) if step.forward else (inverse_rhs, inverse_lhs)
+    )
+    if found == inverse_pattern:
+        state[pos:end] = inverse_replacement
         return
     raise CertificateError(
         f"occurrence mismatch at position {pos}: expected {_format_syllables(pattern)}"
@@ -536,9 +579,35 @@ def _check_commuting(x: GeneratorLetter, z: GeneratorLetter, genus: int, model_k
     """Raise the :class:`SchemaError` of :func:`commute_step` unless the pair ``x z`` swaps.
 
     A working state has no zero exponent, and commutation asks nothing more
-    of the exponents, so the pair's letters decide.
+    of the exponents, so the pair's letters decide.  The check builds no
+    step, instance or word: it runs the side conditions of the instance
+    :func:`commute_step` would build (:func:`_commuting_letters`).
     """
-    commute_step(((x, 1), (z, 1)), 0, SurfaceModel(genus, model_kind))
+    model = SurfaceModel(genus, model_kind)
+    schema, _, p, q = _commutation(x, z, model)
+    _commuting_letters(schema, p, q, model)
+
+
+def _commutation(
+    x: GeneratorLetter, z: GeneratorLetter, model: SurfaceModel
+) -> tuple[str, bool, int | str, int]:
+    """The commutation schema that swaps the pair ``x z``, its direction and letter parameters.
+
+    The kinds of the pair, in order, name the schema; kinds that do so only
+    reversed, or an R1 pair with the higher index first, give the backward
+    step, whose parameters are those of ``z x``.  Raises
+    :class:`SchemaError` when the model has no commutation schema for the
+    pair.
+    """
+    schema = _COMMUTING.get((x.kind, z.kind))
+    forward = schema is not None and (x.kind != z.kind or x.index < z.index)
+    first, second = (x, z) if forward else (z, x)
+    if not forward:
+        schema = _COMMUTING.get((first.kind, second.kind))
+    spec, home = _SCHEMAS.get(schema, ("", None))
+    if home != model.kind:
+        raise SchemaError(f"no commutation schema for the pair {x}, {z}")
+    return schema, forward, first.kind if spec[0] == "k" else first.index, second.index
 
 
 def _blocked(
@@ -677,25 +746,15 @@ def replay_certificate(certificate: Certificate) -> tuple[Syllable, ...]:
 def commute_step(state: Sequence[Syllable], position: int, model: SurfaceModel) -> SchemaStep:
     """The schema step that swaps the syllables ``state[position]``, ``state[position + 1]``.
 
-    The kinds of the pair, in order, name its commutation schema of the
-    model; kinds that do so only reversed, or an R1 pair with the higher
-    index first, give the backward step.  ``position`` must have a right
-    neighbour and the instance must meet its side conditions; otherwise
-    :class:`SchemaError` is raised.
+    The schema and direction are those of :func:`_commutation`.
+    ``position`` must have a right neighbour and the instance must meet
+    its side conditions; otherwise :class:`SchemaError` is raised.
     """
     if not 0 <= position < len(state) - 1:
         raise SchemaError(f"position {position} has no right neighbour in {len(state)} syllables")
-    first, second = state[position], state[position + 1]
-    (x, a), (z, b) = first, second
-    schema = _COMMUTING.get((x.kind, z.kind))
-    forward = schema is not None and (x.kind != z.kind or x.index < z.index)
-    if not forward:
-        (x, a), (z, b) = second, first
-        schema = _COMMUTING.get((x.kind, z.kind))
-    spec, home = _SCHEMAS.get(schema, ("", None))
-    if home != model.kind:
-        raise SchemaError(f"no commutation schema for the pair {first[0]}, {second[0]}")
-    step = SchemaStep(position, schema, (x.kind if spec[0] == "k" else x.index, z.index, a, b), forward)
+    (x, a), (z, b) = state[position], state[position + 1]
+    schema, forward, p, q = _commutation(x, z, model)
+    step = SchemaStep(position, schema, (p, q, a, b) if forward else (p, q, b, a), forward)
     instantiate(step.schema, step.params, model)  # surface side-condition violations now
     return step
 

@@ -24,17 +24,23 @@ test suite.
 
 An :class:`IntMatrix` is stored as the columns that differ from the
 identity, each a ``{row: value}`` map of its nonzero entries.
-``homology_of`` keeps the running product on the rank-g span in that form.
-A syllable ``x_i^e`` rewrites only columns ``i-1``, ``i`` (0-based) with
-the block power ``B^e``, using O(log |e|) 2x2 products, so the work grows
-with the entries a word moves, not with g^2.  A negative exponent powers
-the inverse block, ``det * adjugate``, each checked against ``M M^-1 = I``
-at import.  At the end only the moved columns are projected to the
-quotient by the relation class.  That is exact: every letter fixes
-``mu_1 + ... + mu_g``, so the projection is a homomorphism and commutes
-with products.  A product of matrices computes column j only from the
-nonzero entries of the right factor's column j, and copies the columns
-the right factor leaves alone, so powers skip zeros too.
+``homology_of`` keeps the running product on the rank-g span in that form,
+except that a column it has moved may equal the identity's.  A syllable
+``x_i^e`` rewrites only columns ``i-1``, ``i`` (0-based) with the block
+power ``B^e``, using O(log |e|) 2x2 products, so the work grows with the
+entries a word moves, not with g^2.  A negative exponent powers the
+inverse block, ``det * adjugate``, each checked against ``M M^-1 = I`` at
+import.  The transposition's block is the swap: ``u_i`` to an odd power
+exchanges the two columns as they are, and to an even power it is the
+identity and is skipped, so neither does any arithmetic.  At the end
+only the moved columns are projected to the quotient by the relation
+class, which also makes the image canonical.  That is exact: every letter
+fixes ``mu_1 + ... + mu_g``, so the projection is a homomorphism and
+commutes with products.  A product of matrices computes column j only
+from the nonzero entries of the right factor's column j, copies the
+columns the right factor leaves alone, and takes the left factor's
+column k as it is for a unit column ``e_k``; the image of a ``u``-word
+has at most one column that is not a unit column.
 
 Composition follows word order with the column-vector convention: the
 matrix of ``a b`` is ``M(a) M(b)``, and the permutation of ``a b`` is
@@ -142,8 +148,9 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         """Column j of the product is ``self`` applied to column j of ``other``.
 
-        A column ``other`` leaves alone is ``self``'s column j as it is; a
-        moved one is summed over its nonzero entries only.
+        A column ``other`` leaves alone is ``self``'s column j as it is, and
+        a unit column ``e_k`` of ``other`` is ``self``'s column k as it is;
+        any other column is summed over its nonzero entries only.
         """
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -151,6 +158,11 @@ class IntMatrix:
             raise ValueError("size mismatch")
         cols = dict(self.cols)
         for j, col in other.cols.items():
+            if len(col) == 1:
+                ((k, v),) = col.items()
+                if v == 1:
+                    _place(cols, j, self.cols.get(k, col))
+                    continue
             _store(cols, j, _apply(self.cols, col))
         return IntMatrix._of(self.size, cols)
 
@@ -268,12 +280,18 @@ _FLIPS = frozenset(k for k, ((a, b), (c, d)) in _BLOCKS.items() if a * d - b * c
 _SWAPS = frozenset(
     k for k, m in _BLOCKS.items() if [v % 2 for row in m for v in row] == [0, 1, 1, 0]
 )
+# The kinds whose block is the swap itself, which exchanges two columns.
+_EXCHANGES = frozenset(k for k, m in _BLOCKS.items() if m == ((0, 1), (1, 0)))
 
 
 def _store(cols: dict[int, dict[int, int]], j: int, col: dict[int, int]) -> None:
     """Set column ``j`` of canonical ``cols``: zeros dropped, an identity column absent."""
-    col = {r: v for r, v in col.items() if v}
-    if col == {j: 1}:
+    _place(cols, j, {r: v for r, v in col.items() if v})
+
+
+def _place(cols: dict[int, dict[int, int]], j: int, col: dict[int, int]) -> None:
+    """Set column ``j`` of canonical ``cols`` to ``col``, which has no zeros, as it is."""
+    if len(col) == 1 and col.get(j) == 1:
         cols.pop(j, None)
     else:
         cols[j] = col
@@ -295,9 +313,13 @@ def homology_of(word: Word) -> IntMatrix:
     g = word.model.genus
     cols: dict[int, dict[int, int]] = {}
     for letter, exp in word.syllables:
+        i = letter.index
+        if letter.kind in _EXCHANGES:  # the swap to an odd power, the identity to an even one
+            if exp & 1:
+                cols[i - 1], cols[i] = cols.get(i, {i: 1}), cols.get(i - 1, {i - 1: 1})
+            continue
         block = _BLOCKS[letter.kind] if exp > 0 else _INVERSE_BLOCKS[letter.kind]
         (a, b), (c, d) = _binary_power(block, abs(exp), _times)
-        i = letter.index
         left, right = _apply(cols, {i - 1: a, i: c}), _apply(cols, {i - 1: b, i: d})
         _store(cols, i - 1, left)
         _store(cols, i, right)

@@ -21,8 +21,9 @@ A :class:`Word` stores a run-length-encoded sequence of syllables
 (merging adjacent equal letters, dropping zero exponents) is applied
 eagerly on every construction, so two words that are equal in the free
 group compare equal structurally and hash alike.  Powers and inverses of
-a word are built reduced (see :func:`_power`), from letters the word has
-already had checked, so they skip the checks of construction.
+a word are built reduced (see :func:`_power`), and so are products of
+two words (see :func:`_joined`), from letters the words have already had
+checked, so they skip the checks of construction.
 
 Letters are shared.  One table holds a :class:`GeneratorLetter` for each
 kind and index up to ``MAX_GENUS``; the parser, a model's alphabet, the
@@ -287,6 +288,21 @@ def _inverse_syllables(syllables: Sequence[Syllable]) -> tuple[Syllable, ...]:
     return tuple((letter, -exp) for letter, exp in reversed(syllables))
 
 
+def _joined(left: tuple[Syllable, ...], right: tuple[Syllable, ...]) -> tuple[Syllable, ...]:
+    """The reduced product of reduced ``left`` and ``right``: only their seam reduces.
+
+    Syllables of one letter at the seam cancel or merge; a merge ends the
+    reduction, since the syllables beside it have other letters.
+    """
+    i, j = len(left), 0
+    while i and j < len(right) and left[i - 1][0] == right[j][0]:
+        exp = left[i - 1][1] + right[j][1]
+        if exp:
+            return left[: i - 1] + ((left[i - 1][0], exp),) + right[j + 1 :]
+        i, j = i - 1, j + 1
+    return left[:i] + right[j:]
+
+
 def _syllable_texts(syllables: Iterable[Syllable]) -> list[str]:
     """The text of each syllable in the text grammar."""
     return [letter._text if exp == 1 else f"{letter._text}^{exp}" for letter, exp in syllables]
@@ -310,9 +326,13 @@ class Word(_Record):
     it was parsed from, with each run of whitespace written as one space;
     ``(base, n)`` for ``base ** n`` (``inverse()`` is the power -1, and a
     power of a power multiplies the exponents); or the flat tuple of the
-    factors of a product, a product of products extending it.  The record
-    is not a field: ``==``, ``hash``, ``repr`` and pickling ignore it.
-    :func:`_grouped_text` writes it.
+    factors of a product, a product of products extending it.  A product
+    keeps that tuple only while it has no more factors than the product
+    has syllables, and has no record past that, so it is written flat and
+    a loop of products copies a record no longer than its words; the
+    builders' products have at most 3 factors of many syllables each.  The
+    record is not a field: ``==``, ``hash``, ``repr`` and pickling ignore
+    it.  :func:`_grouped_text` writes it.
     """
 
     __slots__ = ("model", "syllables", "_source")
@@ -366,8 +386,10 @@ class Word(_Record):
                 f"cannot compose words from the {self.model.describe()} "
                 f"and the {other.model.describe()}"
             )
-        product = Word(self.model, self.syllables + other.syllables)
-        object.__setattr__(product, "_source", _factors(self) + _factors(other))
+        product = Word._of(self.model, _joined(self.syllables, other.syllables))
+        factors = _factors(self) + _factors(other)
+        if len(factors) <= len(product.syllables):
+            object.__setattr__(product, "_source", factors)
         return product
 
     def inverse(self) -> "Word":

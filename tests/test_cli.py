@@ -187,6 +187,26 @@ def run_cold(*argv):
     )
 
 
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # the reader is gone before the report is written: the write fails with
+    # a broken pipe, which the entry point turns into a quiet exit 1
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mcgroots.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mcgroots.cli", "relations", "--genus", "30", "--json"],
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert err == b""
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # the genus-3 scan is pure Python; no CLI path needs numpy
     done = run_cold(

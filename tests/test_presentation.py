@@ -349,6 +349,55 @@ class TestSchemaSteps:
         with pytest.raises(CertificateError, match="^unknown step type object$"):
             apply_step([], object(), std5)
 
+    @pytest.mark.parametrize(
+        "text, step, expected",
+        [
+            # backward: the inverse of D^m becomes the inverse of u1^2
+            ("t1 (u3 u4)^-3 t1", SchemaStep(1, "R6closed-odd", (), False), "t1 u1^-2 t1"),
+            # forward: the inverse of u1^2 becomes the inverse of D^m
+            ("t1 u1^-2 t1", SchemaStep(1, "R6closed-odd", (), True), "t1 (u3 u4)^-3 t1"),
+            ("u3^-1 u1^-2", SchemaStep(0, "R1", (1, 3, 2, 1), True), "u1^-2 u3^-1"),
+        ],
+    )
+    def test_an_inverse_match_replays_the_same_after_the_memo_is_refilled(
+        self, text, step, expected
+    ):
+        # the inverse sides are kept on the memoized instance, so they go
+        # when the memo is cleared; another genus in between has other sides
+        std5, std7 = SurfaceModel.standard(5), SurfaceModel.standard(7)
+        other = SchemaStep(0, "R6closed-odd", (), False)
+        for _ in range(2):
+            presentation._build_instance.cache_clear()
+            for _ in range(2):  # the first replay inverts the sides, the second reads them back
+                state = list(_w(text, std5).syllables)
+                apply_step(state, step, std5)
+                assert tuple(state) == _w(expected, std5).syllables
+            state = list(_w("(u3 u4 u5 u6)^-5", std7).syllables)
+            apply_step(state, other, std7)
+            assert tuple(state) == _w("u1^-2", std7).syllables
+
+    @pytest.mark.parametrize(
+        "text, forward, found",
+        [
+            # the inverse of the other side, not of the pattern
+            ("u4^-1 u3^-1 u4^-1 u3^-1 u4^-1 u3^-1", True, "u4^-1"),
+            ("u1^-2 t1", False, "u1^-2 t1"),
+            ("u3 u4 u3 u4 u3 t1 u4", False, "u3 u4 u3 u4 u3 t1"),
+        ],
+    )
+    def test_a_window_matching_neither_side_is_refused(self, std5, text, forward, found):
+        state = list(_w(text, std5).syllables)
+        before = list(state)
+        pattern = "u1^2" if forward else "u3 u4 u3 u4 u3 u4"
+        for _ in range(2):  # before and after the instance keeps its inverse sides
+            with pytest.raises(CertificateError) as info:
+                apply_step(state, SchemaStep(0, "R6closed-odd", (), forward), std5)
+            assert str(info.value) == (
+                f"occurrence mismatch at position 0: expected {pattern} or its inverse,"
+                f" found {found}"
+            )
+            assert state == before
+
 
 class TestFreeSteps:
     def test_insert_and_delete(self, std5):
@@ -640,6 +689,37 @@ class TestCommuteDisjoint:
         for position in (-1, len(w.syllables) - 1):
             with pytest.raises(SchemaError):
                 commute_step(w.syllables, position, std5)
+
+    @pytest.mark.parametrize("kind", ["standard", "hybrid"])
+    def test_the_word_free_check_agrees_with_commute_step(self, kind):
+        # presentation._check_commuting, which gathers and moves run, builds no
+        # step, instance or word, and passes or raises as commute_step does
+        check = presentation._check_commuting.__wrapped__
+        memo = presentation._build_instance.cache_info
+        refused = 0
+        for genus in range(2, 10):
+            if kind == "hybrid" and (genus < 4 or genus % 2):
+                continue
+            model = SurfaceModel(genus, kind)
+            for x in model.letters():
+                for z in model.letters():
+                    try:
+                        commute_step(((x, 1), (z, 1)), 0, model)
+                    except SchemaError as exc:
+                        expected = str(exc)
+                    else:
+                        expected = None
+                    calls = memo().hits + memo().misses
+                    try:
+                        check(x, z, genus, kind)
+                    except SchemaError as exc:
+                        assert str(exc) == expected, (genus, x, z)
+                        refused += 1
+                    else:
+                        assert expected is None, (genus, x, z, expected)
+                    assert memo().hits + memo().misses == calls
+        # each model has pairs of every verdict: the check decides something
+        assert refused > 0
 
     # sha256 of the table of commute_step over every ordered pair of
     # admissible letters (equal letters included) with exponents (1, 1),
@@ -1199,15 +1279,15 @@ class TestCertificateText:
         assert certificate_from_text(text) == cert
 
     def test_long_product_loop_is_written_flat(self, std5):
-        # a product of products extends one flat record, so writing it does
-        # not recurse once per factor
+        # a product keeps no more factors than it has syllables, so the
+        # loop's record never grows past the 2-syllable word it leaves
         block = _w("u1 u2", std5)
         word = block
         for k in range(5000):
             word = word * (block.inverse() if k % 2 == 0 else block)
         assert word == block
         text = _grouped_text(word)
-        assert text.count("(u1 u2)^-1") == 2500
+        assert text == "u1 u2"
         assert parse_word(text, std5) == block
 
 

@@ -18,6 +18,7 @@ from mcgroots.representations import (
     perm_of,
     sign_of,
 )
+from mcgroots.roots import _gathered_root, construct_braid_root
 from mcgroots.words import (
     MAX_GENUS,
     GeneratorLetter,
@@ -85,6 +86,15 @@ def _dense_power(rows, e):
     for _ in range(e):
         acc = _dense_product(acc, rows)
     return acc
+
+
+def u_words(model):
+    """Words of ``u``-letters only, even exponents included."""
+    syllable = st.tuples(
+        st.sampled_from([letter for letter in model.letters() if letter.kind == "u"]),
+        st.integers(-4, 4).filter(bool),
+    )
+    return st.lists(syllable, max_size=12).map(lambda items: Word(model, tuple(items)))
 
 
 def _square_matrices(n):
@@ -393,6 +403,34 @@ class TestSparseHomology:
         assert image.rows == rows
         assert image == IntMatrix(rows) and hash(image) == hash(IntMatrix(rows))
         assert (image**e).rows == _dense_power(rows, e)
+
+    @settings(max_examples=80)
+    @given(standard_models(3, 13).flatmap(u_words), st.integers(0, 12))
+    def test_swaps_and_their_powers_match_dense_columns(self, w, e):
+        # u-letters exchange two columns (odd exponent) or leave them alone
+        # (even exponent), and products of such images take unit columns as they are
+        rows = _dense_columns_reference(w)
+        image = homology_of(w)
+        assert image == IntMatrix(rows) and image.rows == rows
+        assert image**e == IntMatrix(_dense_power(rows, e))
+
+    def test_built_roots_and_their_powers_match_dense_columns(self):
+        cases = []
+        for genus in range(5, 26):
+            model = SurfaceModel.standard(genus)
+            for target in ("u", "y"):
+                root, _, degree, _, _ = _gathered_root(model, target)
+                cases.append((root, degree))
+        for punctures in range(5, 12):
+            for index in range(1, punctures):
+                result = construct_braid_root(punctures, index)
+                cases.append((result.root, result.degree))
+        assert len(cases) == 42 + 49
+        for root, degree in cases:
+            rows = _dense_columns_reference(root)
+            image = homology_of(root)
+            assert image == IntMatrix(rows), str(root)
+            assert image**degree == IntMatrix(_dense_power(rows, degree)), str(root)
 
     @settings(max_examples=30)
     @given(words_with_a_huge_syllable())

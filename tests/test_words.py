@@ -444,6 +444,17 @@ class TestGroupOperations:
             assert x != y
         assert all(e != 0 for _, e in w.syllables)
 
+    @settings(max_examples=100)
+    @given(model_word_pairs(), st.integers(0, 6))
+    def test_a_product_reduces_at_its_seam_as_a_full_reduction_does(self, data, k):
+        # b starts with the inverse of a's last k syllables, so the seam
+        # cancels those and may merge the syllables beside them
+        model, a, b = data
+        tail = Word(model, a.syllables[len(a.syllables) - k :])
+        b = tail.inverse() * b
+        assert (a * b).syllables == words._reduce_syllables(a.syllables + b.syllables)
+        assert (a * b) == Word(model, a.syllables + b.syllables)
+
 
 class TestBuildRecord:
     def test_the_record_is_not_a_field(self, std5):
@@ -467,6 +478,32 @@ class TestBuildRecord:
         # at most one syllable is written out
         assert words._grouped_text(parse_word("u1 u1", std5)) == "u1^2"
         assert words._grouped_text(base * base.inverse()) == ""
+
+    def test_a_product_loop_runs_in_linear_time(self, std5):
+        # a product keeps a record of no more factors than it has syllables,
+        # so each round copies a bounded record; at 8 000 rounds a record
+        # that grew with every product copied 2n factors a round, and the
+        # 2-syllable word was written in 272 045 bytes
+        x = parse_word("u1 u2", std5)
+        w, copied = x, 0
+        for _ in range(8000):
+            w = w * x * x.inverse()
+            copied += len(words._factors(w))
+            assert len(words._factors(w)) <= max(1, len(w.syllables))
+        assert copied <= 3 * 8000
+        assert w == x
+        text = certificate_to_text(Certificate(w, w))
+        assert certificate_from_text(text) == Certificate(w, w)
+        assert len(text) < 100
+
+    def test_builders_keep_their_product_records(self, std5):
+        # two and three factors of many syllables each: written as built
+        d = parse_word("u3 u4", std5)
+        x = parse_word("u1", std5)
+        assert words._grouped_text(d**-1 * x) == "(u3 u4)^-1 u1"
+        assert words._grouped_text(d * x * d.inverse()) == "u3 u4 u1 (u3 u4)^-1"
+        # a product of three factors that leaves two syllables is written flat
+        assert words._grouped_text(d * x * x.inverse()) == "u3 u4"
 
     @pytest.mark.parametrize("rounds", [300, 700, 2000])
     def test_a_deep_record_is_written_flat_below_its_depth(self, std5, rounds):
