@@ -174,9 +174,9 @@ _RELATION_NAMES = {"permutation": "perm"}
 
 
 def _catalog_models(genus: int) -> list[SurfaceModel]:
-    models = [SurfaceModel.standard(genus)]
+    models = [SurfaceModel(genus)]
     if genus >= 4 and genus % 2 == 0:
-        models.append(SurfaceModel.hybrid(genus))
+        models.append(SurfaceModel(genus, "hybrid"))
     return models
 
 
@@ -247,7 +247,7 @@ def cmd_small_genus(args) -> tuple[int, dict]:
         )
         return (0 if not nontrivial else 2), report
 
-    word = parse_word(target_name, SurfaceModel.standard(3))
+    word = parse_word(target_name, SurfaceModel(3))
     certification = certify_no_root_g3(word, _scan_bound(args))
     report = _report(
         "small-genus",

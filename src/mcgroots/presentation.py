@@ -10,7 +10,9 @@ nonzero).  The commutation schemas state one fact: letters ``x``, ``z``
 with disjoint supports commute, so ``x^a z^b = z^b x^a``.  Standard
 letters ``x_i``, ``z_j`` live near crosscaps ``i, i+1`` and ``j, j+1``
 and are disjoint when ``|i - j| > 1``; a hybrid chain twist misses the
-Klein bottle of ``t_1``, ``u_1``, ``y_1``.
+Klein bottle of ``t_1``, ``u_1``, ``y_1``.  :func:`instantiate` is the one
+place where parameters become letters, memoized per ``(schema, params,
+model)``.
 
 ==================  ========  ======  =====================================
 id                  params    codes   instance
@@ -74,10 +76,11 @@ current (not necessarily reduced) working sequence and come in five forms:
 * move steps carry one syllable past a block of ``len`` syllables:
   ``fwd`` moves the syllable at ``pos`` right past the next ``len``, and
   ``bwd`` moves the syllable at ``pos + len`` left to ``pos``.  Replay
-  checks the moving syllable against each one it passes with the side
-  conditions of :func:`commute_step`'s instance, without building the
-  step, so a move is exactly the run of commutation steps it
-  abbreviates; flipping the direction inverts it;
+  checks the moving letter against each distinct letter it passes with
+  :func:`_commutation`, memoized per pair of letters and model: the
+  check of :func:`commute_step`, which builds no step, so a move is
+  exactly the run of commutation steps it abbreviates; flipping the
+  direction inverts it;
 * gather steps collect ``copies`` periods ``A x^e``, ``A`` being the
   ``len`` syllables at ``pos``: ``fwd`` turns ``(A x^e)^copies`` into
   ``A^copies x^(e·copies)``, checked by one comparison with the first
@@ -127,6 +130,7 @@ from .words import (
     _grouped_text,
     _inverse_syllables,
     _letter,
+    _model_kind,
     _reduce_syllables,
     parse_word,
 )
@@ -240,29 +244,27 @@ def boundary_identity(model: SurfaceModel) -> tuple[str, Word, int] | None:
     return None
 
 
-# The parameter types the instance memo takes.
-_MEMO_TYPES = frozenset((int, bool, str))
-
-
 def instantiate(schema: str, params, model: SurfaceModel) -> RelationInstance:
     """Build a relation instance, validating all side conditions.
 
-    Instances are memoized per ``(schema, params, genus, kind)``; they are
-    frozen, so callers share them safely.  Integer parameters are stored
-    as ``int``, so a ``bool`` shares the entry of its integer.  Parameters
-    of other types than ``int``, ``bool`` and ``str`` (a float equal to an
-    integer among them) are validated and built without the memo, so their
-    verdict never depends on what is cached.  A call that raises
-    :class:`SchemaError` raises again on every call.
+    Instances are memoized per ``(schema, params, model)``, equal models
+    sharing an entry; they are frozen, so callers share them safely.
+    Integer parameters are stored as ``int``, so a ``bool`` shares the
+    entry of its integer.  A parameter of another type than ``int``,
+    ``bool`` and ``str`` (a float equal to an integer among them) is
+    refused before the memo is asked, so the verdict never depends on what
+    is cached.  A call that raises :class:`SchemaError` raises again on
+    every call.
     """
     params = tuple(params)
-    if _MEMO_TYPES.issuperset(map(type, params)):
-        return _build_instance(schema, params, model.genus, model.kind)
-    return _build_instance.__wrapped__(schema, params, model.genus, model.kind)
+    for value in params:
+        if type(value) not in (int, bool, str):
+            raise SchemaError(f"{schema}: integer parameter expected, got {value!r}")
+    return _build_instance(schema, params, model)
 
 
 @lru_cache(maxsize=4096)
-def _build_instance(schema: str, params: tuple, genus: int, model_kind: str) -> RelationInstance:
+def _build_instance(schema: str, params: tuple, model: SurfaceModel) -> RelationInstance:
     # The checks that need no model come first and build no message unless
     # they fail, so a rejected candidate of relation_catalog stays cheap.
     spec, home = _SCHEMAS.get(schema, (None, None))
@@ -283,14 +285,16 @@ def _build_instance(schema: str, params: tuple, genus: int, model_kind: str) -> 
             raise SchemaError(f"{schema}: integer parameter expected, got {value!r}")
         values.append(value)
     params = tuple(values)
-    if home not in (None, model_kind):
+    if home not in (None, model.kind):
         raise SchemaError(f"{schema} belongs to the {home} model")
-    model = SurfaceModel(genus, model_kind)
     g = model.genus
 
     if schema in _COMMUTING_KINDS:
         p, q, a, b = params
-        x, z = _commuting_letters(schema, p, q, model)
+        kinds = _COMMUTING_KINDS[schema]
+        x = _letter(p, 1) if spec[0] == "k" else _letter(kinds[0], p)
+        z = _letter(kinds[1], q)
+        _commuting_letters(schema, x, z, model)
         _require(a != 0 and b != 0, f"{schema} exponents must be nonzero")
         lhs = Word._of(model, ((x, a), (z, b)))
         rhs = Word._of(model, ((z, b), (x, a)))
@@ -332,18 +336,14 @@ def _build_instance(schema: str, params: tuple, genus: int, model_kind: str) -> 
 
 
 def _commuting_letters(
-    schema: str, p: int | str, q: int, model: SurfaceModel
-) -> tuple[GeneratorLetter, GeneratorLetter]:
-    """The letters ``x``, ``z`` of the commutation ``schema`` with letter parameters ``p``, ``q``.
+    schema: str, x: GeneratorLetter, z: GeneratorLetter, model: SurfaceModel
+) -> None:
+    """Raise the :class:`SchemaError` of ``schema`` unless ``x z = z x`` is its instance.
 
-    Raises :class:`SchemaError` unless both letters are admissible, their
-    supports are disjoint and, for one kind, ``x`` has the lower index:
-    the one statement of when two letters commute.  A message is built
-    only when its check fails.
+    Both letters must be admissible, their supports disjoint and, for one
+    kind, ``x`` must have the lower index: the one statement of when two
+    letters commute.  A message is built only when its check fails.
     """
-    kinds = _COMMUTING_KINDS[schema]
-    x = _letter(p, 1) if _SCHEMAS[schema][0][0] == "k" else _letter(kinds[0], p)
-    z = _letter(kinds[1], q)
     if not (model.admits(x) and model.admits(z)):
         raise SchemaError(f"{schema}: {x} or {z} is not admissible")
     # a chain twist misses the Klein bottle; other letters need |i - j| > 1
@@ -351,7 +351,6 @@ def _commuting_letters(
         raise SchemaError(f"{schema} needs disjoint supports, but {x} and {z} meet")
     if x.kind == z.kind and x.index >= z.index:
         raise SchemaError(f"{schema} needs i < j")
-    return x, z
 
 
 def relation_catalog(model: SurfaceModel) -> tuple[RelationInstance, ...]:
@@ -575,39 +574,28 @@ def _apply_free_step(state: list[Syllable], step: FreeStep, model: SurfaceModel)
 
 
 @lru_cache(maxsize=4096)
-def _check_commuting(x: GeneratorLetter, z: GeneratorLetter, genus: int, model_kind: str) -> None:
-    """Raise the :class:`SchemaError` of :func:`commute_step` unless the pair ``x z`` swaps.
-
-    A working state has no zero exponent, and commutation asks nothing more
-    of the exponents, so the pair's letters decide.  The check builds no
-    step, instance or word: it runs the side conditions of the instance
-    :func:`commute_step` would build (:func:`_commuting_letters`).
-    """
-    model = SurfaceModel(genus, model_kind)
-    schema, _, p, q = _commutation(x, z, model)
-    _commuting_letters(schema, p, q, model)
-
-
 def _commutation(
     x: GeneratorLetter, z: GeneratorLetter, model: SurfaceModel
-) -> tuple[str, bool, int | str, int]:
-    """The commutation schema that swaps the pair ``x z``, its direction and letter parameters.
+) -> tuple[str, bool, GeneratorLetter, GeneratorLetter]:
+    """The commutation schema that swaps ``x z``, its direction and the pair in schema order.
 
     The kinds of the pair, in order, name the schema; kinds that do so only
     reversed, or an R1 pair with the higher index first, give the backward
-    step, whose parameters are those of ``z x``.  Raises
-    :class:`SchemaError` when the model has no commutation schema for the
-    pair.
+    step, of the pair ``z x``.  Raises :class:`SchemaError` unless the model
+    has the schema and the pair meets its side conditions
+    (:func:`_commuting_letters`).  The exponents of a working state are
+    nonzero and ask nothing more, so the letters decide: this is the one
+    check of moves, gathers and :func:`commute_step`, and builds no word.
     """
     schema = _COMMUTING.get((x.kind, z.kind))
     forward = schema is not None and (x.kind != z.kind or x.index < z.index)
     first, second = (x, z) if forward else (z, x)
     if not forward:
         schema = _COMMUTING.get((first.kind, second.kind))
-    spec, home = _SCHEMAS.get(schema, ("", None))
-    if home != model.kind:
+    if _SCHEMAS.get(schema, ("", None))[1] != model.kind:
         raise SchemaError(f"no commutation schema for the pair {x}, {z}")
-    return schema, forward, first.kind if spec[0] == "k" else first.index, second.index
+    _commuting_letters(schema, first, second, model)
+    return schema, forward, first, second
 
 
 def _blocked(
@@ -623,7 +611,7 @@ def _blocked(
     letters = {id(letter): letter for letter, _ in passed}
     for letter in letters.values():
         try:
-            _check_commuting(*((x, letter) if forward else (letter, x)), model.genus, model.kind)
+            _commutation(*((x, letter) if forward else (letter, x)), model)
         except SchemaError as exc:
             return next(k for k, (other, _) in enumerate(passed) if other is letter), str(exc)
     return None
@@ -753,9 +741,11 @@ def commute_step(state: Sequence[Syllable], position: int, model: SurfaceModel) 
     if not 0 <= position < len(state) - 1:
         raise SchemaError(f"position {position} has no right neighbour in {len(state)} syllables")
     (x, a), (z, b) = state[position], state[position + 1]
-    schema, forward, p, q = _commutation(x, z, model)
-    step = SchemaStep(position, schema, (p, q, a, b) if forward else (p, q, b, a), forward)
-    instantiate(step.schema, step.params, model)  # surface side-condition violations now
+    schema, forward, first, second = _commutation(x, z, model)
+    p = first.kind if _SCHEMAS[schema][0][0] == "k" else first.index
+    exponents = (a, b) if forward else (b, a)
+    step = SchemaStep(position, schema, (p, second.index, *exponents), forward)
+    instantiate(step.schema, step.params, model)  # the exponents' side conditions, now
     return step
 
 
@@ -771,19 +761,19 @@ def certificate_to_text(certificate: Certificate) -> str:
         text = _grouped_text(word)
         lines.append(f"{tag} {text}" if text else tag)
     for step in certificate.steps:
-        if isinstance(step, SchemaStep):
-            params = "".join([f" {p}" for p in step.params])
-            way = "fwd" if step.forward else "bwd"
-            lines.append(f"step {step.position} {step.schema}{params} {way}")
-        elif isinstance(step, MoveStep):
-            lines.append(f"move {step.position} {step.length} {'fwd' if step.forward else 'bwd'}")
-        elif isinstance(step, GatherStep):
-            way = "fwd" if step.forward else "bwd"
-            lines.append(f"gather {step.position} {step.length} {step.copies} {way}")
-        elif isinstance(step, BlockStep):
+        if isinstance(step, BlockStep):
             lines.append(f"block {step.op} {step.position} {_format_syllables(step.syllables)}")
-        else:
+        elif isinstance(step, FreeStep):
             lines.append(f"free {step.op} {step.position} {step.letter._text} {step.exponent}")
+        else:
+            way = "fwd" if step.forward else "bwd"
+            if isinstance(step, SchemaStep):
+                params = "".join([f" {p}" for p in step.params])
+                lines.append(f"step {step.position} {step.schema}{params} {way}")
+            elif isinstance(step, MoveStep):
+                lines.append(f"move {step.position} {step.length} {way}")
+            else:
+                lines.append(f"gather {step.position} {step.length} {step.copies} {way}")
     return "\n".join(lines) + "\n"
 
 
@@ -837,20 +827,13 @@ def _parse_step(line: str, model: SurfaceModel) -> RewriteStep:
         op, position, letter, exponent = rest.split(" ")
         number = _parse_int(position, "position")
         return FreeStep(op, number, _parse_letter(letter), _parse_int(exponent, "exponent"))
-    if tag == "move":
-        fields = rest.split(" ")
-        if len(fields) != 3 or fields[2] not in ("fwd", "bwd"):
-            raise CertificateError("malformed move step")
-        number, length = _parse_int(fields[0], "position"), _parse_int(fields[1], "length")
-        return MoveStep(number, length, fields[2] == "fwd")
-    if tag == "gather":
-        fields = rest.split(" ")
-        if len(fields) != 4 or fields[3] not in ("fwd", "bwd"):
-            raise CertificateError("malformed gather step")
-        number, length, copies = (
-            _parse_int(token, what) for token, what in zip(fields, ("position", "length", "copies"))
-        )
-        return GatherStep(number, length, copies, fields[3] == "fwd")
+    step_type = {"move": MoveStep, "gather": GatherStep}.get(tag)
+    if step_type:  # integer fields, named as the step names them, then the direction
+        names, fields = step_type._fields[:-1], rest.split(" ")
+        if len(fields) != len(names) + 1 or fields[-1] not in ("fwd", "bwd"):
+            raise CertificateError(f"malformed {tag} step")
+        numbers = (_parse_int(token, name) for token, name in zip(fields, names))
+        return step_type(*numbers, fields[-1] == "fwd")
     if tag == "block":
         op, _, rest = rest.partition(" ")
         position, _, text = rest.partition(" ")
@@ -871,23 +854,20 @@ def certificate_from_text(text: str) -> Certificate:
     if len(lines) < 4:
         raise CertificateError("certificate needs model, genus, start, and end lines")
 
-    def header(n: int, tag: str) -> str:
+    def header(n: int, tag: str, read):
+        """Line ``n`` read by ``read`` after its ``tag``; an error names the line."""
         line = lines[n]
         if line != tag and not line.startswith(tag + " "):
             raise CertificateError(f"line {n + 1}: expected {tag!r}")
-        return line[len(tag) + 1 :]
-
-    def word_line(n: int, tag: str) -> Word:
         try:
-            return parse_word(header(n, tag), model)
-        except WordError as exc:
+            return read(line[len(tag) + 1 :])
+        except (WordError, CertificateError) as exc:
             raise CertificateError(f"line {n + 1}: {exc}") from None
 
-    kind = header(0, "model")
-    genus = _parse_int(header(1, "genus"), "genus")
-    model = SurfaceModel(genus, kind)
-    start = word_line(2, "start")
-    end = word_line(3, "end")
+    kind = header(0, "model", _model_kind)
+    model = header(1, "genus", lambda text: SurfaceModel(_parse_int(text, "genus"), kind))
+    start = header(2, "start", lambda text: parse_word(text, model))
+    end = header(3, "end", lambda text: parse_word(text, model))
     steps: list[RewriteStep] = []
     for n, line in enumerate(lines[4:], 5):
         try:

@@ -340,7 +340,7 @@ def derive_generator_matrices(genus: int) -> Mapping[GeneratorLetter, IntMatrix]
     A dense view of :func:`homology_of` on single letters, cached per genus
     and read-only; the oracle itself never builds it.
     """
-    model = SurfaceModel.standard(genus)
+    model = SurfaceModel(genus)
     return MappingProxyType(
         {letter: homology_of(Word(model, ((letter, 1),))) for letter in model.letters()}
     )

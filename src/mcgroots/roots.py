@@ -401,7 +401,7 @@ def _gathered_root(model: SurfaceModel, target: str) -> tuple[Word, Word, int, s
     target_word = _target_word(model, target)
     root = block ** p * target_word ** q
 
-    span = abs(p) * block.syllable_count  # block syllables per root copy
+    span = abs(p) * len(block.syllables)  # block syllables per root copy
     steps: list[RewriteStep] = [GatherStep(0, span, m, True)]
     for j in range(abs(p)):
         steps.append(SchemaStep(j, boundary, (), False))
@@ -434,7 +434,7 @@ def _raise_small_genus(genus: int, target: str) -> None:
             machine_certified=not witnesses,
         )
     certification = small_genus.certify_no_root_g3(
-        _target_word(SurfaceModel.standard(3), target), scan_bound=2
+        _target_word(SurfaceModel(3), target), scan_bound=2
     )
     raise NonexistenceError(
         f"the {name} has no nontrivial root at genus 3, of any degree: its homology"
@@ -552,7 +552,7 @@ def construct_braid_root(punctures: int, index: int) -> RootResult:
             case="braid_small_n",
             machine_certified=False,
         )
-    model = SurfaceModel.standard(n)
+    model = SurfaceModel(n)
     base_root, base_target, degree, case, base = _gathered_root(model, "u")
     if index == 1:
         return _reported(base_root, base_target, degree, case, base)

@@ -162,6 +162,13 @@ class ParseError(WordError):
         self.position = position
 
 
+def _model_kind(kind: str) -> str:
+    """``kind`` if it names a model kind; otherwise :class:`WordError`."""
+    if kind not in ("standard", "hybrid"):
+        raise WordError(f"unknown model kind {kind!r}")
+    return kind
+
+
 class SurfaceModel(_Record):
     """Alphabet selector for a closed nonorientable surface of genus >= 2.
 
@@ -176,20 +183,11 @@ class SurfaceModel(_Record):
             raise WordError(f"genus must be an integer >= 2, got {genus!r}")
         if genus > MAX_GENUS:
             raise WordError(f"genus {genus} is over the cap of MAX_GENUS = {MAX_GENUS}")
-        if kind not in ("standard", "hybrid"):
-            raise WordError(f"unknown model kind {kind!r}")
+        _model_kind(kind)
         if kind == "hybrid" and (genus < 4 or genus % 2):
             raise WordError("hybrid model requires even genus >= 4")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "kind", kind)
-
-    @classmethod
-    def standard(cls, genus: int) -> "SurfaceModel":
-        return cls(genus, "standard")
-
-    @classmethod
-    def hybrid(cls, genus: int) -> "SurfaceModel":
-        return cls(genus, "hybrid")
 
     @property
     def is_hybrid(self) -> bool:
@@ -205,10 +203,6 @@ class SurfaceModel(_Record):
                 return 1 <= letter.index <= self.genus - 2
             return letter.index == 1
         return letter.kind != "c" and 1 <= letter.index <= self.genus - 1
-
-    def check(self, letter: "GeneratorLetter") -> None:
-        if not self.admits(letter):
-            raise WordError(f"letter {letter} is not admissible in the {self.describe()}")
 
     def letters(self) -> tuple["GeneratorLetter", ...]:
         """All admissible letters, in a fixed deterministic order."""
@@ -347,7 +341,8 @@ class Word(_Record):
                     raise WordError(f"syllable letter must be a GeneratorLetter, got {letter!r}")
                 if not isinstance(exp, int):
                     raise WordError(f"syllable exponent must be an int, got {exp!r}")
-                model.check(letter)
+                if not model.admits(letter):
+                    raise WordError(f"letter {letter} is not admissible in the {model.describe()}")
                 letters[id(letter)] = letter
             if letter is previous or not exp:
                 reduced = False
@@ -366,14 +361,6 @@ class Word(_Record):
         object.__setattr__(word, "model", model)
         object.__setattr__(word, "syllables", syllables)
         return word
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.syllables
-
-    @property
-    def syllable_count(self) -> int:
-        return len(self.syllables)
 
     def __iter__(self) -> Iterator[Syllable]:
         return iter(self.syllables)
@@ -415,7 +402,7 @@ class Word(_Record):
 def format_word(word: Word) -> str:
     """Canonical text of a word; inverse of :func:`parse_word` on reduced words.
 
-    >>> m = SurfaceModel.standard(5)
+    >>> m = SurfaceModel(5)
     >>> format_word(parse_word("(u3 u4)^-1 u1", m))
     'u4^-1 u3^-1 u1'
     """
@@ -625,7 +612,7 @@ def _parse_sequence(
 def parse_word(text: str, model: SurfaceModel) -> Word:
     """Parse word text into a free-reduced :class:`Word`.
 
-    >>> m = SurfaceModel.standard(5)
+    >>> m = SurfaceModel(5)
     >>> parse_word("u1", m).syllables
     ((GeneratorLetter(kind='u', index=1), 1),)
     >>> str(parse_word("t1 t1 u2^-1 u2", m))

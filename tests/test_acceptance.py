@@ -46,9 +46,9 @@ def test_criterion_1_relation_catalogs():
     instances = 0
     ok = True
     for genus in range(2, 13):
-        models = [SurfaceModel.standard(genus)]
+        models = [SurfaceModel(genus)]
         if genus % 2 == 0 and genus >= 4:
-            models.append(SurfaceModel.hybrid(genus))
+            models.append(SurfaceModel(genus, "hybrid"))
         for model in models:
             for inst in relation_catalog(model):
                 instances += 1
@@ -130,7 +130,7 @@ def test_criterion_4_even_genus_orientable_roots():
 
 
 def test_criterion_5_parity_obstruction():
-    model = SurfaceModel.standard(6)
+    model = SurfaceModel(6)
     ok = True
     for target in ("u1", "y1"):
         word = parse_word(target, model)
@@ -168,7 +168,7 @@ def test_criterion_6_genus2_exhaustion():
 
 def test_criterion_7_genus3_torsion_certification():
     started = time.perf_counter()
-    model = SurfaceModel.standard(3)
+    model = SurfaceModel(3)
     finite = {pair: order for pair, order in TORSION_ORDERS.items() if order is not None}
     ok = len(TORSION_ORDERS) == 10
     ok = ok and finite == {(-1, 1): 3, (0, 1): 4, (1, 1): 6, (0, -1): 2}
@@ -222,7 +222,7 @@ def test_criterion_9_random_word_coherence():
     words_per_genus = 1000
     total = 0
     for genus in range(2, 9):
-        model = SurfaceModel.standard(genus)
+        model = SurfaceModel(genus)
         # every oracle respects the slide law y_i = t_i u_i, so with the
         # homomorphism checks below it is invariant under writing slides out
         for i in range(1, genus):

@@ -101,6 +101,21 @@ class TestExitCodes:
         assert code == 1 and "error:" in err and "MAX_GENUS" in err
 
     @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("model standard\ngenus 51", "line 2: genus 51 is over the cap of MAX_GENUS = 50"),
+            ("model klein\ngenus 6", "line 1: unknown model kind 'klein'"),
+            ("model hybrid\ngenus 5", "line 2: hybrid model requires even genus >= 4"),
+        ],
+    )
+    def test_a_certificate_header_fault_names_its_line(self, capsys, tmp_path, header, message):
+        path = tmp_path / "cert.txt"
+        path.write_text(f"{header}\nstart u1\nend u1\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--genus", "5", "--word", "u1", "--power", "1",
+                             "--equals", "u1", "--certificate", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "word",
         [
             "u\u00b2", "u1^\u00b2", "u\u0663", "u1_0", "u1^+2",
@@ -325,10 +340,10 @@ class TestOracleTable:
         # a constant image: every claim passes it, and the hybrid model has only sign
         monkeypatch.setitem(roots.ORACLES, "constant", lambda word: 1)
         keys = ["sign", "permutation", "homology", "constant", "certificate", "nontriviality"]
-        std5 = SurfaceModel.standard(5)
+        std5 = SurfaceModel(5)
         report = roots.verify_identity(parse_word("u1", std5), -2, parse_word("u1^-2", std5))
         assert list(report.checks()) == keys and report.checks()["constant"] == "pass"
-        hyb6 = SurfaceModel.hybrid(6)
+        hyb6 = SurfaceModel(6, "hybrid")
         report = roots.verify_identity(parse_word("c1", hyb6), 1, parse_word("c1", hyb6))
         assert report.checks()["constant"] == "n/a"
 
@@ -367,7 +382,7 @@ class TestRelationsCommand:
         assert report["instances"] == 29
 
     def test_flags_and_failures_come_from_the_verdicts(self, capsys, monkeypatch):
-        model = SurfaceModel.standard(5)
+        model = SurfaceModel(5)
         bogus = RelationInstance(
             "R1", (1, 2), model, parse_word("u1", model), parse_word("u2", model)
         )
@@ -586,7 +601,7 @@ class TestVerifyCommand:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.sampled_from((SurfaceModel.standard(4), SurfaceModel.standard(7), SurfaceModel.hybrid(6)))
+        st.sampled_from((SurfaceModel(4), SurfaceModel(7), SurfaceModel(6, "hybrid")))
         .flatmap(lambda m: st.tuples(words_for(m, 4), words_for(m, 4))),
         st.integers(-4, 4),
         st.booleans(),

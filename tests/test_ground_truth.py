@@ -73,7 +73,7 @@ class TestGenus2:
 
     @pytest.fixture(scope="class")
     def classes(self):
-        return _classes(_reduced_words(SurfaceModel.standard(2), 6), _klein_image)
+        return _classes(_reduced_words(SurfaceModel(2), 6), _klein_image)
 
     def test_every_row_agrees_within_a_class(self, classes):
         conflicts = _conflicts(classes)
@@ -88,16 +88,16 @@ class TestGenus3:
     """Every word of up to 4 letters over the 12 letters, by its homology image."""
 
     def test_every_row_agrees_within_a_class(self):
-        classes = _classes(_reduced_words(SurfaceModel.standard(3), 4), homology_of)
+        classes = _classes(_reduced_words(SurfaceModel(3), 4), homology_of)
         conflicts = _conflicts(classes)
         assert len(classes) == 398 and not conflicts, conflicts[:1]
 
 
 @pytest.mark.parametrize("genus", range(2, 14))
 def test_relation_catalog_passes_every_applicable_row(genus):
-    models = [SurfaceModel.standard(genus)]
+    models = [SurfaceModel(genus)]
     if genus >= 4 and genus % 2 == 0:
-        models.append(SurfaceModel.hybrid(genus))
+        models.append(SurfaceModel(genus, "hybrid"))
     for model in models:
         for inst in relation_catalog(model):
             oracles = dict(verify_identity(inst.lhs, 1, inst.rhs).oracles)

@@ -89,7 +89,7 @@ class TestInstantiate:
     def test_r3_full_rotation(self, std5):
         inst = instantiate("R3", (), std5)
         assert inst.lhs == _w("(u1 u2 u3 u4)^5", std5)
-        assert inst.rhs.is_identity
+        assert not inst.rhs.syllables
 
     def test_r4_twist_and_slide_variants(self, std5):
         a = instantiate("R4a", (1, 4, 1, 2), std5)
@@ -103,7 +103,7 @@ class TestInstantiate:
     def test_r5(self, std5):
         inst = instantiate("R5", (), std5)
         assert inst.lhs == _w("(u1^2 u2 u3 u4)^4", std5)
-        assert inst.rhs.is_identity
+        assert not inst.rhs.syllables
 
     def test_r6_odd(self, std5):
         inst = instantiate("R6closed-odd", (), std5)
@@ -113,29 +113,29 @@ class TestInstantiate:
     def test_r6_odd_degenerates_at_genus_three(self, std3):
         inst = instantiate("R6closed-odd", (), std3)
         assert str(inst.lhs) == "u1^2"
-        assert inst.rhs.is_identity
+        assert not inst.rhs.syllables
 
     def test_r6_odd_rejects_even_genus(self):
         with pytest.raises(SchemaError):
-            instantiate("R6closed-odd", (), SurfaceModel.standard(6))
+            instantiate("R6closed-odd", (), SurfaceModel(6))
 
     def test_r6_even(self):
-        m = SurfaceModel.standard(6)
+        m = SurfaceModel(6)
         inst = instantiate("R6closed-even", (), m)
         assert str(inst.lhs) == "u1^2"
         assert inst.rhs == _w("(u3^2 u4 u5)^3", m)
         with pytest.raises(SchemaError):
-            instantiate("R6closed-even", (), SurfaceModel.standard(4))
+            instantiate("R6closed-even", (), SurfaceModel(4))
         with pytest.raises(SchemaError):
-            instantiate("R6closed-even", (), SurfaceModel.standard(7))
+            instantiate("R6closed-even", (), SurfaceModel(7))
 
     def test_r7_chain(self):
-        m = SurfaceModel.hybrid(4)
+        m = SurfaceModel(4, "hybrid")
         inst = instantiate("R7chain", (), m)
         assert str(inst.lhs) == "u1^2"
         assert inst.rhs == _w("(c1 c2)^6", m)
         with pytest.raises(SchemaError):
-            instantiate("R7chain", (), SurfaceModel.standard(4))
+            instantiate("R7chain", (), SurfaceModel(4))
 
     def test_slide_definition(self, std5):
         inst = instantiate("SlideDef", (2,), std5)
@@ -195,10 +195,23 @@ class TestInstantiate:
         presentation._build_instance.cache_clear()
         if warm_first:
             assert str(instantiate("R2", (1,), std5).lhs) == "u1 u2 u1"
-        for _ in range(2):
-            with pytest.raises(SchemaError, match="integer parameter expected"):
-                instantiate("R2", (1.0,), std5)
+        # an unsupported type is refused before the memo is asked
+        memo = presentation._build_instance.cache_info()
+        for value in (1.0, 1.0, [1]):
+            message = f"^R2: integer parameter expected, got {re.escape(repr(value))}$"
+            with pytest.raises(SchemaError, match=message):
+                instantiate("R2", (value,), std5)
+        assert presentation._build_instance.cache_info() == memo
         assert instantiate("R2", (True,), std5) == instantiate("R2", (1,), std5)
+
+    def test_equal_models_share_one_memo_entry(self):
+        presentation._build_instance.cache_clear()
+        first, second = SurfaceModel(6), SurfaceModel(6)
+        assert first is not second
+        instance = instantiate("R2", (1,), first)
+        assert instantiate("R2", (1,), second) is instance
+        memo = presentation._build_instance.cache_info()
+        assert (memo.hits, memo.misses, memo.currsize) == (1, 1, 1)
 
     @pytest.mark.parametrize(
         "schema, params, kind",
@@ -300,7 +313,7 @@ class TestCatalog:
 
     def test_r6_variant_selection(self):
         def ids(g):
-            return {inst.schema for inst in relation_catalog(SurfaceModel.standard(g))}
+            return {inst.schema for inst in relation_catalog(SurfaceModel(g))}
 
         assert "R6closed-odd" in ids(7) and "R6closed-even" not in ids(7)
         assert "R6closed-even" in ids(8) and "R6closed-odd" not in ids(8)
@@ -364,7 +377,7 @@ class TestSchemaSteps:
     ):
         # the inverse sides are kept on the memoized instance, so they go
         # when the memo is cleared; another genus in between has other sides
-        std5, std7 = SurfaceModel.standard(5), SurfaceModel.standard(7)
+        std5, std7 = SurfaceModel(5), SurfaceModel(7)
         other = SchemaStep(0, "R6closed-odd", (), False)
         for _ in range(2):
             presentation._build_instance.cache_clear()
@@ -466,13 +479,13 @@ class TestFreeSteps:
             apply_step([], FreeStep("insert", 0, GeneratorLetter("u", 7), 1), std3)
 
 
-_STD5 = SurfaceModel.standard(5)
+_STD5 = SurfaceModel(5)
 
 
 @st.composite
 def block_cases(draw):
     """A raw working state and a block step on it, at the place its word cancels or near it."""
-    w = draw(words_for(_STD5, max_len=5).filter(lambda w: w.syllable_count >= 2)).syllables
+    w = draw(words_for(_STD5, max_len=5).filter(lambda w: len(w.syllables) >= 2)).syllables
     raw = st.lists(syllables_for(_STD5, max_exp=2), max_size=4)
     before = draw(raw)
     middle = list(w + _inverse_syllables(w)) if draw(st.booleans()) else draw(raw)
@@ -595,8 +608,8 @@ class TestCertificates:
         assert verify_identity(w, 1, other, Certificate(w, other)).certificate == FAIL
 
     def test_model_mismatch_rejected(self):
-        a = _w("u1", SurfaceModel.standard(5))
-        b = _w("u1", SurfaceModel.standard(6))
+        a = _w("u1", SurfaceModel(5))
+        b = _w("u1", SurfaceModel(6))
         with pytest.raises(WordError):
             Certificate(a, b)
 
@@ -692,26 +705,32 @@ class TestCommuteDisjoint:
 
     @pytest.mark.parametrize("kind", ["standard", "hybrid"])
     def test_the_word_free_check_agrees_with_commute_step(self, kind):
-        # presentation._check_commuting, which gathers and moves run, builds no
-        # step, instance or word, and passes or raises as commute_step does
-        check = presentation._check_commuting.__wrapped__
+        # presentation._commutation, which gathers and moves run, builds no
+        # step, instance or word, and passes or raises as commute_step does;
+        # the hybrid t/u/y letters of index 2..3, which the model does not
+        # admit, are refused by both
+        check = presentation._commutation.__wrapped__
         memo = presentation._build_instance.cache_info
         refused = 0
         for genus in range(2, 10):
             if kind == "hybrid" and (genus < 4 or genus % 2):
                 continue
             model = SurfaceModel(genus, kind)
-            for x in model.letters():
-                for z in model.letters():
+            letters = model.letters()
+            if kind == "hybrid":
+                letters += tuple(GeneratorLetter(k, i) for k in "tuy" for i in (2, 3))
+            for x in letters:
+                for z in letters:
                     try:
                         commute_step(((x, 1), (z, 1)), 0, model)
                     except SchemaError as exc:
                         expected = str(exc)
                     else:
                         expected = None
+                    assert expected or (model.admits(x) and model.admits(z)), (x, z)
                     calls = memo().hits + memo().misses
                     try:
-                        check(x, z, genus, kind)
+                        check(x, z, model)
                     except SchemaError as exc:
                         assert str(exc) == expected, (genus, x, z)
                         refused += 1
@@ -720,6 +739,16 @@ class TestCommuteDisjoint:
                     assert memo().hits + memo().misses == calls
         # each model has pairs of every verdict: the check decides something
         assert refused > 0
+
+    def test_a_hybrid_crosscap_letter_of_index_two_is_refused(self, hyb6):
+        # ChainCommute's letter-kind parameter has no index: the pair t2 c1
+        # must not be swapped as t1 c1
+        t2, c1 = GeneratorLetter("t", 2), GeneratorLetter("c", 1)
+        message = "^ChainCommute: t2 or c1 is not admissible$"
+        with pytest.raises(SchemaError, match=message):
+            commute_step(((t2, 1), (c1, 1)), 0, hyb6)
+        with pytest.raises(SchemaError, match=message):
+            presentation._commutation(t2, c1, hyb6)
 
     # sha256 of the table of commute_step over every ordered pair of
     # admissible letters (equal letters included) with exponents (1, 1),
@@ -775,9 +804,9 @@ class TestMoveStep:
     def test_a_move_is_its_commutation_steps(self, data):
         # a move applies exactly when the swaps it stands for do, with the same result
         model = data.draw(standard_models(3, 7) | hybrid_models(8))
-        word = data.draw(words_for(model, 7).filter(lambda w: w.syllable_count >= 2))
-        position = data.draw(st.integers(0, word.syllable_count - 2))
-        length = data.draw(st.integers(1, word.syllable_count - 1 - position))
+        word = data.draw(words_for(model, 7).filter(lambda w: len(w.syllables) >= 2))
+        position = data.draw(st.integers(0, len(word.syllables) - 2))
+        length = data.draw(st.integers(1, len(word.syllables) - 1 - position))
         step = MoveStep(position, length, data.draw(st.booleans()))
         moved, swapped = list(word.syllables), list(word.syllables)
         try:
@@ -1113,6 +1142,24 @@ class TestCertificateText:
     def test_malformed_text_rejected(self, text):
         with pytest.raises(CertificateError):
             certificate_from_text(text)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("model klein\ngenus 6", "line 1: unknown model kind 'klein'"),
+            ("model klein\ngenus 51", "line 1: unknown model kind 'klein'"),
+            ("model standard\ngenus 51", "line 2: genus 51 is over the cap of MAX_GENUS = 50"),
+            ("model standard\ngenus 1", "line 2: genus must be an integer >= 2, got 1"),
+            ("model standard\ngenus x", "line 2: bad genus 'x'"),
+            ("model hybrid\ngenus 5", "line 2: hybrid model requires even genus >= 4"),
+            ("model\ngenus 5", "line 1: unknown model kind ''"),
+            ("model standard\nkind 5", "line 2: expected 'genus'"),
+        ],
+    )
+    def test_a_header_fault_names_its_line(self, header, message):
+        with pytest.raises(CertificateError) as info:
+            certificate_from_text(f"{header}\nstart\nend\n")
+        assert str(info.value) == message
 
     # u1 u2 u1 -> u2 u1 u2 -> u1 u2 u1; later lines repeat an earlier line's fields
     _HEAD = "model standard\ngenus 5\nstart u1 u2 u1\nend u2 u1 u2\n"

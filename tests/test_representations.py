@@ -248,7 +248,7 @@ class TestPermutationOracle:
         # the swap for t and u, the identity for y
         swapping = set()
         for g in range(2, 9):
-            model = SurfaceModel.standard(g)
+            model = SurfaceModel(g)
             for letter in model.letters():
                 block = [[v % 2 for v in row] for row in _DENSE_BLOCKS[letter.kind][0]]
                 swaps = block == [[0, 1], [1, 0]]
@@ -260,7 +260,7 @@ class TestPermutationOracle:
 
     def test_rotation_has_full_order(self):
         for g in range(3, 9):
-            m = SurfaceModel.standard(g)
+            m = SurfaceModel(g)
             delta = _w(" ".join(f"u{i}" for i in range(1, g)), m)
             one = CrosscapPermutation.identity(g)
             powers = [perm_of(delta) ** k for k in range(1, g + 1)]
@@ -269,7 +269,7 @@ class TestPermutationOracle:
 
     def test_stabilized_rotation_has_order_genus_minus_one(self):
         for g in range(3, 9):
-            m = SurfaceModel.standard(g)
+            m = SurfaceModel(g)
             w = _w("u1^2 " + " ".join(f"u{i}" for i in range(2, g)), m)
             one = CrosscapPermutation.identity(g)
             powers = [perm_of(w) ** k for k in range(1, g)]
@@ -380,7 +380,7 @@ class TestHomologyOracle:
         # with the homomorphism laws above, writing y_i out as t_i u_i
         # leaves every oracle's image of any word unchanged
         for genus in range(2, 13):
-            model = SurfaceModel.standard(genus)
+            model = SurfaceModel(genus)
             for i in range(1, genus):
                 y, tu = parse_word(f"y{i}", model), parse_word(f"t{i} u{i}", model)
                 for oracle in (homology_of, perm_of, sign_of):
@@ -417,7 +417,7 @@ class TestSparseHomology:
     def test_built_roots_and_their_powers_match_dense_columns(self):
         cases = []
         for genus in range(5, 26):
-            model = SurfaceModel.standard(genus)
+            model = SurfaceModel(genus)
             for target in ("u", "y"):
                 root, _, degree, _, _ = _gathered_root(model, target)
                 cases.append((root, degree))
@@ -441,7 +441,7 @@ class TestSparseHomology:
         # at genus 50 only the first letters and those of index g-1, whose
         # projected column is dense: the dense reference is slow there
         for genus in (5, MAX_GENUS):
-            model = SurfaceModel.standard(genus)
+            model = SurfaceModel(genus)
             for letter in model.letters():
                 if genus > 5 and letter.index not in (1, genus - 1):
                     continue
@@ -456,7 +456,7 @@ class TestSparseHomology:
         for cache in caches:
             cache.cache_clear()
         g = MAX_GENUS
-        model = SurfaceModel.standard(g)
+        model = SurfaceModel(g)
         for text in (f"u{g - 1}", f"t1^1000000001 y{g - 2}^-3 u{g - 1} t{g - 1}^-2", "u1"):
             homology_of(_w(text, model))
         assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
@@ -481,7 +481,7 @@ class TestSparseHomology:
         # homology_of(x^-1) is the integer-derived inverse; checked against
         # a dense product of Python ints written out here
         for g in range(2, 31):
-            model = SurfaceModel.standard(g)
+            model = SurfaceModel(g)
             identity = [[int(r == c) for c in range(g - 1)] for r in range(g - 1)]
             for letter, m in derive_generator_matrices(g).items():
                 inverse = homology_of(Word(model, ((letter, -1),)))
@@ -501,7 +501,7 @@ class TestGl2Image:
 class TestRelationCompatibility:
     @pytest.mark.parametrize("genus", range(2, 9))
     def test_standard_catalog(self, genus):
-        model = SurfaceModel.standard(genus)
+        model = SurfaceModel(genus)
         for inst in relation_catalog(model):
             assert sign_of(inst.lhs) == sign_of(inst.rhs), inst.schema
             assert perm_of(inst.lhs) == perm_of(inst.rhs), inst.schema
@@ -509,5 +509,5 @@ class TestRelationCompatibility:
 
     @pytest.mark.parametrize("genus", (4, 6, 8))
     def test_hybrid_catalog_sign(self, genus):
-        for inst in relation_catalog(SurfaceModel.hybrid(genus)):
+        for inst in relation_catalog(SurfaceModel(genus, "hybrid")):
             assert sign_of(inst.lhs) == sign_of(inst.rhs), inst.schema

@@ -90,8 +90,8 @@ def test_case_choice_follows_the_verdict_table(genus, complement):
 
 @pytest.mark.parametrize(
     "model",
-    [SurfaceModel.standard(g) for g in range(3, 51) if g != 4]
-    + [SurfaceModel.hybrid(g) for g in range(4, 51, 2)],
+    [SurfaceModel(g) for g in range(3, 51) if g != 4]
+    + [SurfaceModel(g, "hybrid") for g in range(4, 51, 2)],
     ids=lambda model: f"{model.kind}{model.genus}",
 )
 def test_boundary_identity_gives_a_root(model):
@@ -105,8 +105,8 @@ def test_boundary_identity_gives_a_root(model):
 
 
 def test_no_boundary_identity_at_standard_genus_2_and_4():
-    assert boundary_identity(SurfaceModel.standard(2)) is None
-    assert boundary_identity(SurfaceModel.standard(4)) is None
+    assert boundary_identity(SurfaceModel(2)) is None
+    assert boundary_identity(SurfaceModel(4)) is None
 
 
 class TestOddGenus:
@@ -256,7 +256,7 @@ class TestNontriviality:
     def test_both_exits_of_the_power_walk(self, genus, target, other):
         # y1 fixes every crosscap, so the walk over its powers stops at once;
         # u3 swaps crosscaps 3 and 4, so its powers cycle back after two
-        model = SurfaceModel.standard(genus)
+        model = SurfaceModel(genus)
         x = _w(target, model)
         for k in range(-3, 4):
             assert not is_nontrivial(x**k, x)
@@ -383,7 +383,7 @@ class TestVerifyIdentity:
     def test_certificate_model_must_match_the_claim(self):
         # a genus-6 certificate against a genus-5 claim names both models
         cert = construct_root(RootRequest(6, "u")).certificate
-        model = SurfaceModel.standard(5)
+        model = SurfaceModel(5)
         report = verify_identity(_w("u1 u2", model), 2, _w("u1 u2 u1 u2", model), cert)
         assert report.certificate == FAIL and not report.proved
         assert report.details[-1] == (
@@ -435,7 +435,7 @@ def test_a_root_and_its_certificate_do_not_check_the_start_again(monkeypatch):
     monkeypatch.setattr(Word, "__init__", counting)
     result = construct_root(RootRequest(20, "u", "orientable"))
     certificate_to_text(result.certificate)
-    assert result.certificate.model == SurfaceModel.hybrid(20)
+    assert result.certificate.model == SurfaceModel(20, "hybrid")
     assert len(result.certificate.start.syllables) == 6859
     assert sum(checked) < 6859
 
@@ -456,7 +456,7 @@ def test_gather_takes_one_round_of_span_swaps_per_copy(genus, complement, target
     # syllables (the (m-1) rounds of one move past span syllables and one
     # merge), |p| boundary steps (and |p| u^2 -> y^2 steps), |p| final merges
     result = construct_root(RootRequest(genus, target, complement))
-    m, span = result.degree, result.root.syllable_count - 1
+    m, span = result.degree, len(result.root.syllables) - 1
     p = abs(1 - result.root.syllables[-1][1] * m) // 2
     steps = result.certificate.steps
     assert len(steps) == 1 + 2 * p + p * (target == "y")

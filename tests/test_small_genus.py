@@ -28,7 +28,7 @@ from mcgroots.words import SurfaceModel, parse_word
 
 
 def _w(text, genus=3):
-    return parse_word(text, SurfaceModel.standard(genus))
+    return parse_word(text, SurfaceModel(genus))
 
 
 def _times(x, y):
@@ -362,6 +362,6 @@ class TestGenus3Certification:
 
     def test_rejects_wrong_models(self):
         with pytest.raises(ValueError):
-            certify_no_root_g3(parse_word("u1", SurfaceModel.standard(5)), scan_bound=1)
+            certify_no_root_g3(parse_word("u1", SurfaceModel(5)), scan_bound=1)
         with pytest.raises(ValueError):
-            certify_no_root_g3(parse_word("u1", SurfaceModel.hybrid(4)), scan_bound=1)
+            certify_no_root_g3(parse_word("u1", SurfaceModel(4, "hybrid")), scan_bound=1)

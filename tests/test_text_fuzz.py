@@ -181,7 +181,7 @@ def test_a_bad_step_or_free_line_is_named(case):
 
 
 @settings(max_examples=300)
-@given(TEXT, st.sampled_from((SurfaceModel.standard(5), SurfaceModel.hybrid(6))))
+@given(TEXT, st.sampled_from((SurfaceModel(5), SurfaceModel(6, "hybrid"))))
 def test_parse_word_yields_a_word_or_a_word_error(text, model):
     try:
         word = parse_word(text, model)
@@ -211,7 +211,7 @@ def test_cli_verify_word_ends_in_an_exit_code(text):
         # the word is the only free input, so the parser refused it, and the
         # CLI prints the parser's message
         with pytest.raises(WordError) as info:
-            parse_word(text, SurfaceModel.standard(5))
+            parse_word(text, SurfaceModel(5))
         assert err.getvalue() == f"error: {info.value}\n"
 
 
