@@ -91,6 +91,15 @@ current (not necessarily reduced) working sequence and come in five forms:
   1 .. copies-1``), so it needs no further axiom; flipping the
   direction inverts it.
 
+Replay keeps a start built by ``**`` as its power's parts
+(:func:`~.words._power_parts`): a head, ``count`` copies of one unit, a
+tail.  A forward gather of exactly the copies, and a schema step at
+their start whose pattern is whole copies, act on the count; any other
+step acts on the head, or on the state written out once a step reads
+past the head.  So a root's replay writes out O(g^2) of the about g^3
+syllables of its start ``root^m``; a braid certificate, whose first
+gather is not aligned with the copies, replays written out.
+
 Text format (one item per line, words in the module grammar)::
 
     model standard          | model hybrid
@@ -115,8 +124,10 @@ bit-exactly.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .words import (
@@ -129,8 +140,10 @@ from .words import (
     _format_syllables,
     _grouped_text,
     _inverse_syllables,
+    _is_power,
     _letter,
     _model_kind,
+    _power_parts,
     _reduce_syllables,
     parse_word,
 )
@@ -227,6 +240,7 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+@lru_cache(maxsize=None)  # a root build asks three times
 def boundary_identity(model: SurfaceModel) -> tuple[str, Word, int] | None:
     """``(schema, D, m)`` of the model's boundary identity ``u_1^2 = D^m``, if any."""
     # every block letter lies in the model's alphabet, and no two neighbours share one
@@ -484,6 +498,27 @@ def _inverse_sides(inst: RelationInstance) -> tuple[tuple[Syllable, ...], tuple[
     return inverses
 
 
+def _window_mismatch(
+    what: str, pos: int, name: str, expected: tuple, found: tuple, inverse: str = ""
+) -> CertificateError:
+    """The mismatch of the window ``found`` at ``pos`` with the ``expected`` side.
+
+    A side of more than 12 syllables is named by its length, with the first
+    syllable where the window differs; a shorter one is written out, as is the window.
+    """
+    if len(expected) <= 12:
+        return CertificateError(
+            f"{what} mismatch at position {pos}: expected {_format_syllables(expected)}{inverse},"
+            f" found {_format_syllables(found)}"
+        )
+    k = next((k for k, (a, b) in enumerate(zip(found, expected)) if a != b), len(found))
+    return CertificateError(
+        f"{what} mismatch at position {pos}: expected a {name} of {len(expected)} syllables"
+        f"{inverse}, found {_format_syllables(found[k : k + 1], 'the end')} at position"
+        f" {pos + k}, where the {name} has {_format_syllables(expected[k : k + 1])}"
+    )
+
+
 def _apply_schema_step(state: list[Syllable], step: SchemaStep, model: SurfaceModel) -> None:
     try:
         inst = instantiate(step.schema, step.params, model)
@@ -509,10 +544,7 @@ def _apply_schema_step(state: list[Syllable], step: SchemaStep, model: SurfaceMo
     if found == inverse_pattern:
         state[pos:end] = inverse_replacement
         return
-    raise CertificateError(
-        f"occurrence mismatch at position {pos}: expected {_format_syllables(pattern)}"
-        f" or its inverse, found {_format_syllables(found)}"
-    )
+    raise _window_mismatch("occurrence", pos, "pattern", pattern, found, " or its inverse")
 
 
 def _check_syllables(syllables: Iterable[Syllable], model: SurfaceModel) -> None:
@@ -534,10 +566,7 @@ def _apply_block(
         return
     found = tuple(state[pos : pos + len(block)])
     if found != block:
-        raise CertificateError(
-            f"delete mismatch at position {pos}: expected {_format_syllables(block)},"
-            f" found {_format_syllables(found)}"
-        )
+        raise _window_mismatch("delete", pos, "block", block, found)
     del state[pos : pos + len(block)]
 
 
@@ -608,12 +637,12 @@ def _blocked(
     of first occurrence, so for syllables in the order ``x`` meets them
     the first failing letter is the first failing swap.
     """
-    letters = {id(letter): letter for letter, _ in passed}
-    for letter in letters.values():
+    letters = list(map(itemgetter(0), passed))
+    for letter in dict(zip(map(id, letters), letters)).values():
         try:
             _commutation(*((x, letter) if forward else (letter, x)), model)
         except SchemaError as exc:
-            return next(k for k, (other, _) in enumerate(passed) if other is letter), str(exc)
+            return next(k for k, other in enumerate(letters) if other is letter), str(exc)
     return None
 
 
@@ -679,8 +708,8 @@ def _apply_gather_step(state: list[Syllable], step: GatherStep, model: SurfaceMo
         state[pos : end + 1] = (block + [(x, e // copies)]) * copies
 
 
-def apply_step(state: list[Syllable], step: RewriteStep, model: SurfaceModel) -> None:
-    """Apply one step to the working syllable sequence in place."""
+def _apply_flat(state: list[Syllable], step: RewriteStep, model: SurfaceModel) -> None:
+    """Apply one step to the written-out syllable list in place."""
     if isinstance(step, MoveStep):
         _apply_move_step(state, step, model)
     elif isinstance(step, SchemaStep):
@@ -693,6 +722,86 @@ def apply_step(state: list[Syllable], step: RewriteStep, model: SurfaceModel) ->
         _apply_gather_step(state, step, model)
     else:
         raise CertificateError(f"unknown step type {type(step).__name__}")
+
+
+class _Run(list):
+    """A replay state: this list, its head at position 0, then ``count`` copies of ``unit``
+    and ``tail``.  ``last`` is the last pattern found to be copies of ``unit``, and their unit."""
+
+    __slots__ = ("unit", "count", "tail", "last")
+
+    def __init__(self, head: Sequence[Syllable], unit: tuple, count: int, tail: tuple):
+        super().__init__(head)
+        self.unit, self.count, self.tail, self.last = unit, count, tail, (None, None)
+        if not count:
+            self.written()
+
+    def written(self) -> "_Run":
+        """The whole state, written out into this list for good."""
+        self += self.unit * self.count
+        self += self.tail
+        self.unit, self.count, self.tail = (), 0, ()
+        return self
+
+
+def _apply_on_run(run: _Run, step: RewriteStep, model: SurfaceModel) -> bool:
+    """Apply a step on whole copies of the run; False, changing nothing, for any other step.
+
+    A forward gather of exactly the copies needs only the letter check.  A
+    schema step at their start whose pattern, or its inverse, is ``k``
+    copies of a unit ``v`` of the run's unit (whose length divides both
+    lengths, so their gcd does) counts the run in ``v`` and takes ``k`` off.
+    """
+    at, unit, count = len(run), run.unit, run.count
+    if step.__class__ is GatherStep:
+        if step.forward and (step.position, step.copies, step.length + 1) == (at, count, len(unit)):
+            block, (x, e) = unit[:-1], unit[-1]
+            if not _blocked(x, block, True, model):  # else the flat step names the letter
+                run.unit, run.tail = block, ((x, e * count),) + run.tail
+                return True
+        return False
+    if step.__class__ is not SchemaStep or step.position != at:
+        return False
+    try:
+        inst = instantiate(step.schema, step.params, model)
+    except SchemaError:
+        return False
+    for sides in ((inst.lhs.syllables, inst.rhs.syllables), None):  # as the flat step
+        pattern, replacement = (sides or _inverse_sides(inst))[:: 1 if step.forward else -1]
+        if run.last[0] is not pattern or run.last[1] is not unit:  # else compared already
+            d = math.gcd(len(pattern), len(unit))
+            v, k = unit[:d], len(pattern) // d
+            if pattern[:d] != v or pattern != v * k or unit != v * (len(unit) // d):
+                continue
+            run.last = (pattern, v)
+        v = run.last[1]
+        if len(pattern) > count * len(unit):
+            return False
+        run.unit, run.count = v, (count * len(unit) - len(pattern)) // len(v)
+        run += replacement
+        if not run.count:
+            run.written()
+        return True
+    return False
+
+
+def apply_step(state: list[Syllable], step: RewriteStep, model: SurfaceModel) -> None:
+    """Apply one step to the working state in place: a syllable list or a :class:`_Run`.
+
+    A run takes a step on its copies there (:func:`_apply_on_run`), and any
+    other on its head, at position 0.  A step that reads past the head fails
+    at its end; a failed step acts again on the state written out, so the
+    results and messages are those of the list.
+    """
+    if state.__class__ is _Run and state.count:
+        if _apply_on_run(state, step, model):
+            return
+        try:
+            _apply_flat(state, step, model)
+            return
+        except CertificateError:
+            state.written()
+    _apply_flat(state, step, model)
 
 
 class Certificate(_Record):
@@ -719,16 +828,27 @@ class Certificate(_Record):
 def replay_certificate(certificate: Certificate) -> tuple[Syllable, ...]:
     """Replay all steps from ``start``; returns the final raw syllable sequence.
 
-    Raises :class:`CertificateError` with the 1-based step number on the
-    first step that does not apply.
+    A start built by ``**`` replays as a :class:`_Run` of its power's parts,
+    from its record and checked against its length; any other is written
+    out.  Raises :class:`CertificateError` with the 1-based step number on
+    the first step that does not apply.
     """
-    state = list(certificate.start.syllables)
+    start = certificate.start
+    source = getattr(start, "_source", None)
+    try:
+        parts = _power_parts(source[0].syllables, source[1]) if _is_power(source) else ()
+    except WordError:  # a power of a power near the cap
+        parts = ()
+    head, unit, count, tail = parts or (start.syllables, (), 0, ())
+    if len(head) + len(unit) * count + len(tail) != len(start.syllables):
+        head, unit, count, tail = start.syllables, (), 0, ()
+    state = _Run(head, unit, count, tail)
     for number, step in enumerate(certificate.steps, 1):
         try:
             apply_step(state, step, certificate.model)
         except CertificateError as exc:
             raise CertificateError(f"step {number}: {exc}") from None
-    return tuple(state)
+    return tuple(state.written())
 
 
 def commute_step(state: Sequence[Syllable], position: int, model: SurfaceModel) -> SchemaStep:

@@ -296,7 +296,8 @@ def _certificate_check(
         return FAIL, "certificate: end is not the target"
     count = len(certificate.steps)
     try:
-        ok = replay_certificate(certificate) == certificate.end.syllables
+        # replayed from this start, whose power record gives replay its parts
+        ok = replay_certificate(certificate._replace(start=start)) == certificate.end.syllables
     except CertificateError as exc:
         return FAIL, f"certificate: {count} steps, {exc}"
     return _verdict(ok), f"certificate: {count} steps replay root^{power} -> target = {ok}"

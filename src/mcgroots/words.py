@@ -86,7 +86,7 @@ _KIND_NAMES = {
 MAX_GENUS = 50
 
 # The most syllables a power may write out: 2|w| + |c|·|e| for the power e of
-# w c w^-1, whose core c alone is repeated (see _power).  It sits above the
+# w c w^-1, whose core c alone is repeated (see _power_parts).  It sits above the
 # start word of a genus-100 root (451 729 syllables); larger powers raise
 # WordError before anything is written out.  Word text may write out no more
 # in all, at any level of its groups (see _parse_sequence).
@@ -535,26 +535,28 @@ def _conjugator_length(syllables: Sequence[Syllable]) -> int:
     return k
 
 
-def _power(syllables: tuple[Syllable, ...], e: int) -> tuple[Syllable, ...]:
-    """The power ``e`` of reduced ``syllables``, itself reduced, as ``w c^e w^-1``.
+def _power_parts(syllables: tuple[Syllable, ...], e: int) -> tuple[tuple, tuple, int, tuple]:
+    """``(head, unit, count, tail)``: the power ``e`` of reduced ``syllables``, reduced,
+    is ``head + unit * count + tail``.
 
-    With ``syllables = w c w^-1`` (see :func:`_conjugator_length`) only the
-    core ``c`` is written out ``|e|`` times, inverted for ``e < 0``; a
-    core of one syllable powers by scaling its exponent.  A core
-    ``x^a m x^b`` whose end syllables share the letter ``x`` has its
-    copies joined by the one syllable ``x^(a+b)``, never trivial, since
-    ``a + b = 0`` would have put ``x`` into ``w``; no other seam merges.
-    What is written out, at most ``2|w| + |c|·|e|`` syllables, may be at
-    most ``MAX_POWER_SYLLABLES``, except for the powers +-1, which write
-    out no more than the word itself.
+    With ``syllables = w c w^-1`` (see :func:`_conjugator_length`) it is
+    ``w c^e w^-1``, and only the core ``c``, inverted for ``e < 0``, is
+    repeated; a core of one syllable scales its exponent.  A core ``x^a m
+    x^b`` whose end syllables share the letter ``x`` has its copies joined
+    by ``x^(a+b)``, never trivial (``a + b = 0`` would have put ``x`` into
+    ``w``): its unit ``m x^(a+b)`` comes ``|e| - 1`` times between the head
+    ``w x^a`` and the tail ``m x^b w^-1``.  What is written out, at most
+    ``2|w| + |c|·|e|`` syllables, may be at most ``MAX_POWER_SYLLABLES``,
+    except for the powers +-1, which write out no more than the word.
     """
     if e == 0 or not syllables:
-        return ()
+        return (), (), 0, ()
     k = _conjugator_length(syllables)
     conjugator, core = syllables[:k], syllables[k : len(syllables) - k]
+    tail = _inverse_syllables(conjugator)
     if len(core) == 1:
         ((letter, exp),) = core
-        return conjugator + ((letter, exp * e),) + _inverse_syllables(conjugator)
+        return conjugator + ((letter, exp * e),), (), 0, tail
     size = 2 * k + len(core) * abs(e)
     if abs(e) > 1 and size > MAX_POWER_SYLLABLES:
         raise WordError(
@@ -566,10 +568,15 @@ def _power(syllables: tuple[Syllable, ...], e: int) -> tuple[Syllable, ...]:
     (first, a), (last, b) = core[0], core[-1]
     if first == last:
         middle = core[1:-1]
-        core = core[:1] + (middle + ((first, a + b),)) * (abs(e) - 1) + middle + core[-1:]
-    else:
-        core *= abs(e)
-    return conjugator + core + _inverse_syllables(conjugator)
+        unit = middle + ((first, a + b),)
+        return conjugator + core[:1], unit, abs(e) - 1, middle + core[-1:] + tail
+    return conjugator, core, abs(e), tail
+
+
+def _power(syllables: tuple[Syllable, ...], e: int) -> tuple[Syllable, ...]:
+    """The power ``e`` of reduced ``syllables``, reduced: its :func:`_power_parts` joined."""
+    head, unit, count, tail = _power_parts(syllables, e)
+    return head + unit * count + tail
 
 
 def _parse_sequence(

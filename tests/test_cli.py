@@ -704,6 +704,32 @@ class TestCertificateCycle:
         assert code == 2
         assert report["checks"]["certificate"] == "fail"
 
+    def test_a_long_mismatch_window_is_not_written_out(self, capsys, tmp_path):
+        # a boundary step of the genus-50 root shifted by one position meets a window
+        # of 2 209 syllables; the report names it in one short line
+        path = tmp_path / "cert.txt"
+        _, root, _ = run_json(capsys, "root", "--genus", "50", "--emit-certificate", str(path))
+        lines = path.read_text().splitlines()
+        steps = [n for n, line in enumerate(lines) if line.endswith(" R6closed-even bwd")]
+        k = steps[len(steps) // 2]
+        _, position, rest = lines[k].split(" ", 2)
+        position = int(position) + 1
+        lines[k] = f"step {position} {rest}"
+        path.write_text("\n".join(lines) + "\n")
+        code, report, _ = run_json(
+            capsys, "verify", "--genus", "50", "--word", root["root"],
+            "--power", str(root["degree"]), "--equals", "u1", "--certificate", str(path),
+        )
+        assert (code, report["verdict"]) == (2, "refuted")
+        (detail,) = [d for d in report["details"] if d.startswith("certificate:")]
+        assert len(detail.encode()) < 300
+        assert re.fullmatch(
+            rf"certificate: \d+ steps, step {k - 3}: occurrence mismatch at position {position}:"
+            r" expected a pattern of 2209 syllables or its inverse, found \S+ at position \d+,"
+            r" where the pattern has \S+",
+            detail,
+        ), detail
+
     VERIFY6 = ("verify", "--genus", "6", "--word", "u5^-1 u4^-1 u3^-2 u1", "--power", "3",
                "--equals", "u1", "--certificate")
 

@@ -412,6 +412,81 @@ class TestSchemaSteps:
             assert state == before
 
 
+    def test_a_long_side_is_named_by_its_length(self):
+        # R6closed-odd at genus 9: u1^2 = (u3 .. u8)^7, a side of 42 syllables; the
+        # window differs from it first at position 40, where the end of the state is 41
+        g9 = SurfaceModel(9)
+        state = list(_w("(u3 u4 u5 u6 u7 u8)^6 u3 u4 u5 u6 u8", g9).syllables)
+        with pytest.raises(CertificateError) as info:
+            apply_step(state, SchemaStep(0, "R6closed-odd", (), False), g9)
+        assert str(info.value) == (
+            "occurrence mismatch at position 0: expected a pattern of 42 syllables or its"
+            " inverse, found u8 at position 40, where the pattern has u7"
+        )
+        w = _w("u1 u2 u3 u4 u5 u6 u7", g9).syllables
+        state = list(w + _inverse_syllables(w)[:-1])
+        with pytest.raises(CertificateError) as info:
+            apply_step(state, BlockStep("delete", 0, w), g9)
+        assert str(info.value) == (
+            "delete mismatch at position 0: expected a block of 14 syllables, found the end"
+            " at position 13, where the block has u1^-1"
+        )
+
+
+class TestRunReplay:
+    """A start built by ``**`` replays on its power's parts as it does written out."""
+
+    @staticmethod
+    def _both(base, n, steps):
+        """The outcome of replaying ``steps`` from ``base ** n``, checked against the
+        same replay from the written-out start: the final syllables or the error text."""
+        outcomes = []
+        power = base**n
+        for start in (power, Word(power.model, power.syllables)):
+            try:
+                outcomes.append(replay_certificate(Certificate(start, start, steps)))
+            except CertificateError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    @pytest.mark.parametrize(
+        "base, n, forward, left",
+        [
+            ("u3 u4 u5 u6 u7 u8", 8, False, "u1^2 u3 u4 u5 u6 u7 u8"),  # 7 of 8 copies
+            ("u3 u4 u5 u6 u7 u8 u3 u4 u5 u6 u7 u8", 4, False, "u1^2 u3 u4 u5 u6 u7 u8"),
+            ("u8^-1 u7^-1 u6^-1 u5^-1 u4^-1 u3^-1", 7, False, "u1^-2"),  # the inverse side
+            ("u3 u4 u5 u6 u7 u8", 6, False, None),  # one copy short
+            ("u3 u4 u5 u6 u7 u8 u3 u4 u5 u6 u8 u7", 4, False, None),  # half a unit is a copy
+            ("u3 u4 u5 u6 u7 u8", 7, True, None),  # the pattern is u1^2
+        ],
+    )
+    def test_a_boundary_step_takes_whole_copies_of_the_run(self, base, n, forward, left):
+        g9 = SurfaceModel(9)  # R6closed-odd: u1^2 = (u3 .. u8)^7
+        got = self._both(_w(base, g9), n, (SchemaStep(0, "R6closed-odd", (), forward),))
+        if left is None:
+            assert got.startswith("step 1: occurrence mismatch at position 0: ")
+        else:
+            assert got == _w(left, g9).syllables
+
+    def test_a_pattern_is_compared_again_once_the_unit_changes(self, std5):
+        # (u1 u3)^5: R1 swaps the first copy, the gather leaves a run of u1, and the
+        # same R1 pattern, now two copies of no unit of the run, is refused
+        swap = SchemaStep(2, "R1", (1, 3, 1, 1), True)
+        steps = (swap._replace(position=0), GatherStep(2, 1, 4, True), swap)
+        assert self._both(_w("u1 u3", std5), 5, steps) == (
+            "step 3: occurrence mismatch at position 2: expected u1 u3 or its inverse, found u1 u1"
+        )
+
+    def test_a_gather_of_the_whole_run_checks_its_letters(self, std5):
+        steps = (GatherStep(0, 1, 3, True),)
+        gathered = _w("u3", std5).syllables * 3 + _w("u1^3", std5).syllables  # not reduced
+        assert self._both(_w("u3 u1", std5), 3, steps) == gathered
+        assert self._both(_w("u2 u1", std5), 3, steps) == (
+            "step 1: gather mismatch at position 0: R1 needs disjoint supports, but u1 and u2 meet"
+        )
+
+
 class TestFreeSteps:
     def test_insert_and_delete(self, std5):
         u2 = GeneratorLetter("u", 2)

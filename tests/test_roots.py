@@ -14,6 +14,7 @@ from mcgroots.presentation import (
     Certificate,
     FreeStep,
     GatherStep,
+    CertificateError,
     MoveStep,
     SchemaStep,
     boundary_identity,
@@ -508,6 +509,82 @@ def test_each_certificate_is_replayed_once(monkeypatch):
         result = build()
         assert result.report.proved
         assert len(calls) == len(result.certificate.steps), build
+
+
+def _tampered(steps):
+    """The steps, and each fault of a few of them: a position shifted by +-1, the
+    direction flipped, the step dropped, and every gather's copies changed by +-1."""
+    yield steps
+    n = len(steps)
+    for i in sorted({0, 1, n // 2, n - 1} & set(range(n))):
+        step, before, after = steps[i], steps[:i], steps[i + 1 :]
+        for d in (1, -1):
+            if step.position + d >= 0:
+                yield before + (step._replace(position=step.position + d),) + after
+        yield before + (invert_step(step),) + after
+        yield before + after
+    for i, step in enumerate(steps):
+        if isinstance(step, GatherStep):
+            for d in (1, -1):
+                if step.copies + d >= 2:
+                    yield steps[:i] + (step._replace(copies=step.copies + d),) + steps[i + 1 :]
+
+
+def _replayed(certificate):
+    """The final syllables of a replay, or the text of the error that stopped it."""
+    try:
+        return replay_certificate(certificate)
+    except CertificateError as exc:
+        return str(exc)
+
+
+def _replays_agree(result):
+    """Replay from the parsed start, written out, and from ``root ** degree``, on its
+    power's parts, give one outcome for the certificate and each fault of it."""
+    parsed = certificate_from_text(certificate_to_text(result.certificate))
+    assert isinstance(parsed.start._source, str)  # no power record: replayed flat
+    power = result.root ** result.degree
+    for steps in _tampered(result.certificate.steps):
+        flat = _replayed(Certificate(parsed.start, parsed.end, steps))
+        assert _replayed(Certificate(power, parsed.end, steps)) == flat
+        if steps == result.certificate.steps:
+            assert flat == result.target.syllables
+
+
+@pytest.mark.parametrize("genus", range(4, 51))
+def test_the_run_state_replays_as_the_written_out_start(genus):
+    for complement in _complements(genus):
+        for target in "uy":
+            _replays_agree(construct_root(RootRequest(genus, target, complement)))
+
+
+@pytest.mark.parametrize("punctures", range(5, 31))
+def test_braids_replay_as_the_written_out_start(punctures):
+    for index in sorted({1, 2, punctures - 1}):
+        _replays_agree(construct_braid_root(punctures, index))
+
+
+def test_root_replay_writes_out_no_more_than_genus_squared(monkeypatch):
+    """The replay of the largest roots keeps the run of copies unwritten.
+
+    A silent fall back to the written-out start would pass every other
+    test; here it hands the flat step code about g^3 syllables.
+    """
+    largest = [0]
+    flat = presentation._apply_flat
+
+    def recording(state, step, model):
+        largest[0] = max(largest[0], len(state))
+        flat(state, step, model)
+
+    monkeypatch.setattr(presentation, "_apply_flat", recording)
+    requests = [RootRequest(50, t, "orientable") for t in "uy"]
+    requests += [RootRequest(g, t, "nonorientable") for g in (49, 50) for t in "uy"]
+    for request in requests:
+        largest[0] = 0
+        result = construct_root(request)
+        assert result.report.proved
+        assert 0 < largest[0] <= request.genus**2 < len(result.certificate.start.syllables)
 
 
 def test_a_construction_fault_fails_the_certificate_check(monkeypatch):

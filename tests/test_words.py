@@ -377,6 +377,19 @@ class TestGroupOperations:
             assert all(e != 0 for _, e in result.syllables)
             assert all(x != y for (x, _), (y, _) in zip(result.syllables, result.syllables[1:]))
 
+    @settings(max_examples=100)
+    @given(conjugates(), st.integers(-6, 6), st.integers(-3, 3))
+    def test_power_parts_are_the_power_of_the_record(self, word, e, f):
+        # replay starts from the parts of a word's power record, so joined they
+        # must be exactly the syllables ** and inverse() wrote
+        s = word.syllables
+        head, unit, count, tail = words._power_parts(s, e)
+        assert head + unit * count + tail == words._power(s, e)
+        for built in (word**e, word.inverse(), (word**e) ** f, word.inverse() ** f):
+            base, n = built._source
+            head, unit, count, tail = words._power_parts(base.syllables, n)
+            assert head + unit * count + tail == built.syllables
+
     def test_copies_of_a_core_join_where_its_ends_share_a_letter(self):
         # the braid root (6, 2): its core begins and ends with u3^-1, so the
         # copies of the core join in u3^-2
