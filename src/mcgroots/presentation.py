@@ -77,10 +77,9 @@ current (not necessarily reduced) working sequence and come in five forms:
   ``fwd`` moves the syllable at ``pos`` right past the next ``len``, and
   ``bwd`` moves the syllable at ``pos + len`` left to ``pos``.  Replay
   checks the moving letter against each distinct letter it passes with
-  :func:`_commutation`, memoized per pair of letters and model: the
-  check of :func:`commute_step`, which builds no step, so a move is
-  exactly the run of commutation steps it abbreviates; flipping the
-  direction inverts it;
+  :func:`_commutation`, memoized per pair of letters and model, which
+  builds no step, so a move is exactly the run of commutation steps it
+  abbreviates; flipping the direction inverts it;
 * gather steps collect ``copies`` periods ``A x^e``, ``A`` being the
   ``len`` syllables at ``pos``: ``fwd`` turns ``(A x^e)^copies`` into
   ``A^copies x^(e·copies)``, checked by one comparison with the first
@@ -92,13 +91,11 @@ current (not necessarily reduced) working sequence and come in five forms:
   direction inverts it.
 
 Replay keeps a start built by ``**`` as its power's parts
-(:func:`~.words._power_parts`): a head, ``count`` copies of one unit, a
-tail.  A forward gather of exactly the copies, and a schema step at
-their start whose pattern is whole copies, act on the count; any other
-step acts on the head, or on the state written out once a step reads
-past the head.  So a root's replay writes out O(g^2) of the about g^3
-syllables of its start ``root^m``; a braid certificate, whose first
-gather is not aligned with the copies, replays written out.
+(:func:`~.words._power_parts`): written syllables around ``count`` copies of
+a unit.  A gather of exactly the copies, aligned with them, and a schema
+step at their start whose pattern is whole copies act on the count; any
+other step is applied once, to the copies it reads written out, so a root's
+or braid root's replay writes out O(g^2) of the g^3 syllables of its start.
 
 Text format (one item per line, words in the module grammar)::
 
@@ -124,8 +121,8 @@ bit-exactly.
 from __future__ import annotations
 
 import itertools
-import math
 import re
+import sys
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence, Union
@@ -164,7 +161,6 @@ __all__ = [
     "boundary_identity",
     "certificate_from_text",
     "certificate_to_text",
-    "commute_step",
     "instantiate",
     "invert_step",
     "relation_catalog",
@@ -224,12 +220,11 @@ class CertificateError(ValueError):
 class RelationInstance(_Record):
     """One concrete relation ``lhs = rhs`` of a model's presentation.
 
-    The private slot ``_inverses`` keeps the syllables of ``lhs^-1`` and
-    ``rhs^-1`` once a step first compares a window with them (see
-    :func:`_inverse_sides`); it is not a field.
+    The private slots ``_inverses`` and ``_periods`` keep what
+    :func:`_inverse_sides` and :func:`_periods` find; they are not fields.
     """
 
-    __slots__ = ("schema", "params", "model", "lhs", "rhs", "_inverses")
+    __slots__ = ("schema", "params", "model", "lhs", "rhs", "_inverses", "_periods")
 
     def __init__(self, schema: str, params: tuple, model: SurfaceModel, lhs: Word, rhs: Word):
         super().__init__(schema, params, model, lhs, rhs)
@@ -487,15 +482,23 @@ def invert_step(step: RewriteStep) -> RewriteStep:
 
 
 def _inverse_sides(inst: RelationInstance) -> tuple[tuple[Syllable, ...], tuple[Syllable, ...]]:
-    """The syllables of ``lhs^-1`` and ``rhs^-1``, inverted at the first call and kept.
+    """The syllables of ``lhs^-1`` and ``rhs^-1``, inverted at the first call and kept."""
+    if getattr(inst, "_inverses", None) is None:
+        sides = (inst.lhs.syllables, inst.rhs.syllables)
+        object.__setattr__(inst, "_inverses", tuple(map(_inverse_syllables, sides)))
+    return inst._inverses
 
-    They live as long as the instance, so the instance memo keeps them too.
-    """
-    inverses = getattr(inst, "_inverses", None)
-    if inverses is None:
-        inverses = (_inverse_syllables(inst.lhs.syllables), _inverse_syllables(inst.rhs.syllables))
-        object.__setattr__(inst, "_inverses", inverses)
-    return inverses
+
+def _periods(inst: RelationInstance) -> tuple[int, int]:
+    """The periods of the sides, found once: the least ``d`` whose first ``d`` syllables make it."""
+    if getattr(inst, "_periods", None) is None:
+        sides = [(s, len(s)) for s in (inst.lhs.syllables, inst.rhs.syllables)]
+        periods = [
+            next((d for d in range(1, n) if s[d][0] is s[0][0] and s[:d] * (n // d) == s), n)
+            for s, n in sides
+        ]
+        object.__setattr__(inst, "_periods", tuple(periods))
+    return inst._periods
 
 
 def _window_mismatch(
@@ -524,26 +527,17 @@ def _apply_schema_step(state: list[Syllable], step: SchemaStep, model: SurfaceMo
         inst = instantiate(step.schema, step.params, model)
     except SchemaError as exc:
         raise CertificateError(f"invalid schema step: {exc}") from None
-    pattern, replacement = (
-        (inst.lhs.syllables, inst.rhs.syllables)
-        if step.forward
-        else (inst.rhs.syllables, inst.lhs.syllables)
-    )
-    pos = step.position
+    pos, way = step.position, (1 if step.forward else -1)
+    pattern, replacement = (inst.lhs.syllables, inst.rhs.syllables)[::way]
     if pos > len(state):
         raise CertificateError(f"step position {pos} out of range 0..{len(state)}")
     end = pos + len(pattern)
     found = tuple(state[pos:end])
-    if found == pattern:
-        state[pos:end] = replacement
-        return
-    inverse_lhs, inverse_rhs = _inverse_sides(inst)
-    inverse_pattern, inverse_replacement = (
-        (inverse_lhs, inverse_rhs) if step.forward else (inverse_rhs, inverse_lhs)
-    )
-    if found == inverse_pattern:
-        state[pos:end] = inverse_replacement
-        return
+    for sides in ((pattern, replacement), None):
+        side, new = sides or _inverse_sides(inst)[::way]
+        if found == side:
+            state[pos:end] = new
+            return
     raise _window_mismatch("occurrence", pos, "pattern", pattern, found, " or its inverse")
 
 
@@ -614,7 +608,7 @@ def _commutation(
     has the schema and the pair meets its side conditions
     (:func:`_commuting_letters`).  The exponents of a working state are
     nonzero and ask nothing more, so the letters decide: this is the one
-    check of moves, gathers and :func:`commute_step`, and builds no word.
+    check of moves and gathers, and builds no word.
     """
     schema = _COMMUTING.get((x.kind, z.kind))
     forward = schema is not None and (x.kind != z.kind or x.index < z.index)
@@ -724,83 +718,97 @@ def _apply_flat(state: list[Syllable], step: RewriteStep, model: SurfaceModel) -
         raise CertificateError(f"unknown step type {type(step).__name__}")
 
 
-class _Run(list):
-    """A replay state: this list, its head at position 0, then ``count`` copies of ``unit``
-    and ``tail``.  ``last`` is the last pattern found to be copies of ``unit``, and their unit."""
+class _Replay:
+    """The written syllables ``head``, ``count`` copies of ``unit``, and ``tail``, which joins
+    the head after the last copy.  A start built by ``**`` gives its record's parts
+    (:func:`~.words._power_parts`) if they add up to it; any other is written out."""
 
-    __slots__ = ("unit", "count", "tail", "last")
+    __slots__ = ("head", "unit", "count", "tail")
 
-    def __init__(self, head: Sequence[Syllable], unit: tuple, count: int, tail: tuple):
-        super().__init__(head)
-        self.unit, self.count, self.tail, self.last = unit, count, tail, (None, None)
-        if not count:
-            self.written()
+    def __init__(self, start: Word):
+        source = getattr(start, "_source", None)
+        try:
+            parts = _power_parts(source[0].syllables, source[1]) if _is_power(source) else ()
+        except WordError:  # a power of a power near the cap
+            parts = ()
+        head, self.unit, self.count, self.tail = parts or (start.syllables, (), 0, ())
+        if len(head) + len(self.unit) * self.count + len(self.tail) != len(start.syllables):
+            head, self.count, self.tail = start.syllables, 0, ()
+        self.head = list(head)
+        self.write(0)  # with no copy, the tail joins the head
 
-    def written(self) -> "_Run":
-        """The whole state, written out into this list for good."""
-        self += self.unit * self.count
-        self += self.tail
-        self.unit, self.count, self.tail = (), 0, ()
-        return self
+    def write(self, end: int = sys.maxsize) -> list[Syllable]:
+        """The head, with the copies written into it that reach ``end``; the tail joins the last."""
+        if self.count and len(self.head) < end:
+            n = min(self.count, (end - len(self.head) - 1) // len(self.unit) + 1)
+            self.head += self.unit * n
+            self.count -= n
+        if not self.count:
+            self.head += self.tail
+            self.tail = ()
+        return self.head
 
 
-def _apply_on_run(run: _Run, step: RewriteStep, model: SurfaceModel) -> bool:
-    """Apply a step on whole copies of the run; False, changing nothing, for any other step.
+def _on_copies(state: _Replay, step: RewriteStep, model: SurfaceModel) -> int | None:
+    """Apply ``step`` to whole copies and return None, or return the end of its window.
 
-    A forward gather of exactly the copies needs only the letter check.  A
-    schema step at their start whose pattern, or its inverse, is ``k``
-    copies of a unit ``v`` of the run's unit (whose length divides both
-    lengths, so their gcd does) counts the run in ``v`` and takes ``k`` off.
+    A forward gather first begins the copies at its position, turning the unit, if the head
+    ends there with the unit's end, and takes copies off the tail while it wants more; one of
+    exactly the copies needs only the letter check.  A schema step at the copies whose pattern,
+    or its inverse, is ``k`` periods ``v`` (:func:`_periods`) of which the unit is copies too
+    counts the copies in ``v``, less ``k``.
     """
-    at, unit, count = len(run), run.unit, run.count
     if step.__class__ is GatherStep:
-        if step.forward and (step.position, step.copies, step.length + 1) == (at, count, len(unit)):
-            block, (x, e) = unit[:-1], unit[-1]
-            if not _blocked(x, block, True, model):  # else the flat step names the letter
-                run.unit, run.tail = block, ((x, e * count),) + run.tail
-                return True
-        return False
-    if step.__class__ is not SchemaStep or step.position != at:
-        return False
-    try:
-        inst = instantiate(step.schema, step.params, model)
-    except SchemaError:
-        return False
-    for sides in ((inst.lhs.syllables, inst.rhs.syllables), None):  # as the flat step
-        pattern, replacement = (sides or _inverse_sides(inst))[:: 1 if step.forward else -1]
-        if run.last[0] is not pattern or run.last[1] is not unit:  # else compared already
-            d = math.gcd(len(pattern), len(unit))
-            v, k = unit[:d], len(pattern) // d
-            if pattern[:d] != v or pattern != v * k or unit != v * (len(unit) // d):
-                continue
-            run.last = (pattern, v)
-        v = run.last[1]
-        if len(pattern) > count * len(unit):
-            return False
-        run.unit, run.count = v, (count * len(unit) - len(pattern)) // len(v)
-        run += replacement
-        if not run.count:
-            run.written()
-        return True
-    return False
+        pos, size, copies = step.position, step.length + step.forward, step.copies
+        if step.forward:
+            unit, k = state.unit, len(state.head) - pos
+            if 0 < k <= len(unit) and tuple(state.head[pos:]) == unit[-k:]:
+                state.unit, state.tail = unit[-k:] + unit[:-k], unit[-k:] + state.tail
+                del state.head[pos:]
+            while state.count < copies and state.tail[:size] == state.unit:
+                state.count, state.tail = state.count + 1, state.tail[size:]
+            if (pos, copies, size) == (len(state.head), state.count, len(state.unit)):
+                block, (x, e) = state.unit[:-1], state.unit[-1]
+                if not _blocked(x, block, True, model):  # else the flat step names the letter
+                    state.unit, state.tail = block, ((x, e * copies),) + state.tail
+                    return None
+        return pos + copies * size + (not step.forward)  # backward, x^E after the copies
+    if step.__class__ is SchemaStep:
+        try:
+            inst = instantiate(step.schema, step.params, model)
+        except SchemaError:
+            return 0  # the flat step names the fault
+        pos, unit = step.position, state.unit
+        end = pos + len((inst.lhs if step.forward else inst.rhs).syllables)
+        if pos == len(state.head) and end - pos <= state.count * len(unit):
+            d = _periods(inst)[not step.forward]
+            for sides in ((inst.lhs.syllables, inst.rhs.syllables), None):  # as the flat step
+                side, new = (sides or _inverse_sides(inst))[:: 1 if step.forward else -1]
+                if d and unit == side[:d] * (len(unit) // d):
+                    state.unit, state.count = unit[:d], (state.count * len(unit) + pos - end) // d
+                    state.head += new
+                    state.write(0)  # the tail joins the head once no copy is left
+                    return None
+        return end
+    if step.__class__ is MoveStep:
+        return step.position + step.length + 1
+    if step.__class__ is BlockStep:
+        return step.position + 2 * len(step.syllables) * (step.op == "delete")
+    if step.__class__ is FreeStep:
+        return step.position + {"insert": 0, "delete": 2, "merge": 2, "split": 1}[step.op]
+    return sys.maxsize  # the flat step refuses it
 
 
 def apply_step(state: list[Syllable], step: RewriteStep, model: SurfaceModel) -> None:
-    """Apply one step to the working state in place: a syllable list or a :class:`_Run`.
-
-    A run takes a step on its copies there (:func:`_apply_on_run`), and any
-    other on its head, at position 0.  A step that reads past the head fails
-    at its end; a failed step acts again on the state written out, so the
-    results and messages are those of the list.
-    """
-    if state.__class__ is _Run and state.count:
-        if _apply_on_run(state, step, model):
-            return
-        try:
-            _apply_flat(state, step, model)
-            return
-        except CertificateError:
-            state.written()
+    """Apply one step in place to a syllable list, or to a :class:`_Replay` on whole copies
+    (:func:`_on_copies`) or on its head, written out as far as the step reads."""
+    if state.__class__ is _Replay:
+        if state.count:
+            end = _on_copies(state, step, model)
+            if end is None:
+                return
+            state.write(end)
+        state = state.head
     _apply_flat(state, step, model)
 
 
@@ -828,45 +836,17 @@ class Certificate(_Record):
 def replay_certificate(certificate: Certificate) -> tuple[Syllable, ...]:
     """Replay all steps from ``start``; returns the final raw syllable sequence.
 
-    A start built by ``**`` replays as a :class:`_Run` of its power's parts,
-    from its record and checked against its length; any other is written
-    out.  Raises :class:`CertificateError` with the 1-based step number on
-    the first step that does not apply.
+    Raises :class:`CertificateError` with the 1-based step number on the
+    first step that does not apply; a start built by ``**`` replays on its
+    power's parts (:class:`_Replay`).
     """
-    start = certificate.start
-    source = getattr(start, "_source", None)
-    try:
-        parts = _power_parts(source[0].syllables, source[1]) if _is_power(source) else ()
-    except WordError:  # a power of a power near the cap
-        parts = ()
-    head, unit, count, tail = parts or (start.syllables, (), 0, ())
-    if len(head) + len(unit) * count + len(tail) != len(start.syllables):
-        head, unit, count, tail = start.syllables, (), 0, ()
-    state = _Run(head, unit, count, tail)
+    state = _Replay(certificate.start)
     for number, step in enumerate(certificate.steps, 1):
         try:
             apply_step(state, step, certificate.model)
         except CertificateError as exc:
             raise CertificateError(f"step {number}: {exc}") from None
-    return tuple(state.written())
-
-
-def commute_step(state: Sequence[Syllable], position: int, model: SurfaceModel) -> SchemaStep:
-    """The schema step that swaps the syllables ``state[position]``, ``state[position + 1]``.
-
-    The schema and direction are those of :func:`_commutation`.
-    ``position`` must have a right neighbour and the instance must meet
-    its side conditions; otherwise :class:`SchemaError` is raised.
-    """
-    if not 0 <= position < len(state) - 1:
-        raise SchemaError(f"position {position} has no right neighbour in {len(state)} syllables")
-    (x, a), (z, b) = state[position], state[position + 1]
-    schema, forward, first, second = _commutation(x, z, model)
-    p = first.kind if _SCHEMAS[schema][0][0] == "k" else first.index
-    exponents = (a, b) if forward else (b, a)
-    step = SchemaStep(position, schema, (p, second.index, *exponents), forward)
-    instantiate(step.schema, step.params, model)  # the exponents' side conditions, now
-    return step
+    return tuple(state.write())
 
 
 # At most four index digits: far above MAX_GENUS, and never past the int() limit.

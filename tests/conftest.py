@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from mcgroots.presentation import SchemaError, SchemaStep, _commutation, instantiate
 from mcgroots.words import SurfaceModel, Word
 
 
@@ -74,6 +75,24 @@ def random_word(rng: random.Random, model: SurfaceModel, max_syllables: int = 4)
         exp = rng.choice([-2, -1, 1, 2])
         syllables.append((letter, exp))
     return Word(model=model, syllables=tuple(syllables))
+
+
+def commute_step(state, position: int, model: SurfaceModel) -> SchemaStep:
+    """The schema step that swaps ``state[position]`` and ``state[position + 1]``.
+
+    Its schema and direction are those of ``presentation._commutation``, and
+    ``instantiate`` checks the exponents' side conditions; a pair without a
+    right neighbour, or that does not commute, raises ``SchemaError``.
+    """
+    if not 0 <= position < len(state) - 1:
+        raise SchemaError(f"position {position} has no right neighbour in {len(state)} syllables")
+    (x, a), (z, b) = state[position], state[position + 1]
+    schema, forward, first, second = _commutation(x, z, model)
+    p = first.kind if schema == "ChainCommute" else first.index
+    exponents = (a, b) if forward else (b, a)
+    step = SchemaStep(position, schema, (p, second.index, *exponents), forward)
+    instantiate(step.schema, step.params, model)
+    return step
 
 
 @pytest.fixture

@@ -24,7 +24,6 @@ from mcgroots.presentation import (
     apply_step,
     certificate_from_text,
     certificate_to_text,
-    commute_step,
     instantiate,
     invert_step,
     relation_catalog,
@@ -52,6 +51,7 @@ from mcgroots.words import (
 )
 
 from conftest import (
+    commute_step,
     conjugates,
     hybrid_models,
     letters_for,

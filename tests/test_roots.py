@@ -20,7 +20,6 @@ from mcgroots.presentation import (
     boundary_identity,
     certificate_from_text,
     certificate_to_text,
-    commute_step,
     instantiate,
     invert_step,
     replay_certificate,
@@ -101,7 +100,7 @@ def test_boundary_identity_gives_a_root(model):
     assert m % 2 == 1
     for letter, _ in block:
         for kind in ("t", "u", "y"):
-            commute_step(((GeneratorLetter(kind, 1), 1), (letter, 1)), 0, model)
+            presentation._commutation(GeneratorLetter(kind, 1), letter, model)
     assert instantiate(schema, (), model).rhs == block ** m
 
 
@@ -564,12 +563,9 @@ def test_braids_replay_as_the_written_out_start(punctures):
         _replays_agree(construct_braid_root(punctures, index))
 
 
-def test_root_replay_writes_out_no_more_than_genus_squared(monkeypatch):
-    """The replay of the largest roots keeps the run of copies unwritten.
-
-    A silent fall back to the written-out start would pass every other
-    test; here it hands the flat step code about g^3 syllables.
-    """
+def _record_largest_state(monkeypatch) -> list[int]:
+    """A list whose one item is the largest state handed to the flat step code since it
+    was last set to 0."""
     largest = [0]
     flat = presentation._apply_flat
 
@@ -578,6 +574,16 @@ def test_root_replay_writes_out_no_more_than_genus_squared(monkeypatch):
         flat(state, step, model)
 
     monkeypatch.setattr(presentation, "_apply_flat", recording)
+    return largest
+
+
+def test_root_replay_writes_out_no_more_than_genus_squared(monkeypatch):
+    """The replay of the largest roots keeps the run of copies unwritten.
+
+    A silent fall back to the written-out start would pass every other
+    test; here it hands the flat step code about g^3 syllables.
+    """
+    largest = _record_largest_state(monkeypatch)
     requests = [RootRequest(50, t, "orientable") for t in "uy"]
     requests += [RootRequest(g, t, "nonorientable") for g in (49, 50) for t in "uy"]
     for request in requests:
@@ -585,6 +591,24 @@ def test_root_replay_writes_out_no_more_than_genus_squared(monkeypatch):
         result = construct_root(request)
         assert result.report.proved
         assert 0 < largest[0] <= request.genus**2 < len(result.certificate.start.syllables)
+
+
+@pytest.mark.parametrize("punctures", [5, 8, 20, 49, 50])
+def test_braid_replay_writes_out_no_more_than_twice_punctures_squared(monkeypatch, punctures):
+    """A braid replay aligns its gather with the copies and never writes its start out.
+
+    What it writes out is the rotation at each end, about n^2 syllables
+    each: at most 1.9 n^2 in all for n = 5..50 at indices 1, 2, n/2 and
+    n - 1 (braid (50, 49): 4 728 of the 55 465 syllables of its start),
+    against all of them when the gather wrote the start out.
+    """
+    largest = _record_largest_state(monkeypatch)
+    for index in sorted({1, 2, punctures - 1}):
+        largest[0] = 0
+        result = construct_braid_root(punctures, index)
+        assert result.report.proved
+        assert 0 < largest[0] <= 2 * punctures**2
+        assert largest[0] < len(result.certificate.start.syllables)
 
 
 def test_a_construction_fault_fails_the_certificate_check(monkeypatch):
